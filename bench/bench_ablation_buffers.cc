@@ -47,7 +47,7 @@ main()
 
         // Interleaved small writes across 4 open zones: many stripes
         // in flight per zone.
-        RaiznTarget target(arr.vol.get());
+        ZonedArrayTarget target(arr.vol.get());
         WorkloadRunner runner(arr.loop.get(), &target);
         std::vector<JobSpec> jobs;
         for (uint32_t z = 0; z < 4; ++z) {

@@ -26,7 +26,7 @@ main()
         {
             BenchScale scale;
             auto arr = make_raizn_array(scale);
-            RaiznTarget target(arr.vol.get());
+            ZonedArrayTarget target(arr.vol.get());
             WorkloadRunner runner(arr.loop.get(), &target);
             auto jobs = seq_jobs(RwMode::kSeqWrite, bs, 4, 16,
                                  arr.vol->capacity(),
@@ -43,7 +43,7 @@ main()
         {
             BenchScale scale;
             auto arr = make_mdraid_array(scale);
-            MdTarget target(arr.vol.get());
+            ZonedArrayTarget target(arr.vol.get());
             WorkloadRunner runner(arr.loop.get(), &target);
             auto jobs =
                 seq_jobs(RwMode::kSeqWrite, bs, 4, 16,

@@ -114,7 +114,7 @@ run_point(const SweepPoint &pt, const std::string &mode,
                             arr.fdevs[i]->fault_stats());
         }
     }
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     uint64_t zone_cap = arr.vol->zone_capacity();
 
     double mibs = 0, p99_us = 0;

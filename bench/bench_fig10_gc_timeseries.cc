@@ -109,7 +109,7 @@ run_mdraid(const ObsOptions &oo, const BenchScale &scale)
     tl->set_detector(&det);
     tl->start();
 
-    MdTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     Sampler sampler(100 * kNsPerMs);
     Series out;
     phase1(arr.loop.get(), &target, 0, &sampler);
@@ -155,7 +155,7 @@ run_raizn(const ObsOptions &oo, const BenchScale &scale)
     tl->set_detector(&det);
     tl->start();
 
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     Sampler sampler(100 * kNsPerMs);
     Series out;
     phase1(arr.loop.get(), &target, arr.vol->zone_capacity(), &sampler);

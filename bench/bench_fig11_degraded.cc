@@ -27,7 +27,7 @@ main()
             {
                 BenchScale scale;
                 auto arr = make_mdraid_array(scale);
-                MdTarget target(arr.vol.get());
+                ZonedArrayTarget target(arr.vol.get());
                 prime_target(arr.loop.get(), &target, target.capacity());
                 arr.vol->mark_device_failed(0);
                 md = std::string(wl) == "seqread"
@@ -38,7 +38,7 @@ main()
             {
                 BenchScale scale;
                 auto arr = make_raizn_array(scale);
-                RaiznTarget target(arr.vol.get());
+                ZonedArrayTarget target(arr.vol.get());
                 prime_target(arr.loop.get(), &target, target.capacity());
                 arr.vol->mark_device_failed(0);
                 rz = std::string(wl) == "seqread"

@@ -7,8 +7,8 @@
  * device's write throughput.
  *
  * Second section: MTTR vs foreground service under concurrent load at
- * three rebuild throttle settings (unthrottled, fixed-rate token
- * bucket, adaptive). An online rebuild competes with foreground writes
+ * two rebuild throttle settings (unthrottled, fixed-rate token
+ * bucket). An online rebuild competes with foreground writes
  * for device bandwidth; the throttle trades longer MTTR for a
  * foreground throughput floor. Emits BENCH_rebuild_mttr.json. The
  * fixed-throttle run is telemetry-instrumented: --timeseries-out
@@ -18,6 +18,7 @@
  *   bench_fig12_rebuild [--smoke] [--timeseries-out f.csv]
  */
 #include <cstdio>
+#include <iterator>
 
 #include "bench_util.h"
 
@@ -31,7 +32,7 @@ raizn_ttr(double fill_fraction)
 {
     BenchScale scale;
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     uint64_t fill = static_cast<uint64_t>(
         static_cast<double>(arr.vol->capacity()) * fill_fraction);
     // Whole zones, as user data would be laid out.
@@ -60,7 +61,7 @@ mdraid_ttr(double fill_fraction)
 {
     BenchScale scale;
     auto arr = make_mdraid_array(scale);
-    MdTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     uint64_t fill = static_cast<uint64_t>(
         static_cast<double>(arr.vol->capacity()) * fill_fraction);
     if (fill > 0)
@@ -71,7 +72,7 @@ mdraid_ttr(double fill_fraction)
     Tick start = arr.loop->now();
     Status st;
     bool done = false;
-    arr.vol->resync_device(0, nullptr, [&](Status s) {
+    arr.vol->rebuild_device(0, nullptr, [&](Status s) {
         st = s;
         done = true;
     });
@@ -113,7 +114,6 @@ struct FgLoad {
 struct MttrRecord {
     std::string setting;
     uint64_t rate = 0; ///< sectors/s (0 = unthrottled)
-    bool adaptive = false;
     double mttr_s = 0;
     double fg_mibs = 0;
     uint64_t throttle_stalls = 0;
@@ -123,15 +123,14 @@ struct MttrRecord {
 
 MttrRecord
 run_mttr(const BenchScale &scale, const char *setting, uint64_t rate,
-         bool adaptive, const ObsOptions *oo = nullptr)
+         const ObsOptions *oo = nullptr)
 {
     MttrRecord rec;
     rec.setting = setting;
     rec.rate = rate;
-    rec.adaptive = adaptive;
 
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     uint64_t zc = arr.vol->zone_capacity();
     uint64_t fill = arr.vol->capacity() / 2 / zc * zc;
     prime_target(arr.loop.get(), &target, fill);
@@ -151,7 +150,6 @@ run_mttr(const BenchScale &scale, const char *setting, uint64_t rate,
     arr.devs[0]->replace();
     RaiznVolume::LifecycleConfig lc;
     lc.throttle.rate_sectors_per_sec = rate;
-    lc.throttle.adaptive = adaptive;
     arr.vol->set_lifecycle(lc);
 
     FgLoad fg;
@@ -196,7 +194,7 @@ double
 fg_baseline_mibs(const BenchScale &scale, uint64_t duration_ns)
 {
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     uint64_t zc = arr.vol->zone_capacity();
     uint64_t fill = arr.vol->capacity() / 2 / zc * zc;
     prime_target(arr.loop.get(), &target, fill);
@@ -255,26 +253,25 @@ main(int argc, char **argv)
     if (smoke)
         scale.zones_per_device = 12;
 
-    // Calibrate the throttle from the unthrottled run: the fixed and
-    // adaptive settings cap rebuild traffic at a quarter of the
-    // bandwidth an unconstrained rebuild achieved under this load.
-    MttrRecord unthrottled =
-        run_mttr(scale, "unthrottled", 0, false);
+    // Calibrate the throttle from the unthrottled run: the fixed
+    // setting caps rebuild traffic at a quarter of the bandwidth an
+    // unconstrained rebuild achieved under this load.
+    MttrRecord unthrottled = run_mttr(scale, "unthrottled", 0);
     uint64_t rebuild_bw = unthrottled.mttr_s > 0
         ? static_cast<uint64_t>(
               static_cast<double>(unthrottled.rebuilt_sectors) /
               unthrottled.mttr_s)
         : 0;
     uint64_t capped = rebuild_bw > 4 ? rebuild_bw / 4 : 1;
-    MttrRecord fixed = run_mttr(scale, "fixed", capped, false, &oo);
-    MttrRecord adaptive = run_mttr(scale, "adaptive", capped, true);
+    MttrRecord fixed = run_mttr(scale, "fixed", capped, &oo);
     double baseline = fg_baseline_mibs(
         scale,
         static_cast<uint64_t>(unthrottled.mttr_s * kNsPerSec) + 1);
 
     std::printf("%-12s %10s %10s %10s %10s\n", "setting", "MTTR_s",
                 "fg_MiBs", "stalls", "zones");
-    for (const MttrRecord *r : {&unthrottled, &fixed, &adaptive}) {
+    const MttrRecord *recs[] = {&unthrottled, &fixed};
+    for (const MttrRecord *r : recs) {
         std::printf("%-12s %10.3f %10.1f %10llu %10llu\n",
                     r->setting.c_str(), r->mttr_s, r->fg_mibs,
                     (unsigned long long)r->throttle_stalls,
@@ -302,21 +299,19 @@ main(int argc, char **argv)
                  scale.num_devices, scale.zones_per_device,
                  (unsigned long long)scale.zone_cap_sectors,
                  scale.su_sectors, baseline, meter.json("").c_str());
-    const MttrRecord *recs[] = {&unthrottled, &fixed, &adaptive};
-    for (size_t i = 0; i < 3; ++i) {
+    for (size_t i = 0; i < std::size(recs); ++i) {
         const MttrRecord *r = recs[i];
         std::fprintf(
             f,
             "    {\"setting\": \"%s\", \"rate_sectors_per_sec\": %llu, "
-            "\"adaptive\": %s, \"mttr_s\": %.4f, \"fg_mibs\": %.2f, "
+            "\"mttr_s\": %.4f, \"fg_mibs\": %.2f, "
             "\"throttle_stalls\": %llu, \"zones_rebuilt\": %llu, "
             "\"rebuilt_sectors\": %llu}%s\n",
-            r->setting.c_str(), (unsigned long long)r->rate,
-            r->adaptive ? "true" : "false", r->mttr_s, r->fg_mibs,
-            (unsigned long long)r->throttle_stalls,
+            r->setting.c_str(), (unsigned long long)r->rate, r->mttr_s,
+            r->fg_mibs, (unsigned long long)r->throttle_stalls,
             (unsigned long long)r->zones_rebuilt,
             (unsigned long long)r->rebuilt_sectors,
-            i + 1 < 3 ? "," : "");
+            i + 1 < std::size(recs) ? "," : "");
     }
     std::fprintf(
         f,
@@ -343,6 +338,6 @@ main(int argc, char **argv)
         "\"warn\": true}\n"
         "  }\n}\n");
     std::fclose(f);
-    std::printf("\nwrote BENCH_rebuild_mttr.json (3 points)\n");
+    std::printf("\nwrote BENCH_rebuild_mttr.json (2 points)\n");
     return 0;
 }

@@ -28,7 +28,7 @@ main()
                 BenchScale scale;
                 scale.su_sectors = su;
                 auto arr = make_mdraid_array(scale);
-                MdTarget target(arr.vol.get());
+                ZonedArrayTarget target(arr.vol.get());
                 double mibs = 0;
                 if (std::string(wl) == "write") {
                     mibs = run_seq(arr.loop.get(), &target,

@@ -38,7 +38,7 @@ full_sweep()
                 BenchScale scale;
                 scale.su_sectors = su;
                 auto arr = make_raizn_array(scale);
-                RaiznTarget target(arr.vol.get());
+                ZonedArrayTarget target(arr.vol.get());
                 uint64_t zone_cap = arr.vol->zone_capacity();
                 double mibs = 0;
                 if (std::string(wl) == "write") {
@@ -96,7 +96,7 @@ instrumented_pass(const ObsOptions &oo)
         arr.vol->install_timeline(tl.get());
         ledger.install_probe(tl.get());
         tl->start();
-        RaiznTarget target(arr.vol.get());
+        ZonedArrayTarget target(arr.vol.get());
         uint64_t zone_cap = arr.vol->zone_capacity();
         num_devices = arr.vol->num_devices();
 

@@ -28,7 +28,7 @@ main()
             {
                 BenchScale scale;
                 auto arr = make_mdraid_array(scale);
-                MdTarget target(arr.vol.get());
+                ZonedArrayTarget target(arr.vol.get());
                 if (std::string(wl) == "write") {
                     md = run_seq(arr.loop.get(), &target,
                                  RwMode::kSeqWrite, bs, 0);
@@ -44,7 +44,7 @@ main()
             {
                 BenchScale scale;
                 auto arr = make_raizn_array(scale);
-                RaiznTarget target(arr.vol.get());
+                ZonedArrayTarget target(arr.vol.get());
                 uint64_t zc = arr.vol->zone_capacity();
                 if (std::string(wl) == "write") {
                     rz = run_seq(arr.loop.get(), &target,

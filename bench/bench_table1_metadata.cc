@@ -23,7 +23,7 @@ main()
     scale.zones_per_device = 11; // 8 logical zones
     scale.zone_cap_sectors = 2048; // 8 MiB (scaled from 1077 MiB)
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
 
     // Touch the array so per-open-zone structures exist: open one zone
     // with a partial stripe (forces a stripe buffer + parity log).

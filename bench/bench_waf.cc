@@ -75,8 +75,6 @@ struct VolRun {
     } ea;
     ZonedArray *arr = nullptr;
     EventLoop *loop = nullptr;
-    std::unique_ptr<IoTarget> target;
-    uint64_t zone_align = 0; ///< 0 for the conventional md stack
     std::function<void()> replace_victim;
 };
 
@@ -89,8 +87,6 @@ make_vol(const std::string &name, uint32_t victim)
         v.ra = make_raizn_array(scale);
         v.arr = v.ra.vol.get();
         v.loop = v.ra.loop.get();
-        v.target = std::make_unique<RaiznTarget>(v.ra.vol.get());
-        v.zone_align = v.ra.vol->zone_capacity();
         ZnsDevice *d = v.ra.devs[victim].get();
         v.replace_victim = [d] { d->replace(); };
         return v;
@@ -99,8 +95,6 @@ make_vol(const std::string &name, uint32_t victim)
         v.ma = make_mdraid_array(scale);
         v.arr = v.ma.vol.get();
         v.loop = v.ma.loop.get();
-        v.target = std::make_unique<MdTarget>(v.ma.vol.get());
-        v.zone_align = 0;
         ConvDevice *d = v.ma.devs[victim].get();
         v.replace_victim = [d] { d->replace(); };
         return v;
@@ -143,8 +137,6 @@ make_vol(const std::string &name, uint32_t victim)
     v.ea.eng = std::move(res).value();
     v.arr = v.ea.eng.get();
     v.loop = v.ea.loop.get();
-    v.target = std::make_unique<ZonedArrayTarget>(v.ea.eng.get());
-    v.zone_align = v.ea.eng->zone_capacity();
     ZnsDevice *d = v.ea.devs[victim].get();
     v.replace_victim = [d] { d->replace(); };
     return v;
@@ -250,17 +242,20 @@ run_volume(const std::string &name, std::vector<WafPoint> *out,
     obs::IoLedger ledger;
     VolRun v = make_vol(name, kVictim);
     v.arr->attach_ledger(&ledger);
+    ZonedArrayTarget target(v.arr);
+    // 0 for the conventional md stack.
+    const uint64_t zone_align = v.arr->zone_capacity();
 
-    run_seq_write(v.loop, v.target.get(), kBs, v.zone_align);
-    run_rand_read_written(v.loop, v.target.get(), kBs);
+    run_seq_write(v.loop, &target, kBs, zone_align);
+    run_rand_read_written(v.loop, &target, kBs);
     if (!snap_phase(name, "healthy", ledger, out))
         return false;
 
     if (v.arr->fault_tolerance() > 0) {
         v.arr->mark_device_failed(kVictim);
-        reset_all_zones(v.loop, v.target.get(), v.zone_align);
-        run_seq_write(v.loop, v.target.get(), kBs, v.zone_align);
-        run_rand_read_written(v.loop, v.target.get(), kBs);
+        reset_all_zones(v.loop, &target, zone_align);
+        run_seq_write(v.loop, &target, kBs, zone_align);
+        run_rand_read_written(v.loop, &target, kBs);
         if (!snap_phase(name, "degraded", ledger, out))
             return false;
 
@@ -421,7 +416,7 @@ main(int argc, char **argv)
             BenchScale scale;
             auto arr = make_raizn_array(scale);
             arr.vol->attach_ledger(&rl);
-            RaiznTarget target(arr.vol.get());
+            ZonedArrayTarget target(arr.vol.get());
             run_seq_write(arr.loop.get(), &target, 16,
                           arr.vol->zone_capacity());
             run_rand_read_written(arr.loop.get(), &target, 16);
@@ -433,7 +428,7 @@ main(int argc, char **argv)
             BenchScale scale;
             auto arr = make_mdraid_array(scale);
             arr.vol->attach_ledger(&ml);
-            MdTarget target(arr.vol.get());
+            ZonedArrayTarget target(arr.vol.get());
             run_seq_write(arr.loop.get(), &target, 16, 0);
             run_rand_read_written(arr.loop.get(), &target, 16);
             if (!snap_phase("mdraid", "healthy", ml, &pts))

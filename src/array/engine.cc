@@ -129,7 +129,9 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
                          const EngineConfig &cfg)
     : ZonedArray(loop, std::move(devs),
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
-                           &stats_.dev_errors, &stats_.spares_promoted}),
+                           &stats_.dev_errors, &stats_.spares_promoted,
+                           &stats_.auto_failovers,
+                           &stats_.rebuild_throttle_stalls}),
       cfg_(cfg)
 {
     const DeviceGeometry &g = devs_[0]->geometry();

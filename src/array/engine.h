@@ -68,6 +68,7 @@ struct EngineStats {
     uint64_t auto_failovers = 0; ///< health-driven failovers started
     uint64_t spares_promoted = 0;
     uint64_t zones_rebuilt = 0;
+    uint64_t rebuild_throttle_stalls = 0; ///< rebuild steps delayed
     uint64_t auto_mirror_zones = 0; ///< auto-mode hot (mirror) decisions
     uint64_t auto_parity_zones = 0; ///< auto-mode cold (parity) decisions
 
@@ -98,6 +99,7 @@ struct EngineStats {
         fn("auto_failovers", auto_failovers);
         fn("spares_promoted", spares_promoted);
         fn("zones_rebuilt", zones_rebuilt);
+        fn("rebuild_throttle_stalls", rebuild_throttle_stalls);
         fn("auto_mirror_zones", auto_mirror_zones);
         fn("auto_parity_zones", auto_parity_zones);
     }
@@ -175,15 +177,6 @@ class ZonedEngine : public ZonedArray
                         StatusCb done) override;
     Status scrub_all(ScrubReport *report = nullptr) override;
 
-    /// Same shape as RaiznVolume::LifecycleConfig: promote the spare
-    /// and rebuild automatically when the health monitor fails a
-    /// device.
-    struct LifecycleConfig {
-        bool auto_rebuild = true;
-        std::function<void(uint32_t dev, Status s)> on_rebuild_done;
-    };
-    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
-
     // ---- Introspection (crash oracle + tests) ----------------------
     const EngineStats &stats() const { return stats_; }
     const EngineConfig &config() const { return cfg_; }
@@ -223,6 +216,11 @@ class ZonedEngine : public ZonedArray
     bool is_marked_failed(uint32_t dev) const override
     {
         return failed_devs_[dev];
+    }
+    /// One rebuild at a time, and none once data is already lost.
+    bool auto_rebuild_vetoed() const override
+    {
+        return rebuilding_ || data_loss();
     }
 
   private:
@@ -389,7 +387,6 @@ class ZonedEngine : public ZonedArray
                              uint64_t limit, StatusCb done);
     void copy_wal_to_target(StatusCb done);
     void finish_rebuild(Status s);
-    void maybe_start_auto_rebuild(uint32_t dev);
     Status scrub_zone(uint32_t zone, ScrubReport *rep);
 
     EngineConfig cfg_;
@@ -425,7 +422,6 @@ class ZonedEngine : public ZonedArray
     ProgressCb rebuild_progress_;
     StatusCb rebuild_done_;
     uint64_t rebuild_wal_copied_ = 0;
-    LifecycleConfig lifecycle_;
 };
 
 } // namespace raizn

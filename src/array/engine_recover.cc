@@ -344,6 +344,7 @@ ZonedEngine::rebuild_device(uint32_t dev, ProgressCb progress,
     rebuild_done_ = std::move(done);
     rebuild_wal_copied_ = 0;
     zone_rebuilt_.assign(nzones_, false);
+    start_rebuild_throttle();
     if (failed_devs_[dev]) {
         failed_devs_[dev] = false;
         --nfailed_;
@@ -608,6 +609,10 @@ ZonedEngine::rebuild_mirror_rows(uint32_t zone, uint64_t row,
     }
     const uint32_t n =
         static_cast<uint32_t>(std::min<uint64_t>(limit - row, 32));
+    if (!pace_rebuild(n, [this, zone, row, limit, src, done] {
+            rebuild_mirror_rows(zone, row, limit, src, done);
+        }))
+        return;
     IoRequest rd = IoRequest::read(dev_row_lba(zone, row), n);
     rd.trace_stage = "eng.rebuild";
     rd.cause = obs::Cause::kRebuild;
@@ -673,6 +678,13 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
                      });
         return;
     }
+
+    // The lifecycle throttle charges one stripe unit per stripe: the
+    // target's share of it.
+    if (!pace_rebuild(su, [this, zone, stripe, limit, done] {
+            rebuild_stripe_from(zone, stripe, limit, done);
+        }))
+        return;
 
     StatusCb next = [this, zone, stripe, limit, done](Status s) {
         if (!s.is_ok()) {
@@ -892,27 +904,6 @@ ZonedEngine::finish_rebuild(Status s)
         zone_advance(z);
     if (done)
         done(s);
-}
-
-void
-ZonedEngine::maybe_start_auto_rebuild(uint32_t dev)
-{
-    if (!lifecycle_.auto_rebuild || rebuilding_ || !has_spare())
-        return;
-    ++stats_.auto_failovers;
-    LOG_INFO("%s: promoting hot spare for failed member %u",
-             metric_prefix().c_str(), dev);
-    loop_->schedule_after(1, [this, dev, alive = alive_] {
-        if (!*alive)
-            return;
-        if (!failed_devs_[dev] || rebuilding_ || !has_spare())
-            return;
-        promote_spare_base(dev);
-        rebuild_device(dev, nullptr, [this, dev](Status s) {
-            if (lifecycle_.on_rebuild_done)
-                lifecycle_.on_rebuild_done(dev, s);
-        });
-    });
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-#include "raizn/throttle.h"
+#include "array/throttle.h"
 
 #include <algorithm>
 
@@ -8,11 +8,10 @@ namespace raizn {
 
 namespace {
 constexpr double kSecNs = 1e9;
-constexpr double kEwmaAlpha = 0.2;
 } // namespace
 
 RebuildThrottle::RebuildThrottle(EventLoop *loop, RebuildThrottleConfig cfg)
-    : loop_(loop), cfg_(cfg), rate_(cfg.rate_sectors_per_sec),
+    : loop_(loop), cfg_(cfg),
       tokens_(static_cast<double>(cfg.burst_sectors)),
       last_refill_ns_(loop->now())
 {
@@ -25,7 +24,7 @@ RebuildThrottle::refill()
     if (now <= last_refill_ns_)
         return;
     double earned = static_cast<double>(now - last_refill_ns_) *
-        static_cast<double>(rate_) / kSecNs;
+        static_cast<double>(cfg_.rate_sectors_per_sec) / kSecNs;
     tokens_ = std::min(tokens_ + earned,
                        static_cast<double>(cfg_.burst_sectors));
     last_refill_ns_ = now;
@@ -53,29 +52,9 @@ RebuildThrottle::ns_until(uint64_t sectors) const
     double deficit = static_cast<double>(sectors) - tokens_;
     if (deficit <= 0)
         return 0;
-    return static_cast<uint64_t>(deficit * kSecNs /
-                                 static_cast<double>(rate_)) + 1;
-}
-
-void
-RebuildThrottle::observe_foreground_latency(uint64_t ns)
-{
-    ewma_ns_ = ewma_ns_ == 0.0
-        ? static_cast<double>(ns)
-        : kEwmaAlpha * static_cast<double>(ns) +
-            (1.0 - kEwmaAlpha) * ewma_ns_;
-    if (!cfg_.adaptive || !enabled() || baseline_ns_ <= 0.0)
-        return;
-    if (ewma_ns_ > cfg_.backoff_factor * baseline_ns_) {
-        uint64_t next = std::max(rate_ / 2, cfg_.min_rate_sectors_per_sec);
-        if (next < rate_) {
-            rate_ = next;
-            backoffs_++;
-        }
-    } else if (ewma_ns_ < cfg_.restore_factor * baseline_ns_ &&
-               rate_ < cfg_.rate_sectors_per_sec) {
-        rate_ = std::min(rate_ * 2, cfg_.rate_sectors_per_sec);
-    }
+    return static_cast<uint64_t>(
+               deficit * kSecNs /
+               static_cast<double>(cfg_.rate_sectors_per_sec)) + 1;
 }
 
 } // namespace raizn

@@ -237,19 +237,81 @@ ZonedArray::escalate_dev_error(uint32_t dev, const Status &s)
 }
 
 void
-ZonedArray::promote_spare_base(uint32_t dev)
+ZonedArray::maybe_start_auto_rebuild(uint32_t dev)
 {
-    devs_[dev] = spare_;
-    spare_ = nullptr;
-    health_->reset_device(dev);
-    ++*cells_.spares_promoted;
-    // The slot now points at a different physical device whose
-    // counters started from zero: re-baseline the audit marks and
-    // route its recording into this slot.
-    if (ledger_ != nullptr) {
-        ledger_->rebind_device(dev, devs_[dev]);
-        devs_[dev]->set_ledger(ledger_, dev);
+    if (!lifecycle_.auto_rebuild || spare_ == nullptr ||
+        !is_marked_failed(dev) || auto_rebuild_vetoed())
+        return;
+    const DeviceGeometry &sg = spare_->geometry();
+    const DeviceGeometry &mg = devs_[dev]->geometry();
+    if (spare_->failed() || sg.zoned != mg.zoned ||
+        sg.nzones != mg.nzones || sg.zone_size != mg.zone_size ||
+        sg.zone_capacity != mg.zone_capacity ||
+        sg.nsectors < mg.nsectors) {
+        LOG_ERROR("%s: hot spare unusable for slot %u; staying degraded",
+                  metric_prefix().c_str(), dev);
+        return;
     }
+    ++*cells_.auto_failovers;
+    // Defer off the error path: mark_device_failed can run deep inside
+    // an IO completion, and promotion + rebuild kick-off must not
+    // reenter it.
+    loop_->schedule_after(1, [this, dev, alive = alive_] {
+        if (!*alive || spare_ == nullptr || !is_marked_failed(dev) ||
+            auto_rebuild_vetoed())
+            return;
+        devs_[dev] = spare_;
+        spare_ = nullptr;
+        health_->reset_device(dev);
+        ++*cells_.spares_promoted;
+        // The slot now points at a different physical device whose
+        // counters started from zero: re-baseline the audit marks and
+        // route its recording into this slot.
+        if (ledger_ != nullptr) {
+            ledger_->rebind_device(dev, devs_[dev]);
+            devs_[dev]->set_ledger(ledger_, dev);
+        }
+        on_spare_promoted(dev);
+        LOG_INFO("%s: hot spare promoted into slot %u",
+                 metric_prefix().c_str(), dev);
+        rebuild_device(dev, nullptr, [this, dev, alive](Status s) {
+            if (!*alive)
+                return;
+            if (!s.is_ok())
+                LOG_ERROR("%s: automatic rebuild of slot %u failed: %s",
+                          metric_prefix().c_str(), dev,
+                          s.to_string().c_str());
+            if (lifecycle_.on_rebuild_done)
+                lifecycle_.on_rebuild_done(dev, s);
+        });
+    });
+}
+
+void
+ZonedArray::start_rebuild_throttle()
+{
+    throttle_.reset();
+    throttle_armed_ = false;
+    if (lifecycle_.throttle.rate_sectors_per_sec > 0)
+        throttle_ =
+            std::make_unique<RebuildThrottle>(loop_, lifecycle_.throttle);
+}
+
+void
+ZonedArray::rebuild_stalled(uint64_t sectors, std::function<void()> resume)
+{
+    ++*cells_.throttle_stalls;
+    if (throttle_armed_)
+        return;
+    throttle_armed_ = true;
+    loop_->schedule_after(throttle_->ns_until(sectors),
+                          [this, resume = std::move(resume),
+                           alive = alive_] {
+                              if (!*alive)
+                                  return;
+                              throttle_armed_ = false;
+                              resume();
+                          });
 }
 
 void

@@ -9,6 +9,10 @@
  * metrics/trace attachment (per-device DeviceStats + latency
  * histograms, health counters, total-latency histograms).
  *
+ * The base also owns the failure lifecycle: one LifecycleConfig, the
+ * automatic failover onto a hot spare, and the fixed-rate rebuild
+ * throttle every engine's rebuild pump paces itself with.
+ *
  * Subclasses provide the data path (read/write/flush/zone management),
  * the failure semantics (mark_device_failed / rebuild), and a stats
  * struct; the base reaches into that struct through StatCells so each
@@ -20,9 +24,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/raid_mode.h"
+#include "array/throttle.h"
 #include "fault/health.h"
 #include "fault/retry.h"
 #include "zns/block_device.h"
@@ -128,6 +134,23 @@ class ZonedArray
     void set_spare(BlockDevice *spare) { spare_ = spare; }
     bool has_spare() const { return spare_ != nullptr; }
 
+    /**
+     * Failure-lifecycle policy: when a device is marked failed and a
+     * usable hot spare is attached, the spare is promoted and rebuilt
+     * in the background with no caller intervention (healthy -> failed
+     * -> rebuilding -> healthy). `throttle` caps every rebuild's
+     * traffic, automatic or not, so degraded foreground service keeps
+     * headroom; rate 0 leaves rebuilds unthrottled.
+     */
+    struct LifecycleConfig {
+        bool auto_rebuild = true; ///< promote + rebuild on failure
+        RebuildThrottleConfig throttle;
+        /// Fired when an automatic rebuild finishes (or fails).
+        std::function<void(uint32_t dev, Status s)> on_rebuild_done;
+    };
+    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
+    const LifecycleConfig &lifecycle() const { return lifecycle_; }
+
     // ---- Observability ---------------------------------------------
     /**
      * Hooks this array into the unified observability layer (src/obs):
@@ -174,6 +197,8 @@ class ZonedArray
         uint64_t *io_timeouts = nullptr;
         uint64_t *dev_errors = nullptr;
         uint64_t *spares_promoted = nullptr;
+        uint64_t *auto_failovers = nullptr;
+        uint64_t *throttle_stalls = nullptr; ///< rebuild IOs delayed
     };
 
     ZonedArray(EventLoop *loop, std::vector<BlockDevice *> devs,
@@ -191,9 +216,35 @@ class ZonedArray
      */
     bool escalate_dev_error(uint32_t dev, const Status &s);
 
-    /// Swaps the attached spare into slot `dev` and resets its health
-    /// history. Subclasses wrap this with their own bookkeeping.
-    void promote_spare_base(uint32_t dev);
+    /**
+     * Failover policy, called when `dev` has just been marked failed:
+     * if auto_rebuild is on and the attached spare is usable (not
+     * failed, matching geometry), counts the failover and — deferred
+     * off the error path, which can run deep inside an IO completion —
+     * promotes the spare and rebuilds it via rebuild_device().
+     */
+    void maybe_start_auto_rebuild(uint32_t dev);
+
+    /// Arms a fresh token bucket for a rebuild starting now (none when
+    /// the configured rate is 0).
+    void start_rebuild_throttle();
+    /**
+     * Rebuild pacing: true when `sectors` of rebuild IO may issue now.
+     * When the bucket is empty, counts a stall, schedules `resume` for
+     * when the tokens will have accrued (at most one wake-up is armed
+     * at a time), and returns false.
+     */
+    template <typename Fn>
+    bool
+    pace_rebuild(uint64_t sectors, Fn &&resume)
+    {
+        if (throttle_ == nullptr || throttle_->try_acquire(sectors))
+            return true;
+        rebuild_stalled(sectors, std::forward<Fn>(resume));
+        return false;
+    }
+    /// Slow path of pace_rebuild: counts the stall, arms the wake-up.
+    void rebuild_stalled(uint64_t sectors, std::function<void()> resume);
 
     // ---- Subclass hooks --------------------------------------------
     /// Metric namespace for the array's own stats ("raizn", "raid5").
@@ -214,6 +265,12 @@ class ZonedArray
     /// Health-monitor escalation edges land here (invoked only after
     /// construction completes). Default: fail the device on kFailed.
     virtual void on_health_event(uint32_t dev, HealthEvent ev);
+    /// Runs right after the spare was swapped into slot `dev`.
+    virtual void on_spare_promoted(uint32_t dev) { (void)dev; }
+    /// True when no rebuild can heal the array right now (more failures
+    /// than it tolerates, or a rebuild already running): automatic
+    /// failover leaves the spare attached.
+    virtual bool auto_rebuild_vetoed() const { return false; }
     /// Whether `dev` is the/a failed device from escalate_dev_error's
     /// point of view. Multi-failure engines override.
     virtual bool is_marked_failed(uint32_t dev) const
@@ -229,6 +286,11 @@ class ZonedArray
     std::unique_ptr<HealthMonitor> health_;
     std::unique_ptr<IoRetrier> retrier_;
     BlockDevice *spare_ = nullptr; ///< non-owning hot spare
+
+    // Failure lifecycle.
+    LifecycleConfig lifecycle_;
+    std::unique_ptr<RebuildThrottle> throttle_; ///< latest rebuild's bucket
+    bool throttle_armed_ = false; ///< a pacing wake-up is scheduled
 
     // Observability: null when detached. Latency handles are resolved
     // once in attach_observability so the hot path never performs a

@@ -114,7 +114,7 @@ class BlockWritableFile : public WritableFile
                 chunk.begin() +
                     static_cast<ptrdiff_t>((done + run) * kSectorSize));
             auto r = vol_sync(env_->loop_, [&](IoCallback cb) {
-                env_->vol_->write(lba, std::move(part), std::move(cb));
+                env_->vol_->write(lba, std::move(part), {}, std::move(cb));
             });
             if (!r.status.is_ok())
                 return r.status;

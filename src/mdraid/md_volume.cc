@@ -35,7 +35,9 @@ MdVolume::MdVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
                    MdVolumeConfig cfg)
     : ZonedArray(loop, std::move(devs),
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
-                           &stats_.dev_errors, &stats_.spares_promoted}),
+                           &stats_.dev_errors, &stats_.spares_promoted,
+                           &stats_.auto_failovers,
+                           &stats_.resync_throttle_stalls}),
       cfg_(cfg)
 {
     assert(devs_.size() >= 3);
@@ -334,15 +336,19 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
 // ---- Write path -------------------------------------------------------
 
 void
-MdVolume::write(uint64_t lba, std::vector<uint8_t> data, IoCallback cb)
+MdVolume::write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
+                IoCallback cb)
 {
+    (void)flags;
     uint32_t nsectors = static_cast<uint32_t>(data.size() / kSectorSize);
     write_impl(lba, std::move(data), nsectors, std::move(cb));
 }
 
 void
-MdVolume::write_len(uint64_t lba, uint32_t nsectors, IoCallback cb)
+MdVolume::write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
+                    IoCallback cb)
 {
+    (void)flags;
     write_impl(lba, {}, nsectors, std::move(cb));
 }
 
@@ -371,18 +377,6 @@ MdVolume::write_impl(uint64_t lba, std::vector<uint8_t> data,
             inner(std::move(r));
         };
     }
-    // Foreground-latency feedback for the adaptive resync throttle.
-    ctx->cb = [this, t0 = loop_->now(),
-               inner = std::move(ctx->cb)](IoResult r) {
-        uint64_t elapsed = loop_->now() - t0;
-        fg_write_ewma_ns_ = fg_write_ewma_ns_ == 0.0
-            ? static_cast<double>(elapsed)
-            : 0.2 * static_cast<double>(elapsed) +
-                0.8 * fg_write_ewma_ns_;
-        if (throttle_ != nullptr && resyncing_)
-            throttle_->observe_foreground_latency(elapsed);
-        inner(std::move(r));
-    };
     if (trace_ != nullptr || write_lat_ != nullptr) {
         uint64_t token = 0;
         if (trace_ != nullptr) {
@@ -716,54 +710,16 @@ MdVolume::flush(IoCallback cb)
 void
 MdVolume::mark_device_failed(uint32_t dev)
 {
+    if (dev >= devs_.size()) {
+        LOG_ERROR("mdraid: mark_device_failed: no device %u", dev);
+        return;
+    }
     if (failed_dev_ < 0) {
         failed_dev_ = static_cast<int>(dev);
         if (!devs_[dev]->failed())
             devs_[dev]->fail();
-        maybe_start_auto_resync(dev);
+        maybe_start_auto_rebuild(dev);
     }
-}
-
-void
-MdVolume::promote_spare(uint32_t dev)
-{
-    promote_spare_base(dev);
-    LOG_INFO("mdraid: hot spare promoted into slot %u", dev);
-}
-
-void
-MdVolume::maybe_start_auto_resync(uint32_t dev)
-{
-    if (!lifecycle_.auto_resync || spare_ == nullptr ||
-        failed_dev_ != static_cast<int>(dev)) {
-        return;
-    }
-    if (spare_->failed() ||
-        spare_->geometry().nsectors < devs_[dev]->geometry().nsectors) {
-        LOG_ERROR("mdraid: spare unusable for slot %u", dev);
-        return;
-    }
-    stats_.auto_failovers++;
-    // Defer off the error path: mark_device_failed can run deep inside
-    // an IO completion; the promotion + resync kick must not reenter.
-    loop_->schedule_after(1, [this, dev, alive = alive_] {
-        if (!*alive || failed_dev_ != static_cast<int>(dev) ||
-            spare_ == nullptr) {
-            return;
-        }
-        promote_spare(dev);
-        resync_device(dev, nullptr, [this, dev, alive](Status s) {
-            if (!*alive)
-                return;
-            if (!s.is_ok()) {
-                LOG_ERROR("mdraid: automatic resync of slot %u failed: "
-                          "%s",
-                          dev, s.to_string().c_str());
-            }
-            if (lifecycle_.on_resync_done)
-                lifecycle_.on_resync_done(dev, s);
-        });
-    });
 }
 
 } // namespace raizn

@@ -18,7 +18,6 @@
 #include "fault/health.h"
 #include "fault/retry.h"
 #include "mdraid/stripe_cache.h"
-#include "raizn/throttle.h"
 #include "zns/block_device.h"
 
 namespace raizn {
@@ -89,25 +88,13 @@ class MdVolume : public ZonedArray
     uint64_t stripe_sectors() const { return stripe_sectors_; }
 
     void read(uint64_t lba, uint32_t nsectors, IoCallback cb) override;
-    /// Random-access write (RAID-5 allows overwrites anywhere).
-    void write(uint64_t lba, std::vector<uint8_t> data, IoCallback cb);
-    void write_len(uint64_t lba, uint32_t nsectors, IoCallback cb);
-    /// ZonedArray entry points; md has no FUA/PREFLUSH distinction
-    /// (configured journal-less), so the flags are ignored.
-    void
-    write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
-          IoCallback cb) override
-    {
-        (void)flags;
-        write(lba, std::move(data), std::move(cb));
-    }
-    void
-    write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
-              IoCallback cb) override
-    {
-        (void)flags;
-        write_len(lba, nsectors, std::move(cb));
-    }
+    /// Random-access write (RAID-5 allows overwrites anywhere). md has
+    /// no FUA/PREFLUSH distinction (configured journal-less), so the
+    /// flags are ignored.
+    void write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
+               IoCallback cb) override;
+    void write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
+                   IoCallback cb) override;
     void flush(IoCallback cb) override;
 
     void mark_device_failed(uint32_t dev) override;
@@ -122,39 +109,14 @@ class MdVolume : public ZonedArray
     }
 
     /**
-     * Failure-lifecycle policy, mirroring RaiznVolume::LifecycleConfig
-     * (Fig. 12 MTTR parity): when a device is marked failed and a hot
-     * spare is configured, the spare is promoted and a full resync
-     * starts automatically, optionally rate-limited by `throttle`.
-     */
-    struct LifecycleConfig {
-        bool auto_resync = true;
-        RebuildThrottleConfig throttle;
-        std::function<void(uint32_t dev, Status s)> on_resync_done;
-    };
-    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
-    const LifecycleConfig &lifecycle() const { return lifecycle_; }
-    /// Live token bucket while a resync is in flight (else null).
-    const RebuildThrottle *resync_throttle() const
-    {
-        return throttle_.get();
-    }
-
-    /**
      * Resyncs a replaced device: reconstructs and rewrites the ENTIRE
      * device address space, regardless of how much user data exists —
-     * mdraid cannot tell valid data apart (§6.2, Fig. 12).
+     * mdraid cannot tell valid data apart (§6.2, Fig. 12). Paced by
+     * the lifecycle throttle; automatic failover (set_spare /
+     * set_lifecycle, inherited) calls it after promoting the spare.
      */
-    void resync_device(uint32_t dev,
-                       std::function<void(uint64_t, uint64_t)> progress,
-                       StatusCb done);
-    /// ZonedArray spelling of resync_device.
-    void
-    rebuild_device(uint32_t dev, ProgressCb progress,
-                   StatusCb done) override
-    {
-        resync_device(dev, std::move(progress), std::move(done));
-    }
+    void rebuild_device(uint32_t dev, ProgressCb progress,
+                        StatusCb done) override;
 
     // attach_observability (inherited) links MdVolumeStats under
     // "mdraid.*", per-device DeviceStats + latency histograms under
@@ -203,11 +165,6 @@ class MdVolume : public ZonedArray
     bool store_data() const { return store_data_; }
     // dev_submit / escalate_dev_error are inherited from ZonedArray;
     // all device IO funnels through the retrier.
-    /// Swaps the configured spare into slot `dev`.
-    void promote_spare(uint32_t dev);
-    /// Failover policy: promote the spare and start a background
-    /// resync, deferred off the error path.
-    void maybe_start_auto_resync(uint32_t dev);
 
     // ZonedArray hooks.
     std::string metric_prefix() const override { return "mdraid"; }
@@ -222,12 +179,6 @@ class MdVolume : public ZonedArray
     MdVolumeStats stats_;
     int failed_dev_ = -1;
     bool store_data_;
-
-    // Failure lifecycle (set_lifecycle / set_spare).
-    LifecycleConfig lifecycle_;
-    std::unique_ptr<RebuildThrottle> throttle_;
-    bool resyncing_ = false;
-    double fg_write_ewma_ns_ = 0.0;
 };
 
 } // namespace raizn

@@ -28,7 +28,6 @@ struct ResyncJob {
     std::function<void(uint64_t, uint64_t)> progress;
     StatusCb done;
     bool finished = false;
-    bool throttle_armed = false; ///< refill wake-up already scheduled
 
     // Trace correlation (0 = tracing detached).
     uint64_t trace_req = 0;
@@ -40,9 +39,7 @@ struct ResyncJob {
 } // namespace
 
 void
-MdVolume::resync_device(uint32_t dev,
-                        std::function<void(uint64_t, uint64_t)> progress,
-                        StatusCb done)
+MdVolume::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
 {
     if (failed_dev_ != static_cast<int>(dev) || devs_[dev]->failed()) {
         loop_->schedule_after(1, [done = std::move(done)] {
@@ -65,15 +62,8 @@ MdVolume::resync_device(uint32_t dev,
     }
 
     // Online resync: a configured rate caps resync traffic so degraded
-    // foreground service keeps its floor (adaptive mode additionally
-    // backs off when the foreground write EWMA rises).
-    throttle_.reset();
-    if (lifecycle_.throttle.rate_sectors_per_sec > 0) {
-        throttle_ =
-            std::make_unique<RebuildThrottle>(loop_, lifecycle_.throttle);
-        throttle_->set_baseline_latency(fg_write_ewma_ns_);
-    }
-    resyncing_ = true;
+    // foreground service keeps its floor.
+    start_rebuild_throttle();
 
     auto pump = std::make_shared<std::function<void()>>();
     *pump = [this, job, pump]() {
@@ -81,22 +71,8 @@ MdVolume::resync_device(uint32_t dev,
             return;
         while (job->next_issue < job->nchunks &&
                job->inflight < ResyncJob::kWindow) {
-            if (throttle_ != nullptr &&
-                !throttle_->try_acquire(cfg_.chunk_sectors)) {
-                stats_.resync_throttle_stalls++;
-                if (!job->throttle_armed) {
-                    job->throttle_armed = true;
-                    loop_->schedule_after(
-                        throttle_->ns_until(cfg_.chunk_sectors),
-                        [pump, job, alive = alive_] {
-                            if (!*alive)
-                                return;
-                            job->throttle_armed = false;
-                            (*pump)();
-                        });
-                }
+            if (!pace_rebuild(cfg_.chunk_sectors, [pump] { (*pump)(); }))
                 break;
-            }
             uint64_t stripe = job->next_issue++;
             job->inflight++;
             int pos = data_pos_of_dev(stripe, job->dev);
@@ -139,8 +115,6 @@ MdVolume::resync_device(uint32_t dev,
                             !job->finished) {
                             job->finished = true;
                             failed_dev_ = -1;
-                            resyncing_ = false;
-                            throttle_.reset();
                             if (trace_ != nullptr &&
                                 job->total_token != 0) {
                                 trace_->end_span(job->total_token,

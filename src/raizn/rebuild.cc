@@ -20,9 +20,9 @@
  * model persists the whole zone, so a checkpointed zone is durable by
  * construction.
  *
- * Rebuild traffic optionally flows through a token-bucket throttle so
- * degraded foreground service keeps a configurable share of the
- * array; see raizn/throttle.h.
+ * Rebuild traffic is paced by the array's fixed-rate token bucket
+ * (ZonedArray::pace_rebuild, array/throttle.h) so degraded foreground
+ * service keeps a configurable share of the array.
  */
 #include <algorithm>
 #include <cassert>
@@ -63,8 +63,6 @@ struct RebuildJob {
     /// Last stripe index with a non-empty unit on the target: its
     /// write carries FUA so the whole zone is durable on completion.
     uint64_t last_data_stripe = 0;
-    /// A throttle wake-up is already scheduled.
-    bool throttle_armed = false;
 
     // Trace correlation (0 = tracing detached).
     uint64_t trace_req = 0;   ///< request id shared by every sub-span
@@ -375,14 +373,8 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
     }
 
     // Throttled rebuild: rate-limit reconstruction traffic so degraded
-    // foreground service keeps headroom. Baseline latency is the
-    // foreground write EWMA observed before the rebuild load starts.
-    throttle_.reset();
-    if (lifecycle_.throttle.rate_sectors_per_sec > 0) {
-        throttle_ = std::make_unique<RebuildThrottle>(
-            loop_, lifecycle_.throttle);
-        throttle_->set_baseline_latency(fg_write_ewma_ns_);
-    }
+    // foreground service keeps headroom.
+    start_rebuild_throttle();
 
     auto job = std::make_shared<RebuildJob>();
     job->dev = dev;
@@ -416,7 +408,6 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
         *finished = true;
         rebuilding_ = false;
         failed_dev_ = -1;
-        throttle_.reset();
         // Relocations and burned ranges on the rebuilt device are
         // folded into the reconstructed data.
         std::vector<uint64_t> drop;
@@ -525,21 +516,8 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
                 job->ready[s] = {true, {}};
                 continue;
             }
-            if (throttle_ != nullptr && !throttle_->try_acquire(len)) {
-                stats_.rebuild_throttle_stalls++;
-                if (!job->throttle_armed) {
-                    job->throttle_armed = true;
-                    loop_->schedule_after(
-                        throttle_->ns_until(len),
-                        [pump, job, alive = alive_] {
-                            if (!*alive)
-                                return;
-                            job->throttle_armed = false;
-                            (*pump)(job);
-                        });
-                }
+            if (!pace_rebuild(len, [pump, job] { (*pump)(job); }))
                 break;
-            }
             job->next_issue++;
             int pos = layout_->data_pos_of_dev(job->zone, s, job->dev);
             job->ready[s] = {false, {}};

@@ -34,7 +34,9 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
                          const RaiznConfig &cfg)
     : ZonedArray(loop, std::move(devs),
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
-                           &stats_.dev_errors, &stats_.spares_promoted}),
+                           &stats_.dev_errors, &stats_.spares_promoted,
+                           &stats_.auto_failovers,
+                           &stats_.rebuild_throttle_stalls}),
       cfg_(cfg)
 {
     layout_ = std::make_unique<Layout>(cfg_, devs_[0]->geometry());
@@ -755,19 +757,11 @@ RaiznVolume::finish_write(std::shared_ptr<WriteCtx> ctx)
             trace_->end_span(ctx->total_token, loop_->now());
             ctx->total_token = 0;
         }
-        uint64_t elapsed = loop_->now() - ctx->start_tick;
         if (write_lat_ != nullptr)
-            write_lat_->record(elapsed);
+            write_lat_->record(loop_->now() - ctx->start_tick);
         if (ledger_ != nullptr && ctx->status.is_ok() &&
             ctx->flags.origin == obs::Cause::kUserData)
             ledger_->note_user_write(ctx->nsectors);
-        // Foreground write latency EWMA: the adaptive rebuild throttle
-        // compares this against the pre-rebuild baseline.
-        fg_write_ewma_ns_ = fg_write_ewma_ns_ == 0.0
-            ? static_cast<double>(elapsed)
-            : 0.2 * static_cast<double>(elapsed) + 0.8 * fg_write_ewma_ns_;
-        if (throttle_ != nullptr && rebuilding_)
-            throttle_->observe_foreground_latency(elapsed);
         auto cb = std::move(ctx->cb);
         cb(std::move(r));
         return;
@@ -1739,47 +1733,9 @@ RaiznVolume::on_health_event(uint32_t dev, HealthEvent ev)
 }
 
 void
-RaiznVolume::promote_spare(uint32_t dev)
+RaiznVolume::on_spare_promoted(uint32_t dev)
 {
-    promote_spare_base(dev);
     md_->replace_device(dev, devs_[dev]);
-    LOG_INFO("hot spare promoted into slot %u", dev);
-}
-
-void
-RaiznVolume::maybe_start_auto_rebuild(uint32_t dev)
-{
-    if (!lifecycle_.auto_rebuild || spare_ == nullptr || read_only_ ||
-        failed_dev_ != static_cast<int>(dev)) {
-        return;
-    }
-    if (spare_->failed() ||
-        spare_->geometry().nzones != devs_[dev]->geometry().nzones) {
-        LOG_ERROR("hot spare unusable; staying degraded");
-        return;
-    }
-    stats_.auto_failovers++;
-    // Defer off the error path: mark_device_failed can run deep inside
-    // a sub-IO completion and the rebuild rewrites metadata
-    // synchronously.
-    loop_->schedule_after(1, [this, dev, alive = alive_] {
-        if (!*alive || failed_dev_ != static_cast<int>(dev))
-            return;
-        promote_spare(dev);
-        auto on_done = lifecycle_.on_rebuild_done;
-        rebuild_device(dev, nullptr, [this, dev, on_done,
-                                      alive = alive_](Status s) {
-            if (!*alive)
-                return;
-            if (s.is_ok())
-                LOG_INFO("automatic rebuild of slot %u complete", dev);
-            else
-                LOG_ERROR("automatic rebuild of slot %u failed: %s", dev,
-                          s.to_string().c_str());
-            if (on_done)
-                on_done(dev, s);
-        });
-    });
 }
 
 // ---- Metadata GC snapshots ---------------------------------------------

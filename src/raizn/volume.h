@@ -31,7 +31,6 @@
 #include "raizn/relocation.h"
 #include "raizn/stripe_buffer.h"
 #include "raizn/superblock.h"
-#include "raizn/throttle.h"
 #include "zns/block_device.h"
 
 namespace raizn {
@@ -188,23 +187,8 @@ class RaiznVolume : public ZonedArray
     void finish_zone(uint32_t zone, IoCallback cb) override;
 
     // ---- Failure lifecycle -----------------------------------------
-    /**
-     * Policy for the automatic failure lifecycle: when the health
-     * monitor fails a device and a hot spare is attached, the volume
-     * promotes the spare and rebuilds it in the background with no
-     * caller intervention (healthy -> suspect -> failed -> rebuilding
-     * -> healthy). Throttle settings bound the rebuild's impact on
-     * degraded foreground service.
-     */
-    struct LifecycleConfig {
-        bool auto_rebuild = true; ///< promote + rebuild on failure
-        RebuildThrottleConfig throttle;
-        /// Fired when an automatic rebuild finishes (or fails).
-        std::function<void(uint32_t dev, Status s)> on_rebuild_done;
-    };
-    void set_lifecycle(LifecycleConfig lc) { lifecycle_ = std::move(lc); }
-    const LifecycleConfig &lifecycle() const { return lifecycle_; }
-
+    // set_spare / set_lifecycle (automatic failover + rebuild throttle)
+    // are inherited from ZonedArray.
     /**
      * True when mount found a durable rebuild checkpoint with state
      * in-progress: the crash interrupted a rebuild and the caller (or
@@ -219,12 +203,6 @@ class RaiznVolume : public ZonedArray
      * device's write pointers and skipped; everything else is rebuilt.
      */
     void resume_rebuild(ProgressCb progress, StatusCb done);
-
-    /// Live rebuild rate view (null when no throttled rebuild runs).
-    const RebuildThrottle *rebuild_throttle() const
-    {
-        return throttle_.get();
-    }
 
     // ---- Scrubbing -------------------------------------------------
     /**
@@ -408,12 +386,12 @@ class RaiznVolume : public ZonedArray
     /// Expected physical fill (sectors) of `dev`'s copy of `zone` for
     /// the current logical fill — the resume-verification yardstick.
     uint64_t expected_phys_fill(uint32_t dev, uint32_t zone) const;
-    /// Promotes the attached spare into slot `dev` (device table, md
-    /// manager, health history). The old pointer is abandoned.
-    void promote_spare(uint32_t dev);
     /// Health-monitor escalation edges land here.
     void on_health_event(uint32_t dev, HealthEvent ev) override;
-    void maybe_start_auto_rebuild(uint32_t dev);
+    /// Points the md manager at the promoted spare in slot `dev`.
+    void on_spare_promoted(uint32_t dev) override;
+    /// A second failure made the volume read-only: nothing to rebuild.
+    bool auto_rebuild_vetoed() const override { return read_only_; }
 
     // scrub.cc
     void scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
@@ -498,13 +476,10 @@ class RaiznVolume : public ZonedArray
     bool rebuilding_ = false;
     std::vector<bool> zone_rebuilt_; ///< during rebuild_device
 
-    // Failure lifecycle. (The spare and the resilience/observability
-    // layers live in ZonedArray.)
-    LifecycleConfig lifecycle_;
-    std::unique_ptr<RebuildThrottle> throttle_;
+    // Checkpointed rebuild. (The spare, lifecycle policy, throttle and
+    // the resilience/observability layers live in ZonedArray.)
     int pending_rebuild_dev_ = -1; ///< from a mount-time checkpoint
     std::vector<bool> ckpt_rebuilt_; ///< checkpointed zone bitmap
-    double fg_write_ewma_ns_ = 0.0; ///< foreground write latency EWMA
 
     // Background scrubber state.
     bool scrub_running_ = false;

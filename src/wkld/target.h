@@ -1,16 +1,14 @@
 /**
  * @file
  * Uniform IO target interface so the fio-like workload runner can
- * drive a RAIZN volume, an mdraid volume, or a raw device with the
- * same job specifications.
+ * drive any ZonedArray (RAIZN, mdraid, ZonedEngine) or a raw device
+ * with the same job specifications.
  */
 #pragma once
 
 #include <cstdint>
 
 #include "array/zoned_array.h"
-#include "mdraid/md_volume.h"
-#include "raizn/volume.h"
 #include "zns/block_device.h"
 
 namespace raizn {
@@ -30,40 +28,8 @@ class IoTarget
     virtual void reset_zone_at(uint64_t lba, IoCallback cb) = 0;
 };
 
-class RaiznTarget : public IoTarget
-{
-  public:
-    explicit RaiznTarget(RaiznVolume *vol) : vol_(vol) {}
-    uint64_t capacity() const override { return vol_->capacity(); }
-    void
-    read(uint64_t lba, uint32_t n, IoCallback cb) override
-    {
-        vol_->read(lba, n, std::move(cb));
-    }
-    void
-    write(uint64_t lba, uint32_t n, IoCallback cb) override
-    {
-        vol_->write_len(lba, n, {}, std::move(cb));
-    }
-    void
-    flush(IoCallback cb) override
-    {
-        vol_->flush(std::move(cb));
-    }
-    bool zoned() const override { return true; }
-    void
-    reset_zone_at(uint64_t lba, IoCallback cb) override
-    {
-        vol_->reset_zone(vol_->layout().zone_of(lba), std::move(cb));
-    }
-    RaiznVolume *volume() const { return vol_; }
-
-  private:
-    RaiznVolume *vol_;
-};
-
-/// Any ZonedArray implementation behind the shared interface — the
-/// generic ZonedEngine modes as well as the RAIZN volume itself.
+/// Any ZonedArray implementation behind the shared interface: the
+/// RAIZN volume, the mdraid volume and the generic ZonedEngine modes.
 class ZonedArrayTarget : public IoTarget
 {
   public:
@@ -84,10 +50,15 @@ class ZonedArrayTarget : public IoTarget
     {
         arr_->flush(std::move(cb));
     }
-    bool zoned() const override { return true; }
+    bool zoned() const override { return arr_->zoned(); }
+    /// Conventional arrays have no zones: completes at once, as a no-op.
     void
     reset_zone_at(uint64_t lba, IoCallback cb) override
     {
+        if (!arr_->zoned()) {
+            cb(IoResult{});
+            return;
+        }
         arr_->reset_zone(static_cast<uint32_t>(lba / arr_->zone_capacity()),
                          std::move(cb));
     }
@@ -95,39 +66,6 @@ class ZonedArrayTarget : public IoTarget
 
   private:
     ZonedArray *arr_;
-};
-
-class MdTarget : public IoTarget
-{
-  public:
-    explicit MdTarget(MdVolume *vol) : vol_(vol) {}
-    uint64_t capacity() const override { return vol_->capacity(); }
-    void
-    read(uint64_t lba, uint32_t n, IoCallback cb) override
-    {
-        vol_->read(lba, n, std::move(cb));
-    }
-    void
-    write(uint64_t lba, uint32_t n, IoCallback cb) override
-    {
-        vol_->write_len(lba, n, std::move(cb));
-    }
-    void
-    flush(IoCallback cb) override
-    {
-        vol_->flush(std::move(cb));
-    }
-    bool zoned() const override { return false; }
-    void
-    reset_zone_at(uint64_t, IoCallback cb) override
-    {
-        IoResult r;
-        cb(std::move(r));
-    }
-    MdVolume *volume() const { return vol_; }
-
-  private:
-    MdVolume *vol_;
 };
 
 /// Raw single-device target (§6.1 raw microbenchmarks).

@@ -2,12 +2,15 @@
  * @file
  * Failure-lifecycle tests: health-driven automatic failover onto a hot
  * spare, crash-resumable checkpointed rebuild, token-bucket rebuild
- * throttling, and the mdraid auto-resync parity path.
+ * throttling, the mdraid auto-resync path, and one suite over
+ * ZonedArray& that holds RAIZN, mdraid and ZonedEngine to the same
+ * base-owned lifecycle contract.
  */
 #include <gtest/gtest.h>
 
+#include "array/engine.h"
+#include "fault/fault_device.h"
 #include "mdraid/md_volume.h"
-#include "raizn/throttle.h"
 #include "raizn_test_util.h"
 #include "zns/conv_device.h"
 
@@ -224,35 +227,6 @@ TEST_F(LifecycleTest, ThrottleTokenBucket)
     EXPECT_FALSE(th.try_acquire(64));
 }
 
-TEST_F(LifecycleTest, ThrottleAdaptiveBackoffAndRestore)
-{
-    EventLoop loop;
-    RebuildThrottleConfig cfg;
-    cfg.rate_sectors_per_sec = 1024;
-    cfg.min_rate_sectors_per_sec = 128;
-    cfg.adaptive = true;
-    RebuildThrottle th(&loop, cfg);
-    th.set_baseline_latency(1000.0);
-
-    // Foreground latency 5x baseline: rate halves per sample down to
-    // the floor.
-    th.observe_foreground_latency(5000);
-    EXPECT_EQ(th.current_rate(), 512u);
-    th.observe_foreground_latency(5000);
-    EXPECT_EQ(th.current_rate(), 256u);
-    th.observe_foreground_latency(5000);
-    EXPECT_EQ(th.current_rate(), 128u);
-    th.observe_foreground_latency(5000);
-    EXPECT_EQ(th.current_rate(), 128u) << "never below the floor";
-    EXPECT_GE(th.backoffs(), 3u);
-
-    // Latency recovers: the EWMA decays below restore_factor*baseline
-    // and the rate doubles back up to the configured cap.
-    for (int i = 0; i < 20; ++i)
-        th.observe_foreground_latency(500);
-    EXPECT_EQ(th.current_rate(), 1024u);
-}
-
 TEST_F(LifecycleTest, ThrottledRebuildStallsAndTakesLonger)
 {
     auto run_rebuild = [](uint64_t rate) {
@@ -313,14 +287,14 @@ TEST_F(LifecycleTest, MdVolumeAutoResyncPromotesSpare)
     Status st;
     MdVolume::LifecycleConfig lc;
     lc.throttle.rate_sectors_per_sec = 0;
-    lc.on_resync_done = [&](uint32_t, Status s) {
+    lc.on_rebuild_done = [&](uint32_t, Status s) {
         st = s;
         done = true;
     };
     vol.set_lifecycle(std::move(lc));
 
     bool wdone = false;
-    vol.write(0, pattern_data(64, 21), [&](IoResult r) {
+    vol.write(0, pattern_data(64, 21), {}, [&](IoResult r) {
         EXPECT_TRUE(r.status.is_ok());
         wdone = true;
     });
@@ -361,7 +335,7 @@ TEST_F(LifecycleTest, MdVolumeThrottledResyncStalls)
     mcfg.chunk_sectors = 16;
     MdVolume vol(&loop, ptrs, mcfg);
     MdVolume::LifecycleConfig lc;
-    lc.auto_resync = false;
+    lc.auto_rebuild = false;
     lc.throttle.rate_sectors_per_sec = 100000;
     lc.throttle.burst_sectors = 64;
     vol.set_lifecycle(std::move(lc));
@@ -370,7 +344,7 @@ TEST_F(LifecycleTest, MdVolumeThrottledResyncStalls)
     devs[0]->replace();
     bool done = false;
     Status st;
-    vol.resync_device(0, nullptr, [&](Status s) {
+    vol.rebuild_device(0, nullptr, [&](Status s) {
         st = s;
         done = true;
     });
@@ -379,6 +353,265 @@ TEST_F(LifecycleTest, MdVolumeThrottledResyncStalls)
     EXPECT_EQ(vol.failed_device(), -1);
     EXPECT_GT(vol.stats().resync_throttle_stalls, 0u);
 }
+
+// ---------------------------------------------------------------------
+// One lifecycle contract for every engine, driven through ZonedArray&.
+// ---------------------------------------------------------------------
+
+enum class Engine { kRaizn, kMdraid, kRaid5 };
+
+/// A data-storing array of one engine family whose member kVictim
+/// fails every read, and the counters the shared lifecycle maintains
+/// in the engine's stats.
+struct AnyArray {
+    static constexpr uint32_t kVictim = 1;
+
+    std::unique_ptr<EventLoop> loop;
+    std::vector<std::unique_ptr<BlockDevice>> devs;
+    std::unique_ptr<FaultInjectingDevice> victim;
+    std::unique_ptr<ZonedArray> arr;
+    uint64_t victim_lba = 0; ///< a sector stored on kVictim
+    const uint64_t *auto_failovers = nullptr;
+    const uint64_t *spares_promoted = nullptr;
+    const uint64_t *throttle_stalls = nullptr;
+
+    /// A blank device shaped like the members; `mismatched` changes
+    /// its geometry so it cannot stand in for one.
+    std::unique_ptr<BlockDevice>
+    make_device(Engine e, const std::string &name, bool mismatched) const
+    {
+        if (e == Engine::kMdraid) {
+            ConvDeviceConfig cfg;
+            cfg.nsectors = (mismatched ? 1 : 2) * kMiB / kSectorSize;
+            cfg.pages_per_block = 64;
+            cfg.name = name;
+            return std::make_unique<ConvDevice>(loop.get(), cfg);
+        }
+        ZnsDeviceConfig dc = e == Engine::kRaizn
+            ? TestArray::device_config()
+            : TestArray::device_config(5, 64);
+        if (mismatched)
+            dc.nzones++;
+        dc.name = name;
+        return std::make_unique<ZnsDevice>(loop.get(), dc);
+    }
+
+    void
+    make(Engine e)
+    {
+        loop = std::make_unique<EventLoop>();
+        const uint32_t ndev = e == Engine::kRaid5 ? 4 : 5;
+        std::vector<BlockDevice *> ptrs;
+        for (uint32_t i = 0; i < ndev; ++i) {
+            devs.push_back(make_device(e, "d" + std::to_string(i), false));
+            ptrs.push_back(devs.back().get());
+        }
+        FaultConfig fc;
+        fc.read_error_rate = 1.0;
+        victim = std::make_unique<FaultInjectingDevice>(
+            loop.get(), devs[kVictim].get(), fc);
+        ptrs[kVictim] = victim.get();
+        switch (e) {
+        case Engine::kRaizn: {
+            auto res = RaiznVolume::create(loop.get(), ptrs,
+                                           TestArray::array_config());
+            ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+            auto vol = std::move(res).value();
+            for (uint32_t k = 0; k < 4; ++k)
+                if (vol->layout().data_dev(0, 0, k) == kVictim)
+                    victim_lba = k * TestArray::array_config().su_sectors;
+            auto_failovers = &vol->stats().auto_failovers;
+            spares_promoted = &vol->stats().spares_promoted;
+            throttle_stalls = &vol->stats().rebuild_throttle_stalls;
+            arr = std::move(vol);
+            break;
+        }
+        case Engine::kMdraid: {
+            MdVolumeConfig mcfg;
+            mcfg.chunk_sectors = 16;
+            mcfg.stripe_cache_bytes = 128 * kKiB;
+            auto vol = std::make_unique<MdVolume>(loop.get(), ptrs, mcfg);
+            victim_lba = static_cast<uint64_t>(vol->data_pos_of_dev(0, kVictim)) *
+                mcfg.chunk_sectors;
+            auto_failovers = &vol->stats().auto_failovers;
+            spares_promoted = &vol->stats().spares_promoted;
+            throttle_stalls = &vol->stats().resync_throttle_stalls;
+            arr = std::move(vol);
+            break;
+        }
+        case Engine::kRaid5: {
+            EngineConfig ecfg;
+            ecfg.mode = RaidMode::kRaid5;
+            ecfg.su_sectors = 4;
+            auto res = ZonedEngine::create(loop.get(), ptrs, ecfg);
+            ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+            auto eng = std::move(res).value();
+            for (uint32_t u = 0; u < eng->data_units(0); ++u)
+                if (eng->chunk_dev(0, 0, u) == kVictim)
+                    victim_lba = u * ecfg.su_sectors;
+            auto_failovers = &eng->stats().auto_failovers;
+            spares_promoted = &eng->stats().spares_promoted;
+            throttle_stalls = &eng->stats().rebuild_throttle_stalls;
+            arr = std::move(eng);
+            break;
+        }
+        }
+    }
+
+    void
+    write(uint64_t lba, uint32_t nsectors, uint64_t seed)
+    {
+        bool done = false;
+        arr->write(lba, pattern_data(nsectors, seed), {},
+                   [&](IoResult r) {
+                       EXPECT_TRUE(r.status.is_ok()) << r.status.to_string();
+                       done = true;
+                   });
+        loop->run_until_pred([&] { return done; });
+    }
+
+    IoResult
+    read(uint64_t lba, uint32_t nsectors)
+    {
+        IoResult out;
+        bool done = false;
+        arr->read(lba, nsectors, [&](IoResult r) {
+            out = std::move(r);
+            done = true;
+        });
+        loop->run_until_pred([&] { return done; });
+        return out;
+    }
+};
+
+class LifecycleContract : public ::testing::TestWithParam<Engine>
+{
+  protected:
+    static constexpr uint32_t kVictim = AnyArray::kVictim;
+    /// Whole md stripes: a partial one would preread from kVictim
+    /// while the array is being filled.
+    static constexpr uint32_t kSectors = 128;
+
+    void
+    SetUp() override
+    {
+        a_.make(GetParam());
+        a_.write(0, kSectors, 31);
+        bool done = false;
+        a_.arr->flush([&](IoResult) { done = true; });
+        a_.loop->run_until_pred([&] { return done; });
+    }
+
+    /// One sector read served by kVictim alone: its errors exhaust the
+    /// retries, the health monitor fails the member, and the read is
+    /// reconstructed from the survivors.
+    void
+    read_through_failing_member()
+    {
+        IoResult r = a_.read(a_.victim_lba, 1);
+        ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+        std::vector<uint8_t> want = pattern_data(kSectors, 31);
+        want.erase(want.begin(), want.begin() + static_cast<std::ptrdiff_t>(
+                                                   a_.victim_lba * kSectorSize));
+        want.resize(kSectorSize);
+        EXPECT_EQ(r.data, want);
+    }
+
+    void
+    expect_data_intact()
+    {
+        IoResult r = a_.read(0, kSectors);
+        ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+        EXPECT_EQ(r.data, pattern_data(kSectors, 31));
+    }
+
+    AnyArray a_;
+};
+
+TEST_P(LifecycleContract, HealthDrivenFailurePromotesSpareOnce)
+{
+    auto spare = a_.make_device(GetParam(), "spare", false);
+    a_.arr->set_spare(spare.get());
+    int calls = 0;
+    Status st;
+    ZonedArray::LifecycleConfig lc;
+    lc.on_rebuild_done = [&](uint32_t dev, Status s) {
+        EXPECT_EQ(dev, kVictim);
+        st = s;
+        ++calls;
+    };
+    a_.arr->set_lifecycle(std::move(lc));
+
+    read_through_failing_member();
+    a_.loop->run();
+    EXPECT_EQ(calls, 1);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(*a_.auto_failovers, 1u);
+    EXPECT_EQ(*a_.spares_promoted, 1u);
+    EXPECT_FALSE(a_.arr->has_spare());
+    EXPECT_FALSE(a_.arr->degraded())
+        << "failed member " << a_.arr->failed_device();
+    EXPECT_EQ(a_.arr->device(kVictim), spare.get());
+    expect_data_intact();
+}
+
+TEST_P(LifecycleContract, MismatchedSpareLeavesArrayDegraded)
+{
+    auto spare = a_.make_device(GetParam(), "spare", true);
+    a_.arr->set_spare(spare.get());
+    bool fired = false;
+    ZonedArray::LifecycleConfig lc;
+    lc.on_rebuild_done = [&](uint32_t, Status) { fired = true; };
+    a_.arr->set_lifecycle(std::move(lc));
+
+    read_through_failing_member();
+    a_.loop->run();
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(*a_.auto_failovers, 0u);
+    EXPECT_EQ(*a_.spares_promoted, 0u);
+    EXPECT_TRUE(a_.arr->has_spare()) << "unusable spare was consumed";
+    EXPECT_EQ(a_.arr->failed_device(), static_cast<int>(kVictim));
+    expect_data_intact();
+}
+
+TEST_P(LifecycleContract, ThrottledAutoRebuildStallsAndFinishes)
+{
+    auto spare = a_.make_device(GetParam(), "spare", false);
+    a_.arr->set_spare(spare.get());
+    int calls = 0;
+    Status st;
+    ZonedArray::LifecycleConfig lc;
+    lc.throttle.rate_sectors_per_sec = 10000;
+    lc.throttle.burst_sectors = 16;
+    lc.on_rebuild_done = [&](uint32_t, Status s) {
+        st = s;
+        ++calls;
+    };
+    a_.arr->set_lifecycle(std::move(lc));
+
+    read_through_failing_member();
+    a_.loop->run();
+    EXPECT_EQ(calls, 1);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_GT(*a_.throttle_stalls, 0u) << "rebuild was not throttled";
+    EXPECT_FALSE(a_.arr->degraded());
+    expect_data_intact();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LifecycleContract,
+    ::testing::Values(Engine::kRaizn, Engine::kMdraid, Engine::kRaid5),
+    [](const ::testing::TestParamInfo<Engine> &info) {
+        switch (info.param) {
+        case Engine::kRaizn:
+            return std::string("raizn");
+        case Engine::kMdraid:
+            return std::string("mdraid");
+        case Engine::kRaid5:
+            return std::string("raid5");
+        }
+        return std::string("unknown");
+    });
 
 } // namespace
 } // namespace raizn

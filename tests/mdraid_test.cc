@@ -53,7 +53,7 @@ class MdRaidTest : public ::testing::Test
     {
         IoResult out;
         bool done = false;
-        vol_->write(lba, std::move(data), [&](IoResult r) {
+        vol_->write(lba, std::move(data), {}, [&](IoResult r) {
             out = std::move(r);
             done = true;
         });
@@ -196,6 +196,19 @@ TEST_F(MdRaidTest, DegradedWriteStillRecoverable)
     EXPECT_EQ(read(0, 64).data, pattern_data(64, 5));
 }
 
+TEST_F(MdRaidTest, MarkFailedRejectsOutOfRangeDevice)
+{
+    ASSERT_TRUE(write(0, pattern_data(64, 9)).status.is_ok());
+    vol_->mark_device_failed(vol_->num_devices());
+    vol_->mark_device_failed(~0u);
+    EXPECT_EQ(vol_->failed_device(), -1);
+    EXPECT_FALSE(vol_->degraded());
+    // A real member can still fail afterwards.
+    vol_->mark_device_failed(2);
+    EXPECT_EQ(vol_->failed_device(), 2);
+    EXPECT_EQ(read(0, 64).data, pattern_data(64, 9));
+}
+
 TEST_F(MdRaidTest, ResyncRestoresRedundancyAndIsFullDevice)
 {
     ASSERT_TRUE(write(0, pattern_data(64, 7)).status.is_ok());
@@ -204,7 +217,7 @@ TEST_F(MdRaidTest, ResyncRestoresRedundancyAndIsFullDevice)
     devs_[victim]->replace();
     Status st;
     bool done = false;
-    vol_->resync_device(victim, nullptr, [&](Status s) {
+    vol_->rebuild_device(victim, nullptr, [&](Status s) {
         st = s;
         done = true;
     });
@@ -236,7 +249,7 @@ TEST_F(MdRaidTest, ResyncRetriesTransientReadError)
 
     Status st;
     bool done = false;
-    vol_->resync_device(victim, nullptr, [&](Status s) {
+    vol_->rebuild_device(victim, nullptr, [&](Status s) {
         st = s;
         done = true;
     });
@@ -295,7 +308,7 @@ TEST_F(MdRaidTest, GcSlowsMdraidOverTime)
         Tick start = loop_->now();
         for (uint64_t lba = 0; lba + 64 <= vol_->capacity(); lba += 64) {
             bool done = false;
-            vol_->write_len(lba, 64, [&](IoResult) { done = true; });
+            vol_->write_len(lba, 64, {}, [&](IoResult) { done = true; });
             loop_->run_until_pred([&] { return done; });
         }
         return loop_->now() - start;
@@ -306,7 +319,7 @@ TEST_F(MdRaidTest, GcSlowsMdraidOverTime)
     for (int i = 0; i < 2000; ++i) {
         uint64_t lba = rng.next_below(vol_->capacity() / 16) * 16;
         bool done = false;
-        vol_->write_len(lba, 16, [&](IoResult) { done = true; });
+        vol_->write_len(lba, 16, {}, [&](IoResult) { done = true; });
         loop_->run_until_pred([&] { return done; });
     }
     Tick churn = seq_pass();

@@ -13,7 +13,6 @@
 #include "common/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "raizn/throttle.h"
 #include "raizn_test_util.h"
 
 namespace raizn::obs {

@@ -29,7 +29,7 @@ TEST(WkldTest, RunnerSeqWriteCoversRegion)
     scale.zones_per_device = 8;
     scale.zone_cap_sectors = 512;
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     WorkloadRunner runner(arr.loop.get(), &target);
 
     JobSpec s;
@@ -53,7 +53,7 @@ TEST(WkldTest, RunnerIoLimitStops)
     scale.zones_per_device = 8;
     scale.zone_cap_sectors = 512;
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     WorkloadRunner runner(arr.loop.get(), &target);
     prime_target(arr.loop.get(), &target, arr.vol->zone_capacity());
 
@@ -71,7 +71,7 @@ TEST(WkldTest, RunnerTimeLimitStops)
     scale.zones_per_device = 8;
     scale.zone_cap_sectors = 512;
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     prime_target(arr.loop.get(), &target, arr.vol->zone_capacity());
     WorkloadRunner runner(arr.loop.get(), &target);
 
@@ -89,7 +89,7 @@ TEST(WkldTest, MultipleJobsAllComplete)
     scale.zones_per_device = 11; // 8 logical zones
     scale.zone_cap_sectors = 512;
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     WorkloadRunner runner(arr.loop.get(), &target);
 
     auto jobs = seq_jobs(RwMode::kSeqWrite, 64, 8, 8,
@@ -120,7 +120,7 @@ TEST(WkldTest, MdArrayFactoryWorks)
     scale.zones_per_device = 8;
     scale.zone_cap_sectors = 512;
     auto arr = make_mdraid_array(scale);
-    MdTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     WorkloadRunner runner(arr.loop.get(), &target);
     JobSpec s;
     s.mode = RwMode::kRandWrite; // allowed on block devices
@@ -137,7 +137,7 @@ TEST(WkldTest, ThroughputScalesWithBlockSizeOnReads)
 {
     BenchScale scale;
     auto arr = make_raizn_array(scale);
-    RaiznTarget target(arr.vol.get());
+    ZonedArrayTarget target(arr.vol.get());
     prime_target(arr.loop.get(), &target, arr.vol->capacity());
     WorkloadRunner runner(arr.loop.get(), &target);
 
