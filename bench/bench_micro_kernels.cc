@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of RAIZN's hot CPU kernels: XOR
- * parity, partial-parity delta computation, metadata entry
- * encode/decode, latency histogram insertion, and event-loop dispatch.
+ * parity, sector CRC32C, partial-parity delta computation, metadata
+ * entry encode/decode, latency histogram insertion, and event-loop
+ * dispatch.
  *
  * `--host-baseline <path>` additionally writes the per-kernel results
  * (ns/op and bytes/s) as a bench-gate JSON with wide, report-only
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "raizn/metadata.h"
@@ -40,6 +42,21 @@ BM_XorParity64K(benchmark::State &state)
                             static_cast<int64_t>(dst.size()));
 }
 BENCHMARK(BM_XorParity64K);
+
+/// One sector through the read-verify / write-catalog checksum.
+void
+BM_Crc32c4K(benchmark::State &state)
+{
+    auto sector = pattern_data(1, 3);
+    uint32_t crc = 0;
+    for (auto _ : state) {
+        crc = crc32c(sector.data(), sector.size());
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(sector.size()));
+}
+BENCHMARK(BM_Crc32c4K);
 
 void
 BM_FullStripeParity(benchmark::State &state)

@@ -119,6 +119,10 @@ Db::get(const std::string &key)
                     continue;
                 }
             }
+            if (!f.reader->may_contain(key)) {
+                stats_.bloom_skips++;
+                continue;
+            }
             bool tombstone = false;
             auto res = f.reader->get(key, &tombstone);
             if (tombstone)

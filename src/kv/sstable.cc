@@ -140,12 +140,16 @@ SstReader::open(Env *env, const std::string &name)
     return reader;
 }
 
+bool
+SstReader::may_contain(const std::string &key) const
+{
+    return BloomFilter::may_contain(bloom_, key);
+}
+
 Result<std::string>
 SstReader::get(const std::string &key, bool *tombstone)
 {
     *tombstone = false;
-    if (!BloomFilter::may_contain(bloom_, key))
-        return Status(StatusCode::kNotFound, "bloom miss");
     if (index_.empty())
         return Status(StatusCode::kNotFound, "empty table");
     auto it = index_.upper_bound(key);

@@ -38,8 +38,13 @@ class SstReader
     static Result<std::unique_ptr<SstReader>>
     open(Env *env, const std::string &name);
 
+    /// False when the bloom filter proves `key` is absent from this
+    /// table, so get() would only read a block to miss.
+    bool may_contain(const std::string &key) const;
+
     /**
-     * Point lookup. Returns:
+     * Point lookup. Does not probe the bloom filter; callers check
+     * may_contain() first. Returns:
      *  - kOk with the value,
      *  - kNotFound if the key is absent from this table,
      *  - a value-less kOk via `tombstone=true` when deleted here.

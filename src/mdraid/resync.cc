@@ -65,10 +65,15 @@ MdVolume::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
     // foreground service keeps its floor.
     start_rebuild_throttle();
 
+    // The pump refers to itself only weakly: the IO completions and
+    // wake-ups it arms hold it alive, so a resync abandoned mid-flight
+    // frees it along with those pending callbacks.
     auto pump = std::make_shared<std::function<void()>>();
-    *pump = [this, job, pump]() {
+    std::weak_ptr<std::function<void()>> weak_pump = pump;
+    *pump = [this, job, weak_pump]() {
         if (job->finished)
             return;
+        auto pump = weak_pump.lock(); // alive: our caller holds it
         while (job->next_issue < job->nchunks &&
                job->inflight < ResyncJob::kWindow) {
             if (!pace_rebuild(cfg_.chunk_sectors, [pump] { (*pump)(); }))
@@ -122,8 +127,6 @@ MdVolume::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
                             }
                             auto done = std::move(job->done);
                             done(job->status);
-                            // Break the pump's self-reference cycle.
-                            *pump = [] {};
                             return;
                         }
                         (*pump)();

@@ -398,9 +398,13 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
             job->zone_order.push_back(z);
     }
 
-    // Kick off the per-zone pipeline.
-    auto pump = std::make_shared<
-        std::function<void(std::shared_ptr<RebuildJob>)>>();
+    // Kick off the per-zone pipeline. The pump refers to itself only
+    // weakly: the IO completions and wake-ups it arms hold it alive, so
+    // a rebuild abandoned mid-flight (volume teardown, power cut) frees
+    // it along with those pending callbacks.
+    using Pump = std::function<void(std::shared_ptr<RebuildJob>)>;
+    auto pump = std::make_shared<Pump>();
+    std::weak_ptr<Pump> weak_pump = pump;
     auto finished = std::make_shared<bool>(false);
     auto finish_job = [this, finished](std::shared_ptr<RebuildJob> job) {
         if (*finished)
@@ -428,7 +432,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
         done(job->status);
     };
 
-    auto complete_zone = [this, pump,
+    auto complete_zone = [this, weak_pump,
                           finish_job](std::shared_ptr<RebuildJob> job) {
         LZone &lz = zones_[job->zone];
         if (trace_ != nullptr && job->zone_token != 0) {
@@ -449,17 +453,15 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
             job->progress(job->zone_i + 1, job->zone_order.size());
         job->zone_i++;
         job->zone_active = false;
-        (*pump)(job);
+        (*weak_pump.lock())(job); // alive: only the pump calls this
     };
 
-    *pump = [this, pump, complete_zone,
+    *pump = [this, weak_pump, complete_zone,
              finish_job](std::shared_ptr<RebuildJob> job) {
+        auto pump = weak_pump.lock(); // alive: our caller holds it
         if (!job->zone_active) {
             if (job->zone_i >= job->zone_order.size()) {
-                finish_job(job);
-                // Break the pump's self-reference cycle; any late
-                // completion lands on a no-op.
-                *pump = [](std::shared_ptr<RebuildJob>) {};
+                finish_job(job); // no-op for late completions
                 return;
             }
             // Begin the next zone.

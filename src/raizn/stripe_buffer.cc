@@ -11,12 +11,18 @@ namespace raizn {
 void
 xor_bytes(uint8_t *dst, const uint8_t *src, size_t n)
 {
-    // Word-wise main loop; compilers vectorize this readily.
+    // Word-wise main loop. memcpy loads and stores keep unaligned
+    // sub-ranges free of alignment and aliasing UB, and compile to
+    // plain moves.
     size_t words = n / 8;
-    auto *d = reinterpret_cast<uint64_t *>(dst);
-    auto *s = reinterpret_cast<const uint64_t *>(src);
-    for (size_t i = 0; i < words; ++i)
-        d[i] ^= s[i];
+    for (size_t i = 0; i < words; ++i) {
+        uint64_t d = 0;
+        uint64_t s = 0;
+        std::memcpy(&d, dst + i * 8, 8);
+        std::memcpy(&s, src + i * 8, 8);
+        d ^= s;
+        std::memcpy(dst + i * 8, &d, 8);
+    }
     for (size_t i = words * 8; i < n; ++i)
         dst[i] ^= src[i];
 }

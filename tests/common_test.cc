@@ -10,6 +10,7 @@
 
 #include "common/bitmap.h"
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -187,6 +188,87 @@ TEST(Crc32Test, DetectsBitFlip)
     uint32_t before = crc32c(buf.data(), buf.size());
     buf[1234] ^= 0x01;
     EXPECT_NE(before, crc32c(buf.data(), buf.size()));
+}
+
+using CrcFn = uint32_t (*)(const void *, size_t, uint32_t);
+
+/// Bit-at-a-time CRC32C register update, independent of both
+/// implementations under test.
+uint32_t
+crc32c_bitwise_step(uint32_t reg, uint8_t byte)
+{
+    reg ^= byte;
+    for (int k = 0; k < 8; ++k)
+        reg = (reg >> 1) ^ ((reg & 1) ? 0x82f63b78u : 0);
+    return reg;
+}
+
+/// Checks `fn` against the bitwise reference on every length 0..9000
+/// at every start offset 0..7, with a random seed per offset.
+void
+expect_matches_bitwise(CrcFn fn)
+{
+    constexpr size_t kMaxLen = 9000;
+    Rng rng(13);
+    std::vector<uint8_t> buf(kMaxLen + 8);
+    for (auto &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    for (size_t off = 0; off < 8; ++off) {
+        auto seed = static_cast<uint32_t>(rng.next());
+        const uint8_t *p = buf.data() + off;
+        uint32_t reg = ~seed; // reference state after p[0, len)
+        for (size_t len = 0; len <= kMaxLen; ++len) {
+            ASSERT_EQ(fn(p, len, seed), ~reg)
+                << "len " << len << " off " << off << " seed " << seed;
+            if (len < kMaxLen)
+                reg = crc32c_bitwise_step(reg, p[len]);
+        }
+    }
+}
+
+/// crc(a + b) == crc(b, crc(a)) at random split points.
+void
+expect_chains(CrcFn fn)
+{
+    Rng rng(17);
+    std::vector<uint8_t> buf(5000);
+    for (auto &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    for (int i = 0; i < 200; ++i) {
+        size_t len = rng.next_below(buf.size() + 1);
+        size_t split = rng.next_below(len + 1);
+        auto seed = static_cast<uint32_t>(rng.next());
+        uint32_t head = fn(buf.data(), split, seed);
+        EXPECT_EQ(fn(buf.data(), len, seed),
+                  fn(buf.data() + split, len - split, head))
+            << "len " << len << " split " << split;
+    }
+}
+
+TEST(Crc32Test, PortableMatchesBitwiseReference)
+{
+    EXPECT_EQ(detail::crc32c_portable("123456789", 9, 0), 0xE3069283u);
+    expect_matches_bitwise(detail::crc32c_portable);
+    expect_chains(detail::crc32c_portable);
+}
+
+TEST(Crc32Test, DispatchedMatchesBitwiseReference)
+{
+    expect_matches_bitwise(crc32c);
+    expect_chains(crc32c);
+}
+
+TEST(Crc32Test, HardwareMatchesBitwiseReference)
+{
+#ifdef RAIZN_HAVE_CRC32C_HW
+    if (!detail::crc32c_hw_supported())
+        GTEST_SKIP() << "host CPU lacks SSE4.2";
+    EXPECT_EQ(detail::crc32c_hw("123456789", 9, 0), 0xE3069283u);
+    expect_matches_bitwise(detail::crc32c_hw);
+    expect_chains(detail::crc32c_hw);
+#else
+    GTEST_SKIP() << "no hardware CRC32C path on this architecture";
+#endif
 }
 
 TEST(BitmapTest, SetTestClear)

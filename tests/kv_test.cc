@@ -154,6 +154,23 @@ TEST_F(KvFixture, DeleteAcrossFlushIsTombstoned)
     EXPECT_EQ(db_->get("gone").status().code(), StatusCode::kNotFound);
 }
 
+TEST_F(KvFixture, BloomFilterSkipsAreCounted)
+{
+    // Even keys go into a flushed table; odd keys fall inside its key
+    // range but are absent, so only the bloom filter can skip them.
+    for (int i = 0; i < 200; i += 2)
+        ASSERT_TRUE(db_->put(key(i), "v").is_ok());
+    ASSERT_TRUE(db_->flush_all().is_ok());
+    EXPECT_EQ(db_->stats().bloom_skips, 0u);
+    for (int i = 1; i < 200; i += 2) {
+        EXPECT_EQ(db_->get(key(i)).status().code(),
+                  StatusCode::kNotFound);
+    }
+    // ~1% false positives at 10 bits per key.
+    EXPECT_GE(db_->stats().bloom_skips, 90u);
+    EXPECT_LE(db_->stats().bloom_skips, 100u);
+}
+
 TEST_F(KvFixture, CompactionKeepsNewestValues)
 {
     // Write the same keys repeatedly to force flushes + compactions.

@@ -210,6 +210,30 @@ TEST(ParityMathTest, XorBytes)
     EXPECT_EQ(c, a) << "XOR twice is identity";
 }
 
+TEST(ParityMathTest, XorBytesUnalignedMatchesByteLoop)
+{
+    // Callers pass sub-ranges such as parity.data() + lo * kSectorSize,
+    // so neither pointer is word-aligned in general.
+    std::vector<uint8_t> src(300), dst(300);
+    for (size_t i = 0; i < src.size(); ++i) {
+        src[i] = static_cast<uint8_t>(i * 37 + 11);
+        dst[i] = static_cast<uint8_t>(i * 101 + 7);
+    }
+    for (size_t doff = 0; doff < 8; ++doff) {
+        for (size_t soff = 0; soff < 8; ++soff) {
+            for (size_t n : {0, 1, 7, 8, 9, 15, 17, 63, 65, 255}) {
+                std::vector<uint8_t> got = dst;
+                std::vector<uint8_t> want = dst;
+                xor_bytes(got.data() + doff, src.data() + soff, n);
+                for (size_t i = 0; i < n; ++i)
+                    want[doff + i] ^= src[soff + i];
+                ASSERT_EQ(got, want) << "doff " << doff << " soff " << soff
+                                     << " n " << n;
+            }
+        }
+    }
+}
+
 TEST(ParityMathTest, ByteRangeSingleUnit)
 {
     uint64_t lo, hi;
