@@ -171,6 +171,7 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
     zone_rebuilt_.assign(nzones_, false);
     zones_.resize(nzones_);
     for (EZone &ez : zones_) {
+        ez.crc = CrcCatalog(zone_cap_);
         ez.kind = fixed_kind();
         ez.kind_decided = cfg_.mode != RaidMode::kAuto;
     }
@@ -922,7 +923,7 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
         }
     }
     if (store)
-        note_written_crcs(zone, off, data->data(), nsectors);
+        zones_[zone].crc.record(off, data->data(), nsectors);
     ctx->issued_all = true;
     if (ctx->pending == 0)
         finish_write(ctx);
@@ -1066,23 +1067,6 @@ ZonedEngine::finish_write(std::shared_ptr<WriteCtx> ctx)
     loop_->schedule_after(1, [ack] { ack(Status::ok()); });
 }
 
-void
-ZonedEngine::note_written_crcs(uint32_t zone, uint64_t off,
-                               const uint8_t *bytes, uint32_t nsectors)
-{
-    EZone &z = zones_[zone];
-    if (z.crcs.empty()) {
-        z.crcs.assign(zone_cap_, 0);
-        z.crc_valid.assign(zone_cap_, false);
-    }
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        z.crcs[off + i] =
-            crc32c(bytes + static_cast<size_t>(i) * kSectorSize,
-                   kSectorSize);
-        z.crc_valid[off + i] = true;
-    }
-}
-
 // ---------------------------------------------------------------------
 // Flush / reset / finish
 // ---------------------------------------------------------------------
@@ -1184,8 +1168,7 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
                     ez.finish_pending = false;
                     ez.frozen = false;
                     ez.tails.clear();
-                    ez.crcs.clear();
-                    ez.crc_valid.clear();
+                    ez.crc.clear();
                     ez.rec_fill.clear();
                     ez.participants = parts;
                     ez.kind = fixed_kind();
@@ -1488,16 +1471,18 @@ ZonedEngine::read_segment(uint32_t zone, uint64_t off, uint32_t len,
         std::vector<uint32_t> cands(num_devices());
         for (uint32_t d = 0; d < num_devices(); ++d)
             cands[d] = d;
-        auto srcs = std::make_shared<std::vector<uint32_t>>(
-            mirror_sources(zone, off + len, cands));
-        if (srcs->empty()) {
+        std::vector<uint32_t> srcs = mirror_sources(zone, off + len, cands);
+        if (srcs.empty()) {
             loop_->schedule_after(1, [cb = std::move(cb)] {
                 cb(Status(StatusCode::kOffline, "no live mirror source"),
                    {});
             });
             return;
         }
-        read_mirror(zone, off, len, std::move(srcs), 0, std::move(cb));
+        read_replicas(std::make_shared<ReplicaRead>(ReplicaRead{
+                          zone, off, len, off, "eng.mirror_read",
+                          std::move(srcs), nullptr, std::move(cb)}),
+                      0);
         return;
     }
     // Striped kinds: fan out per chunk piece and reassemble in order.
@@ -1568,49 +1553,6 @@ ZonedEngine::mirror_sources(uint32_t zone, uint64_t row_end,
 }
 
 void
-ZonedEngine::read_mirror(uint32_t zone, uint64_t off, uint32_t len,
-                         std::shared_ptr<std::vector<uint32_t>> srcs,
-                         size_t idx, DataCb cb)
-{
-    if (idx >= srcs->size()) {
-        cb(Status(StatusCode::kCorruption,
-                  "all mirror copies failed validation"),
-           {});
-        return;
-    }
-    uint32_t d = (*srcs)[idx];
-    IoRequest req = IoRequest::read(dev_row_lba(zone, off), len);
-    req.trace_stage = "eng.mirror_read";
-    req.cause = obs::Cause::kUserData;
-    chain_submit(
-        d, phys_zone(zone), std::move(req),
-        [this, zone, off, len, srcs, idx, d,
-         cb = std::move(cb)](IoResult r) mutable {
-            if (!r.status.is_ok()) {
-                escalate_dev_error(d, r.status);
-                read_mirror(zone, off, len, std::move(srcs), idx + 1,
-                            std::move(cb));
-                return;
-            }
-            if (store_data_ &&
-                !crc_range_ok(zone, off, r.data.data(), len)) {
-                ++stats_.crc_mismatches;
-                if (idx + 1 < srcs->size()) {
-                    ++stats_.read_repairs;
-                    read_mirror(zone, off, len, std::move(srcs), idx + 1,
-                                std::move(cb));
-                    return;
-                }
-                cb(Status(StatusCode::kCorruption,
-                          "mirror copy failed checksum"),
-                   {});
-                return;
-            }
-            cb(Status::ok(), std::move(r.data));
-        });
-}
-
-void
 ZonedEngine::read_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
                         uint64_t o, uint32_t n, DataCb cb)
 {
@@ -1652,62 +1594,60 @@ ZonedEngine::read_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
     }
     // Try each live replica; parity kinds fall back to reconstruction
     // when every replica errors or fails its checksum.
-    auto attempt = std::make_shared<std::function<void(size_t)>>();
-    auto srcs = std::make_shared<std::vector<uint32_t>>(std::move(live));
-    auto shared_cb = std::make_shared<DataCb>(std::move(cb));
-    // The recursive closure holds only a weak reference to itself;
-    // each in-flight completion pins a strong one, so the function is
-    // destroyed (no cycle) as soon as the last completion runs.
-    std::weak_ptr<std::function<void(size_t)>> wattempt = attempt;
-    *attempt = [this, zone, stripe, u, o, n, row0, srcs, shared_cb,
-                parity_kind, wattempt](size_t idx) {
-        EZone &ez = zones_[zone];
-        if (idx >= srcs->size()) {
-            if (parity_kind) {
-                ++stats_.read_repairs;
-                stats_.reconstructed_sectors += n;
-                reconstruct_chunk(zone, stripe, u, o, n,
-                                  [shared_cb](Status s,
-                                              std::vector<uint8_t> d) {
-                                      (*shared_cb)(s, std::move(d));
-                                  });
-                return;
-            }
-            (*shared_cb)(Status(StatusCode::kCorruption,
-                                "data unit failed validation"),
-                         {});
+    const uint64_t crc_off = stripe * su * units_of(z.kind) +
+                             static_cast<uint64_t>(u) * su + o;
+    std::function<void(DataCb)> fallback;
+    if (parity_kind) {
+        fallback = [this, zone, stripe, u, o, n](DataCb done) {
+            stats_.reconstructed_sectors += n;
+            reconstruct_chunk(zone, stripe, u, o, n, std::move(done));
+        };
+    }
+    read_replicas(std::make_shared<ReplicaRead>(ReplicaRead{
+                      zone, row0, n, crc_off, "eng.chunk_read",
+                      std::move(live), std::move(fallback), std::move(cb)}),
+                  0);
+}
+
+void
+ZonedEngine::read_replicas(std::shared_ptr<ReplicaRead> rr, size_t idx)
+{
+    if (idx >= rr->srcs.size()) {
+        if (rr->fallback) {
+            ++stats_.read_repairs;
+            rr->fallback(std::move(rr->cb));
             return;
         }
-        uint32_t d = (*srcs)[idx];
-        IoRequest req = IoRequest::read(dev_row_lba(zone, row0), n);
-        req.trace_stage = "eng.chunk_read";
-        req.cause = obs::Cause::kUserData;
-        const uint64_t crc_off =
-            stripe * cfg_.su_sectors *
-                static_cast<uint64_t>(units_of(ez.kind)) +
-            static_cast<uint64_t>(u) * cfg_.su_sectors + o;
-        auto self = wattempt.lock(); // caller holds a strong ref
-        chain_submit(d, phys_zone(zone), std::move(req),
-                     [this, zone, d, idx, crc_off, n, shared_cb,
-                      self](IoResult r) {
-                         if (!r.status.is_ok()) {
+        rr->cb(Status(StatusCode::kCorruption,
+                      "no replica returned valid data"),
+               {});
+        return;
+    }
+    const uint32_t d = rr->srcs[idx];
+    BlockDevice *sent = devs_[d];
+    IoRequest req = IoRequest::read(dev_row_lba(rr->zone, rr->row0), rr->n);
+    req.trace_stage = rr->stage;
+    req.cause = obs::Cause::kUserData;
+    chain_submit(d, phys_zone(rr->zone), std::move(req),
+                 [this, rr, idx, d, sent](IoResult r) {
+                     if (!r.status.is_ok()) {
+                         // An error from a member that a promoted spare
+                         // has since replaced must not fail the spare.
+                         if (devs_[d] == sent)
                              escalate_dev_error(d, r.status);
-                             (*self)(idx + 1);
-                             return;
-                         }
-                         if (store_data_ &&
-                             !crc_range_ok(zone, crc_off, r.data.data(),
-                                           n)) {
-                             ++stats_.crc_mismatches;
-                             (*self)(idx + 1);
-                             return;
-                         }
-                         if (idx > 0)
-                             ++stats_.read_repairs;
-                         (*shared_cb)(Status::ok(), std::move(r.data));
-                     });
-    };
-    (*attempt)(0);
+                         read_replicas(rr, idx + 1);
+                         return;
+                     }
+                     if (!zones_[rr->zone].crc.verify(
+                             rr->crc_off, r.data.data(), rr->n)) {
+                         ++stats_.crc_mismatches;
+                         read_replicas(rr, idx + 1);
+                         return;
+                     }
+                     if (idx > 0)
+                         ++stats_.read_repairs;
+                     rr->cb(Status::ok(), std::move(r.data));
+                 });
 }
 
 void
@@ -1802,7 +1742,7 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
         }
         uint64_t crc_off = stripe * su * static_cast<uint64_t>(units) +
                            static_cast<uint64_t>(u) * su + o;
-        if (!crc_range_ok(zone, crc_off, res.data(), n)) {
+        if (!zones_[zone].crc.verify(crc_off, res.data(), n)) {
             ++stats_.crc_mismatches;
             (*shared_cb)(Status(StatusCode::kCorruption,
                                 "reconstructed data failed checksum"),
@@ -1818,11 +1758,13 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
             IoRequest req = IoRequest::read(dev_row_lba(zone, row0), n);
             req.trace_stage = "eng.reconstruct_read";
             req.cause = obs::Cause::kParity;
+            BlockDevice *sent = devs_[d];
             chain_submit(d, phys_zone(zone), std::move(req),
-                         [this, d, rc, sink = std::move(sink),
+                         [this, d, sent, rc, sink = std::move(sink),
                           complete](IoResult r) {
                              if (!r.status.is_ok()) {
-                                 escalate_dev_error(d, r.status);
+                                 if (devs_[d] == sent)
+                                     escalate_dev_error(d, r.status);
                                  if (rc->status.is_ok())
                                      rc->status = r.status;
                              } else {
@@ -1874,25 +1816,6 @@ void
 ZonedEngine::link_stats_hook(obs::MetricsRegistry &reg)
 {
     obs::link_stats(reg, metric_prefix(), stats_);
-}
-
-bool
-ZonedEngine::crc_range_ok(uint32_t zone, uint64_t off,
-                          const uint8_t *bytes, uint32_t nsectors) const
-{
-    if (!store_data_)
-        return true;
-    const EZone &z = zones_[zone];
-    if (z.crcs.empty())
-        return true;
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        if (!z.crc_valid[off + i])
-            continue;
-        if (crc32c(bytes + static_cast<size_t>(i) * kSectorSize,
-                   kSectorSize) != z.crcs[off + i])
-            return false;
-    }
-    return true;
 }
 
 } // namespace raizn

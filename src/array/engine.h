@@ -31,6 +31,7 @@
 #include <set>
 #include <vector>
 
+#include "array/crc_catalog.h"
 #include "array/zoned_array.h"
 
 namespace raizn {
@@ -279,8 +280,7 @@ class ZonedEngine : public ZonedArray
         /// a rebuild re-joins them.
         uint64_t participants = ~0ull;
         std::map<uint64_t, TailBuf> tails; ///< by stripe index
-        std::vector<uint32_t> crcs; ///< per logical sector (store mode)
-        std::vector<bool> crc_valid;
+        CrcCatalog crc; ///< per logical sector (store mode)
         /// Mount only: per-member recovered extent — logical sectors
         /// for mirror kinds, physical rows otherwise.
         std::vector<uint64_t> rec_fill;
@@ -346,27 +346,35 @@ class ZonedEngine : public ZonedArray
     void chunk_done(std::shared_ptr<WriteCtx> ctx, uint32_t dev,
                     const Status &s);
     void finish_write(std::shared_ptr<WriteCtx> ctx);
-    void note_written_crcs(uint32_t zone, uint64_t off,
-                           const uint8_t *bytes, uint32_t nsectors);
 
     // engine.cc — read path
     using DataCb = std::function<void(Status, std::vector<uint8_t>)>;
     void read_segment(uint32_t zone, uint64_t off, uint32_t len,
                       DataCb cb);
-    /// Tries each candidate member in turn (CRC-verifying in store
-    /// mode); `off` is in logical sectors for kMirror.
-    void read_mirror(uint32_t zone, uint64_t off, uint32_t len,
-                     std::shared_ptr<std::vector<uint32_t>> srcs,
-                     size_t idx, DataCb cb);
     /// Reads rows [o, o+n) of data unit `u` in `stripe`, falling back
     /// to the tail buffer or parity reconstruction when the member is
     /// down or the payload fails CRC.
     void read_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
                     uint64_t o, uint32_t n, DataCb cb);
+    /// One replicated read: rows [row0, row0+n) of `zone`, checked
+    /// against the catalog at logical offset `crc_off`.
+    struct ReplicaRead {
+        uint32_t zone;
+        uint64_t row0;
+        uint32_t n;
+        uint64_t crc_off;
+        const char *stage; ///< trace stage of the member reads
+        std::vector<uint32_t> srcs; ///< live members, in try order
+        /// Serves the read once every source failed (parity kinds:
+        /// reconstruction); null fails it with kCorruption.
+        std::function<void(DataCb)> fallback;
+        DataCb cb;
+    };
+    /// Tries srcs[idx], then the next source on a failed read or a CRC
+    /// mismatch. A read served by a later source counts a read repair.
+    void read_replicas(std::shared_ptr<ReplicaRead> rr, size_t idx);
     void reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
                            uint64_t o, uint32_t n, DataCb cb);
-    bool crc_range_ok(uint32_t zone, uint64_t off, const uint8_t *bytes,
-                      uint32_t nsectors) const;
     /// Members holding a replica of data unit `u` (placement only, no
     /// liveness filtering).
     std::vector<uint32_t> unit_devs(uint32_t zone, uint64_t stripe,

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "array/gf256.h"
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
@@ -395,21 +394,24 @@ ZonedEngine::copy_wal_to_target(StatusCb done)
         });
         return;
     }
+    // `step` refers to itself only through a weak_ptr; the IO
+    // completions it arms hold it, so a copy abandoned mid-flight (the
+    // engine destroyed) frees with them.
     auto step = std::make_shared<std::function<void()>>();
-    // `step` closes over itself; break the cycle off-stack once done.
-    auto conclude = [this, shared_done, step](Status s) {
-        loop_->schedule_after(1, [shared_done, step, s = std::move(s)] {
-            *step = nullptr;
+    std::weak_ptr<std::function<void()>> weak_step = step;
+    auto conclude = [this, shared_done](Status s) {
+        loop_->schedule_after(1, [shared_done, s = std::move(s)] {
             (*shared_done)(s);
         });
     };
-    *step = [this, t, src, step, conclude, alive = alive_] {
+    *step = [this, t, src, weak_step, conclude, alive = alive_] {
         if (rebuild_wal_copied_ >= wal_next_) {
             conclude(Status::ok());
             return;
         }
+        auto self = weak_step.lock(); // the caller holds a strong ref
         const uint64_t slot = rebuild_wal_copied_;
-        auto write_slot = [this, t, step, conclude, slot,
+        auto write_slot = [this, t, self, conclude, slot,
                            alive](std::vector<uint8_t> payload) {
             IoRequest wr = store_data_
                 ? IoRequest::write(slot, std::move(payload), /*fua=*/true)
@@ -417,7 +419,7 @@ ZonedEngine::copy_wal_to_target(StatusCb done)
             wr.trace_stage = "eng.rebuild";
             wr.cause = obs::Cause::kRebuild;
             chain_submit(t, 0, std::move(wr),
-                         [this, step, conclude, alive](IoResult w) {
+                         [this, self, conclude, alive](IoResult w) {
                              if (!*alive)
                                  return;
                              if (!w.status.is_ok()) {
@@ -425,7 +427,7 @@ ZonedEngine::copy_wal_to_target(StatusCb done)
                                  return;
                              }
                              ++rebuild_wal_copied_;
-                             (*step)();
+                             (*self)();
                          });
         };
         if (!store_data_) {
@@ -973,7 +975,7 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                 for (size_t i = 1; i < copies.size(); ++i)
                     if (copies[i] != copies[0])
                         ++rep->parity_mismatches;
-                if (!crc_range_ok(zone, off, copies[0].data(), nn))
+                if (!zones_[zone].crc.verify(off, copies[0].data(), nn))
                     ++rep->crc_mismatches;
             }
             ++rep->stripes_scanned;
@@ -1010,7 +1012,7 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                 }
                 if (copies.size() == 2 && copies[0] != copies[1])
                     ++rep->parity_mismatches;
-                if (!crc_range_ok(zone, cb, copies[0].data(), nn))
+                if (!zones_[zone].crc.verify(cb, copies[0].data(), nn))
                     ++rep->crc_mismatches;
             }
             ++rep->stripes_scanned;
@@ -1039,7 +1041,7 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                     ++rep->unrecoverable;
                     continue;
                 }
-                if (!crc_range_ok(zone, cb, buf.data(), nn))
+                if (!zones_[zone].crc.verify(cb, buf.data(), nn))
                     ++rep->crc_mismatches;
             }
             ++rep->stripes_scanned;
@@ -1081,10 +1083,9 @@ ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
                     io_err = true;
                     break;
                 }
-                if (!crc_range_ok(zone,
-                                  s * stripe_sect +
-                                      static_cast<uint64_t>(u) * su,
-                                  buf.data(), su))
+                if (!zones_[zone].crc.verify(
+                        s * stripe_sect + static_cast<uint64_t>(u) * su,
+                        buf.data(), su))
                     ++rep->crc_mismatches;
                 xor_bytes(p_calc.data(), buf.data(), bytes);
                 if (qd >= 0)

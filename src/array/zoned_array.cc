@@ -51,7 +51,7 @@ ZonedArray::ZonedArray(EventLoop *loop, std::vector<BlockDevice *> devs,
     retrier_ = std::make_unique<IoRetrier>(loop_, RetryPolicy{},
                                            health_.get(),
                                            cells_.io_retries,
-                                           cells_.io_timeouts);
+                                           cells_.io_timeouts, &devs_);
     alive_ = std::make_shared<bool>(true);
 }
 
@@ -122,7 +122,7 @@ ZonedArray::set_resilience(const ResilienceConfig &rc)
     });
     retrier_ = std::make_unique<IoRetrier>(loop_, rc.retry, health_.get(),
                                            cells_.io_retries,
-                                           cells_.io_timeouts);
+                                           cells_.io_timeouts, &devs_);
     on_resilience_changed();
     // The monitor was replaced: any linked health counters would
     // dangle, so refresh the registry bindings in place.

@@ -26,8 +26,9 @@ struct IoRetrier::OpState {
 
 IoRetrier::IoRetrier(EventLoop *loop, RetryPolicy policy,
                      HealthMonitor *health, uint64_t *retry_counter,
-                     uint64_t *timeout_counter)
-    : loop_(loop), policy_(policy), health_(health),
+                     uint64_t *timeout_counter,
+                     const std::vector<BlockDevice *> *slots)
+    : loop_(loop), policy_(policy), health_(health), slots_(slots),
       retries_(retry_counter), timeouts_(timeout_counter),
       jitter_(policy.jitter_seed)
 {
@@ -41,6 +42,12 @@ IoRetrier::backoff_for(uint32_t transient)
         b *= policy_.backoff_mult;
     // Small deterministic jitter breaks same-tick retry convoys.
     return b + jitter_.next_below(policy_.backoff_base / 4 + 1);
+}
+
+HealthMonitor *
+IoRetrier::health_for(const OpState &st) const
+{
+    return (*slots_)[st.idx] == st.dev ? health_ : nullptr;
 }
 
 void
@@ -75,8 +82,8 @@ IoRetrier::issue(const std::shared_ptr<OpState> &st)
             // invalidate its eventual completion, and retry.
             if (timeouts_)
                 (*timeouts_)++;
-            if (health_)
-                health_->record_timeout(st->idx);
+            if (HealthMonitor *h = health_for(*st))
+                h->record_timeout(st->idx);
             st->cur++;
             handle_retryable(
                 st, Status(StatusCode::kIoError, "io deadline exceeded"));
@@ -93,8 +100,8 @@ void
 IoRetrier::on_complete(const std::shared_ptr<OpState> &st, IoResult r)
 {
     if (r.status.is_ok()) {
-        if (health_)
-            health_->record_success(st->idx, r.latency());
+        if (HealthMonitor *h = health_for(*st))
+            h->record_success(st->idx, r.latency());
         if (st->synth_flush) {
             // The write's payload already landed; the flush made it
             // durable. Report success for the original command.
@@ -113,8 +120,8 @@ IoRetrier::on_complete(const std::shared_ptr<OpState> &st, IoResult r)
 
     StatusCode code = r.status.code();
     if (code == StatusCode::kIoError || code == StatusCode::kBusy) {
-        if (health_)
-            health_->record_error(st->idx);
+        if (HealthMonitor *h = health_for(*st))
+            h->record_error(st->idx);
         handle_retryable(st, r.status);
         return;
     }
@@ -192,8 +199,8 @@ IoRetrier::prepare_attempt(const std::shared_ptr<OpState> &st)
             r.lba = st->orig.slba;
             r.submit_tick = st->first_submit;
             r.complete_tick = loop_->now();
-            if (health_)
-                health_->record_success(st->idx, 0);
+            if (HealthMonitor *h = health_for(*st))
+                h->record_success(st->idx, 0);
             finish(st, std::move(r));
             return;
         }
@@ -248,8 +255,8 @@ IoRetrier::prepare_attempt(const std::shared_ptr<OpState> &st)
 void
 IoRetrier::exhaust(const std::shared_ptr<OpState> &st, Status why)
 {
-    if (health_)
-        health_->record_op_failure(st->idx);
+    if (HealthMonitor *h = health_for(*st))
+        h->record_op_failure(st->idx);
     IoResult r;
     r.status = why.is_ok()
                    ? Status(StatusCode::kIoError, "retries exhausted")

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "zns/block_device.h"
@@ -61,9 +62,14 @@ class IoRetrier
      * `health` may be null. `retry_counter` / `timeout_counter` are
      * owner-provided stat cells (e.g. &VolumeStats::io_retries),
      * incremented per retry / per watchdog expiration; may be null.
+     * `slots` is the owner's device-per-slot table: a command's
+     * outcome counts as health evidence only while its device still
+     * fills its slot, so late errors from a member that a spare
+     * replaced are not charged to the spare.
      */
     IoRetrier(EventLoop *loop, RetryPolicy policy, HealthMonitor *health,
-              uint64_t *retry_counter, uint64_t *timeout_counter);
+              uint64_t *retry_counter, uint64_t *timeout_counter,
+              const std::vector<BlockDevice *> *slots);
 
     /**
      * Submits `req` to `dev` with retry/watchdog handling; `cb` fires
@@ -85,10 +91,13 @@ class IoRetrier
     void exhaust(const std::shared_ptr<OpState> &st, Status why);
     void finish(const std::shared_ptr<OpState> &st, IoResult r);
     Tick backoff_for(uint32_t transient);
+    /// The monitor to charge with `st`'s outcome (null: none).
+    HealthMonitor *health_for(const OpState &st) const;
 
     EventLoop *loop_;
     RetryPolicy policy_;
     HealthMonitor *health_;
+    const std::vector<BlockDevice *> *slots_;
     uint64_t *retries_;
     uint64_t *timeouts_;
     Rng jitter_;

@@ -379,14 +379,10 @@ RaiznVolume::replay_md_logs(RecoveryCtx &rc,
             rel.lba = e.header.start_lba; // zs_key
             rel.nsectors = cfg_.su_sectors;
             parity_reloc_[e.header.start_lba] = std::move(rel);
-            uint32_t z = static_cast<uint32_t>(e.header.start_lba >> 32);
-            zones_[z].has_reloc = true;
         } else {
             rel.lba = e.header.start_lba;
             rel.nsectors = static_cast<uint32_t>(e.header.end_lba -
                                                  e.header.start_lba);
-            uint32_t z = layout_->zone_of(rel.lba);
-            zones_[z].has_reloc = true;
             reloc_.insert(std::move(rel));
         }
     }
@@ -1202,16 +1198,6 @@ RaiznVolume::rebuild_physical_zone(uint32_t dev, uint32_t zone,
     for (uint64_t lba : to_drop)
         reloc_.drop_zone(lba, lba + 1);
     burned_.clear_dev_zone(dev, zone);
-    bool any_left = false;
-    for (const Relocation *rel : reloc_.all()) {
-        if (layout_->zone_of(rel->lba) == zone)
-            any_left = true;
-    }
-    zones_[zone].has_reloc = any_left ||
-        std::any_of(parity_reloc_.begin(), parity_reloc_.end(),
-                    [zone](const auto &kv) {
-                        return (kv.first >> 32) == zone;
-                    });
     return Status::ok();
 }
 

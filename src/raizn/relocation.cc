@@ -1,6 +1,7 @@
 #include "raizn/relocation.h"
 
 #include <cassert>
+#include <iterator>
 
 namespace raizn {
 
@@ -29,6 +30,20 @@ RelocationMap::find(uint64_t lba) const
     const Relocation &rel = it->second;
     if (lba >= rel.lba && lba < rel.lba + rel.nsectors)
         return &rel;
+    return nullptr;
+}
+
+const Relocation *
+RelocationMap::first_overlap(uint64_t lo, uint64_t hi) const
+{
+    auto it = map_.upper_bound(lo);
+    if (it != map_.begin()) {
+        const Relocation &prev = std::prev(it)->second;
+        if (prev.lba + prev.nsectors > lo)
+            return &prev;
+    }
+    if (it != map_.end() && it->first < hi)
+        return &it->second;
     return nullptr;
 }
 

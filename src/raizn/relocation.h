@@ -5,8 +5,9 @@
  * stripe hole" of Fig. 1), RAIZN hides them from the user by rolling
  * back the logical write pointer and redirecting future writes that
  * conflict with the burned physical range into the device's metadata
- * zone. The modified LBA→PBA mapping lives in a hashmap checked on
- * reads of flagged zones; entries are also cached in memory.
+ * zone. The modified LBA→PBA mapping lives in an ordered map that
+ * every read queries once per extent; entries are also cached in
+ * memory.
  */
 #pragma once
 
@@ -48,6 +49,9 @@ class RelocationMap
      * zone (or the in-memory cache) instead of the arithmetic PBA.
      */
     const Relocation *find(uint64_t lba) const;
+
+    /// The lowest relocation overlapping logical [lo, hi), or nullptr.
+    const Relocation *first_overlap(uint64_t lo, uint64_t hi) const;
 
     /// Number of relocated ranges held for device `dev`.
     size_t count_for_dev(uint32_t dev) const;

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "raizn/stripe_buffer.h"
@@ -150,13 +149,9 @@ RaiznVolume::scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
             // corruption here is localisable.
             for (uint32_t k = 0; k < D; ++k) {
                 uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
-                bool missing = lz.crc_valid.empty();
-                if (!missing) {
-                    for (uint32_t s = 0; s < su; ++s)
-                        missing |= !lz.crc_valid[off + s];
-                }
-                if (missing)
-                    note_written_crcs(zone, off, ctx->units[k], su);
+                const uint8_t *unit = ctx->units[k].data();
+                if (lz.crc.check(off, unit, su).covered < su)
+                    lz.crc.record(off, unit, su);
             }
             auto d = std::move(ctx->done);
             d();
@@ -164,29 +159,17 @@ RaiznVolume::scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
         }
         rep->parity_mismatches++;
         // Localise the corruption with the CRC catalog.
-        bool have_catalog = !lz.crc_valid.empty();
         std::vector<uint32_t> bad;
         uint64_t covered = 0;
-        if (have_catalog) {
-            for (uint32_t k = 0; k < D; ++k) {
-                uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
-                bool unit_bad = false;
-                for (uint32_t s = 0; s < su; ++s) {
-                    if (!lz.crc_valid[off + s])
-                        continue;
-                    covered++;
-                    uint32_t c = crc32c(
-                        ctx->units[k].data() +
-                            static_cast<size_t>(s) * kSectorSize,
-                        kSectorSize);
-                    if (c != lz.crcs[off + s])
-                        unit_bad = true;
-                }
-                if (unit_bad)
-                    bad.push_back(k);
-            }
+        for (uint32_t k = 0; k < D; ++k) {
+            uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
+            CrcCatalog::Coverage c =
+                lz.crc.check(off, ctx->units[k].data(), su);
+            covered += c.covered;
+            if (c.mismatched > 0)
+                bad.push_back(k);
         }
-        if (!have_catalog || covered == 0) {
+        if (covered == 0) {
             // No checksums to localise with: the mismatch is real but
             // the corrupt side is unknown.
             rep->unrecoverable++;
@@ -204,17 +187,7 @@ RaiznVolume::scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
                     xor_bytes(rec.data(), ctx->units[j].data(), unit_bytes);
             }
             uint64_t off = stripe_off + static_cast<uint64_t>(k) * su;
-            bool ok = true;
-            for (uint32_t s = 0; s < su; ++s) {
-                if (!lz.crc_valid[off + s])
-                    continue;
-                uint32_t c = crc32c(rec.data() +
-                                        static_cast<size_t>(s) * kSectorSize,
-                                    kSectorSize);
-                if (c != lz.crcs[off + s])
-                    ok = false;
-            }
-            if (ok) {
+            if (lz.crc.verify(off, rec.data(), su)) {
                 scrub_repair_unit(zone, stripe, k, std::move(rec));
                 rep->repaired_units++;
             } else {
@@ -291,7 +264,6 @@ RaiznVolume::scrub_repair_unit(uint32_t zone, uint64_t stripe, uint32_t k,
         trace_->instant("scrub.repair_unit", 0, obs::kTrackMetadata,
                         loop_->now());
     }
-    zones_[zone].has_reloc = true;
     const uint32_t su = cfg_.su_sectors;
     uint32_t dev = layout_->data_dev(zone, stripe, k);
     uint64_t lba = layout_->zone_start_lba(zone) +
@@ -299,7 +271,7 @@ RaiznVolume::scrub_repair_unit(uint32_t zone, uint64_t stripe, uint32_t k,
         static_cast<uint64_t>(k) * su;
 
     // Refresh the catalog for the repaired range.
-    note_written_crcs(zone, lba - zones_[zone].start, data, su);
+    zones_[zone].crc.record(lba - zones_[zone].start, data.data(), su);
 
     MdAppend app;
     app.header.type = MdType::kRelocatedSu;

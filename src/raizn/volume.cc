@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -53,6 +52,7 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
         zones_[z].start = layout_->zone_start_lba(z);
         zones_[z].cap_end = zones_[z].start + layout_->logical_zone_cap();
         zones_[z].wp = zones_[z].start;
+        zones_[z].crc = CrcCatalog(layout_->logical_zone_cap());
     }
     // The general and parity-log metadata zones on each device stay
     // open, and metadata GC transiently opens one more; expose the rest.
@@ -145,52 +145,6 @@ RaiznVolume::install_timeline(obs::Timeline *tl)
             census[d][3]->set(c.full);
         }
     });
-}
-
-void
-RaiznVolume::note_written_crcs(uint32_t zone, uint64_t off,
-                               const std::vector<uint8_t> &data,
-                               uint32_t nsectors)
-{
-    if (!store_data_)
-        return;
-    LZone &lz = zones_[zone];
-    if (lz.crcs.empty()) {
-        lz.crcs.assign(layout_->logical_zone_cap(), 0);
-        lz.crc_valid.assign(layout_->logical_zone_cap(), false);
-    }
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        if (data.empty()) {
-            lz.crc_valid[off + i] = false;
-            continue;
-        }
-        lz.crcs[off + i] = crc32c(
-            data.data() + static_cast<size_t>(i) * kSectorSize,
-            kSectorSize);
-        lz.crc_valid[off + i] = true;
-    }
-}
-
-bool
-RaiznVolume::crc_range_ok(uint64_t lba, const uint8_t *bytes,
-                          uint32_t nsectors) const
-{
-    if (!store_data_ || bytes == nullptr)
-        return true;
-    uint32_t zone = layout_->zone_of(lba);
-    const LZone &lz = zones_[zone];
-    if (lz.crc_valid.empty())
-        return true;
-    uint64_t off = lba - lz.start;
-    for (uint32_t i = 0; i < nsectors; ++i) {
-        if (off + i >= lz.crc_valid.size() || !lz.crc_valid[off + i])
-            continue;
-        if (crc32c(bytes + static_cast<size_t>(i) * kSectorSize,
-                   kSectorSize) != lz.crcs[off + i]) {
-            return false;
-        }
-    }
-    return true;
 }
 
 std::string
@@ -427,7 +381,8 @@ RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
     stats_.sectors_written += nsectors;
     if (flags.fua)
         stats_.fua_writes++;
-    note_written_crcs(zone, lba - lz.start, data, nsectors);
+    lz.crc.record(lba - lz.start, data.empty() ? nullptr : data.data(),
+                  nsectors);
 
     auto ctx = std::make_shared<WriteCtx>();
     ctx->flags = flags;
@@ -694,7 +649,6 @@ RaiznVolume::relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
 {
     PROF_SCOPE("raizn.reloc");
     stats_.relocated_writes++;
-    zones_[zone].has_reloc = true;
     ctx->pending++;
 
     MdAppend app;
@@ -932,10 +886,8 @@ RaiznVolume::reset_zone(uint32_t zone, IoCallback cb)
             lz.cond = raizn::ZoneState::kEmpty;
             lz.wp = lz.start;
             lz.pbm.clear();
-            lz.crcs.clear();
-            lz.crc_valid.clear();
+            lz.crc.clear();
             lz.buffers.clear();
-            lz.has_reloc = false;
             reloc_.drop_zone(lz.start, lz.cap_end);
             burned_.clear_zone(static_cast<uint32_t>(devs_.size()), zone);
             auto it = pp_index_.lower_bound(zs_key(zone, 0));
@@ -1182,106 +1134,12 @@ RaiznVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
             inner(std::move(r));
         };
     }
-    if (failed_dev_ >= 0 || lz.has_reloc) {
-        read_slow(lba, nsectors, treq, std::move(cb));
-    } else {
-        read_fast(lba, nsectors, treq, std::move(cb));
-    }
+    read_extents(lba, nsectors, treq, std::move(cb));
 }
 
 void
-RaiznVolume::read_fast(uint64_t lba, uint32_t nsectors, uint64_t treq,
-                       IoCallback cb)
-{
-    auto extents = layout_->map_range(lba, nsectors);
-    struct ReadCtx {
-        uint32_t pending = 0;
-        bool issued_all = false;
-        Status status;
-        std::vector<uint8_t> out;
-        IoCallback cb;
-        bool any_data = false;
-    };
-    auto ctx = std::make_shared<ReadCtx>();
-    ctx->cb = std::move(cb);
-    if (store_data_) {
-        ctx->out.assign(static_cast<size_t>(nsectors) * kSectorSize, 0);
-    }
-    auto complete_one = [this, ctx, lba](uint64_t ext_lba, Status s,
-                                         const std::vector<uint8_t> &data) {
-        if (!s.is_ok() && ctx->status.is_ok())
-            ctx->status = s;
-        if (!data.empty() && !ctx->out.empty()) {
-            size_t off = static_cast<size_t>(ext_lba - lba) * kSectorSize;
-            std::memcpy(ctx->out.data() + off, data.data(),
-                        std::min(data.size(), ctx->out.size() - off));
-            ctx->any_data = true;
-        }
-        ctx->pending--;
-        if (ctx->pending == 0 && ctx->issued_all) {
-            IoResult r;
-            r.status = ctx->status;
-            r.data = std::move(ctx->out);
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(r));
-        }
-        (void)this;
-    };
-    for (const auto &ext : extents) {
-        ctx->pending++;
-        IoRequest rreq = IoRequest::read(ext.pba, ext.nsectors);
-        rreq.trace_req = treq;
-        rreq.trace_stage = "read.data";
-        rreq.cause = obs::Cause::kUserData;
-        dev_submit(
-            ext.dev, std::move(rreq),
-            [this, ctx, ext, complete_one](IoResult r) {
-                if (!r.status.is_ok()) {
-                    // Retries exhausted or device died under us: if the
-                    // health monitor escalates to a device failure, fall
-                    // back to parity reconstruction.
-                    if (escalate_dev_error(ext.dev, r.status)) {
-                        read_extent_degraded(
-                            ext, [ext, complete_one](
-                                     Status s, std::vector<uint8_t> d) {
-                                complete_one(ext.lba, s, d);
-                            });
-                        return;
-                    }
-                    complete_one(ext.lba, r.status, r.data);
-                    return;
-                }
-                if (!r.data.empty() &&
-                    !crc_range_ok(ext.lba, r.data.data(), ext.nsectors)) {
-                    // Silent corruption: the payload disagrees with the
-                    // CRC catalog. Serve the read via reconstruction.
-                    stats_.crc_mismatches++;
-                    read_extent_degraded(
-                        ext, [ext, complete_one](Status s,
-                                                 std::vector<uint8_t> d) {
-                            complete_one(ext.lba, s, d);
-                        });
-                    return;
-                }
-                complete_one(ext.lba, r.status, r.data);
-            });
-    }
-    ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        IoResult r;
-        r.status = ctx->status;
-        r.data = std::move(ctx->out);
-        auto cb2 = std::move(ctx->cb);
-        loop_->schedule_after(1, [cb2 = std::move(cb2),
-                                  r = std::move(r)]() mutable {
-            cb2(std::move(r));
-        });
-    }
-}
-
-void
-RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
-                       IoCallback cb)
+RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
+                          IoCallback cb)
 {
     auto extents = layout_->map_range(lba, nsectors);
     struct ReadCtx {
@@ -1316,28 +1174,25 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
     };
 
     for (const auto &ext : extents) {
-        // Split the extent into runs with uniform relocation state.
+        // Split the extent into runs with uniform relocation state:
+        // inside one relocation, or up to the next one.
         uint64_t cur = ext.lba;
         uint64_t end = ext.lba + ext.nsectors;
         while (cur < end) {
-            const Relocation *rel = reloc_.find(cur);
+            const Relocation *rel = reloc_.first_overlap(cur, end);
             uint64_t run_end = end;
-            if (rel) {
+            if (rel != nullptr && rel->lba <= cur) {
                 run_end = std::min(end, rel->lba + rel->nsectors);
-            } else {
-                // Run extends until the next relocation begins.
-                for (uint64_t probe = cur; probe < end; ++probe) {
-                    if (reloc_.find(probe)) {
-                        run_end = probe;
-                        break;
-                    }
-                }
+            } else if (rel != nullptr) {
+                run_end = rel->lba;
+                rel = nullptr;
             }
             uint32_t run_len = static_cast<uint32_t>(run_end - cur);
             PhysExtent sub = ext;
             sub.lba = cur;
             sub.nsectors = run_len;
             sub.pba = ext.pba + (cur - ext.lba);
+            const uint64_t at = cur;
             ctx->pending++;
             if (rel) {
                 // Serve from the in-memory relocation cache (or the
@@ -1350,7 +1205,6 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
                         rel->cached.begin() +
                             static_cast<ptrdiff_t>((off_in_rel + run_len) *
                                                    kSectorSize));
-                    uint64_t at = cur;
                     loop_->schedule_after(
                         kNsPerUs, [complete_one, at,
                                    data = std::move(data)]() mutable {
@@ -1358,7 +1212,6 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
                         });
                 } else if (static_cast<int>(rel->dev) != failed_dev_ &&
                            !devs_[rel->dev]->failed()) {
-                    uint64_t at = cur;
                     IoRequest rreq =
                         IoRequest::read(rel->md_pba + off_in_rel, run_len);
                     rreq.trace_req = treq;
@@ -1373,7 +1226,6 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
                             complete_one(at, r.status, r.data);
                         });
                 } else {
-                    uint64_t at = cur;
                     loop_->schedule_after(
                         kNsPerUs, [complete_one, at] {
                             complete_one(
@@ -1383,16 +1235,16 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
                                 {});
                         });
                 }
-            } else if (static_cast<int>(sub.dev) == failed_dev_ ||
-                       devs_[sub.dev]->failed()) {
-                uint64_t at = cur;
+            } else if (static_cast<int>(sub.dev) == failed_dev_) {
+                // Only the marked-failed member is skipped. One that
+                // failed unnoticed is read like any other: its error
+                // escalates and the read degrades.
                 read_extent_degraded(
                     sub, [complete_one, at](Status s,
                                             std::vector<uint8_t> d) {
                         complete_one(at, s, d);
                     });
             } else {
-                uint64_t at = cur;
                 IoRequest rreq = IoRequest::read(sub.pba, sub.nsectors);
                 rreq.trace_req = treq;
                 rreq.trace_stage = "read.data";
@@ -1413,9 +1265,13 @@ RaiznVolume::read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
                             complete_one(at, r.status, r.data);
                             return;
                         }
+                        const LZone &lz = zones_[layout_->zone_of(at)];
                         if (!r.data.empty() &&
-                            !crc_range_ok(at, r.data.data(),
-                                          sub.nsectors)) {
+                            !lz.crc.verify(at - lz.start, r.data.data(),
+                                           sub.nsectors)) {
+                            // Silent corruption: the payload disagrees
+                            // with the CRC catalog. Serve the read via
+                            // reconstruction.
                             stats_.crc_mismatches++;
                             read_extent_degraded(
                                 sub, [complete_one, at](
@@ -1856,11 +1712,8 @@ RaiznVolume::stripe_displaced(uint32_t zone, uint64_t stripe) const
     }
     uint64_t lo = layout_->zone_start_lba(zone) +
         stripe * layout_->stripe_sectors();
-    for (uint64_t lba = lo; lba < lo + layout_->stripe_sectors(); ++lba) {
-        if (reloc_.find(lba))
-            return true;
-    }
-    return false;
+    return reloc_.first_overlap(lo, lo + layout_->stripe_sectors()) !=
+        nullptr;
 }
 
 RaiznVolume::MemoryFootprint

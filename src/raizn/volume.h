@@ -343,10 +343,10 @@ class RaiznVolume : public ZonedArray
 
     // read path (volume.cc); `treq` is the trace correlation id
     // (0 when tracing is detached).
-    void read_fast(uint64_t lba, uint32_t nsectors, uint64_t treq,
-                   IoCallback cb);
-    void read_slow(uint64_t lba, uint32_t nsectors, uint64_t treq,
-                   IoCallback cb);
+    /// Reads each extent from its member, split into runs at
+    /// relocations; failed members and CRC mismatches reconstruct.
+    void read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
+                      IoCallback cb);
     void read_extent_degraded(const PhysExtent &ext,
                               std::function<void(Status,
                                                  std::vector<uint8_t>)> cb);
@@ -425,15 +425,6 @@ class RaiznVolume : public ZonedArray
     // dev_submit / escalate_dev_error are inherited from ZonedArray:
     // the data path routes through the retrier/watchdog; recovery,
     // rebuild, and metadata appends keep their direct paths.
-    /// Records per-sector CRCs for a logical write (`off` is the zone-
-    /// relative sector offset); empty data invalidates the range.
-    void note_written_crcs(uint32_t zone, uint64_t off,
-                           const std::vector<uint8_t> &data,
-                           uint32_t nsectors);
-    /// Verifies `nsectors` of payload read at logical `lba` against
-    /// the CRC catalog; sectors without a recorded CRC pass.
-    bool crc_range_ok(uint64_t lba, const uint8_t *bytes,
-                      uint32_t nsectors) const;
 
     // ZonedArray hooks.
     std::string metric_prefix() const override { return "raizn"; }

@@ -7,6 +7,7 @@
 
 #include <deque>
 
+#include "array/crc_catalog.h"
 #include "raizn/volume.h"
 
 namespace raizn {
@@ -19,14 +20,12 @@ struct RaiznVolume::LZone {
     uint64_t start = 0;
     uint64_t cap_end = 0;
     bool blocked = false; ///< zone reset in flight: IO queued (§5.2)
-    bool has_reloc = false; ///< reads must consult the relocation map
     std::vector<std::unique_ptr<StripeBuffer>> buffers;
     PersistBitmap pbm;
     std::deque<std::function<void()>> waiters;
     /// Per-sector CRC32C catalog of the logical payload (data mode
     /// only; empty after a remount until the scrubber repopulates it).
-    std::vector<uint32_t> crcs;
-    std::vector<bool> crc_valid;
+    CrcCatalog crc;
 
     uint64_t written() const { return wp - start; }
 };

@@ -201,6 +201,51 @@ TEST_F(CrashTest, UnrecoverableHoleRollsBackAndRemaps)
     arr_.expect_pattern(0, 64, 3);
 }
 
+TEST_F(CrashTest, ReadSplitsExtentWhereARelocationBegins)
+{
+    // Build a stripe unit whose first half sits at its home PBA and
+    // whose second half is relocated, then read it as one extent.
+    const Layout &l = arr_.vol->layout();
+    const uint32_t y = l.data_dev(0, 0, 1);
+    const uint32_t z = l.data_dev(0, 0, 2);
+    // Degraded from the start: unit 1's device is gone, so its data
+    // lives only in the partial-parity log.
+    arr_.devs[y]->fail();
+    arr_.vol->mark_device_failed(y);
+    arr_.write_pattern(0, 8, 21);
+    ASSERT_TRUE(arr_.flush().status.is_ok());
+    arr_.write_pattern(8, 28, 22); // rest of unit 0, unit 1, 4 of unit 2
+    // Unit 2's device loses its cache; every other device keeps all.
+    std::vector<PowerLossSpec> specs(5,
+                                     {PowerLossSpec::Policy::kKeepAll, 0});
+    specs[z] = {PowerLossSpec::Policy::kDropCache, 0};
+    ASSERT_TRUE(arr_.crash_and_remount(specs).is_ok());
+    // Units 1 and 2 cannot both be rebuilt, and the second write's
+    // partial-parity record straddles the loss: the fill rolls back to
+    // that write's start, mid-way through unit 0, whose device still
+    // holds the rolled-back sectors behind it.
+    ASSERT_EQ(arr_.vol->zone_info(0).value().wp, 8u);
+    arr_.write_pattern(8, 8, 23); // burned PBAs: relocated
+    EXPECT_EQ(arr_.vol->stats().relocated_writes, 1u);
+    std::vector<uint8_t> want = pattern_data(8, 21);
+    std::vector<uint8_t> tail = pattern_data(8, 23);
+    want.insert(want.end(), tail.begin(), tail.end());
+    // Served straight from the home run and the relocation: the stale
+    // home copy of the second half never reaches the CRC check.
+    const uint64_t degraded = arr_.vol->stats().degraded_reads;
+    IoResult r = arr_.read(0, 16);
+    ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+    EXPECT_EQ(r.data, want);
+    EXPECT_EQ(arr_.vol->stats().crc_mismatches, 0u);
+    EXPECT_EQ(arr_.vol->stats().degraded_reads, degraded);
+    // After a remount the catalog is empty, so only the split keeps
+    // the stale bytes out.
+    ASSERT_TRUE(arr_.remount().is_ok());
+    r = arr_.read(0, 16);
+    ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+    EXPECT_EQ(r.data, want);
+}
+
 TEST_F(CrashTest, DivergentDeviceCachesRecoverConsistently)
 {
     // Each device survives power loss differently — some keep their

@@ -598,6 +598,58 @@ TEST_P(LifecycleContract, ThrottledAutoRebuildStallsAndFinishes)
     expect_data_intact();
 }
 
+TEST(LifecycleRaid5, LateReadErrorsSpareThePromotedMember)
+{
+    // Several multi-chunk reads queue chunks on the failing member at
+    // once. The first failed read fails it and the spare takes its
+    // slot while the rest are still in flight; their late errors come
+    // from the replaced device and must not fail the spare. The member
+    // either fails every read (retried errors, judged by the health
+    // monitor) or is dead (kOffline, failed on sight).
+    for (bool dead : {false, true}) {
+        SCOPED_TRACE(dead ? "dead member" : "failing reads");
+        AnyArray a;
+        a.make(Engine::kRaid5);
+        a.write(0, 96, 41);
+        bool flushed = false;
+        a.arr->flush([&](IoResult) { flushed = true; });
+        a.loop->run_until_pred([&] { return flushed; });
+        if (dead)
+            a.devs[AnyArray::kVictim]->fail();
+        auto spare = a.make_device(Engine::kRaid5, "spare", false);
+        a.arr->set_spare(spare.get());
+        int calls = 0;
+        Status st;
+        ZonedArray::LifecycleConfig lc;
+        lc.on_rebuild_done = [&](uint32_t, Status s) {
+            st = s;
+            ++calls;
+        };
+        a.arr->set_lifecycle(std::move(lc));
+
+        const std::vector<uint8_t> want = pattern_data(96, 41);
+        int reads_ok = 0;
+        for (int i = 0; i < 4; ++i) {
+            a.arr->read(0, 96, [&](IoResult r) {
+                EXPECT_TRUE(r.status.is_ok()) << r.status.to_string();
+                EXPECT_EQ(r.data, want);
+                reads_ok += r.status.is_ok();
+            });
+        }
+        a.loop->run();
+        EXPECT_EQ(reads_ok, 4);
+        EXPECT_EQ(calls, 1);
+        ASSERT_TRUE(st.is_ok()) << st.to_string();
+        EXPECT_EQ(a.arr->device(AnyArray::kVictim), spare.get());
+        EXPECT_FALSE(a.arr->degraded())
+            << "failed member " << a.arr->failed_device();
+        EXPECT_EQ(*a.spares_promoted, 1u);
+        IoResult r = a.read(0, 96);
+        ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+        EXPECT_EQ(r.data, want);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, LifecycleContract,
     ::testing::Values(Engine::kRaizn, Engine::kMdraid, Engine::kRaid5),

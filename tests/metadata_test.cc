@@ -364,6 +364,31 @@ TEST(RelocationMapTest, FindAndDrop)
     ASSERT_NE(map.find(200), nullptr);
 }
 
+TEST(RelocationMapTest, FirstOverlap)
+{
+    RelocationMap map;
+    EXPECT_EQ(map.first_overlap(0, 1000), nullptr);
+    map.insert({100, 16, 2, 5000, {}});
+    map.insert({200, 8, 1, 6000, {}});
+    // No overlap: before, between and after the relocations, and a
+    // range ending exactly where one begins.
+    EXPECT_EQ(map.first_overlap(0, 100), nullptr);
+    EXPECT_EQ(map.first_overlap(116, 200), nullptr);
+    EXPECT_EQ(map.first_overlap(208, 300), nullptr);
+    // A relocation starting exactly at lo.
+    ASSERT_NE(map.first_overlap(100, 101), nullptr);
+    EXPECT_EQ(map.first_overlap(100, 101)->lba, 100u);
+    // One starting in the middle of the range.
+    ASSERT_NE(map.first_overlap(150, 260), nullptr);
+    EXPECT_EQ(map.first_overlap(150, 260)->lba, 200u);
+    // One that began before lo and still covers it; the lowest
+    // overlapping relocation wins over a later one.
+    ASSERT_NE(map.first_overlap(110, 300), nullptr);
+    EXPECT_EQ(map.first_overlap(110, 300)->lba, 100u);
+    ASSERT_NE(map.first_overlap(207, 208), nullptr);
+    EXPECT_EQ(map.first_overlap(207, 208)->lba, 200u);
+}
+
 TEST(BurnedRangesTest, TrackPerDevZone)
 {
     BurnedRanges b;
