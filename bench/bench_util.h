@@ -171,21 +171,16 @@ struct BenchObs {
     write_coverage(const char *total_stage, size_t *n_out = nullptr,
                    double *mean_out = nullptr) const
     {
-        std::vector<uint64_t> reqs;
-        for (const obs::TraceSpan &s : trace.spans()) {
-            if (std::strcmp(s.stage, total_stage) == 0)
-                reqs.push_back(s.req);
-        }
-        double worst = reqs.empty() ? 0.0 : 1.0, sum = 0.0;
-        for (uint64_t r : reqs) {
-            double c = trace.request_coverage(r, total_stage);
+        std::vector<double> covs = trace.all_request_coverage(total_stage);
+        double worst = covs.empty() ? 0.0 : 1.0, sum = 0.0;
+        for (double c : covs) {
             worst = std::min(worst, c);
             sum += c;
         }
         if (n_out != nullptr)
-            *n_out = reqs.size();
-        if (mean_out != nullptr && !reqs.empty())
-            *mean_out = sum / static_cast<double>(reqs.size());
+            *n_out = covs.size();
+        if (mean_out != nullptr && !covs.empty())
+            *mean_out = sum / static_cast<double>(covs.size());
         return worst;
     }
 };

@@ -178,7 +178,8 @@ MdVolume::reconstruct_chunk(
     };
     auto ctx = std::make_shared<Ctx>();
     ctx->cb = std::move(cb);
-    ctx->acc.assign(static_cast<size_t>(hi - lo) * kSectorSize, 0);
+    if (store_data_)
+        ctx->acc.assign(static_cast<size_t>(hi - lo) * kSectorSize, 0);
     auto one = [this, ctx](Status s, const std::vector<uint8_t> &d) {
         if (!s.is_ok() && ctx->status.is_ok())
             ctx->status = s;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -197,15 +198,19 @@ TraceRecorder::stage_breakdown() const
     return out;
 }
 
+namespace {
+
+/// request_coverage over one request's spans, in ring order.
 double
-TraceRecorder::request_coverage(uint64_t req, const char *total_stage) const
+coverage_of(const std::vector<const TraceSpan *> &spans,
+            const std::string &total_name)
 {
-    std::string total_name = total_stage;
     Tick t_start = 0, t_end = 0;
     bool have_total = false;
     std::vector<std::pair<Tick, Tick>> ivs;
-    for (const TraceSpan &s : spans()) {
-        if (s.req != req || s.start == s.end)
+    for (const TraceSpan *sp : spans) {
+        const TraceSpan &s = *sp;
+        if (s.start == s.end)
             continue;
         if (!have_total && total_name == s.stage) {
             t_start = s.start;
@@ -245,6 +250,36 @@ TraceRecorder::request_coverage(uint64_t req, const char *total_stage) const
     if (open)
         covered += cur_e - cur_s;
     return static_cast<double>(covered) / (t_end - t_start);
+}
+
+} // namespace
+
+double
+TraceRecorder::request_coverage(uint64_t req, const char *total_stage) const
+{
+    std::vector<TraceSpan> all = spans();
+    std::vector<const TraceSpan *> mine;
+    for (const TraceSpan &s : all) {
+        if (s.req == req)
+            mine.push_back(&s);
+    }
+    return coverage_of(mine, total_stage);
+}
+
+std::vector<double>
+TraceRecorder::all_request_coverage(const char *total_stage) const
+{
+    std::string total_name = total_stage;
+    std::vector<TraceSpan> all = spans();
+    std::unordered_map<uint64_t, std::vector<const TraceSpan *>> by_req;
+    for (const TraceSpan &s : all)
+        by_req[s.req].push_back(&s);
+    std::vector<double> out;
+    for (const TraceSpan &s : all) {
+        if (total_name == s.stage)
+            out.push_back(coverage_of(by_req[s.req], total_name));
+    }
+    return out;
 }
 
 } // namespace raizn::obs

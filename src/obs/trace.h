@@ -111,6 +111,14 @@ class TraceRecorder
      */
     double request_coverage(uint64_t req, const char *total_stage) const;
 
+    /**
+     * request_coverage of the request of every `total_stage` span in
+     * the ring, oldest first, from one pass that groups the spans by
+     * request (calling request_coverage per request rescans the whole
+     * ring each time).
+     */
+    std::vector<double> all_request_coverage(const char *total_stage) const;
+
   private:
     struct OpenSpan {
         uint64_t token;

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/logging.h"
+#include "obs/prof/prof.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -19,8 +20,19 @@ MdManager::MdManager(EventLoop *loop, const Layout *layout,
 }
 
 std::vector<uint8_t>
-MdManager::encode(const MdAppend &entry) const
+MdManager::encode_for(uint32_t dev, const MdAppend &entry) const
 {
+    assert(entry.payload.empty() ||
+           entry.payload.size() ==
+               uint64_t{entry.payload_sectors} * kSectorSize);
+    if (devs_[dev]->data_mode() != DataMode::kStore)
+        return {};
+    if (entry.payload.empty() && entry.payload_sectors > 0) {
+        uint64_t bytes = uint64_t{entry.payload_sectors} * kSectorSize;
+        prof::count_alloc(bytes);
+        std::vector<uint8_t> zeros(bytes, 0);
+        return encode_md_entry(entry.header, entry.inline_data, zeros);
+    }
     return encode_md_entry(entry.header, entry.inline_data, entry.payload);
 }
 
@@ -62,9 +74,9 @@ MdManager::format_device(uint32_t dev)
         rec.header.type = MdType::kZoneRole;
         rec.inline_data = encode_zone_role(
             {static_cast<MdZoneRole>(role), st.next_epoch});
-        auto bytes = encode(rec);
-        IoRequest app = IoRequest::append(md_zone_pba(role),
-                                          std::move(bytes), /*fua=*/true);
+        IoRequest app = IoRequest::append(
+            md_zone_pba(role), encode_for(dev, rec), /*fua=*/true);
+        app.nsectors = 1; // the bytes are empty on a timing-only member
         app.cause = obs::Cause::kWalMd;
         auto res = submit_sync(*loop_, *devs_[dev], std::move(app));
         if (!res.status.is_ok())
@@ -111,16 +123,16 @@ MdManager::md_submit(uint32_t dev, IoRequest req, IoCallback cb)
 }
 
 void
-MdManager::do_append(uint32_t dev, uint32_t zone_idx,
+MdManager::do_append(uint32_t dev, uint32_t zone_idx, uint64_t sectors,
                      std::vector<uint8_t> bytes, bool durable,
                      obs::Cause cause, StatusCb cb)
 {
     DevState &st = dev_state_[dev];
-    uint64_t sectors = bytes.size() / kSectorSize;
     st.wp[zone_idx] += sectors;
     st.sectors_written += sectors;
     IoRequest req = IoRequest::append(md_zone_pba(zone_idx),
                                       std::move(bytes), durable);
+    req.nsectors = static_cast<uint32_t>(sectors);
     req.cause = cause;
     md_submit(dev, std::move(req),
               [cb = std::move(cb)](IoResult r) { cb(r.status); });
@@ -183,15 +195,14 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
 
     // Role record and checkpoint rewrites are metadata-GC traffic:
     // bytes moved to recycle a zone, not new logical metadata.
-    do_append(dev, new_zone, encode(rec), /*durable=*/true,
-              obs::Cause::kGc, on_write);
+    do_append(dev, new_zone, rec.sectors(), encode_for(dev, rec),
+              /*durable=*/true, obs::Cause::kGc, on_write);
     for (auto &entry : checkpoint) {
         entry.header.checkpoint = true;
-        uint64_t sectors = 1 + entry.payload.size() / kSectorSize;
-        if (st.wp[new_zone] + sectors > md_zone_cap())
+        if (st.wp[new_zone] + entry.sectors() > md_zone_cap())
             RAIZN_PANIC("metadata checkpoint exceeds zone capacity");
-        do_append(dev, new_zone, encode(entry), /*durable=*/true,
-                  obs::Cause::kGc, on_write);
+        do_append(dev, new_zone, entry.sectors(), encode_for(dev, entry),
+                  /*durable=*/true, obs::Cause::kGc, on_write);
     }
 }
 
@@ -212,8 +223,7 @@ MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
         loop_->schedule_after(1, [cb = std::move(cb)] { cb(Status::ok()); });
         return;
     }
-    std::vector<uint8_t> bytes = encode(entry);
-    uint64_t sectors = bytes.size() / kSectorSize;
+    uint64_t sectors = entry.sectors();
     int zone_idx = st.role_zone[role_idx];
     assert(zone_idx >= 0);
     if (st.wp[static_cast<uint32_t>(zone_idx)] + sectors > md_zone_cap()) {
@@ -228,8 +238,9 @@ MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
             RAIZN_PANIC("metadata entry larger than metadata zone");
         }
     }
-    do_append(dev, static_cast<uint32_t>(zone_idx), std::move(bytes),
-              durable, cause_of(role, entry.header.type), std::move(cb));
+    do_append(dev, static_cast<uint32_t>(zone_idx), sectors,
+              encode_for(dev, entry), durable,
+              cause_of(role, entry.header.type), std::move(cb));
 }
 
 Result<uint32_t>

@@ -15,6 +15,7 @@
  */
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,11 +30,28 @@ namespace raizn {
 
 class EventLoop;
 
-/// One metadata entry ready to append.
+/**
+ * One metadata entry ready to append. The payload's length travels in
+ * `payload_sectors`; its bytes are optional. An entry without bytes
+ * is length-only: a timing-only member takes just the sector count,
+ * and a member that stores bytes gets the payload zero-filled.
+ */
 struct MdAppend {
     MdHeader header;
     std::vector<uint8_t> inline_data;
-    std::vector<uint8_t> payload;
+    std::vector<uint8_t> payload; ///< empty or payload_sectors sectors
+    uint32_t payload_sectors = 0;
+
+    /// Sets a payload of `nsectors` sectors; `bytes` may be empty.
+    void
+    set_payload(uint64_t nsectors, std::vector<uint8_t> bytes = {})
+    {
+        assert(bytes.empty() || bytes.size() == nsectors * kSectorSize);
+        payload_sectors = static_cast<uint32_t>(nsectors);
+        payload = std::move(bytes);
+    }
+    /// Header sector plus payload.
+    uint64_t sectors() const { return 1 + uint64_t{payload_sectors}; }
 };
 
 using StatusCb = std::function<void(Status)>;
@@ -147,12 +165,17 @@ class MdManager
         return layout_->md_zone_start(idx);
     }
 
-    void do_append(uint32_t dev, uint32_t zone_idx,
+    /// Appends `sectors` sectors to md zone `zone_idx`; `bytes` is the
+    /// encoded entry, or empty for a timing-only member.
+    void do_append(uint32_t dev, uint32_t zone_idx, uint64_t sectors,
                    std::vector<uint8_t> bytes, bool durable,
                    obs::Cause cause, StatusCb cb);
     /// Switches (dev, role) to a fresh swap zone and checkpoints.
     void gc_switch(uint32_t dev, MdZoneRole role, StatusCb done);
-    std::vector<uint8_t> encode(const MdAppend &entry) const;
+    /// On-disk image of `entry` for device `dev`: encoded (a missing
+    /// payload zero-filled) when the member stores bytes, else empty.
+    std::vector<uint8_t> encode_for(uint32_t dev,
+                                    const MdAppend &entry) const;
 
     /// Submits via the retrier when one is attached.
     void md_submit(uint32_t dev, IoRequest req, IoCallback cb);

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "obs/prof/prof.h"
 
 namespace raizn {
 
@@ -35,6 +36,7 @@ encode_md_entry(const MdHeader &header, const std::vector<uint8_t> &inl,
     assert(payload.size() % kSectorSize == 0);
     assert(payload.empty() || md_type_has_payload(header.type));
 
+    prof::count_alloc(kSectorSize + payload.size());
     std::vector<uint8_t> out(kSectorSize + payload.size(), 0);
     put<uint32_t>(out, 0, kMdMagic);
     uint32_t type = static_cast<uint32_t>(header.type);
@@ -50,9 +52,11 @@ encode_md_entry(const MdHeader &header, const std::vector<uint8_t> &inl,
         put<uint32_t>(out, 32,
                       static_cast<uint32_t>(payload.size() / kSectorSize));
     }
-    if (!payload.empty())
+    if (!payload.empty()) {
         std::memcpy(out.data() + kSectorSize, payload.data(),
                     payload.size());
+        prof::count_copy(payload.size());
+    }
     return out;
 }
 

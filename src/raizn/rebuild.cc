@@ -218,8 +218,9 @@ RaiznVolume::relog_tail_pp(uint32_t dev, uint32_t zone)
     auto it = pp_index_.find(zs_key(zone, stripe));
     if (it == pp_index_.end() || it->second.empty())
         return;
-    std::vector<uint8_t> parity(
-        static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
+    std::vector<uint8_t> parity;
+    if (store_data_)
+        parity.assign(static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
     uint64_t end = 0;
     for (const PpRecord &rec : it->second) {
         end = std::max(end, rec.end_lba);
@@ -229,10 +230,11 @@ RaiznVolume::relog_tail_pp(uint32_t dev, uint32_t zone)
         }
     }
     uint64_t sectors = std::min<uint64_t>(cfg_.su_sectors, in_stripe);
-    parity.resize(sectors * kSectorSize);
+    if (!parity.empty())
+        parity.resize(sectors * kSectorSize);
     MdAppend app = make_pp_append(
         zone, stripe, lz.start + stripe * layout_->stripe_sectors(), end,
-        0, std::move(parity));
+        0, sectors, std::move(parity));
     // Durable: this is the only copy — the original record died with
     // the old device, and a crash between here and the next flush must
     // not lose the tail stripe's reconstructability.
@@ -356,11 +358,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
             app.header.end_lba = rel->lba + rel->nsectors;
             app.header.generation = gen_.get(layout_->zone_of(rel->lba));
             app.inline_data.assign(8, 0);
-            app.payload = rel->cached;
-            if (app.payload.empty()) {
-                app.payload.assign(
-                    static_cast<size_t>(rel->nsectors) * kSectorSize, 0);
-            }
+            app.set_payload(rel->nsectors, metered_copy(rel->cached));
             md_->append(dev, MdZoneRole::kGeneral, std::move(app), true,
                         [](Status) {});
         }

@@ -1121,8 +1121,6 @@ RaiznVolume::rebuild_physical_zone(uint32_t dev, uint32_t zone,
                                 rel->cached.size());
                 }
             }
-        } else {
-            image.assign(static_cast<size_t>(valid) * kSectorSize, 0);
         }
 
         // Copy the image into the swap zone (durable), then declare

@@ -279,7 +279,7 @@ RaiznVolume::scrub_repair_unit(uint32_t zone, uint64_t stripe, uint32_t k,
     app.header.end_lba = lba + su;
     app.header.generation = gen_.get(zone);
     app.inline_data.assign(8, 0);
-    app.payload = data;
+    app.set_payload(su, metered_copy(data));
 
     uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;
@@ -321,7 +321,7 @@ RaiznVolume::scrub_repair_parity(uint32_t zone, uint64_t stripe,
     app.header.generation = gen_.get(zone);
     app.inline_data.assign(8, 0);
     app.inline_data[4] = 1; // parity marker
-    app.payload = parity;
+    app.set_payload(cfg_.su_sectors, metered_copy(parity));
 
     uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;

@@ -84,12 +84,12 @@ std::vector<uint8_t>
 StripeBuffer::full_parity() const
 {
     assert(complete());
+    if (shadow_)
+        return {};
     PROF_SCOPE("raizn.parity.full");
     uint64_t su_bytes = static_cast<uint64_t>(su_sectors_) * kSectorSize;
     prof::count_alloc(su_bytes);
     std::vector<uint8_t> parity(su_bytes, 0);
-    if (shadow_)
-        return parity;
     for (uint32_t k = 0; k < data_units_; ++k)
         xor_bytes(parity.data(), data_.data() + k * su_bytes, su_bytes);
     return parity;
@@ -105,11 +105,11 @@ StripeBuffer::parity_delta(uint64_t s, uint64_t e, uint64_t *lo_sector,
     parity_byte_range(s, e, su_sectors_, &lo_b, &hi_b);
     *lo_sector = lo_b / kSectorSize;
     *hi_sector = div_ceil(hi_b, kSectorSize);
+    if (shadow_)
+        return {};
     size_t out_bytes = (*hi_sector - *lo_sector) * kSectorSize;
     prof::count_alloc(out_bytes);
     std::vector<uint8_t> delta(out_bytes, 0);
-    if (shadow_)
-        return delta;
     uint64_t su_bytes = static_cast<uint64_t>(su_sectors_) * kSectorSize;
     uint64_t sb = s * kSectorSize;
     uint64_t eb = e * kSectorSize;
@@ -131,11 +131,13 @@ StripeBuffer::parity_delta(uint64_t s, uint64_t e, uint64_t *lo_sector,
 std::vector<uint8_t>
 StripeBuffer::prefix_parity() const
 {
+    if (shadow_)
+        return {};
     PROF_SCOPE("raizn.parity.prefix");
     uint64_t su_bytes = static_cast<uint64_t>(su_sectors_) * kSectorSize;
     prof::count_alloc(su_bytes);
     std::vector<uint8_t> parity(su_bytes, 0);
-    if (shadow_ || filled_ == 0)
+    if (filled_ == 0)
         return parity;
     uint64_t filled_bytes = filled_ * kSectorSize;
     for (uint32_t k = 0; k < data_units_; ++k) {

@@ -6,8 +6,10 @@
  * of buffers (8 by default), reused round-robin by stripe number.
  *
  * Buffers also operate in "shadow" mode when the underlying devices run
- * timing-only (DataMode::kNone): fill accounting is tracked, parity
- * buffers are produced zero-filled, and no bytes are copied.
+ * timing-only (DataMode::kNone): fill accounting is tracked, but no
+ * bytes are copied and the parity calls return empty vectors without
+ * allocating. Callers carry the lengths instead (parity_delta still
+ * reports its sector range).
  */
 #pragma once
 
@@ -51,6 +53,7 @@ class StripeBuffer
     bool complete() const { return filled_ == stripe_sectors_; }
 
     /// Full parity of the complete stripe: XOR of all D stripe units.
+    /// Empty in shadow mode, as are the other two parity calls.
     std::vector<uint8_t> full_parity() const;
 
     /**

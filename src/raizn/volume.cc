@@ -451,7 +451,7 @@ RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
                 &hi_sector);
             log_partial_parity(zone, stripe, lz.start + cur,
                                lz.start + chunk_end, std::move(delta),
-                               lo_sector, ctx);
+                               lo_sector, hi_sector, ctx);
         }
         cur = chunk_end;
     }
@@ -528,13 +528,8 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
         app.header.generation = gen_.get(zone);
         app.inline_data.assign(8, 0);
         app.inline_data[4] = 1; // parity marker
-        if (!store_data_)
-            parity.clear();
-        std::vector<uint8_t> payload = parity;
-        if (payload.empty()) {
-            payload.assign(
-                static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
-        }
+        // The entry takes a copy; the relocation caches the original.
+        app.set_payload(cfg_.su_sectors, metered_copy(parity));
         uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
         Relocation rel;
         rel.lba = app.header.start_lba;
@@ -543,7 +538,6 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
         rel.md_pba = md_pba + 1; // payload follows the header sector
         rel.cached = std::move(parity);
         parity_reloc_[zs_key(zone, stripe)] = std::move(rel);
-        app.payload = std::move(payload);
         uint64_t tok = trace_ != nullptr
             ? trace_->begin_span("write.parity_reloc", ctx->req_id,
                                  obs::kTrackMetadata, loop_->now())
@@ -557,8 +551,6 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
         stats_.relocated_writes++;
         return;
     }
-    if (!store_data_)
-        parity.clear();
     ctx->pending++;
     IoRequest req;
     req.op = IoOp::kWrite;
@@ -583,7 +575,7 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
 MdAppend
 RaiznVolume::make_pp_append(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
-                            uint64_t lo_sector,
+                            uint64_t lo_sector, uint64_t hi_sector,
                             std::vector<uint8_t> delta) const
 {
     (void)stripe;
@@ -595,7 +587,7 @@ RaiznVolume::make_pp_append(uint32_t zone, uint64_t stripe,
     app.inline_data.assign(12, 0);
     uint32_t lo32 = static_cast<uint32_t>(lo_sector);
     std::memcpy(app.inline_data.data() + 4, &lo32, 4);
-    app.payload = std::move(delta);
+    app.set_payload(hi_sector - lo_sector, std::move(delta));
     return app;
 }
 
@@ -603,12 +595,12 @@ void
 RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
                                 uint64_t start_lba, uint64_t end_lba,
                                 std::vector<uint8_t> delta,
-                                uint64_t lo_sector,
+                                uint64_t lo_sector, uint64_t hi_sector,
                                 std::shared_ptr<WriteCtx> ctx)
 {
     PROF_SCOPE("raizn.pp_log");
     stats_.partial_parity_logs++;
-    stats_.partial_parity_sectors += delta.size() / kSectorSize;
+    stats_.partial_parity_sectors += hi_sector - lo_sector;
 
     // Remember the delta in memory for degraded reconstruction of the
     // incomplete stripe.
@@ -616,8 +608,7 @@ RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
     rec.start_lba = start_lba;
     rec.end_lba = end_lba;
     rec.lo_sector = lo_sector;
-    if (store_data_)
-        rec.delta = delta;
+    rec.delta = metered_copy(delta);
     pp_index_[zs_key(zone, stripe)].push_back(std::move(rec));
 
     if (debug_fault_ == DebugFault::kSkipPartialParityLog)
@@ -628,7 +619,7 @@ RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
         return; // degraded: partial parity is omitted with its device
     ctx->pending++;
     MdAppend app = make_pp_append(zone, stripe, start_lba, end_lba,
-                                  lo_sector, std::move(delta));
+                                  lo_sector, hi_sector, std::move(delta));
     uint64_t tok = trace_ != nullptr
         ? trace_->begin_span("write.pp_log", ctx->req_id,
                              obs::kTrackMetadata, loop_->now())
@@ -657,11 +648,8 @@ RaiznVolume::relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
     app.header.end_lba = lba + nsectors;
     app.header.generation = gen_.get(zone);
     app.inline_data.assign(8, 0);
-    std::vector<uint8_t> payload = data;
-    if (payload.empty()) {
-        payload.assign(static_cast<size_t>(nsectors) * kSectorSize, 0);
-    }
-    app.payload = std::move(payload);
+    // The entry takes a copy; the relocation caches the original.
+    app.set_payload(nsectors, metered_copy(data));
 
     uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;
@@ -1370,7 +1358,8 @@ RaiznVolume::reconstruct_stripe_unit(
     };
     auto ctx = std::make_shared<RecCtx>();
     ctx->cb = std::move(cb);
-    ctx->acc.assign(static_cast<size_t>(hi - lo) * kSectorSize, 0);
+    if (store_data_)
+        ctx->acc.assign(static_cast<size_t>(hi - lo) * kSectorSize, 0);
 
     auto one_done = [this, ctx](Status s, const std::vector<uint8_t> &d) {
         if (!s.is_ok() && ctx->status.is_ok())
@@ -1621,10 +1610,11 @@ RaiznVolume::snapshot_for_gc(uint32_t dev, MdZoneRole role)
             std::vector<uint8_t> parity = buf->prefix_parity();
             uint64_t sectors =
                 std::min<uint64_t>(cfg_.su_sectors, in_stripe);
-            parity.resize(sectors * kSectorSize);
+            if (!parity.empty())
+                parity.resize(sectors * kSectorSize);
             MdAppend app = make_pp_append(
                 z, stripe, lz.start + stripe * layout_->stripe_sectors(),
-                lz.start + fill, 0, std::move(parity));
+                lz.start + fill, 0, sectors, std::move(parity));
             out.push_back(std::move(app));
         }
         return out;
@@ -1670,11 +1660,7 @@ RaiznVolume::snapshot_for_gc(uint32_t dev, MdZoneRole role)
         app.header.end_lba = rel->lba + rel->nsectors;
         app.header.generation = gen_.get(layout_->zone_of(rel->lba));
         app.inline_data.assign(8, 0);
-        app.payload = rel->cached;
-        if (app.payload.empty()) {
-            app.payload.assign(
-                static_cast<size_t>(rel->nsectors) * kSectorSize, 0);
-        }
+        app.set_payload(rel->nsectors, metered_copy(rel->cached));
         out.push_back(std::move(app));
     }
     for (const auto &[key, rel] : parity_reloc_) {
@@ -1688,11 +1674,7 @@ RaiznVolume::snapshot_for_gc(uint32_t dev, MdZoneRole role)
             gen_.get(static_cast<uint32_t>(key >> 32));
         app.inline_data.assign(8, 0);
         app.inline_data[4] = 1;
-        app.payload = rel.cached;
-        if (app.payload.empty()) {
-            app.payload.assign(
-                static_cast<size_t>(cfg_.su_sectors) * kSectorSize, 0);
-        }
+        app.set_payload(cfg_.su_sectors, metered_copy(rel.cached));
         out.push_back(std::move(app));
     }
     return out;

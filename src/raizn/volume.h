@@ -329,6 +329,7 @@ class RaiznVolume : public ZonedArray
     void log_partial_parity(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
                             std::vector<uint8_t> delta, uint64_t lo_sector,
+                            uint64_t hi_sector,
                             std::shared_ptr<WriteCtx> ctx);
     void relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
                         std::vector<uint8_t> data, uint32_t nsectors,
@@ -417,7 +418,7 @@ class RaiznVolume : public ZonedArray
     }
     MdAppend make_pp_append(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
-                            uint64_t lo_sector,
+                            uint64_t lo_sector, uint64_t hi_sector,
                             std::vector<uint8_t> delta) const;
     std::vector<MdAppend> snapshot_for_gc(uint32_t dev, MdZoneRole role);
     bool data_mode_store() const { return store_data_; }

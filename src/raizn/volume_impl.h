@@ -8,9 +8,22 @@
 #include <deque>
 
 #include "array/crc_catalog.h"
+#include "obs/prof/prof.h"
 #include "raizn/volume.h"
 
 namespace raizn {
+
+/// Copies `bytes` into a fresh buffer on the host profiler's alloc and
+/// copy meters (an empty, length-only payload costs nothing).
+inline std::vector<uint8_t>
+metered_copy(const std::vector<uint8_t> &bytes)
+{
+    if (!bytes.empty()) {
+        prof::count_alloc(bytes.size());
+        prof::count_copy(bytes.size());
+    }
+    return bytes;
+}
 
 /// Logical zone descriptor (Table 1: 64 bytes per logical zone plus
 /// stripe buffers and persistence bitmap while the zone is open).

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the metadata zone manager: role bindings, appends,
  * swap-zone GC with checkpointing (Fig. 4), scan/replay ordering,
- * and swap borrowing.
+ * swap borrowing, and length-only payloads on timing-only members.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +13,41 @@
 
 namespace raizn {
 namespace {
+
+/// Forwards to a device and remembers the last command's shape.
+class RecordingDevice : public BlockDevice
+{
+  public:
+    explicit RecordingDevice(BlockDevice *inner) : inner_(inner) {}
+
+    const DeviceGeometry &geometry() const override
+    {
+        return inner_->geometry();
+    }
+    const DeviceStats &stats() const override { return inner_->stats(); }
+    DataMode data_mode() const override { return inner_->data_mode(); }
+    void
+    submit(IoRequest req, IoCallback cb) override
+    {
+        last_op = req.op;
+        last_nsectors = req.nsectors;
+        last_data_bytes = req.data.size();
+        inner_->submit(std::move(req), std::move(cb));
+    }
+    Result<ZoneInfo> zone_info(uint32_t zone) const override
+    {
+        return inner_->zone_info(zone);
+    }
+    bool failed() const override { return inner_->failed(); }
+    void fail() override { inner_->fail(); }
+
+    IoOp last_op = IoOp::kRead;
+    uint32_t last_nsectors = 0;
+    size_t last_data_bytes = 0;
+
+  private:
+    BlockDevice *inner_;
+};
 
 class MdManagerTest : public ::testing::Test
 {
@@ -27,8 +62,11 @@ class MdManagerTest : public ::testing::Test
             ZnsDeviceConfig dc;
             dc.nzones = 8;
             dc.zone_size = 32; // tiny zones: GC triggers fast
+            dc.data_mode = modes_[i];
             devs_.push_back(std::make_unique<ZnsDevice>(&loop_, dc));
-            ptrs_.push_back(devs_.back().get());
+            recs_.push_back(
+                std::make_unique<RecordingDevice>(devs_.back().get()));
+            ptrs_.push_back(recs_.back().get());
         }
         layout_ = std::make_unique<Layout>(cfg_, ptrs_[0]->geometry());
         md_ = std::make_unique<MdManager>(&loop_, layout_.get(), ptrs_);
@@ -59,9 +97,24 @@ class MdManagerTest : public ::testing::Test
         return app;
     }
 
+    /// Length-only partial-parity entry: `n` payload sectors, no bytes.
+    static MdAppend
+    pp_record(uint32_t n)
+    {
+        MdAppend app;
+        app.header.type = MdType::kPartialParity;
+        app.header.start_lba = 8;
+        app.header.end_lba = 12;
+        app.inline_data.assign(12, 0);
+        app.set_payload(n);
+        return app;
+    }
+
     EventLoop loop_;
     RaiznConfig cfg_;
+    std::vector<DataMode> modes_ = std::vector<DataMode>(3, DataMode::kStore);
     std::vector<std::unique_ptr<ZnsDevice>> devs_;
+    std::vector<std::unique_ptr<RecordingDevice>> recs_;
     std::vector<BlockDevice *> ptrs_;
     std::unique_ptr<Layout> layout_;
     std::unique_ptr<MdManager> md_;
@@ -156,7 +209,7 @@ TEST_F(MdManagerTest, GcIsolatedPerRole)
         app.header.start_lba = static_cast<uint64_t>(i);
         app.header.end_lba = static_cast<uint64_t>(i) + 1;
         app.inline_data.assign(12, 0);
-        app.payload.assign(kSectorSize, 0xaa);
+        app.set_payload(1, std::vector<uint8_t>(kSectorSize, 0xaa));
         ASSERT_TRUE(
             append_sync(0, MdZoneRole::kParityLog, std::move(app))
                 .is_ok());
@@ -221,6 +274,50 @@ TEST_F(MdManagerTest, ScanSurvivesPowerCutDuringGc)
                });
     loop2.run_until_pred([&] { return done; });
     EXPECT_TRUE(out.is_ok()) << out.to_string();
+}
+
+/// Member 1 runs timing-only; members 0 and 2 store bytes.
+class MdManagerMixedTest : public MdManagerTest
+{
+  protected:
+    MdManagerMixedTest() { modes_[1] = DataMode::kNone; }
+};
+
+TEST_F(MdManagerMixedTest, LengthOnlyEntryOnTimingOnlyMember)
+{
+    uint64_t wp = md_->active_zone_wp(1, MdZoneRole::kParityLog);
+    uint64_t appends = devs_[1]->stats().appends;
+    ASSERT_TRUE(
+        append_sync(1, MdZoneRole::kParityLog, pp_record(4)).is_ok());
+    EXPECT_EQ(md_->active_zone_wp(1, MdZoneRole::kParityLog), wp + 5);
+    EXPECT_EQ(devs_[1]->stats().appends, appends + 1);
+    EXPECT_EQ(recs_[1]->last_op, IoOp::kAppend);
+    EXPECT_EQ(recs_[1]->last_nsectors, 5u);
+    EXPECT_EQ(recs_[1]->last_data_bytes, 0u) << "no bytes for kNone";
+}
+
+TEST_F(MdManagerMixedTest, LengthOnlyEntryOnStoringMemberIsZeroFilled)
+{
+    uint64_t wp = md_->active_zone_wp(0, MdZoneRole::kParityLog);
+    ASSERT_TRUE(
+        append_sync(0, MdZoneRole::kParityLog, pp_record(4)).is_ok());
+    EXPECT_EQ(md_->active_zone_wp(0, MdZoneRole::kParityLog), wp + 5);
+    EXPECT_EQ(recs_[0]->last_nsectors, 5u);
+    EXPECT_EQ(recs_[0]->last_data_bytes, 5u * kSectorSize);
+
+    // The stored entry decodes with its payload sector count intact.
+    auto logs = md_->scan();
+    ASSERT_TRUE(logs.is_ok());
+    bool found = false;
+    for (const MdEntry &e : logs.value()[0].entries) {
+        if (e.header.type != MdType::kPartialParity)
+            continue;
+        found = true;
+        EXPECT_EQ(e.pba, wp);
+        EXPECT_EQ(e.total_sectors, 5u);
+        EXPECT_EQ(e.payload, std::vector<uint8_t>(4 * kSectorSize, 0));
+    }
+    EXPECT_TRUE(found);
 }
 
 } // namespace

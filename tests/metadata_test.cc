@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "obs/prof/prof.h"
 #include "raizn/gen_counter.h"
 #include "raizn/metadata.h"
 #include "raizn/persist_bitmap.h"
@@ -308,6 +309,8 @@ TEST(StripeBufferTest, PrefixParityZeroExtends)
 TEST(StripeBufferTest, ShadowModeTracksFillOnly)
 {
     StripeBuffer buf(4, 4, /*shadow=*/true);
+    uint64_t allocs = prof::g_alloc_count;
+    uint64_t alloc_bytes = prof::g_alloc_bytes;
     buf.assign(0);
     buf.fill(0, nullptr, 10);
     EXPECT_EQ(buf.filled(), 10u);
@@ -317,6 +320,14 @@ TEST(StripeBufferTest, ShadowModeTracksFillOnly)
     auto delta = buf.parity_delta(0, 10, &lo, &hi);
     EXPECT_EQ(lo, 0u);
     EXPECT_EQ(hi, 4u);
+    // Lengths only: every parity call returns an empty vector.
+    EXPECT_TRUE(delta.empty());
+    EXPECT_TRUE(buf.prefix_parity().empty());
+    buf.fill(10, nullptr, 6);
+    ASSERT_TRUE(buf.complete());
+    EXPECT_TRUE(buf.full_parity().empty());
+    EXPECT_EQ(prof::g_alloc_count, allocs);
+    EXPECT_EQ(prof::g_alloc_bytes, alloc_bytes);
 }
 
 TEST(PersistBitmapTest, PrefixTracking)

@@ -353,6 +353,12 @@ TEST(TraceRecorder, RequestCoverageUnionsOverlaps)
     // Unknown request or missing total span: 0.
     EXPECT_DOUBLE_EQ(tr.request_coverage(99, "total"), 0.0);
     EXPECT_DOUBLE_EQ(tr.request_coverage(8, "total"), 0.0);
+    // The one-pass form agrees, one entry per "total" span.
+    tr.add_span("total", 9, kTrackRequest, 0, 50);
+    tr.add_span("child_a", 9, kTrackDevBase, 0, 25);
+    EXPECT_EQ(tr.all_request_coverage("total"),
+              (std::vector<double>{0.8, 0.5}));
+    EXPECT_TRUE(tr.all_request_coverage("missing").empty());
 }
 
 TEST(TraceRecorder, RequestCoverageClampsToWindow)
