@@ -423,13 +423,18 @@ main(int argc, char **argv)
         }
     } else if (smoke) {
         // Bounded budget for ctest: one exhaustive pass over the small
-        // degraded workload plus a short sweep of the canonical one.
+        // degraded workload, re-read with the member down (RAIZN's
+        // partial-parity reconstruct), plus a short sweep of the
+        // canonical one.
         {
+            ChkOptions dopts = opts;
+            dopts.check_degraded = true;
             CrashPointExplorer ex(cfg, degraded_workload(cfg.geom(), 1),
-                                  opts);
+                                  dopts);
             ChkReport rep = ex.explore_all();
             print_report("smoke-degraded", rep,
-                         " --workload degraded:1 --policy " + policy);
+                         " --workload degraded:1 --degraded --policy " +
+                             policy);
             rc |= !rep.ok();
         }
         {

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "array/gf256.h"
+#include "array/stripe_gather.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
@@ -484,6 +485,13 @@ ZonedEngine::chain_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
 }
 
 void
+ZonedEngine::gather_submit(uint32_t dev, uint32_t zone, IoRequest req,
+                           IoCallback cb)
+{
+    chain_submit(dev, phys_zone(zone), std::move(req), std::move(cb));
+}
+
+void
 ZonedEngine::chain_advance(uint32_t dev, uint32_t phys_zone)
 {
     Chain &c = chains_[chain_key(dev, phys_zone)];
@@ -695,24 +703,9 @@ ZonedEngine::append_wal(WalRecord rec, StatusCb cb)
 // ---------------------------------------------------------------------
 
 void
-ZonedEngine::write(uint64_t lba, std::vector<uint8_t> data,
-                   WriteFlags flags, IoCallback cb)
-{
-    uint32_t n = static_cast<uint32_t>(data.size() / kSectorSize);
-    write_internal(lba, std::move(data), n, flags, std::move(cb));
-}
-
-void
-ZonedEngine::write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
-                       IoCallback cb)
-{
-    write_internal(lba, {}, nsectors, flags, std::move(cb));
-}
-
-void
-ZonedEngine::write_internal(uint64_t lba, std::vector<uint8_t> data,
-                            uint32_t nsectors, WriteFlags flags,
-                            IoCallback cb)
+ZonedEngine::submit_write(uint64_t lba, uint32_t nsectors,
+                          std::vector<uint8_t> data, WriteFlags flags,
+                          IoCallback cb)
 {
     PROF_SCOPE("eng.write");
     ++stats_.logical_writes;
@@ -1386,13 +1379,6 @@ ZonedEngine::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     PROF_SCOPE("eng.read");
     ++stats_.logical_reads;
     stats_.sectors_read += nsectors;
-    if (ledger_ != nullptr) {
-        cb = [this, nsectors, inner = std::move(cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_read(nsectors);
-            inner(std::move(r));
-        };
-    }
     if (nsectors == 0 || lba + nsectors > capacity()) {
         loop_->schedule_after(1, [cb = std::move(cb)] {
             IoResult r;
@@ -1402,55 +1388,23 @@ ZonedEngine::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
         });
         return;
     }
-    struct Agg {
-        std::vector<std::vector<uint8_t>> parts;
-        uint32_t pending = 0;
-        Status status;
-        Tick t0 = 0;
-        IoCallback cb;
-    };
-    auto agg = std::make_shared<Agg>();
-    agg->t0 = loop_->now();
-    agg->cb = std::move(cb);
-    struct Seg {
-        uint32_t zone;
-        uint64_t off;
-        uint32_t len;
-    };
-    std::vector<Seg> segs;
-    uint64_t pos = lba;
-    uint32_t left = nsectors;
-    while (left > 0) {
+    StripeGather::Spec spec;
+    spec.fold = StripeGather::Fold::kPlace;
+    if (store_data_)
+        spec.bytes = static_cast<size_t>(nsectors) * kSectorSize;
+    StripeGather g(
+        this, spec, observe_io(false, nsectors, nullptr, std::move(cb)));
+    for (uint64_t pos = lba; pos < lba + nsectors;) {
         uint32_t zone = static_cast<uint32_t>(pos / zone_cap_);
         uint64_t off = pos % zone_cap_;
         uint32_t len = static_cast<uint32_t>(
-            std::min<uint64_t>(zone_cap_ - off, left));
-        segs.push_back({zone, off, len});
+            std::min<uint64_t>(zone_cap_ - off, lba + nsectors - pos));
+        read_segment(zone, off, len,
+                     g.source(static_cast<size_t>(pos - lba) *
+                               kSectorSize));
         pos += len;
-        left -= len;
     }
-    agg->parts.resize(segs.size());
-    agg->pending = static_cast<uint32_t>(segs.size());
-    for (size_t i = 0; i < segs.size(); ++i) {
-        read_segment(segs[i].zone, segs[i].off, segs[i].len,
-                     [this, agg, i](Status s, std::vector<uint8_t> d) {
-                         if (!s.is_ok() && agg->status.is_ok())
-                             agg->status = s;
-                         agg->parts[i] = std::move(d);
-                         if (--agg->pending > 0)
-                             return;
-                         IoResult r;
-                         r.status = agg->status;
-                         if (store_data_ && r.status.is_ok()) {
-                             for (auto &p : agg->parts)
-                                 r.data.insert(r.data.end(), p.begin(),
-                                               p.end());
-                         }
-                         if (read_lat_ != nullptr)
-                             read_lat_->record(loop_->now() - agg->t0);
-                         agg->cb(std::move(r));
-                     });
-    }
+    g.seal();
 }
 
 void
@@ -1486,54 +1440,26 @@ ZonedEngine::read_segment(uint32_t zone, uint64_t off, uint32_t len,
         return;
     }
     // Striped kinds: fan out per chunk piece and reassemble in order.
-    struct Piece {
-        uint64_t stripe;
-        uint32_t u;
-        uint64_t o;
-        uint32_t n;
-    };
-    std::vector<Piece> pieces;
+    StripeGather::Spec spec;
+    spec.fold = StripeGather::Fold::kPlace;
+    if (store_data_)
+        spec.bytes = static_cast<size_t>(len) * kSectorSize;
+    StripeGather g(this, spec, std::move(cb));
     const uint32_t su = cfg_.su_sectors;
     const uint64_t stripe_sect =
         su * static_cast<uint64_t>(units_of(z.kind));
-    uint64_t pos = off;
-    while (pos < off + len) {
+    for (uint64_t pos = off; pos < off + len;) {
         uint64_t stripe = pos / stripe_sect;
         uint64_t in_stripe = pos % stripe_sect;
         uint32_t u = static_cast<uint32_t>(in_stripe / su);
         uint64_t o = in_stripe % su;
         uint32_t n = static_cast<uint32_t>(
             std::min<uint64_t>(su - o, off + len - pos));
-        pieces.push_back({stripe, u, o, n});
+        read_chunk(zone, stripe, u, o, n,
+                   g.source(static_cast<size_t>(pos - off) * kSectorSize));
         pos += n;
     }
-    struct SubAgg {
-        std::vector<std::vector<uint8_t>> parts;
-        uint32_t pending = 0;
-        Status status;
-        DataCb cb;
-    };
-    auto agg = std::make_shared<SubAgg>();
-    agg->parts.resize(pieces.size());
-    agg->pending = static_cast<uint32_t>(pieces.size());
-    agg->cb = std::move(cb);
-    for (size_t i = 0; i < pieces.size(); ++i) {
-        const Piece &p = pieces[i];
-        read_chunk(zone, p.stripe, p.u, p.o, p.n,
-                   [this, agg, i](Status s, std::vector<uint8_t> d) {
-                       if (!s.is_ok() && agg->status.is_ok())
-                           agg->status = s;
-                       agg->parts[i] = std::move(d);
-                       if (--agg->pending > 0)
-                           return;
-                       std::vector<uint8_t> out;
-                       if (store_data_ && agg->status.is_ok())
-                           for (auto &part : agg->parts)
-                               out.insert(out.end(), part.begin(),
-                                          part.end());
-                       agg->cb(agg->status, std::move(out));
-                   });
-    }
+    g.seal();
 }
 
 std::vector<uint32_t>
@@ -1584,7 +1510,8 @@ ZonedEngine::read_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
         }
         if (parity_kind) {
             stats_.reconstructed_sectors += n;
-            reconstruct_chunk(zone, stripe, u, o, n, std::move(cb));
+            reconstruct_chunk(zone, stripe, u, o, n, obs::Cause::kParity,
+                              std::move(cb));
             return;
         }
         loop_->schedule_after(1, [cb = std::move(cb)] {
@@ -1600,7 +1527,8 @@ ZonedEngine::read_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
     if (parity_kind) {
         fallback = [this, zone, stripe, u, o, n](DataCb done) {
             stats_.reconstructed_sectors += n;
-            reconstruct_chunk(zone, stripe, u, o, n, std::move(done));
+            reconstruct_chunk(zone, stripe, u, o, n, obs::Cause::kParity,
+                              std::move(done));
         };
     }
     read_replicas(std::make_shared<ReplicaRead>(ReplicaRead{
@@ -1652,7 +1580,8 @@ ZonedEngine::read_replicas(std::shared_ptr<ReplicaRead> rr, size_t idx)
 
 void
 ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
-                               uint64_t o, uint32_t n, DataCb cb)
+                               uint64_t o, uint32_t n, obs::Cause cause,
+                               DataCb cb)
 {
     EZone &z = zones_[zone];
     if (!store_data_) {
@@ -1681,14 +1610,15 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
     int qd = q_dev(zone, stripe);
     bool p_ok = pd >= 0 && avail_rows(static_cast<uint32_t>(pd));
     bool q_ok = qd >= 0 && avail_rows(static_cast<uint32_t>(qd));
-    char plan;
-    if (missing.size() == 1 && p_ok)
-        plan = 'P';
-    else if (missing.size() == 1 && q_ok)
-        plan = 'Q';
-    else if (missing.size() == 2 && p_ok && q_ok)
-        plan = '2';
-    else {
+    StripeGather::Spec spec;
+    if (missing.size() == 1 && p_ok) {
+        spec.fold = StripeGather::Fold::kXor;
+    } else if (missing.size() == 1 && q_ok) {
+        spec.fold = StripeGather::Fold::kQ;
+    } else if (missing.size() == 2 && p_ok && q_ok) {
+        spec.fold = StripeGather::Fold::kTwo;
+        spec.other = static_cast<int>(missing[1]);
+    } else {
         loop_->schedule_after(1, [cb = std::move(cb)] {
             cb(Status(StatusCode::kIoError,
                       "insufficient redundancy to reconstruct"),
@@ -1696,95 +1626,33 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
         });
         return;
     }
-    struct Recon {
-        std::map<uint32_t, std::vector<uint8_t>> data; // unit -> bytes
-        std::vector<uint8_t> p, q;
-        uint32_t pending = 0;
-        Status status;
-    };
-    auto rc = std::make_shared<Recon>();
-    auto shared_cb = std::make_shared<DataCb>(std::move(cb));
-    const size_t bytes = static_cast<size_t>(n) * kSectorSize;
-    auto complete = [this, zone, stripe, u, o, n, su, units, plan, bytes,
-                     missing, rc, shared_cb] {
-        if (!rc->status.is_ok()) {
-            (*shared_cb)(rc->status, {});
-            return;
-        }
-        std::vector<uint8_t> res(bytes, 0);
-        if (plan == 'P') {
-            xor_bytes(res.data(), rc->p.data(), bytes);
-            for (auto &kv : rc->data)
-                xor_bytes(res.data(), kv.second.data(), bytes);
-        } else if (plan == 'Q') {
-            std::vector<uint8_t> acc(bytes, 0);
-            for (auto &kv : rc->data)
-                gf256::accumulate(acc.data(), kv.second.data(), bytes,
-                                  kv.first);
-            uint8_t coeff = gf256::exp2(255u - (u % 255u));
-            for (size_t i = 0; i < bytes; ++i)
-                res[i] = gf256::mul(
-                    coeff, static_cast<uint8_t>(rc->q[i] ^ acc[i]));
-        } else {
-            uint32_t x = std::min(missing[0], missing[1]);
-            uint32_t y = std::max(missing[0], missing[1]);
-            std::vector<uint8_t> pp = rc->p;
-            std::vector<uint8_t> qq = rc->q;
-            for (auto &kv : rc->data) {
-                xor_bytes(pp.data(), kv.second.data(), bytes);
-                gf256::accumulate(qq.data(), kv.second.data(), bytes,
-                                  kv.first);
+    const uint64_t crc_off = stripe * su * static_cast<uint64_t>(units) +
+                             static_cast<uint64_t>(u) * su + o;
+    spec.bytes = static_cast<size_t>(n) * kSectorSize;
+    spec.lost = static_cast<int>(u);
+    spec.zone = zone;
+    spec.cause = cause;
+    spec.stage = "eng.reconstruct_read";
+    StripeGather g(
+        this, spec,
+        [this, zone, n, crc_off, cb = std::move(cb)](
+            Status s, std::vector<uint8_t> res) {
+            if (s.is_ok() && !zones_[zone].crc.verify(crc_off, res.data(), n)) {
+                ++stats_.crc_mismatches;
+                s = Status(StatusCode::kCorruption,
+                           "reconstructed data failed checksum");
+                res.clear();
             }
-            std::vector<uint8_t> dx(bytes), dy(bytes);
-            gf256::solve_two(dx.data(), dy.data(), pp.data(), qq.data(),
-                             bytes, x, y);
-            res = u == x ? std::move(dx) : std::move(dy);
-        }
-        uint64_t crc_off = stripe * su * static_cast<uint64_t>(units) +
-                           static_cast<uint64_t>(u) * su + o;
-        if (!zones_[zone].crc.verify(crc_off, res.data(), n)) {
-            ++stats_.crc_mismatches;
-            (*shared_cb)(Status(StatusCode::kCorruption,
-                                "reconstructed data failed checksum"),
-                         {});
-            return;
-        }
-        (*shared_cb)(Status::ok(), std::move(res));
-    };
-    auto submit_read =
-        [this, zone, row0, n, rc, complete](
-            uint32_t d, std::function<void(std::vector<uint8_t>)> sink) {
-            ++rc->pending;
-            IoRequest req = IoRequest::read(dev_row_lba(zone, row0), n);
-            req.trace_stage = "eng.reconstruct_read";
-            req.cause = obs::Cause::kParity;
-            BlockDevice *sent = devs_[d];
-            chain_submit(d, phys_zone(zone), std::move(req),
-                         [this, d, sent, rc, sink = std::move(sink),
-                          complete](IoResult r) {
-                             if (!r.status.is_ok()) {
-                                 if (devs_[d] == sent)
-                                     escalate_dev_error(d, r.status);
-                                 if (rc->status.is_ok())
-                                     rc->status = r.status;
-                             } else {
-                                 sink(std::move(r.data));
-                             }
-                             if (--rc->pending == 0)
-                                 complete();
-                         });
-        };
+            cb(std::move(s), std::move(res));
+        });
+    const uint64_t lba = dev_row_lba(zone, row0);
     for (uint32_t v : have)
-        submit_read(chunk_dev(zone, stripe, v),
-                    [rc, v](std::vector<uint8_t> d) {
-                        rc->data[v] = std::move(d);
-                    });
-    if (plan == 'P' || plan == '2')
-        submit_read(static_cast<uint32_t>(pd),
-                    [rc](std::vector<uint8_t> d) { rc->p = std::move(d); });
-    if (plan == 'Q' || plan == '2')
-        submit_read(static_cast<uint32_t>(qd),
-                    [rc](std::vector<uint8_t> d) { rc->q = std::move(d); });
+        g.read(chunk_dev(zone, stripe, v), lba, n, static_cast<int>(v));
+    if (spec.fold != StripeGather::Fold::kQ)
+        g.read(static_cast<uint32_t>(pd), lba, n, StripeGather::kP);
+    if (spec.fold != StripeGather::Fold::kXor)
+        g.read(static_cast<uint32_t>(qd), lba, n, StripeGather::kQ);
+    g.seal();
 }
 
 // ---------------------------------------------------------------------

@@ -158,10 +158,6 @@ class ZonedEngine : public ZonedArray
 
     // ---- Data path -------------------------------------------------
     void read(uint64_t lba, uint32_t nsectors, IoCallback cb) override;
-    void write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
-               IoCallback cb) override;
-    void write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
-                   IoCallback cb) override;
     void flush(IoCallback cb) override;
     void reset_zone(uint32_t zone, IoCallback cb) override;
     void finish_zone(uint32_t zone, IoCallback cb) override;
@@ -311,6 +307,9 @@ class ZonedEngine : public ZonedArray
     void chain_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
                       IoCallback cb);
     void chain_advance(uint32_t dev, uint32_t phys_zone);
+    /// Gather reads keep the per-zone chain order.
+    void gather_submit(uint32_t dev, uint32_t zone, IoRequest req,
+                       IoCallback cb) override;
     /// Appends an async step to the zone's op queue; the step receives
     /// a completion thunk it must invoke once issuance is done.
     void zone_enqueue(uint32_t zone,
@@ -329,9 +328,9 @@ class ZonedEngine : public ZonedArray
     static bool decode_wal(const uint8_t *sector, WalRecord *out);
 
     // engine.cc — write path
-    void write_internal(uint64_t lba, std::vector<uint8_t> data,
-                        uint32_t nsectors, WriteFlags flags,
-                        IoCallback cb);
+    void submit_write(uint64_t lba, uint32_t nsectors,
+                      std::vector<uint8_t> data, WriteFlags flags,
+                      IoCallback cb) override;
     void decide_zone_kind(uint32_t zone, std::function<void(Status)> cb);
     /// Synchronously enqueues the physical chunk writes for one
     /// logical write (data may be empty in timing mode).
@@ -348,7 +347,6 @@ class ZonedEngine : public ZonedArray
     void finish_write(std::shared_ptr<WriteCtx> ctx);
 
     // engine.cc — read path
-    using DataCb = std::function<void(Status, std::vector<uint8_t>)>;
     void read_segment(uint32_t zone, uint64_t off, uint32_t len,
                       DataCb cb);
     /// Reads rows [o, o+n) of data unit `u` in `stripe`, falling back
@@ -373,8 +371,11 @@ class ZonedEngine : public ZonedArray
     /// Tries srcs[idx], then the next source on a failed read or a CRC
     /// mismatch. A read served by a later source counts a read repair.
     void read_replicas(std::shared_ptr<ReplicaRead> rr, size_t idx);
+    /// Recovers rows [o, o+n) of data unit `u` from the survivors;
+    /// `cause` tags the survivor reads (parity, or rebuild).
     void reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
-                           uint64_t o, uint32_t n, DataCb cb);
+                           uint64_t o, uint32_t n, obs::Cause cause,
+                           DataCb cb);
     /// Members holding a replica of data unit `u` (placement only, no
     /// liveness filtering).
     std::vector<uint32_t> unit_devs(uint32_t zone, uint64_t stripe,

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "array/gf256.h"
+#include "array/stripe_gather.h"
 #include "common/logging.h"
 #include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
@@ -741,44 +742,29 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
                 return;
             }
         }
-        auto bufs = std::make_shared<
-            std::map<uint32_t, std::vector<uint8_t>>>();
-        auto pending = std::make_shared<uint32_t>(0);
-        auto st = std::make_shared<Status>();
-        auto fin = [this, su, t_is_q, row0, bufs, st, next,
-                    write_target] {
-            if (!st->is_ok()) {
-                next(*st);
-                return;
-            }
-            const size_t bytes = static_cast<size_t>(su) * kSectorSize;
-            std::vector<uint8_t> out(bytes, 0);
-            for (auto &kv : *bufs) {
-                if (t_is_q)
-                    gf256::accumulate(out.data(), kv.second.data(), bytes,
-                                      kv.first);
-                else
-                    xor_bytes(out.data(), kv.second.data(), bytes);
-            }
-            write_target(row0, std::move(out), su);
-        };
-        for (uint32_t u = 0; u < units; ++u) {
-            ++*pending;
-            IoRequest rd = IoRequest::read(dev_row_lba(zone, row0), su);
-            rd.trace_stage = "eng.rebuild";
-            rd.cause = obs::Cause::kRebuild;
-            chain_submit(src[u], phys_zone(zone), std::move(rd),
-                         [u, bufs, pending, st, fin](IoResult r) {
-                             if (!r.status.is_ok()) {
-                                 if (st->is_ok())
-                                     *st = r.status;
-                             } else {
-                                 (*bufs)[u] = std::move(r.data);
-                             }
-                             if (--*pending == 0)
-                                 fin();
-                         });
-        }
+        // The lost parity solves its equation over the data units.
+        StripeGather::Spec spec;
+        spec.fold = t_is_q ? StripeGather::Fold::kQ
+                           : StripeGather::Fold::kXor;
+        spec.bytes = static_cast<size_t>(su) * kSectorSize;
+        spec.lost = t_is_q ? StripeGather::kQ : StripeGather::kP;
+        spec.zone = zone;
+        spec.cause = obs::Cause::kRebuild;
+        spec.stage = "eng.rebuild";
+        StripeGather g(
+            this, spec,
+            [su, row0, next, write_target](Status s,
+                                           std::vector<uint8_t> out) {
+                if (!s.is_ok()) {
+                    next(s);
+                    return;
+                }
+                write_target(row0, std::move(out), su);
+            });
+        for (uint32_t u = 0; u < units; ++u)
+            g.read(src[u], dev_row_lba(zone, row0), su,
+                    static_cast<int>(u));
+        g.seal();
         return;
     }
 
@@ -867,7 +853,7 @@ ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
     }
 
     reconstruct_chunk(
-        zone, stripe, u_t, 0, nrows,
+        zone, stripe, u_t, 0, nrows, obs::Cause::kRebuild,
         [row0, nrows, next, write_target](Status s,
                                           std::vector<uint8_t> data) {
             if (!s.is_ok()) {

@@ -220,6 +220,39 @@ ZonedArray::dev_submit(uint32_t dev, IoRequest req, IoCallback cb)
     retrier_->submit(devs_[dev], dev, std::move(req), std::move(cb));
 }
 
+IoCallback
+ZonedArray::observe_io(bool write, uint32_t nsectors, const char *span,
+                       IoCallback cb, uint64_t *treq)
+{
+    uint64_t req = 0;
+    uint64_t token = 0;
+    if (trace_ != nullptr && span != nullptr) {
+        req = trace_->next_request_id();
+        token = trace_->begin_span(span, req, obs::kTrackRequest,
+                                   loop_->now());
+    }
+    if (treq != nullptr)
+        *treq = req;
+    if (ledger_ == nullptr && token == 0 &&
+        (write ? write_lat_ : read_lat_) == nullptr)
+        return cb;
+    return [this, write, nsectors, token, ledger = ledger_,
+            t0 = loop_->now(), cb = std::move(cb)](IoResult r) {
+        Tick now = loop_->now();
+        if (trace_ != nullptr && token != 0)
+            trace_->end_span(token, now);
+        if (obs::LatencyMetric *lat = write ? write_lat_ : read_lat_)
+            lat->record(now - t0);
+        if (ledger != nullptr && r.status.is_ok()) {
+            if (write)
+                ledger->note_user_write(nsectors);
+            else
+                ledger->note_user_read(nsectors);
+        }
+        cb(std::move(r));
+    };
+}
+
 bool
 ZonedArray::escalate_dev_error(uint32_t dev, const Status &s)
 {

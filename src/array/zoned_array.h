@@ -62,6 +62,8 @@ class ZonedArray
 {
   public:
     using ProgressCb = std::function<void(uint64_t done, uint64_t total)>;
+    /// Completion carrying a unit's bytes (empty when timing-only).
+    using DataCb = std::function<void(Status, std::vector<uint8_t>)>;
 
     /// Retry/backoff, watchdog, and health-escalation knobs.
     struct ResilienceConfig {
@@ -98,12 +100,22 @@ class ZonedArray
 
     // ---- Data path -------------------------------------------------
     virtual void read(uint64_t lba, uint32_t nsectors, IoCallback cb) = 0;
-    /// Sequential zone write (zoned) / positional write (conventional);
-    /// `data` empty = timing-only.
-    virtual void write(uint64_t lba, std::vector<uint8_t> data,
-                       WriteFlags flags, IoCallback cb) = 0;
-    virtual void write_len(uint64_t lba, uint32_t nsectors,
-                           WriteFlags flags, IoCallback cb) = 0;
+    /// Sequential zone write (zoned) / positional write (conventional)
+    /// of `data`, whose size sets the length.
+    void
+    write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
+          IoCallback cb)
+    {
+        const auto n = static_cast<uint32_t>(data.size() / kSectorSize);
+        submit_write(lba, n, std::move(data), flags, std::move(cb));
+    }
+    /// Timing-only write of `nsectors`: no payload.
+    void
+    write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
+              IoCallback cb)
+    {
+        submit_write(lba, nsectors, {}, flags, std::move(cb));
+    }
     virtual void flush(IoCallback cb) = 0;
     virtual void reset_zone(uint32_t zone, IoCallback cb);
     virtual void finish_zone(uint32_t zone, IoCallback cb);
@@ -185,6 +197,8 @@ class ZonedArray
     BlockDevice *device(uint32_t i) const { return devs_[i]; }
 
   protected:
+    friend class StripeGather;
+
     /**
      * Pointers into the subclass's stats struct for the counters the
      * base maintains. Formed in the subclass's member-init list before
@@ -207,6 +221,16 @@ class ZonedArray
     /// Data-path device submit: stage span + per-device latency, then
     /// the retrier/watchdog. Subclass admin paths may bypass it.
     void dev_submit(uint32_t dev, IoRequest req, IoCallback cb);
+
+    /**
+     * Wraps a logical read's (or `write`'s) callback with its
+     * observability, when any is attached: the ledger's acked-user-byte
+     * count, a request-track `span` (none when null) and the latency
+     * histogram. `*treq` receives the trace request id, 0 when
+     * untraced.
+     */
+    IoCallback observe_io(bool write, uint32_t nsectors, const char *span,
+                          IoCallback cb, uint64_t *treq = nullptr);
 
     /**
      * Called with a persistent (post-retry) device error: counts it
@@ -247,6 +271,19 @@ class ZonedArray
     void rebuild_stalled(uint64_t sectors, std::function<void()> resume);
 
     // ---- Subclass hooks --------------------------------------------
+    /// The one write entry point behind write() and write_len();
+    /// `data` is empty for timing-only writes.
+    virtual void submit_write(uint64_t lba, uint32_t nsectors,
+                              std::vector<uint8_t> data, WriteFlags flags,
+                              IoCallback cb) = 0;
+    /// Member read issued by a StripeGather over logical zone `zone`.
+    /// Default: dev_submit; engines that order IO per zone queue it.
+    virtual void
+    gather_submit(uint32_t dev, uint32_t zone, IoRequest req, IoCallback cb)
+    {
+        (void)zone;
+        dev_submit(dev, std::move(req), std::move(cb));
+    }
     /// Metric namespace for the array's own stats ("raizn", "raid5").
     virtual std::string metric_prefix() const = 0;
     /// Namespace for per-device stats ("zns" for raizn — historical —

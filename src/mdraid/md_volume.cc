@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "array/stripe_gather.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -127,17 +128,28 @@ MdVolume::chunk_pba(uint64_t stripe) const
     return stripe * cfg_.chunk_sectors;
 }
 
+bool
+MdVolume::member_down(uint32_t dev)
+{
+    if (static_cast<int>(dev) == failed_dev_)
+        return true;
+    if (!devs_[dev]->failed())
+        return false;
+    // A member that died unnoticed fails on sight, as an offline
+    // completion would fail it; that also promotes a hot spare.
+    escalate_dev_error(dev, Status(StatusCode::kOffline, "member dead"));
+    return true;
+}
+
 // ---- Read path --------------------------------------------------------
 
 void
 MdVolume::read_chunk(uint64_t stripe, uint32_t k, uint64_t lo,
-                     uint64_t hi,
-                     std::function<void(Status, std::vector<uint8_t>)> cb,
-                     const char *trace_stage, uint64_t treq,
-                     obs::Cause cause)
+                     uint64_t hi, DataCb cb, const char *trace_stage,
+                     uint64_t treq, obs::Cause cause)
 {
     uint32_t dev = data_dev(stripe, k);
-    if (static_cast<int>(dev) == failed_dev_ || devs_[dev]->failed()) {
+    if (member_down(dev)) {
         reconstruct_chunk(stripe, static_cast<int>(k), lo, hi,
                           std::move(cb));
         return;
@@ -163,75 +175,31 @@ MdVolume::read_chunk(uint64_t stripe, uint32_t k, uint64_t lo,
 }
 
 void
-MdVolume::reconstruct_chunk(
-    uint64_t stripe, int pos, uint64_t lo, uint64_t hi,
-    std::function<void(Status, std::vector<uint8_t>)> cb)
+MdVolume::reconstruct_chunk(uint64_t stripe, int pos, uint64_t lo,
+                            uint64_t hi, DataCb cb)
 {
     stats_.degraded_reads++;
-    uint32_t D = static_cast<uint32_t>(devs_.size()) - 1;
-    struct Ctx {
-        uint32_t pending = 0;
-        bool issued_all = false;
-        Status status;
-        std::vector<uint8_t> acc;
-        std::function<void(Status, std::vector<uint8_t>)> cb;
-    };
-    auto ctx = std::make_shared<Ctx>();
-    ctx->cb = std::move(cb);
+    StripeGather::Spec spec;
     if (store_data_)
-        ctx->acc.assign(static_cast<size_t>(hi - lo) * kSectorSize, 0);
-    auto one = [this, ctx](Status s, const std::vector<uint8_t> &d) {
-        if (!s.is_ok() && ctx->status.is_ok())
-            ctx->status = s;
-        if (!d.empty() && store_data_)
-            xor_bytes(ctx->acc.data(), d.data(),
-                      std::min(d.size(), ctx->acc.size()));
-        if (--ctx->pending == 0 && ctx->issued_all) {
-            auto cb2 = std::move(ctx->cb);
-            cb2(ctx->status, std::move(ctx->acc));
-        }
+        spec.bytes = static_cast<size_t>(hi - lo) * kSectorSize;
+    // Peer reads that exist only to rebuild a lost chunk are
+    // redundancy traffic, not user reads.
+    spec.cause = obs::Cause::kParity;
+    StripeGather g(this, spec, std::move(cb));
+    auto survivor = [&](uint32_t dev) {
+        if (member_down(dev))
+            g.fail(Status(StatusCode::kIoError, "double failure"));
+        else
+            g.read(dev, chunk_pba(stripe) + lo,
+                    static_cast<uint32_t>(hi - lo));
     };
-    auto read_dev = [&](uint32_t dev) {
-        ctx->pending++;
-        IoRequest rreq = IoRequest::read(chunk_pba(stripe) + lo,
-                                         static_cast<uint32_t>(hi - lo));
-        // Peer reads that exist only to rebuild a lost chunk are
-        // redundancy traffic, not user reads.
-        rreq.cause = obs::Cause::kParity;
-        dev_submit(dev, std::move(rreq),
-                   [this, one, dev](IoResult r) {
-                       if (!r.status.is_ok())
-                           escalate_dev_error(dev, r.status);
-                       one(r.status, r.data);
-                   });
-    };
-    for (uint32_t k = 0; k < D; ++k) {
-        if (static_cast<int>(k) == pos)
-            continue;
-        uint32_t dev = data_dev(stripe, k);
-        if (static_cast<int>(dev) == failed_dev_ ||
-            devs_[dev]->failed()) {
-            ctx->status = Status(StatusCode::kIoError, "double failure");
-            continue;
-        }
-        read_dev(dev);
-    }
-    if (pos >= 0) {
-        uint32_t pdev = parity_dev(stripe);
-        if (static_cast<int>(pdev) == failed_dev_ ||
-            devs_[pdev]->failed()) {
-            ctx->status = Status(StatusCode::kIoError, "double failure");
-        } else {
-            read_dev(pdev);
-        }
-    }
-    ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        auto cb2 = std::move(ctx->cb);
-        loop_->schedule_after(1, [cb2 = std::move(cb2), ctx]() mutable {
-            cb2(ctx->status, std::move(ctx->acc));
-        });
-    }
+    const uint32_t D = static_cast<uint32_t>(devs_.size()) - 1;
+    for (uint32_t k = 0; k < D; ++k)
+        if (static_cast<int>(k) != pos)
+            survivor(data_dev(stripe, k));
+    if (pos >= 0)
+        survivor(parity_dev(stripe));
+    g.seal();
 }
 
 void
@@ -248,45 +216,13 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     }
     stats_.logical_reads++;
     stats_.sectors_read += nsectors;
-    if (ledger_ != nullptr) {
-        cb = [this, nsectors, inner = std::move(cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_read(nsectors);
-            inner(std::move(r));
-        };
-    }
-
     uint64_t treq = 0;
-    if (trace_ != nullptr || read_lat_ != nullptr) {
-        uint64_t token = 0;
-        if (trace_ != nullptr) {
-            treq = trace_->next_request_id();
-            token = trace_->begin_span("md.read", treq,
-                                       obs::kTrackRequest, loop_->now());
-        }
-        Tick t0 = loop_->now();
-        cb = [this, token, t0, inner = std::move(cb)](IoResult r) {
-            Tick now = loop_->now();
-            if (trace_ != nullptr && token != 0)
-                trace_->end_span(token, now);
-            if (read_lat_ != nullptr)
-                read_lat_->record(now - t0);
-            inner(std::move(r));
-        };
-    }
-
-    struct Ctx {
-        uint32_t pending = 0;
-        bool issued_all = false;
-        Status status;
-        std::vector<uint8_t> out;
-        IoCallback cb;
-    };
-    auto ctx = std::make_shared<Ctx>();
-    ctx->cb = std::move(cb);
+    StripeGather::Spec spec;
+    spec.fold = StripeGather::Fold::kPlace;
     if (store_data_)
-        ctx->out.assign(static_cast<size_t>(nsectors) * kSectorSize, 0);
-
+        spec.bytes = static_cast<size_t>(nsectors) * kSectorSize;
+    cb = observe_io(false, nsectors, "md.read", std::move(cb), &treq);
+    StripeGather g(this, spec, std::move(cb));
     uint64_t cur = lba;
     uint64_t end = lba + nsectors;
     while (cur < end) {
@@ -296,67 +232,22 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
         uint64_t lo = in_stripe % cfg_.chunk_sectors;
         uint64_t len = std::min<uint64_t>(end - cur,
                                           cfg_.chunk_sectors - lo);
-        uint64_t out_off = (cur - lba) * kSectorSize;
-        ctx->pending++;
         read_chunk(stripe, k, lo, lo + len,
-                   [this, ctx, out_off](Status s,
-                                        std::vector<uint8_t> data) {
-                       if (!s.is_ok() && ctx->status.is_ok())
-                           ctx->status = s;
-                       if (!data.empty() && !ctx->out.empty()) {
-                           std::memcpy(ctx->out.data() + out_off,
-                                       data.data(),
-                                       std::min(data.size(),
-                                                ctx->out.size() -
-                                                    out_off));
-                       }
-                       if (--ctx->pending == 0 && ctx->issued_all) {
-                           IoResult r;
-                           r.status = ctx->status;
-                           r.data = std::move(ctx->out);
-                           auto cb2 = std::move(ctx->cb);
-                           cb2(std::move(r));
-                       }
-                       (void)this;
-                   },
+                   g.source(static_cast<size_t>(cur - lba) * kSectorSize),
                    "md.read_chunk", treq);
         cur += len;
     }
-    ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        loop_->schedule_after(1, [ctx] {
-            IoResult r;
-            r.status = ctx->status;
-            r.data = std::move(ctx->out);
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(r));
-        });
-    }
+    g.seal();
 }
 
 // ---- Write path -------------------------------------------------------
 
 void
-MdVolume::write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
-                IoCallback cb)
+MdVolume::submit_write(uint64_t lba, uint32_t nsectors,
+                       std::vector<uint8_t> data, WriteFlags flags,
+                       IoCallback cb)
 {
     (void)flags;
-    uint32_t nsectors = static_cast<uint32_t>(data.size() / kSectorSize);
-    write_impl(lba, std::move(data), nsectors, std::move(cb));
-}
-
-void
-MdVolume::write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
-                    IoCallback cb)
-{
-    (void)flags;
-    write_impl(lba, {}, nsectors, std::move(cb));
-}
-
-void
-MdVolume::write_impl(uint64_t lba, std::vector<uint8_t> data,
-                     uint32_t nsectors, IoCallback cb)
-{
     if (nsectors == 0 || lba + nsectors > capacity_) {
         loop_->schedule_after(1, [cb = std::move(cb)] {
             IoResult r;
@@ -369,33 +260,9 @@ MdVolume::write_impl(uint64_t lba, std::vector<uint8_t> data,
     stats_.sectors_written += nsectors;
 
     auto ctx = std::make_shared<WriteCtx>();
-    ctx->cb = std::move(cb);
+    ctx->cb = observe_io(true, nsectors, "md.write", std::move(cb),
+                         &ctx->req_id);
     ctx->end_lba = lba + nsectors;
-    if (ledger_ != nullptr) {
-        ctx->cb = [this, nsectors, inner = std::move(ctx->cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_write(nsectors);
-            inner(std::move(r));
-        };
-    }
-    if (trace_ != nullptr || write_lat_ != nullptr) {
-        uint64_t token = 0;
-        if (trace_ != nullptr) {
-            ctx->req_id = trace_->next_request_id();
-            token = trace_->begin_span("md.write", ctx->req_id,
-                                       obs::kTrackRequest, loop_->now());
-        }
-        Tick t0 = loop_->now();
-        ctx->cb = [this, token, t0,
-                   inner = std::move(ctx->cb)](IoResult r) {
-            Tick now = loop_->now();
-            if (trace_ != nullptr && token != 0)
-                trace_->end_span(token, now);
-            if (write_lat_ != nullptr)
-                write_lat_->record(now - t0);
-            inner(std::move(r));
-        };
-    }
 
     uint64_t cur = lba;
     uint64_t end = lba + nsectors;
@@ -625,8 +492,7 @@ MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
         uint64_t len = std::min<uint64_t>(hi - cur,
                                           cfg_.chunk_sectors - in_chunk);
         uint32_t dev = data_dev(stripe, k);
-        if (static_cast<int>(dev) != failed_dev_ &&
-            !devs_[dev]->failed()) {
+        if (!member_down(dev)) {
             IoRequest req;
             req.op = IoOp::kWrite;
             req.slba = chunk_pba(stripe) + in_chunk;
@@ -650,7 +516,7 @@ MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
 
     // Parity chunk: only the affected byte range needs rewriting.
     uint32_t pdev = parity_dev(stripe);
-    if (static_cast<int>(pdev) != failed_dev_ && !devs_[pdev]->failed()) {
+    if (!member_down(pdev)) {
         uint64_t plo, phi;
         parity_byte_range(lo, hi, cfg_.chunk_sectors, &plo, &phi);
         uint64_t plo_s = plo / kSectorSize;
@@ -692,7 +558,7 @@ MdVolume::flush(IoCallback cb)
         }
     };
     for (uint32_t d = 0; d < devs_.size(); ++d) {
-        if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
+        if (member_down(d))
             continue;
         (*pending)++;
         IoRequest freq = IoRequest::flush();

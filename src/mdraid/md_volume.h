@@ -88,13 +88,6 @@ class MdVolume : public ZonedArray
     uint64_t stripe_sectors() const { return stripe_sectors_; }
 
     void read(uint64_t lba, uint32_t nsectors, IoCallback cb) override;
-    /// Random-access write (RAID-5 allows overwrites anywhere). md has
-    /// no FUA/PREFLUSH distinction (configured journal-less), so the
-    /// flags are ignored.
-    void write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
-               IoCallback cb) override;
-    void write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
-                   IoCallback cb) override;
     void flush(IoCallback cb) override;
 
     void mark_device_failed(uint32_t dev) override;
@@ -145,8 +138,12 @@ class MdVolume : public ZonedArray
   private:
     struct WriteCtx;
 
-    void write_impl(uint64_t lba, std::vector<uint8_t> data,
-                    uint32_t nsectors, IoCallback cb);
+    /// Random-access write (RAID-5 allows overwrites anywhere). md has
+    /// no FUA/PREFLUSH distinction (configured journal-less), so the
+    /// flags are ignored.
+    void submit_write(uint64_t lba, uint32_t nsectors,
+                      std::vector<uint8_t> data, WriteFlags flags,
+                      IoCallback cb) override;
     void process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
                               std::shared_ptr<std::vector<uint8_t>> data,
                               std::shared_ptr<WriteCtx> ctx);
@@ -155,12 +152,14 @@ class MdVolume : public ZonedArray
                       const std::vector<uint8_t> &parity,
                       std::shared_ptr<WriteCtx> ctx);
     void read_chunk(uint64_t stripe, uint32_t k, uint64_t lo, uint64_t hi,
-                    std::function<void(Status, std::vector<uint8_t>)> cb,
-                    const char *trace_stage = nullptr, uint64_t treq = 0,
+                    DataCb cb, const char *trace_stage = nullptr,
+                    uint64_t treq = 0,
                     obs::Cause cause = obs::Cause::kUserData);
-    void reconstruct_chunk(
-        uint64_t stripe, int pos, uint64_t lo, uint64_t hi,
-        std::function<void(Status, std::vector<uint8_t>)> cb);
+    void reconstruct_chunk(uint64_t stripe, int pos, uint64_t lo,
+                           uint64_t hi, DataCb cb);
+    /// True when `dev` cannot serve IO; a member found dead is marked
+    /// failed first.
+    bool member_down(uint32_t dev);
     uint64_t chunk_pba(uint64_t stripe) const;
     bool store_data() const { return store_data_; }
     // dev_submit / escalate_dev_error are inherited from ZonedArray;

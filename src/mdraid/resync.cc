@@ -5,13 +5,10 @@
  * Unlike RAIZN it cannot distinguish valid data from free space, so
  * the time to repair is constant regardless of array fill.
  */
-#include <cassert>
-#include <map>
-
+#include "array/stripe_gather.h"
 #include "common/logging.h"
 #include "mdraid/md_volume.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -80,21 +77,12 @@ MdVolume::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
                 break;
             uint64_t stripe = job->next_issue++;
             job->inflight++;
-            int pos = data_pos_of_dev(stripe, job->dev);
             // Reconstruct this device's chunk from every other device:
             // XOR works for both data chunks and the parity chunk.
-            struct Acc {
-                uint32_t pending = 0;
-                bool issued_all = false;
-                std::vector<uint8_t> data;
-            };
-            auto acc = std::make_shared<Acc>();
-            if (store_data_) {
-                acc->data.assign(
-                    static_cast<size_t>(cfg_.chunk_sectors) * kSectorSize,
-                    0);
-            }
-            auto write_out = [this, job, stripe, acc, pump]() {
+            auto write_out = [this, job, stripe, pump](
+                                 Status s, std::vector<uint8_t> data) {
+                if (!s.is_ok() && job->status.is_ok())
+                    job->status = s;
                 IoRequest req;
                 req.op = IoOp::kWrite;
                 req.slba = chunk_pba(stripe);
@@ -102,8 +90,11 @@ MdVolume::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
                 req.trace_req = job->trace_req;
                 req.trace_stage = "resync.write";
                 req.cause = obs::Cause::kResync;
-                if (store_data_)
-                    req.data = std::move(acc->data);
+                if (store_data_) {
+                    data.resize(static_cast<size_t>(cfg_.chunk_sectors) *
+                                kSectorSize);
+                    req.data = std::move(data);
+                }
                 dev_submit(
                     job->dev, std::move(req),
                     [this, job, pump](IoResult r) {
@@ -132,29 +123,18 @@ MdVolume::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
                         (*pump)();
                     });
             };
-            auto one = [this, job, acc, write_out](IoResult r) {
-                if (!r.status.is_ok() && job->status.is_ok())
-                    job->status = r.status;
-                if (!r.data.empty() && store_data_) {
-                    xor_bytes(acc->data.data(), r.data.data(),
-                              std::min(r.data.size(), acc->data.size()));
-                }
-                if (--acc->pending == 0 && acc->issued_all)
-                    write_out();
-            };
-            (void)pos;
-            for (uint32_t d = 0; d < devs_.size(); ++d) {
-                if (d == job->dev)
-                    continue;
-                acc->pending++;
-                IoRequest rreq = IoRequest::read(chunk_pba(stripe),
-                                                 cfg_.chunk_sectors);
-                rreq.trace_req = job->trace_req;
-                rreq.trace_stage = "resync.read";
-                rreq.cause = obs::Cause::kResync;
-                dev_submit(d, std::move(rreq), one);
-            }
-            acc->issued_all = true;
+            StripeGather::Spec spec;
+            if (store_data_)
+                spec.bytes =
+                    static_cast<size_t>(cfg_.chunk_sectors) * kSectorSize;
+            spec.cause = obs::Cause::kResync;
+            spec.stage = "resync.read";
+            spec.trace_req = job->trace_req;
+            StripeGather g(this, spec, std::move(write_out));
+            for (uint32_t d = 0; d < devs_.size(); ++d)
+                if (d != job->dev)
+                    g.read(d, chunk_pba(stripe), cfg_.chunk_sectors);
+            g.seal();
         }
     };
     loop_->schedule_after(1, [pump] { (*pump)(); });

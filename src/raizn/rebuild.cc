@@ -527,7 +527,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
                                      loop_->now())
                 : 0;
             reconstruct_stripe_unit(
-                job->zone, s, pos, 0, len,
+                job->zone, s, pos, 0, len, obs::Cause::kRebuild,
                 [this, job, s, pump, rtok](Status st,
                                            std::vector<uint8_t> data) {
                     if (trace_ != nullptr && rtok != 0)

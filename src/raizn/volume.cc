@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "array/stripe_gather.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -299,17 +300,9 @@ RaiznVolume::drain_waiters(uint32_t zone)
 // ---- Write path -------------------------------------------------------
 
 void
-RaiznVolume::write(uint64_t lba, std::vector<uint8_t> data,
-                   WriteFlags flags, IoCallback cb)
-{
-    uint32_t nsectors = static_cast<uint32_t>(data.size() / kSectorSize);
-    write_internal(lba, std::move(data), nsectors, flags, std::move(cb));
-}
-
-void
-RaiznVolume::write_internal(uint64_t lba, std::vector<uint8_t> data,
-                            uint32_t nsectors, WriteFlags flags,
-                            IoCallback cb)
+RaiznVolume::submit_write(uint64_t lba, uint32_t nsectors,
+                          std::vector<uint8_t> data, WriteFlags flags,
+                          IoCallback cb)
 {
     auto fail = [&](StatusCode code, const char *msg) {
         IoResult r;
@@ -329,8 +322,8 @@ RaiznVolume::write_internal(uint64_t lba, std::vector<uint8_t> data,
         // Zone reset in flight: queue behind it (§5.2).
         lz.waiters.push_back([this, lba, data = std::move(data), nsectors,
                               flags, cb = std::move(cb)]() mutable {
-            write_internal(lba, std::move(data), nsectors, flags,
-                           std::move(cb));
+            submit_write(lba, nsectors, std::move(data), flags,
+                         std::move(cb));
         });
         return;
     }
@@ -1097,31 +1090,8 @@ RaiznVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
     }
     stats_.logical_reads++;
     stats_.sectors_read += nsectors;
-    if (ledger_ != nullptr) {
-        cb = [this, nsectors, inner = std::move(cb)](IoResult r) {
-            if (r.status.is_ok())
-                ledger_->note_user_read(nsectors);
-            inner(std::move(r));
-        };
-    }
     uint64_t treq = 0;
-    if (trace_ != nullptr || read_lat_ != nullptr) {
-        uint64_t token = 0;
-        if (trace_ != nullptr) {
-            treq = trace_->next_request_id();
-            token = trace_->begin_span("raizn.read", treq,
-                                       obs::kTrackRequest, loop_->now());
-        }
-        Tick t0 = loop_->now();
-        cb = [this, token, t0, inner = std::move(cb)](IoResult r) {
-            Tick now = loop_->now();
-            if (trace_ != nullptr && token != 0)
-                trace_->end_span(token, now);
-            if (read_lat_ != nullptr)
-                read_lat_->record(now - t0);
-            inner(std::move(r));
-        };
-    }
+    cb = observe_io(false, nsectors, "raizn.read", std::move(cb), &treq);
     read_extents(lba, nsectors, treq, std::move(cb));
 }
 
@@ -1130,37 +1100,11 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                           IoCallback cb)
 {
     auto extents = layout_->map_range(lba, nsectors);
-    struct ReadCtx {
-        uint32_t pending = 0;
-        bool issued_all = false;
-        Status status;
-        std::vector<uint8_t> out;
-        IoCallback cb;
-    };
-    auto ctx = std::make_shared<ReadCtx>();
-    ctx->cb = std::move(cb);
+    StripeGather::Spec spec;
+    spec.fold = StripeGather::Fold::kPlace;
     if (store_data_)
-        ctx->out.assign(static_cast<size_t>(nsectors) * kSectorSize, 0);
-
-    auto complete_one = [ctx, lba](uint64_t ext_lba, Status s,
-                                   const std::vector<uint8_t> &data) {
-        if (!s.is_ok() && ctx->status.is_ok())
-            ctx->status = s;
-        if (!data.empty() && !ctx->out.empty()) {
-            size_t off = static_cast<size_t>(ext_lba - lba) * kSectorSize;
-            std::memcpy(ctx->out.data() + off, data.data(),
-                        std::min(data.size(), ctx->out.size() - off));
-        }
-        ctx->pending--;
-        if (ctx->pending == 0 && ctx->issued_all) {
-            IoResult r;
-            r.status = ctx->status;
-            r.data = std::move(ctx->out);
-            auto cb2 = std::move(ctx->cb);
-            cb2(std::move(r));
-        }
-    };
-
+        spec.bytes = static_cast<size_t>(nsectors) * kSectorSize;
+    StripeGather g(this, spec, std::move(cb));
     for (const auto &ext : extents) {
         // Split the extent into runs with uniform relocation state:
         // inside one relocation, or up to the next one.
@@ -1181,23 +1125,18 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
             sub.nsectors = run_len;
             sub.pba = ext.pba + (cur - ext.lba);
             const uint64_t at = cur;
-            ctx->pending++;
+            const size_t at_bytes =
+                static_cast<size_t>(at - lba) * kSectorSize;
             if (rel) {
                 // Serve from the in-memory relocation cache (or the
                 // metadata zone copy when not cached).
                 uint64_t off_in_rel = cur - rel->lba;
                 if (!rel->cached.empty()) {
-                    std::vector<uint8_t> data(
-                        rel->cached.begin() +
-                            static_cast<ptrdiff_t>(off_in_rel * kSectorSize),
-                        rel->cached.begin() +
-                            static_cast<ptrdiff_t>((off_in_rel + run_len) *
-                                                   kSectorSize));
-                    loop_->schedule_after(
-                        kNsPerUs, [complete_one, at,
-                                   data = std::move(data)]() mutable {
-                            complete_one(at, Status::ok(), data);
-                        });
+                    const uint8_t *img =
+                        rel->cached.data() + off_in_rel * kSectorSize;
+                    g.put(std::vector<uint8_t>(img,
+                                               img + run_len * kSectorSize),
+                          kNsPerUs, at_bytes);
                 } else if (static_cast<int>(rel->dev) != failed_dev_ &&
                            !devs_[rel->dev]->failed()) {
                     IoRequest rreq =
@@ -1205,33 +1144,23 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                     rreq.trace_req = treq;
                     rreq.trace_stage = "read.reloc";
                     rreq.cause = obs::Cause::kRelocation;
-                    dev_submit(
-                        rel->dev, std::move(rreq),
-                        [this, complete_one, at,
-                         rdev = rel->dev](IoResult r) {
-                            if (!r.status.is_ok())
-                                escalate_dev_error(rdev, r.status);
-                            complete_one(at, r.status, r.data);
-                        });
+                    dev_submit(rel->dev, std::move(rreq),
+                               [this, done = g.source(at_bytes),
+                                rdev = rel->dev](IoResult r) {
+                                   if (!r.status.is_ok())
+                                       escalate_dev_error(rdev, r.status);
+                                   done(r.status, r.data);
+                               });
                 } else {
-                    loop_->schedule_after(
-                        kNsPerUs, [complete_one, at] {
-                            complete_one(
-                                at,
-                                Status(StatusCode::kIoError,
-                                       "relocated data on failed device"),
-                                {});
-                        });
+                    g.put(Status(StatusCode::kIoError,
+                                 "relocated data on failed device"),
+                          kNsPerUs);
                 }
             } else if (static_cast<int>(sub.dev) == failed_dev_) {
                 // Only the marked-failed member is skipped. One that
                 // failed unnoticed is read like any other: its error
                 // escalates and the read degrades.
-                read_extent_degraded(
-                    sub, [complete_one, at](Status s,
-                                            std::vector<uint8_t> d) {
-                        complete_one(at, s, d);
-                    });
+                read_extent_degraded(sub, g.source(at_bytes));
             } else {
                 IoRequest rreq = IoRequest::read(sub.pba, sub.nsectors);
                 rreq.trace_req = treq;
@@ -1239,18 +1168,13 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                 rreq.cause = obs::Cause::kUserData;
                 dev_submit(
                     sub.dev, std::move(rreq),
-                    [this, complete_one, at, sub](IoResult r) {
+                    [this, done = g.source(at_bytes), at, sub](IoResult r) {
                         if (!r.status.is_ok()) {
                             if (escalate_dev_error(sub.dev, r.status)) {
-                                read_extent_degraded(
-                                    sub, [complete_one, at](
-                                             Status s,
-                                             std::vector<uint8_t> d) {
-                                        complete_one(at, s, d);
-                                    });
+                                read_extent_degraded(sub, done);
                                 return;
                             }
-                            complete_one(at, r.status, r.data);
+                            done(r.status, {});
                             return;
                         }
                         const LZone &lz = zones_[layout_->zone_of(at)];
@@ -1261,36 +1185,20 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                             // with the CRC catalog. Serve the read via
                             // reconstruction.
                             stats_.crc_mismatches++;
-                            read_extent_degraded(
-                                sub, [complete_one, at](
-                                         Status s, std::vector<uint8_t> d) {
-                                    complete_one(at, s, d);
-                                });
+                            read_extent_degraded(sub, done);
                             return;
                         }
-                        complete_one(at, r.status, r.data);
+                        done(r.status, r.data);
                     });
             }
             cur = run_end;
         }
     }
-    ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        IoResult r;
-        r.status = ctx->status;
-        r.data = std::move(ctx->out);
-        auto cb2 = std::move(ctx->cb);
-        loop_->schedule_after(1, [cb2 = std::move(cb2),
-                                  r = std::move(r)]() mutable {
-            cb2(std::move(r));
-        });
-    }
+    g.seal();
 }
 
 void
-RaiznVolume::read_extent_degraded(
-    const PhysExtent &ext,
-    std::function<void(Status, std::vector<uint8_t>)> cb)
+RaiznVolume::read_extent_degraded(const PhysExtent &ext, DataCb cb)
 {
     stats_.degraded_reads++;
     uint32_t zone = layout_->zone_of(ext.lba);
@@ -1300,44 +1208,45 @@ RaiznVolume::read_extent_degraded(
     int pos = static_cast<int>(in_stripe / cfg_.su_sectors);
     uint64_t lo = in_stripe % cfg_.su_sectors;
     reconstruct_stripe_unit(zone, stripe, pos, lo, lo + ext.nsectors,
-                            std::move(cb));
+                            obs::Cause::kParity, std::move(cb));
 }
 
 void
-RaiznVolume::reconstruct_stripe_unit(
-    uint32_t zone, uint64_t stripe, int pos, uint64_t lo, uint64_t hi,
-    std::function<void(Status, std::vector<uint8_t>)> cb)
+RaiznVolume::reconstruct_stripe_unit(uint32_t zone, uint64_t stripe,
+                                     int pos, uint64_t lo, uint64_t hi,
+                                     obs::Cause cause, DataCb cb)
 {
     stats_.reconstructed_sectors += hi - lo;
     const uint32_t D = cfg_.data_units();
     const uint32_t su = cfg_.su_sectors;
     LZone &lz = zones_[zone];
+    StripeGather::Spec spec;
+    if (store_data_)
+        spec.bytes = static_cast<size_t>(hi - lo) * kSectorSize;
+    spec.cause = cause;
+    spec.stage = "read.reconstruct";
+    StripeGather g(this, spec, std::move(cb));
+    // In-memory source: sectors [from, to) of a unit image.
+    auto put_cached = [&](const uint8_t *img, uint64_t from, uint64_t to) {
+        g.put(std::vector<uint8_t>(img + from * kSectorSize,
+                                    img + to * kSectorSize),
+               kNsPerUs);
+    };
 
     // Fast path: the stripe's data is still in its stripe buffer.
     if (!lz.buffers.empty() && store_data_) {
         StripeBuffer *buf =
             lz.buffers[stripe % cfg_.stripe_buffers_per_zone].get();
         if (buf->stripe_no() == stripe) {
-            std::vector<uint8_t> data;
-            if (pos >= 0) {
-                const uint8_t *unit =
-                    buf->unit_data(static_cast<uint32_t>(pos));
-                data.assign(unit + lo * kSectorSize,
-                            unit + hi * kSectorSize);
-            } else {
-                std::vector<uint8_t> parity = buf->complete()
-                    ? buf->full_parity()
-                    : buf->prefix_parity();
-                data.assign(parity.begin() +
-                                static_cast<ptrdiff_t>(lo * kSectorSize),
-                            parity.begin() +
-                                static_cast<ptrdiff_t>(hi * kSectorSize));
-            }
-            loop_->schedule_after(kNsPerUs,
-                                  [cb = std::move(cb),
-                                   data = std::move(data)]() mutable {
-                                      cb(Status::ok(), std::move(data));
-                                  });
+            if (pos >= 0)
+                put_cached(buf->unit_data(static_cast<uint32_t>(pos)), lo,
+                           hi);
+            else
+                put_cached((buf->complete() ? buf->full_parity()
+                                            : buf->prefix_parity())
+                               .data(),
+                           lo, hi);
+            g.seal();
             return;
         }
     }
@@ -1348,31 +1257,6 @@ RaiznVolume::reconstruct_stripe_unit(
     uint64_t stripe_end = (stripe + 1) * layout_->stripe_sectors();
     bool complete = zone_fill >= stripe_end ||
         lz.cond == raizn::ZoneState::kFull;
-
-    struct RecCtx {
-        uint32_t pending = 0;
-        bool issued_all = false;
-        Status status;
-        std::vector<uint8_t> acc; ///< XOR accumulator
-        std::function<void(Status, std::vector<uint8_t>)> cb;
-    };
-    auto ctx = std::make_shared<RecCtx>();
-    ctx->cb = std::move(cb);
-    if (store_data_)
-        ctx->acc.assign(static_cast<size_t>(hi - lo) * kSectorSize, 0);
-
-    auto one_done = [this, ctx](Status s, const std::vector<uint8_t> &d) {
-        if (!s.is_ok() && ctx->status.is_ok())
-            ctx->status = s;
-        if (!d.empty() && store_data_)
-            xor_bytes(ctx->acc.data(), d.data(),
-                      std::min(d.size(), ctx->acc.size()));
-        ctx->pending--;
-        if (ctx->pending == 0 && ctx->issued_all) {
-            auto cb2 = std::move(ctx->cb);
-            cb2(ctx->status, std::move(ctx->acc));
-        }
-    };
 
     // Surviving data units.
     uint64_t zs = layout_->zone_start_lba(zone);
@@ -1412,38 +1296,17 @@ RaiznVolume::reconstruct_stripe_unit(
         uint64_t read_lba = zs + unit_start + lo;
         // Relocated? (burned slot redirected to metadata zone)
         const Relocation *rel = reloc_.find(read_lba);
-        ctx->pending++;
-        uint32_t len = static_cast<uint32_t>(unit_hi - lo);
         if (rel && !rel->cached.empty()) {
             uint64_t off_in_rel = read_lba - rel->lba;
-            std::vector<uint8_t> d(
-                rel->cached.begin() +
-                    static_cast<ptrdiff_t>(off_in_rel * kSectorSize),
-                rel->cached.begin() +
-                    static_cast<ptrdiff_t>((off_in_rel + len) *
-                                           kSectorSize));
-            loop_->schedule_after(kNsPerUs,
-                                  [one_done, d = std::move(d)] {
-                                      one_done(Status::ok(), d);
-                                  });
+            put_cached(rel->cached.data(), off_in_rel,
+                       off_in_rel + (unit_hi - lo));
         } else if (static_cast<int>(dev) != failed_dev_ &&
                    !devs_[dev]->failed()) {
-            uint64_t pba = layout_->slot_pba(zone, stripe) + lo;
-            IoRequest rreq = IoRequest::read(pba, len);
-            rreq.trace_stage = "read.reconstruct";
-            rreq.cause = obs::Cause::kParity;
-            dev_submit(dev, std::move(rreq),
-                       [this, one_done, dev](IoResult r) {
-                           if (!r.status.is_ok())
-                               escalate_dev_error(dev, r.status);
-                           one_done(r.status, r.data);
-                       });
+            g.read(dev, layout_->slot_pba(zone, stripe) + lo,
+                    static_cast<uint32_t>(unit_hi - lo));
         } else {
-            loop_->schedule_after(kNsPerUs, [one_done] {
-                one_done(Status(StatusCode::kIoError,
-                                "two devices unavailable"),
-                         {});
-            });
+            g.put(Status(StatusCode::kIoError, "two devices unavailable"),
+                   kNsPerUs);
         }
     }
 
@@ -1452,37 +1315,16 @@ RaiznVolume::reconstruct_stripe_unit(
         if (complete) {
             uint32_t pdev = layout_->parity_dev(zone, stripe);
             auto prel = parity_reloc_.find(zs_key(zone, stripe));
-            ctx->pending++;
             if (prel != parity_reloc_.end() &&
                 !prel->second.cached.empty()) {
-                std::vector<uint8_t> d(
-                    prel->second.cached.begin() +
-                        static_cast<ptrdiff_t>(lo * kSectorSize),
-                    prel->second.cached.begin() +
-                        static_cast<ptrdiff_t>(hi * kSectorSize));
-                loop_->schedule_after(kNsPerUs,
-                                      [one_done, d = std::move(d)] {
-                                          one_done(Status::ok(), d);
-                                      });
+                put_cached(prel->second.cached.data(), lo, hi);
             } else if (static_cast<int>(pdev) != failed_dev_ &&
                        !devs_[pdev]->failed()) {
-                uint64_t pba = layout_->slot_pba(zone, stripe) + lo;
-                IoRequest preq =
-                    IoRequest::read(pba, static_cast<uint32_t>(hi - lo));
-                preq.trace_stage = "read.reconstruct";
-                preq.cause = obs::Cause::kParity;
-                dev_submit(pdev, std::move(preq),
-                           [this, one_done, pdev](IoResult r) {
-                               if (!r.status.is_ok())
-                                   escalate_dev_error(pdev, r.status);
-                               one_done(r.status, r.data);
-                           });
+                g.read(pdev, layout_->slot_pba(zone, stripe) + lo,
+                        static_cast<uint32_t>(hi - lo));
             } else {
-                loop_->schedule_after(kNsPerUs, [one_done] {
-                    one_done(Status(StatusCode::kIoError,
-                                    "parity unavailable"),
-                             {});
-                });
+                g.put(Status(StatusCode::kIoError, "parity unavailable"),
+                       kNsPerUs);
             }
         } else {
             // Incomplete stripe: apply the cumulative partial parity
@@ -1498,34 +1340,15 @@ RaiznVolume::reconstruct_stripe_unit(
                                   rec.lo_sector * kSectorSize,
                               rec.delta.data(), rec.delta.size());
                 }
-                ctx->pending++;
-                std::vector<uint8_t> d(
-                    parity.begin() +
-                        static_cast<ptrdiff_t>(lo * kSectorSize),
-                    parity.begin() +
-                        static_cast<ptrdiff_t>(hi * kSectorSize));
-                loop_->schedule_after(kNsPerUs,
-                                      [one_done, d = std::move(d)] {
-                                          one_done(Status::ok(), d);
-                                      });
+                put_cached(parity.data(), lo, hi);
             } else if (store_data_) {
-                ctx->pending++;
-                loop_->schedule_after(kNsPerUs, [one_done] {
-                    one_done(Status(StatusCode::kIoError,
-                                    "no partial parity for stripe"),
-                             {});
-                });
+                g.put(Status(StatusCode::kIoError,
+                              "no partial parity for stripe"),
+                       kNsPerUs);
             }
         }
     }
-
-    ctx->issued_all = true;
-    if (ctx->pending == 0) {
-        auto cb2 = std::move(ctx->cb);
-        loop_->schedule_after(1, [cb2 = std::move(cb2), ctx]() mutable {
-            cb2(ctx->status, std::move(ctx->acc));
-        });
-    }
+    g.seal();
 }
 
 // ---- Fault management --------------------------------------------------

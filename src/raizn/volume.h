@@ -171,17 +171,6 @@ class RaiznVolume : public ZonedArray
 
     // ---- Data path -------------------------------------------------
     void read(uint64_t lba, uint32_t nsectors, IoCallback cb) override;
-
-    /// Sequential zone write; `data` empty = timing-only.
-    void write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
-               IoCallback cb) override;
-    void
-    write_len(uint64_t lba, uint32_t nsectors, WriteFlags flags,
-              IoCallback cb) override
-    {
-        write_internal(lba, {}, nsectors, flags, std::move(cb));
-    }
-
     void flush(IoCallback cb) override;
     void reset_zone(uint32_t zone, IoCallback cb) override;
     void finish_zone(uint32_t zone, IoCallback cb) override;
@@ -315,8 +304,10 @@ class RaiznVolume : public ZonedArray
                 const RaiznConfig &cfg);
 
     // volume.cc
-    void write_internal(uint64_t lba, std::vector<uint8_t> data,
-                        uint32_t nsectors, WriteFlags flags, IoCallback cb);
+    /// Sequential zone write; `data` empty = timing-only.
+    void submit_write(uint64_t lba, uint32_t nsectors,
+                      std::vector<uint8_t> data, WriteFlags flags,
+                      IoCallback cb) override;
     void process_write(uint64_t lba, std::vector<uint8_t> data,
                        uint32_t nsectors, WriteFlags flags, IoCallback cb);
     void submit_data_subio(uint32_t dev, uint32_t zone, uint64_t pba,
@@ -348,12 +339,12 @@ class RaiznVolume : public ZonedArray
     /// relocations; failed members and CRC mismatches reconstruct.
     void read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                       IoCallback cb);
-    void read_extent_degraded(const PhysExtent &ext,
-                              std::function<void(Status,
-                                                 std::vector<uint8_t>)> cb);
-    void reconstruct_stripe_unit(
-        uint32_t zone, uint64_t stripe, int pos, uint64_t lo, uint64_t hi,
-        std::function<void(Status, std::vector<uint8_t>)> cb);
+    void read_extent_degraded(const PhysExtent &ext, DataCb cb);
+    /// Recovers sectors [lo, hi) of unit `pos` (-1: parity) from the
+    /// survivors; `cause` tags their reads (parity, or rebuild).
+    void reconstruct_stripe_unit(uint32_t zone, uint64_t stripe, int pos,
+                                 uint64_t lo, uint64_t hi, obs::Cause cause,
+                                 DataCb cb);
 
     // recovery.cc
     struct RecoveryCtx;

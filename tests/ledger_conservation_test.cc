@@ -239,11 +239,28 @@ struct Sut {
         expect_audit_ok("degraded");
     }
 
+    /// Rebuild reads, whichever path serves them.
+    uint64_t
+    rebuild_read_bytes() const
+    {
+        return ledger.cause_read_bytes(obs::Cause::kRebuild) +
+            ledger.cause_read_bytes(obs::Cause::kResync);
+    }
+
     /// Rebuild onto a factory-fresh replacement (mdraid: resync); the
-    /// device re-baselines the ledger via rebind on replace().
+    /// device re-baselines the ledger via rebind on replace(). Every
+    /// survivor read the rebuild issues is tagged rebuild (resync),
+    /// never parity.
     void
     run_rebuild()
     {
+        // Finished zones leave RAIZN's stripe buffers, so its rebuild
+        // reconstructs zone 0 from the members.
+        if (arr->zoned()) {
+            ASSERT_TRUE(zone_op(false, 0).status.is_ok()) << name;
+        }
+        const uint64_t parity0 = ledger.cause_read_bytes(obs::Cause::kParity);
+        const uint64_t rebuild0 = rebuild_read_bytes();
         if (!zdevs.empty())
             zdevs[1]->replace();
         else
@@ -258,6 +275,9 @@ struct Sut {
         ASSERT_TRUE(done) << name;
         EXPECT_TRUE(st.is_ok()) << name << ": " << st.to_string();
         EXPECT_LT(arr->failed_device(), 0) << name;
+        EXPECT_EQ(ledger.cause_read_bytes(obs::Cause::kParity), parity0)
+            << name << ": rebuild reads booked as parity";
+        EXPECT_GT(rebuild_read_bytes(), rebuild0) << name;
         expect_audit_ok("rebuild");
         // Post-rebuild reads come back clean and stay conserved.
         ASSERT_TRUE(read(zone_start(0), 48).status.is_ok()) << name;

@@ -492,14 +492,17 @@ class LifecycleContract : public ::testing::TestWithParam<Engine>
     /// while the array is being filled.
     static constexpr uint32_t kSectors = 128;
 
+    void SetUp() override { fill(a_); }
+
+    /// Builds `a` for this engine holding kSectors of pattern 31.
     void
-    SetUp() override
+    fill(AnyArray &a)
     {
-        a_.make(GetParam());
-        a_.write(0, kSectors, 31);
+        a.make(GetParam());
+        a.write(0, kSectors, 31);
         bool done = false;
-        a_.arr->flush([&](IoResult) { done = true; });
-        a_.loop->run_until_pred([&] { return done; });
+        a.arr->flush([&](IoResult) { done = true; });
+        a.loop->run_until_pred([&] { return done; });
     }
 
     /// One sector read served by kVictim alone: its errors exhaust the
@@ -598,25 +601,21 @@ TEST_P(LifecycleContract, ThrottledAutoRebuildStallsAndFinishes)
     expect_data_intact();
 }
 
-TEST(LifecycleRaid5, LateReadErrorsSpareThePromotedMember)
+TEST_P(LifecycleContract, LateReadErrorsSpareThePromotedMember)
 {
     // Several multi-chunk reads queue chunks on the failing member at
     // once. The first failed read fails it and the spare takes its
     // slot while the rest are still in flight; their late errors come
     // from the replaced device and must not fail the spare. The member
     // either fails every read (retried errors, judged by the health
-    // monitor) or is dead (kOffline, failed on sight).
+    // monitor) or is dead (failed on sight).
     for (bool dead : {false, true}) {
         SCOPED_TRACE(dead ? "dead member" : "failing reads");
         AnyArray a;
-        a.make(Engine::kRaid5);
-        a.write(0, 96, 41);
-        bool flushed = false;
-        a.arr->flush([&](IoResult) { flushed = true; });
-        a.loop->run_until_pred([&] { return flushed; });
+        fill(a);
         if (dead)
-            a.devs[AnyArray::kVictim]->fail();
-        auto spare = a.make_device(Engine::kRaid5, "spare", false);
+            a.devs[kVictim]->fail();
+        auto spare = a.make_device(GetParam(), "spare", false);
         a.arr->set_spare(spare.get());
         int calls = 0;
         Status st;
@@ -627,10 +626,10 @@ TEST(LifecycleRaid5, LateReadErrorsSpareThePromotedMember)
         };
         a.arr->set_lifecycle(std::move(lc));
 
-        const std::vector<uint8_t> want = pattern_data(96, 41);
+        const std::vector<uint8_t> want = pattern_data(kSectors, 31);
         int reads_ok = 0;
         for (int i = 0; i < 4; ++i) {
-            a.arr->read(0, 96, [&](IoResult r) {
+            a.arr->read(0, kSectors, [&](IoResult r) {
                 EXPECT_TRUE(r.status.is_ok()) << r.status.to_string();
                 EXPECT_EQ(r.data, want);
                 reads_ok += r.status.is_ok();
@@ -640,11 +639,11 @@ TEST(LifecycleRaid5, LateReadErrorsSpareThePromotedMember)
         EXPECT_EQ(reads_ok, 4);
         EXPECT_EQ(calls, 1);
         ASSERT_TRUE(st.is_ok()) << st.to_string();
-        EXPECT_EQ(a.arr->device(AnyArray::kVictim), spare.get());
+        EXPECT_EQ(a.arr->device(kVictim), spare.get());
         EXPECT_FALSE(a.arr->degraded())
             << "failed member " << a.arr->failed_device();
         EXPECT_EQ(*a.spares_promoted, 1u);
-        IoResult r = a.read(0, 96);
+        IoResult r = a.read(0, kSectors);
         ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
         EXPECT_EQ(r.data, want);
     }
