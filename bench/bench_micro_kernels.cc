@@ -144,6 +144,34 @@ BM_EventLoopDispatch(benchmark::State &state)
 }
 BENCHMARK(BM_EventLoopDispatch);
 
+/// A loaded loop: 256 events pending, each closure 48 B (past
+/// std::function's inline buffer, like a completion carrying a few
+/// words of state); one event scheduled and one dispatched per
+/// iteration, at seeded random delays.
+void
+BM_EventLoopDispatchDeep(benchmark::State &state)
+{
+    EventLoop loop;
+    Rng rng(1);
+    uint64_t count = 0;
+    auto post = [&] {
+        uint64_t a = rng.next(), b = a >> 7, c = a >> 13, d = a >> 29,
+                 e = a >> 41;
+        uint64_t *sink = &count;
+        loop.schedule_after(1 + rng.next_below(1024), [sink, a, b, c, d, e] {
+            *sink += (a ^ b ^ c ^ d ^ e) & 1;
+        });
+    };
+    for (int i = 0; i < 256; ++i)
+        post();
+    for (auto _ : state) {
+        post();
+        loop.run_events(1);
+    }
+    benchmark::DoNotOptimize(count);
+}
+BENCHMARK(BM_EventLoopDispatchDeep);
+
 /// ConsoleReporter that also collects one row per benchmark run, so
 /// the normal table still prints while --host-baseline gets data.
 class CollectingReporter : public benchmark::ConsoleReporter

@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "array/gf256.h"
+#include "common/slab.h"
+#include "obs/prof/prof.h"
 #include "raizn/stripe_buffer.h" // xor_bytes
 #include "sim/event_loop.h"
 
@@ -43,6 +45,7 @@ struct StripeGather::State {
     arrive(const Status &s, const std::vector<uint8_t> &d, size_t at,
            int role)
     {
+        PROF_SCOPE("gather.arrive");
         if (!s.is_ok()) {
             fail(s);
         } else if (!d.empty() && at < spec.bytes) {
@@ -117,13 +120,16 @@ StripeGather::Source::operator()(const Status &s,
         st->arrive(s, d, at, kP);
 }
 
+// Joins are pooled: one per logical read on the hot path.
 StripeGather::StripeGather(ZonedArray *arr, Spec spec, DataCb cb)
-    : st_(std::make_shared<State>(arr, spec, std::move(cb), nullptr))
+    : st_(std::allocate_shared<State>(PoolAllocator<State>(), arr, spec,
+                                      std::move(cb), nullptr))
 {
 }
 
 StripeGather::StripeGather(ZonedArray *arr, Spec spec, IoCallback cb)
-    : st_(std::make_shared<State>(arr, spec, nullptr, std::move(cb)))
+    : st_(std::allocate_shared<State>(PoolAllocator<State>(), arr, spec,
+                                      nullptr, std::move(cb)))
 {
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/prof/prof.h"
+
 namespace raizn {
 
 HealthMonitor::HealthMonitor(uint32_t num_devices, HealthConfig cfg)
@@ -12,6 +14,7 @@ HealthMonitor::HealthMonitor(uint32_t num_devices, HealthConfig cfg)
 void
 HealthMonitor::record_success(uint32_t dev, Tick latency)
 {
+    PROF_SCOPE("health.record");
     DeviceHealth &h = devs_[dev];
     h.successes++;
     h.consec_errors = 0;
@@ -96,18 +99,27 @@ HealthMonitor::fail_slow(uint32_t dev) const
     const DeviceHealth &h = devs_[dev];
     if (h.successes < cfg_.min_samples || h.ewma_latency_ns <= 0.0)
         return false;
-    // Median latency EWMA of the peers that have enough samples.
-    std::vector<double> peers;
+    // Median latency EWMA of the peers that have enough samples, in a
+    // stack buffer unless the array is wider than it.
+    constexpr size_t kInline = 32;
+    double inline_buf[kInline];
+    std::vector<double> spill;
+    double *peers = inline_buf;
+    if (devs_.size() > kInline) {
+        spill.resize(devs_.size());
+        peers = spill.data();
+    }
+    size_t n = 0;
     for (uint32_t d = 0; d < devs_.size(); ++d) {
         if (d == dev || devs_[d].successes < cfg_.min_samples)
             continue;
         if (devs_[d].ewma_latency_ns > 0.0)
-            peers.push_back(devs_[d].ewma_latency_ns);
+            peers[n++] = devs_[d].ewma_latency_ns;
     }
-    if (peers.empty())
+    if (n == 0)
         return false;
-    std::sort(peers.begin(), peers.end());
-    double median = peers[peers.size() / 2];
+    std::nth_element(peers, peers + n / 2, peers + n);
+    double median = peers[n / 2];
     return h.ewma_latency_ns > cfg_.slow_factor * median;
 }
 

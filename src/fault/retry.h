@@ -25,14 +25,21 @@
  * kWritePointerMismatch likewise routes to the probe without spending
  * the transient budget (it is self-inflicted ordering, not a device
  * fault); the overall attempt cap still bounds the loop.
+ *
+ * Op state lives in a slab slot, and every closure the retrier hands
+ * out (completion, watchdog, backoff) captures (this, slot, generation).
+ * The slot's generation is bumped by every attempt and by the final
+ * outcome: a completion or watchdog whose generation is not current is
+ * superseded and dropped, and a backoff or probe timer runs only while
+ * its op still holds the slot, so nothing stale touches a reused slot.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/slab.h"
 #include "zns/block_device.h"
 
 namespace raizn {
@@ -82,14 +89,35 @@ class IoRetrier
     const RetryPolicy &policy() const { return policy_; }
 
   private:
-    struct OpState;
+    struct OpState {
+        BlockDevice *dev = nullptr;
+        uint32_t idx = 0;
+        IoRequest orig; ///< original request (never mutated)
+        /// Request for the current attempt when it is not `orig`: a
+        /// torn write's missing tail, or a synthesized flush.
+        IoRequest active;
+        bool use_active = false;
+        IoCallback cb;
+        bool synth_flush = false; ///< active is a flush standing in for
+                                  ///< a write whose payload landed
+        uint32_t transient = 0; ///< transient-retry budget consumed
+        uint32_t attempts = 0;
+        uint32_t stalls = 0; ///< consecutive wp probes with no progress
+        uint64_t last_wp = UINT64_MAX; ///< wp seen by the previous probe
+        /// Slot generation at the op's first attempt: timers captured
+        /// at or after it belong to this op.
+        uint32_t first_gen = 0;
+        Tick first_submit = 0;
+    };
 
-    void issue(const std::shared_ptr<OpState> &st);
-    void on_complete(const std::shared_ptr<OpState> &st, IoResult r);
-    void handle_retryable(const std::shared_ptr<OpState> &st, Status why);
-    void prepare_attempt(const std::shared_ptr<OpState> &st);
-    void exhaust(const std::shared_ptr<OpState> &st, Status why);
-    void finish(const std::shared_ptr<OpState> &st, IoResult r);
+    void issue(uint32_t slot);
+    void on_complete(uint32_t slot, IoResult r);
+    void handle_retryable(uint32_t slot, Status why);
+    /// Schedules prepare_attempt after `delay`, for this op only.
+    void retry_after(uint32_t slot, Tick delay, const char *tag);
+    void prepare_attempt(uint32_t slot);
+    void exhaust(uint32_t slot, Status why);
+    void finish(uint32_t slot, IoResult r);
     Tick backoff_for(uint32_t transient);
     /// The monitor to charge with `st`'s outcome (null: none).
     HealthMonitor *health_for(const OpState &st) const;
@@ -101,6 +129,7 @@ class IoRetrier
     uint64_t *retries_;
     uint64_t *timeouts_;
     Rng jitter_;
+    Slab<OpState> ops_;
 };
 
 } // namespace raizn

@@ -62,10 +62,9 @@ Layout::map_sector(uint64_t lba, uint32_t *dev, uint64_t *pba) const
     *pba = slot_pba(zone, stripe) + in_su;
 }
 
-std::vector<PhysExtent>
-Layout::map_range(uint64_t lba, uint64_t n) const
+void
+Layout::map_range(uint64_t lba, uint64_t n, ExtentList *out) const
 {
-    std::vector<PhysExtent> out;
     uint64_t cur = lba;
     uint64_t end = lba + n;
     while (cur < end) {
@@ -80,11 +79,10 @@ Layout::map_range(uint64_t lba, uint64_t n) const
         uint64_t zone_end =
             zone_start_lba(zone_of(cur)) + logical_zone_cap_;
         chunk = std::min(chunk, zone_end - cur);
-        out.push_back(PhysExtent{dev, pba, static_cast<uint32_t>(chunk),
-                                 cur, false});
+        out->push_back(PhysExtent{dev, pba, static_cast<uint32_t>(chunk),
+                                  cur, false});
         cur += chunk;
     }
-    return out;
 }
 
 uint64_t

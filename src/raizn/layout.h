@@ -30,6 +30,40 @@ struct PhysExtent {
     bool parity = false; ///< true for parity sub-IOs (write path only)
 };
 
+/// The extents of one logical range: the first kInline in place (a
+/// read rarely spans more stripe units), the whole list on the heap
+/// beyond that.
+class ExtentList
+{
+  public:
+    static constexpr size_t kInline = 8;
+
+    void
+    push_back(const PhysExtent &e)
+    {
+        if (n_ < kInline && spill_.empty()) {
+            inline_[n_++] = e;
+            return;
+        }
+        if (spill_.empty())
+            spill_.assign(inline_, inline_ + n_);
+        spill_.push_back(e);
+        n_++;
+    }
+    size_t size() const { return n_; }
+    const PhysExtent *begin() const
+    {
+        return spill_.empty() ? inline_ : spill_.data();
+    }
+    const PhysExtent *end() const { return begin() + n_; }
+    const PhysExtent &operator[](size_t i) const { return begin()[i]; }
+
+  private:
+    PhysExtent inline_[kInline];
+    std::vector<PhysExtent> spill_;
+    size_t n_ = 0;
+};
+
 class Layout
 {
   public:
@@ -88,8 +122,9 @@ class Layout
             stripe * cfg_.su_sectors;
     }
 
-    /// Maps logical [lba, lba+n) to data-device physical extents.
-    std::vector<PhysExtent> map_range(uint64_t lba, uint64_t n) const;
+    /// Maps logical [lba, lba+n) to data-device physical extents,
+    /// appended to `out`.
+    void map_range(uint64_t lba, uint64_t n, ExtentList *out) const;
 
     /// Physical LBA on the data device for a single logical sector.
     void map_sector(uint64_t lba, uint32_t *dev, uint64_t *pba) const;

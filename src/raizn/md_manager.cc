@@ -134,8 +134,13 @@ MdManager::do_append(uint32_t dev, uint32_t zone_idx, uint64_t sectors,
                                       std::move(bytes), durable);
     req.nsectors = static_cast<uint32_t>(sectors);
     req.cause = cause;
-    md_submit(dev, std::move(req),
-              [cb = std::move(cb)](IoResult r) { cb(r.status); });
+    uint32_t slot = append_cbs_.acquire();
+    append_cbs_[slot] = std::move(cb);
+    md_submit(dev, std::move(req), [this, slot](IoResult r) {
+        StatusCb done = std::move(append_cbs_[slot]);
+        append_cbs_.release(slot);
+        done(r.status);
+    });
 }
 
 void
@@ -148,6 +153,7 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
     if (st.swap.empty())
         RAIZN_PANIC("metadata GC: no swap zone available");
     gc_runs_++;
+    st.recycling++;
     uint32_t new_zone = st.swap.front();
     st.swap.erase(st.swap.begin());
     assert(st.wp[new_zone] == 0);
@@ -174,7 +180,9 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
         if (--*remaining > 0)
             return;
         if (!first_error->is_ok()) {
+            dev_state_[dev].recycling--;
             done(*first_error);
+            resume_parked(dev);
             return;
         }
         // 3. Checkpoint durable: recycle the old zone into the swap
@@ -185,11 +193,14 @@ MdManager::gc_switch(uint32_t dev, MdZoneRole role, StatusCb done)
         md_submit(
             dev, std::move(rst),
             [this, dev, old_zone_u, done](IoResult r) {
+                DevState &ds = dev_state_[dev];
+                ds.recycling--;
                 if (r.status.is_ok()) {
-                    dev_state_[dev].wp[old_zone_u] = 0;
-                    dev_state_[dev].swap.push_back(old_zone_u);
+                    ds.wp[old_zone_u] = 0;
+                    ds.swap.push_back(old_zone_u);
                 }
                 done(r.status);
+                resume_parked(dev);
             });
     };
 
@@ -226,7 +237,19 @@ MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
     uint64_t sectors = entry.sectors();
     int zone_idx = st.role_zone[role_idx];
     assert(zone_idx >= 0);
-    if (st.wp[static_cast<uint32_t>(zone_idx)] + sectors > md_zone_cap()) {
+    const bool full =
+        st.wp[static_cast<uint32_t>(zone_idx)] + sectors > md_zone_cap();
+    if (!st.parked.empty() ||
+        (full && st.swap.empty() && st.recycling > 0)) {
+        // Every swap zone is taken and a retired one is still being
+        // recycled: wait for it, behind any append already waiting.
+        st.parked.push_back([this, dev, role, entry = std::move(entry),
+                             durable, cb = std::move(cb)]() mutable {
+            append(dev, role, std::move(entry), durable, std::move(cb));
+        });
+        return;
+    }
+    if (full) {
         // Out of space: switch to a swap zone, then append there.
         gc_switch(dev, role, [](Status s) {
             if (!s.is_ok())
@@ -241,6 +264,17 @@ MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
     do_append(dev, static_cast<uint32_t>(zone_idx), sectors,
               encode_for(dev, entry), durable,
               cause_of(role, entry.header.type), std::move(cb));
+}
+
+void
+MdManager::resume_parked(uint32_t dev)
+{
+    std::vector<std::function<void()>> parked =
+        std::move(dev_state_[dev].parked);
+    dev_state_[dev].parked.clear();
+    // An append that has to park again parks the rest behind it.
+    for (auto &fn : parked)
+        fn();
 }
 
 Result<uint32_t>

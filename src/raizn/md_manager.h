@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/slab.h"
 #include "fault/retry.h"
 #include "raizn/layout.h"
 #include "raizn/metadata.h"
@@ -157,6 +158,12 @@ class MdManager
         std::vector<uint64_t> wp; ///< tracked sectors used per md zone
         std::vector<uint32_t> swap; ///< free md-zone indices
         uint64_t sectors_written = 0;
+        /// Zones a GC switch retired that are not back in `swap` yet
+        /// (checkpoint or reset still in flight).
+        uint32_t recycling = 0;
+        /// Appends waiting for one of those zones (no swap zone was
+        /// free when they needed a switch), in arrival order.
+        std::vector<std::function<void()>> parked;
     };
 
     uint64_t md_zone_cap() const { return layout_->phys_zone_cap(); }
@@ -172,6 +179,8 @@ class MdManager
                    obs::Cause cause, StatusCb cb);
     /// Switches (dev, role) to a fresh swap zone and checkpoints.
     void gc_switch(uint32_t dev, MdZoneRole role, StatusCb done);
+    /// Re-runs the appends parked on `dev`, in order.
+    void resume_parked(uint32_t dev);
     /// On-disk image of `entry` for device `dev`: encoded (a missing
     /// payload zero-filled) when the member stores bytes, else empty.
     std::vector<uint8_t> encode_for(uint32_t dev,
@@ -186,6 +195,9 @@ class MdManager
     std::vector<DevState> dev_state_;
     SnapshotProvider snapshot_;
     IoRetrier *retrier_ = nullptr;
+    /// Callbacks of appends in flight; the device completion captures
+    /// only (this, slot), which fits std::function's inline buffer.
+    Slab<StatusCb> append_cbs_;
     uint64_t gc_runs_ = 0;
 };
 

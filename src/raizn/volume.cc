@@ -7,6 +7,7 @@
 
 #include "array/stripe_gather.h"
 #include "common/logging.h"
+#include "common/slab.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
@@ -377,7 +378,8 @@ RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
     lz.crc.record(lba - lz.start, data.empty() ? nullptr : data.data(),
                   nsectors);
 
-    auto ctx = std::make_shared<WriteCtx>();
+    // Pooled: one per logical write on the hot path.
+    auto ctx = std::allocate_shared<WriteCtx>(PoolAllocator<WriteCtx>());
     ctx->flags = flags;
     ctx->zone = zone;
     ctx->end_lba = lba + nsectors;
@@ -488,17 +490,7 @@ RaiznVolume::submit_data_subio(uint32_t dev, uint32_t zone, uint64_t pba,
     req.trace_req = ctx->req_id;
     req.trace_stage = "write.data";
     req.cause = ctx->flags.origin;
-    dev_submit(dev, std::move(req),
-               [this, ctx, dev](IoResult r) {
-                   if (!r.status.is_ok() &&
-                       escalate_dev_error(dev, r.status)) {
-                       // Degraded write: the device is failed, the
-                       // stripe unit is omitted (§4.2).
-                       subio_done(ctx, Status::ok());
-                       return;
-                   }
-                   subio_done(ctx, r.status);
-               });
+    dev_submit(dev, std::move(req), member_done(std::move(ctx), dev));
 }
 
 void
@@ -536,11 +528,7 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
                                  obs::kTrackMetadata, loop_->now())
             : 0;
         md_->append(dev, MdZoneRole::kGeneral, std::move(app), false,
-                    [this, ctx, tok](Status s) {
-                        if (trace_ != nullptr && tok != 0)
-                            trace_->end_span(tok, loop_->now());
-                        subio_done(ctx, s);
-                    });
+                    md_done(ctx, tok));
         stats_.relocated_writes++;
         return;
     }
@@ -554,15 +542,7 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
     req.trace_req = ctx->req_id;
     req.trace_stage = "write.parity";
     req.cause = obs::Cause::kParity;
-    dev_submit(dev, std::move(req),
-               [this, ctx, dev](IoResult r) {
-                   if (!r.status.is_ok() &&
-                       escalate_dev_error(dev, r.status)) {
-                       subio_done(ctx, Status::ok());
-                       return;
-                   }
-                   subio_done(ctx, r.status);
-               });
+    dev_submit(dev, std::move(req), member_done(std::move(ctx), dev));
 }
 
 MdAppend
@@ -602,7 +582,10 @@ RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
     rec.end_lba = end_lba;
     rec.lo_sector = lo_sector;
     rec.delta = metered_copy(delta);
-    pp_index_[zs_key(zone, stripe)].push_back(std::move(rec));
+    std::vector<PpRecord> &recs = pp_index_[zs_key(zone, stripe)];
+    if (recs.empty())
+        recs.reserve(cfg_.data_units()); // one per unit-sized fill
+    recs.push_back(std::move(rec));
 
     if (debug_fault_ == DebugFault::kSkipPartialParityLog)
         return; // deliberate bug: in-memory index only, nothing durable
@@ -618,12 +601,7 @@ RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
                              obs::kTrackMetadata, loop_->now())
         : 0;
     md_->append(dev, MdZoneRole::kParityLog, std::move(app),
-                /*durable=*/ctx->flags.fua,
-                [this, ctx, tok](Status s) {
-                    if (trace_ != nullptr && tok != 0)
-                        trace_->end_span(tok, loop_->now());
-                    subio_done(ctx, s);
-                });
+                /*durable=*/ctx->flags.fua, md_done(ctx, tok));
 }
 
 void
@@ -658,12 +636,7 @@ RaiznVolume::relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
                              obs::kTrackMetadata, loop_->now())
         : 0;
     md_->append(dev, MdZoneRole::kGeneral, std::move(app),
-                /*durable=*/ctx->flags.fua,
-                [this, ctx, tok](Status s) {
-                    if (trace_ != nullptr && tok != 0)
-                        trace_->end_span(tok, loop_->now());
-                    subio_done(ctx, s);
-                });
+                /*durable=*/ctx->flags.fua, md_done(ctx, tok));
 }
 
 void
@@ -675,6 +648,40 @@ RaiznVolume::subio_done(std::shared_ptr<WriteCtx> ctx, Status status)
     ctx->pending--;
     if (ctx->pending == 0 && ctx->issued_all)
         finish_write(ctx);
+}
+
+IoCallback
+RaiznVolume::member_done(std::shared_ptr<WriteCtx> ctx, uint32_t dev)
+{
+    uint32_t slot = sub_ios_.acquire();
+    sub_ios_[slot].ctx = std::move(ctx);
+    sub_ios_[slot].dev = dev;
+    return [this, slot](IoResult r) {
+        SubIo io = std::move(sub_ios_[slot]);
+        sub_ios_.release(slot);
+        if (!r.status.is_ok() && escalate_dev_error(io.dev, r.status)) {
+            // Degraded write: the device is failed, the stripe unit is
+            // omitted (§4.2).
+            subio_done(std::move(io.ctx), Status::ok());
+            return;
+        }
+        subio_done(std::move(io.ctx), r.status);
+    };
+}
+
+StatusCb
+RaiznVolume::md_done(std::shared_ptr<WriteCtx> ctx, uint64_t tok)
+{
+    uint32_t slot = sub_ios_.acquire();
+    sub_ios_[slot].ctx = std::move(ctx);
+    sub_ios_[slot].tok = tok;
+    return [this, slot](Status s) {
+        SubIo io = std::move(sub_ios_[slot]);
+        sub_ios_.release(slot);
+        if (trace_ != nullptr && io.tok != 0)
+            trace_->end_span(io.tok, loop_->now());
+        subio_done(std::move(io.ctx), s);
+    };
 }
 
 void
@@ -742,15 +749,7 @@ RaiznVolume::start_fua_flush_phase(std::shared_ptr<WriteCtx> ctx)
         freq.trace_req = ctx->req_id;
         freq.trace_stage = "write.fua_flush";
         freq.cause = ctx->flags.origin;
-        dev_submit(d, std::move(freq),
-                   [this, ctx, d](IoResult r) {
-                       if (!r.status.is_ok() &&
-                           escalate_dev_error(d, r.status)) {
-                           subio_done(ctx, Status::ok());
-                           return;
-                       }
-                       subio_done(ctx, r.status);
-                   });
+        dev_submit(d, std::move(freq), member_done(ctx, d));
     }
     if (ctx->pending == 0)
         finish_write(ctx);
@@ -1099,7 +1098,8 @@ void
 RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                           IoCallback cb)
 {
-    auto extents = layout_->map_range(lba, nsectors);
+    ExtentList extents;
+    layout_->map_range(lba, nsectors, &extents);
     StripeGather::Spec spec;
     spec.fold = StripeGather::Fold::kPlace;
     if (store_data_)

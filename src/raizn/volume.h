@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "array/zoned_array.h"
+#include "common/slab.h"
 #include "fault/health.h"
 #include "fault/retry.h"
 #include "raizn/config.h"
@@ -326,6 +327,13 @@ class RaiznVolume : public ZonedArray
                         std::vector<uint8_t> data, uint32_t nsectors,
                         std::shared_ptr<WriteCtx> ctx);
     void subio_done(std::shared_ptr<WriteCtx> ctx, Status status);
+    /// Completion of a write's data, parity or FUA-flush sub-I/O on
+    /// member `dev`: a failed member's error degrades the write
+    /// instead of failing it (§4.2).
+    IoCallback member_done(std::shared_ptr<WriteCtx> ctx, uint32_t dev);
+    /// Completion of a write's metadata append (partial parity or
+    /// relocation); ends trace span `tok` (0: none).
+    StatusCb md_done(std::shared_ptr<WriteCtx> ctx, uint64_t tok);
     void finish_write(std::shared_ptr<WriteCtx> ctx);
     void start_fua_flush_phase(std::shared_ptr<WriteCtx> ctx);
     StripeBuffer *get_buffer(uint32_t zone, uint64_t stripe);
@@ -448,6 +456,15 @@ class RaiznVolume : public ZonedArray
         std::vector<uint8_t> delta; ///< cached (empty in timing mode)
     };
     std::map<uint64_t, std::vector<PpRecord>> pp_index_;
+
+    /// Write sub-I/Os in flight. Their completions capture only
+    /// (this, slot), which fits std::function's inline buffer.
+    struct SubIo {
+        std::shared_ptr<WriteCtx> ctx;
+        uint32_t dev = 0; ///< member_done: the member written
+        uint64_t tok = 0; ///< md_done: the trace span to end
+    };
+    Slab<SubIo> sub_ios_;
 
     VolumeStats stats_;
     uint32_t max_open_zones_ = 0;

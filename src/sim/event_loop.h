@@ -7,15 +7,21 @@
  * Determinism: events at the same tick fire in the order they were
  * scheduled (a monotonically increasing sequence number breaks ties), so
  * a given seed always produces an identical run.
+ *
+ * Storage: the queue is a 4-ary min-heap of 24 B (when, seq, slot) keys;
+ * each key's callback, tag and host stamp sit in a slab slot that sifts
+ * never move. A popped callback is moved out of its slot, and the slot
+ * freed, before it runs: it may schedule events that reuse the slot or
+ * grow the slab.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/slab.h"
 #include "common/units.h"
 
 namespace raizn {
@@ -104,8 +110,8 @@ class EventLoop
     /// Runs exactly `n` events (or fewer if the queue drains).
     uint64_t run_events(uint64_t n);
 
-    bool empty() const { return queue_.empty(); }
-    size_t pending() const { return queue_.size(); }
+    bool empty() const { return heap_.empty(); }
+    size_t pending() const { return heap_.size(); }
     uint64_t events_processed() const { return stats_.events_processed; }
 
     /// Cumulative scheduling counters (stable address for linkage).
@@ -146,26 +152,28 @@ class EventLoop
     }
 
   private:
-    struct Event {
+    struct Key {
         Tick when;
         uint64_t seq;
-        Callback fn;
-        const char *tag;     ///< profiler callback tag (may be null)
-        uint64_t sched_host; ///< host ns at schedule time; 0 = unstamped
+        uint32_t slot; ///< index into slots_
     };
-    struct Later {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
+    struct Slot {
+        Callback fn;
+        const char *tag = nullptr; ///< profiler callback tag (may be null)
+        uint64_t sched_host = 0; ///< host ns at schedule time; 0 = unstamped
     };
 
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+    void push(Key k);
+    Key pop();
     bool pop_and_run();
 
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    std::vector<Key> heap_; ///< 4-ary min-heap on (when, seq)
+    Slab<Slot> slots_;
     Tick now_ = 0;
     uint64_t next_seq_ = 0;
     EventLoopStats stats_;

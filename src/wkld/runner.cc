@@ -11,6 +11,17 @@ namespace raizn {
 
 namespace {
 
+struct JobState;
+
+/// What every job of one run() shares. Lives on run()'s stack, which
+/// outlasts every completion: run() returns once all jobs drained.
+struct RunState {
+    EventLoop *loop;
+    Sampler *sampler;
+    std::function<void(JobState &)> issue;
+    size_t active;
+};
+
 /// Per-job driver: keeps queue_depth IOs outstanding until the stop
 /// condition fires.
 struct JobState {
@@ -23,10 +34,21 @@ struct JobState {
     bool finished = false;
     JobResult result;
     Tick start = 0;
+    RunState *run = nullptr;
 
-    explicit JobState(const JobSpec &s)
-        : spec(s), rng(s.seed), next_off(s.region_start)
+    JobState(const JobSpec &s, RunState *r)
+        : spec(s), rng(s.seed), next_off(s.region_start), run(r)
     {
+    }
+
+    void
+    finish_if_drained()
+    {
+        if (stopped && outstanding == 0 && !finished) {
+            finished = true;
+            result.elapsed = run->loop->now() - start;
+            run->active--;
+        }
     }
 };
 
@@ -41,19 +63,17 @@ std::vector<JobResult>
 WorkloadRunner::run(const std::vector<JobSpec> &jobs, Sampler *sampler)
 {
     PROF_SCOPE("wkld.run");
-    auto states = std::make_shared<std::vector<JobState>>();
-    states->reserve(jobs.size());
+    RunState rs{loop_, sampler, nullptr, jobs.size()};
+    std::vector<JobState> states;
+    states.reserve(jobs.size());
     for (const JobSpec &s : jobs) {
         JobSpec spec = s;
         if (spec.region_len == 0)
             spec.region_len = target_->capacity() - spec.region_start;
-        states->emplace_back(spec);
+        states.emplace_back(spec, &rs);
     }
-    auto active = std::make_shared<size_t>(states->size());
 
-    // One issuing function per job, kept alive by shared_ptr.
-    auto issue = std::make_shared<std::function<void(JobState &)>>();
-    *issue = [this, sampler, issue, active](JobState &job) {
+    rs.issue = [this](JobState &job) {
         const JobSpec &s = job.spec;
         while (!job.stopped && job.outstanding < s.queue_depth) {
             // Stop conditions.
@@ -65,7 +85,7 @@ WorkloadRunner::run(const std::vector<JobSpec> &jobs, Sampler *sampler)
                 job.stopped = true;
                 break;
             }
-            uint64_t lba;
+            uint64_t lba = 0;
             switch (s.mode) {
               case RwMode::kSeqWrite:
               case RwMode::kSeqRead:
@@ -100,35 +120,26 @@ WorkloadRunner::run(const std::vector<JobSpec> &jobs, Sampler *sampler)
 
             job.issued++;
             job.outstanding++;
-            Tick submit = loop_->now();
-            auto cb = [this, sampler, issue, active, &job,
-                       submit](IoResult r) {
-                Tick lat = loop_->now() - submit;
-                job.outstanding--;
+            // Two words, so the completion fits std::function's inline
+            // buffer: the rest is reached through the job.
+            auto cb = [job = &job, submit = loop_->now()](IoResult r) {
+                RunState &run = *job->run;
+                Tick lat = run.loop->now() - submit;
+                job->outstanding--;
                 if (r.status.is_ok()) {
-                    job.result.ios++;
-                    job.result.bytes +=
-                        static_cast<uint64_t>(job.spec.block_sectors) *
+                    const uint64_t bytes =
+                        static_cast<uint64_t>(job->spec.block_sectors) *
                         kSectorSize;
-                    job.result.latency.add(lat);
-                    if (sampler) {
-                        sampler->record(
-                            loop_->now(),
-                            static_cast<uint64_t>(
-                                job.spec.block_sectors) *
-                                kSectorSize,
-                            lat);
-                    }
+                    job->result.ios++;
+                    job->result.bytes += bytes;
+                    job->result.latency.add(lat);
+                    if (run.sampler)
+                        run.sampler->record(run.loop->now(), bytes, lat);
                 } else {
-                    job.result.errors++;
+                    job->result.errors++;
                 }
-                (*issue)(job);
-                if (job.stopped && job.outstanding == 0 &&
-                    !job.finished) {
-                    job.finished = true;
-                    job.result.elapsed = loop_->now() - job.start;
-                    (*active)--;
-                }
+                run.issue(*job);
+                job->finish_if_drained();
             };
             bool is_write = s.mode == RwMode::kSeqWrite ||
                 s.mode == RwMode::kRandWrite;
@@ -137,25 +148,18 @@ WorkloadRunner::run(const std::vector<JobSpec> &jobs, Sampler *sampler)
             else
                 target_->read(lba, s.block_sectors, cb);
         }
-        if (job.stopped && job.outstanding == 0 && !job.finished) {
-            job.finished = true;
-            job.result.elapsed = loop_->now() - job.start;
-            (*active)--;
-        }
+        job.finish_if_drained();
     };
 
-    for (JobState &job : *states) {
+    for (JobState &job : states) {
         job.start = loop_->now();
-        (*issue)(job);
+        rs.issue(job);
     }
-    loop_->run_until_pred([&] { return *active == 0; });
-    // Break the issue-function's self-reference cycle (it captures its
-    // own shared_ptr so completions can re-enter it).
-    *issue = [](JobState &) {};
+    loop_->run_until_pred([&] { return rs.active == 0; });
 
     std::vector<JobResult> out;
-    out.reserve(states->size());
-    for (JobState &job : *states)
+    out.reserve(states.size());
+    for (JobState &job : states)
         out.push_back(std::move(job.result));
     return out;
 }

@@ -32,15 +32,23 @@ ConvDevice::complete(Tick when, IoCallback cb, IoResult result)
 {
     result.submit_tick = loop_->now();
     result.complete_tick = when;
-    uint64_t epoch = epoch_;
-    loop_->schedule_at(
-        when, "conv.complete",
-        [this, epoch, cb = std::move(cb),
-         result = std::move(result)]() mutable {
-            if (epoch != epoch_)
-                return;
-            cb(std::move(result));
-        });
+    uint32_t slot = pending_.acquire();
+    pending_[slot].cb = std::move(cb);
+    pending_[slot].result = std::move(result);
+    loop_->schedule_at(when, "conv.complete",
+                       [this, slot, gen = pending_.gen(slot)] {
+                           fire(slot, gen);
+                       });
+}
+
+void
+ConvDevice::fire(uint32_t slot, uint32_t gen)
+{
+    if (pending_.gen(slot) != gen)
+        return;
+    Pending p = std::move(pending_[slot]);
+    pending_.release(slot);
+    p.cb(std::move(p.result));
 }
 
 void
@@ -170,7 +178,7 @@ void
 ConvDevice::reattach(EventLoop *loop)
 {
     loop_ = loop;
-    epoch_++;
+    pending_.release_all();
     timing_ = std::make_unique<TimingModel>(*loop_, config_.timing);
     timing_->set_busy_accumulator(&stats_.busy_ns);
 }
@@ -179,7 +187,7 @@ void
 ConvDevice::replace()
 {
     failed_ = false;
-    epoch_++;
+    pending_.release_all();
     data_.clear();
     FtlConfig fcfg;
     fcfg.user_pages = config_.nsectors;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slab.h"
 #include "zns/block_device.h"
 #include "zns/ftl.h"
 #include "zns/timing_model.h"
@@ -60,7 +61,14 @@ class ConvDevice : public BlockDevice
     void replace();
 
   private:
+    /// A completion parked until its event fires (see ZnsDevice).
+    struct Pending {
+        IoCallback cb;
+        IoResult result;
+    };
+
     void complete(Tick when, IoCallback cb, IoResult result);
+    void fire(uint32_t slot, uint32_t gen);
 
     EventLoop *loop_;
     ConvDeviceConfig config_;
@@ -69,7 +77,8 @@ class ConvDevice : public BlockDevice
     std::unique_ptr<TimingModel> timing_;
     std::unique_ptr<Ftl> ftl_;
     std::vector<uint8_t> data_; ///< lazily allocated in kStore mode
-    uint64_t epoch_ = 0;
+    /// Completions in flight; reattach() and replace() void them all.
+    Slab<Pending> pending_;
     bool failed_ = false;
 };
 

@@ -76,24 +76,35 @@ ZnsDevice::complete(Tick when, IoCallback cb, IoResult result,
 {
     result.submit_tick = loop_->now();
     result.complete_tick = when;
-    uint64_t epoch = epoch_;
-    loop_->schedule_at(
-        when, "zns.complete",
-        [this, epoch, cb = std::move(cb), apply = std::move(apply),
-         result = std::move(result), tev]() mutable {
-            // Completions from before a power cut never reach the host,
-            // and their durability/state effects never land.
-            if (epoch != epoch_)
-                return;
-            if (apply)
-                apply();
-            if (trace_) {
-                tev.dev = this;
-                tev.tick = loop_->now();
-                trace_(tev);
-            }
-            cb(std::move(result));
-        });
+    uint32_t slot = pending_.acquire();
+    Pending &p = pending_[slot];
+    p.cb = std::move(cb);
+    p.apply = std::move(apply);
+    p.result = std::move(result);
+    p.tev = tev;
+    loop_->schedule_at(when, "zns.complete",
+                       [this, slot, gen = pending_.gen(slot)] {
+                           fire(slot, gen);
+                       });
+}
+
+void
+ZnsDevice::fire(uint32_t slot, uint32_t gen)
+{
+    // Completions from before a power cut never reach the host, and
+    // their durability/state effects never land.
+    if (pending_.gen(slot) != gen)
+        return;
+    Pending p = std::move(pending_[slot]);
+    pending_.release(slot);
+    if (p.apply)
+        p.apply();
+    if (trace_) {
+        p.tev.dev = this;
+        p.tev.tick = loop_->now();
+        trace_(p.tev);
+    }
+    p.cb(std::move(p.result));
 }
 
 Status
@@ -467,7 +478,7 @@ ZnsDevice::submit(IoRequest req, IoCallback cb)
 void
 ZnsDevice::power_cut(const PowerLossSpec &spec)
 {
-    epoch_++;
+    pending_.release_all();
     Rng rng(spec.seed ^ 0xdeadbeef);
     for (Zone &z : zones_) {
         if (z.state == ZoneState::kReadOnly ||
@@ -569,7 +580,7 @@ void
 ZnsDevice::replace()
 {
     failed_ = false;
-    epoch_++;
+    pending_.release_all();
     open_count_ = 0;
     active_count_ = 0;
     for (uint32_t i = 0; i < config_.nzones; ++i) {

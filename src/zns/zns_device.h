@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/slab.h"
 #include "zns/block_device.h"
 #include "zns/timing_model.h"
 
@@ -155,9 +156,18 @@ class ZnsDevice : public BlockDevice
         uint64_t last_use = 0; ///< for implicit-open LRU eviction
         std::vector<uint8_t> data; ///< lazily allocated, capacity bytes
     };
+    /// A completion parked until its event fires; the event captures
+    /// only (this, slot, generation).
+    struct Pending {
+        IoCallback cb;
+        Apply apply;
+        IoResult result;
+        ZnsTraceEvent tev;
+    };
 
     void complete(Tick when, IoCallback cb, IoResult result,
                   Apply apply = nullptr, ZnsTraceEvent tev = {});
+    void fire(uint32_t slot, uint32_t gen);
     Status validate_write(const Zone &z, uint64_t slba,
                           uint32_t nsectors) const;
     void transition_open(Zone &z, bool explicit_open);
@@ -183,7 +193,9 @@ class ZnsDevice : public BlockDevice
     uint32_t open_count_ = 0;
     uint32_t active_count_ = 0;
     uint64_t use_clock_ = 0;
-    uint64_t epoch_ = 0; ///< bumped on power_cut; stale completions drop
+    /// Completions in flight. A power cut or replace() releases them
+    /// all, so their events find a stale generation and drop.
+    Slab<Pending> pending_;
     bool failed_ = false;
     TraceFn trace_;
 };

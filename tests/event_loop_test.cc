@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for the discrete-event loop: ordering, determinism,
- * run modes.
+ * run modes, and a randomized comparison against a reference
+ * std::priority_queue loop.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <queue>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -121,6 +129,182 @@ TEST(EventLoopTest, CascadedEventsDeterministic)
         return ticks;
     };
     EXPECT_EQ(trace(3), trace(3));
+}
+
+/// Reference loop: the textbook std::priority_queue of whole events,
+/// with the same clamp-to-now and (when, seq) order the loop promises.
+class RefLoop
+{
+  public:
+    Tick now() const { return now_; }
+    size_t pending() const { return q_.size(); }
+    uint64_t max_pending() const { return max_pending_; }
+
+    void
+    schedule_at(Tick when, std::function<void()> fn)
+    {
+        q_.push(Ev{std::max(when, now_), seq_++, std::move(fn)});
+        max_pending_ = std::max<uint64_t>(max_pending_, q_.size());
+    }
+    void
+    schedule_after(Tick delay, std::function<void()> fn)
+    {
+        schedule_at(now_ + delay, std::move(fn));
+    }
+    void set_observer(std::function<void(Tick, uint64_t)> o) { obs_ = o; }
+    void set_probe(std::function<void(Tick)> p) { probe_ = p; }
+
+    uint64_t
+    run()
+    {
+        uint64_t n = 0;
+        while (step())
+            n++;
+        return n;
+    }
+    uint64_t
+    run_until(Tick until)
+    {
+        uint64_t n = 0;
+        while (!q_.empty() && q_.top().when <= until) {
+            step();
+            n++;
+        }
+        now_ = std::max(now_, until);
+        return n;
+    }
+    bool
+    run_until_pred(const std::function<bool()> &pred)
+    {
+        while (!pred()) {
+            if (!step())
+                return pred();
+        }
+        return true;
+    }
+    uint64_t
+    run_events(uint64_t n)
+    {
+        uint64_t done = 0;
+        while (done < n && step())
+            done++;
+        return done;
+    }
+
+  private:
+    struct Ev {
+        Tick when;
+        uint64_t seq;
+        std::function<void()> fn;
+    };
+    struct Later {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            return std::tie(a.when, a.seq) > std::tie(b.when, b.seq);
+        }
+    };
+
+    bool
+    step()
+    {
+        if (q_.empty())
+            return false;
+        Ev ev = q_.top();
+        q_.pop();
+        now_ = ev.when;
+        if (obs_)
+            obs_(ev.when, ev.seq);
+        ev.fn();
+        if (probe_)
+            probe_(now_);
+        return true;
+    }
+
+    std::priority_queue<Ev, std::vector<Ev>, Later> q_;
+    Tick now_ = 0;
+    uint64_t seq_ = 0;
+    uint64_t max_pending_ = 0;
+    std::function<void(Tick, uint64_t)> obs_;
+    std::function<void(Tick)> probe_;
+};
+
+/**
+ * One randomized schedule, driven through every run mode: closures are
+ * too big for std::function's inline buffer, and each event may
+ * schedule children at the current tick, a little later, far later, or
+ * in the past. Returns the log of observer, callback and probe calls
+ * plus the loop's end state.
+ */
+template <typename Loop>
+std::vector<std::string>
+drive(Loop &loop, uint64_t seed)
+{
+    std::vector<std::string> log;
+    Rng rng(seed);
+    uint64_t fired = 0;
+    loop.set_observer([&](Tick t, uint64_t seq) {
+        log.push_back("obs " + std::to_string(t) + " " +
+                      std::to_string(seq));
+    });
+    loop.set_probe([&](Tick t) { log.push_back("probe " + std::to_string(t)); });
+
+    std::function<void(uint64_t, uint32_t)> post;
+    post = [&](uint64_t id, uint32_t depth) {
+        std::array<uint64_t, 4> pad{id, depth, id ^ depth, ~id};
+        Tick when;
+        switch (rng.next_below(4)) {
+        case 0: when = loop.now(); break;
+        case 1: when = loop.now() + rng.next_below(8); break;
+        case 2: when = loop.now() + rng.next_below(100000); break;
+        default: when = loop.now() > 5 ? loop.now() - 5 : 0; break;
+        }
+        loop.schedule_at(when, [&, id, depth, pad] {
+            fired++;
+            log.push_back("run " + std::to_string(id) + "@" +
+                          std::to_string(loop.now()) + " " +
+                          std::to_string(pad[2]));
+            uint64_t kids = depth < 6 ? rng.next_below(3) : 0;
+            for (uint64_t k = 0; k < kids; ++k)
+                post(id * 4 + k + 1, depth + 1);
+        });
+    };
+    const uint64_t roots = 50 + rng.next_below(200);
+    for (uint64_t i = 0; i < roots; ++i)
+        post(i << 32, 0);
+
+    loop.run_events(rng.next_below(64));
+    log.push_back("until " + std::to_string(loop.run_until(loop.now() + 5000)));
+    const uint64_t target = fired + rng.next_below(128);
+    log.push_back(std::string("pred ") +
+                  (loop.run_until_pred([&] { return fired >= target; })
+                       ? "met"
+                       : "drained"));
+    for (uint64_t i = 0; i < 16; ++i)
+        post((1ull << 60) + i, 3); // late arrivals into the running heap
+    log.push_back("run " + std::to_string(loop.run()));
+    log.push_back("end " + std::to_string(loop.now()) + " " +
+                  std::to_string(loop.pending()));
+    loop.set_observer(nullptr);
+    loop.set_probe(nullptr);
+    return log;
+}
+
+TEST(EventLoopTest, MatchesReferenceQueueOnRandomSchedules)
+{
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        EventLoop loop;
+        RefLoop ref;
+        std::vector<std::string> got = drive(loop, seed);
+        std::vector<std::string> want = drive(ref, seed);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], want[i]) << "seed " << seed << " line " << i;
+        EXPECT_EQ(loop.stats().max_pending, ref.max_pending())
+            << "seed " << seed;
+        EXPECT_EQ(loop.stats().events_processed,
+                  loop.stats().events_scheduled);
+    }
 }
 
 } // namespace

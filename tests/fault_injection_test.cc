@@ -4,14 +4,19 @@
  * device decorator (determinism, one-shot injections), the volume's
  * retry/backoff and watchdog behavior, health-based failure
  * escalation, fail-slow detection, CRC-based corruption detection
- * with degraded-read fallback, and the scrubber's read-repair.
+ * with degraded-read fallback, the scrubber's read-repair, and the
+ * retrier's and health monitor's contracts in isolation.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "fault/fault_device.h"
+#include "fault/health.h"
+#include "fault/retry.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"
@@ -324,6 +329,125 @@ TEST(FaultVolumeTest, FailSlowDeviceIsDetected)
     }
     // Advisory only: the slow device is not failed.
     EXPECT_EQ(a.vol->failed_device(), -1);
+}
+
+/// Non-zoned device that holds every command until the test completes
+/// it, so a test can order completions against watchdogs and reuse.
+class HeldDevice : public BlockDevice
+{
+  public:
+    explicit HeldDevice(EventLoop *loop) : loop_(loop)
+    {
+        geom_.nsectors = 1024;
+    }
+    const DeviceGeometry &geometry() const override { return geom_; }
+    const DeviceStats &stats() const override { return stats_; }
+    DataMode data_mode() const override { return DataMode::kNone; }
+    void
+    submit(IoRequest req, IoCallback cb) override
+    {
+        held.push_back({std::move(req), std::move(cb)});
+    }
+    Result<ZoneInfo> zone_info(uint32_t) const override
+    {
+        return Status(StatusCode::kNotSupported, "not zoned");
+    }
+    bool failed() const override { return false; }
+    void fail() override {}
+
+    /// Completes held command `i` successfully at the current tick.
+    void
+    complete(size_t i)
+    {
+        IoResult r;
+        r.lba = held[i].req.slba;
+        r.submit_tick = r.complete_tick = loop_->now();
+        IoCallback cb = std::move(held[i].cb);
+        cb(std::move(r));
+    }
+
+    struct Held {
+        IoRequest req;
+        IoCallback cb;
+    };
+    std::vector<Held> held;
+
+  private:
+    EventLoop *loop_;
+    DeviceGeometry geom_;
+    DeviceStats stats_;
+};
+
+TEST(IoRetrierTest, SupersededAttemptIsDroppedAfterItsSlotIsReused)
+{
+    EventLoop loop;
+    HeldDevice dev(&loop);
+    std::vector<BlockDevice *> slots{&dev};
+    RetryPolicy policy;
+    policy.io_deadline = 100 * kNsPerUs;
+    uint64_t retries = 0, timeouts = 0;
+    IoRetrier retrier(&loop, policy, nullptr, &retries, &timeouts, &slots);
+
+    std::vector<uint64_t> a_done, b_done;
+    retrier.submit(&dev, 0, IoRequest::read(10, 1),
+                   [&](IoResult r) { a_done.push_back(r.lba); });
+    // Op A's first attempt outlives the watchdog; the retry is issued.
+    loop.run_until_pred([&] { return dev.held.size() == 2; });
+    ASSERT_EQ(timeouts, 1u);
+    dev.complete(1); // the retry lands: op A finishes, its slot frees
+    ASSERT_EQ(a_done, std::vector<uint64_t>{10});
+
+    retrier.submit(&dev, 0, IoRequest::read(20, 1),
+                   [&](IoResult r) { b_done.push_back(r.lba); });
+    ASSERT_EQ(dev.held.size(), 3u);
+    dev.complete(0); // A's superseded first attempt, into B's slot
+    EXPECT_TRUE(b_done.empty()) << "stale completion reached op B";
+    EXPECT_EQ(a_done.size(), 1u);
+    dev.complete(2);
+    EXPECT_EQ(b_done, std::vector<uint64_t>{20});
+    // Op B's watchdog was disarmed by its completion; A's were too.
+    loop.run();
+    EXPECT_EQ(timeouts, 1u);
+    EXPECT_EQ(dev.held.size(), 3u);
+}
+
+TEST(HealthMonitorTest, FailSlowMatchesSortedPeerMedian)
+{
+    // Device counts on both sides of the monitor's stack buffer.
+    Rng rng(17);
+    for (uint32_t n : {2u, 3u, 5u, 8u, 31u, 32u, 33u, 64u, 100u}) {
+        for (int round = 0; round < 20; ++round) {
+            HealthConfig cfg;
+            cfg.min_samples = 4;
+            cfg.slow_factor = 1.0 + rng.next_double() * 4.0;
+            HealthMonitor h(n, cfg);
+            for (uint32_t d = 0; d < n; ++d) {
+                // Some devices stay under min_samples; latencies repeat
+                // so the median has ties.
+                uint64_t samples = rng.next_below(8);
+                for (uint64_t i = 0; i < samples; ++i)
+                    h.record_success(d, 1000 * (1 + rng.next_below(6)));
+            }
+            for (uint32_t d = 0; d < n; ++d) {
+                std::vector<double> peers;
+                for (uint32_t p = 0; p < n; ++p) {
+                    if (p != d && h.device(p).successes >= cfg.min_samples &&
+                        h.device(p).ewma_latency_ns > 0.0)
+                        peers.push_back(h.device(p).ewma_latency_ns);
+                }
+                bool want = false;
+                const DeviceHealth &me = h.device(d);
+                if (me.successes >= cfg.min_samples &&
+                    me.ewma_latency_ns > 0.0 && !peers.empty()) {
+                    std::sort(peers.begin(), peers.end());
+                    want = me.ewma_latency_ns >
+                        cfg.slow_factor * peers[peers.size() / 2];
+                }
+                EXPECT_EQ(h.fail_slow(d), want)
+                    << "n " << n << " round " << round << " dev " << d;
+            }
+        }
+    }
 }
 
 TEST(FaultVolumeTest, BitflipCaughtByChecksumAndServedFromParity)

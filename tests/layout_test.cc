@@ -111,7 +111,8 @@ TEST(LayoutTest, MapRangeSplitsAtStripeUnits)
 {
     Layout l = make_layout();
     // 40 sectors starting mid-unit: 8 + 16 + 16 split.
-    auto exts = l.map_range(8, 40);
+    ExtentList exts;
+    l.map_range(8, 40, &exts);
     ASSERT_EQ(exts.size(), 3u);
     EXPECT_EQ(exts[0].nsectors, 8u);
     EXPECT_EQ(exts[1].nsectors, 16u);
@@ -126,7 +127,8 @@ TEST(LayoutTest, MapRangeSplitsAtStripeUnits)
 TEST(LayoutTest, MapRangeCoversWholeZone)
 {
     Layout l = make_layout();
-    auto exts = l.map_range(0, l.logical_zone_cap());
+    ExtentList exts;
+    l.map_range(0, l.logical_zone_cap(), &exts);
     uint64_t total = 0;
     for (const auto &e : exts)
         total += e.nsectors;

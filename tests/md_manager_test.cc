@@ -6,8 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "raizn/layout.h"
 #include "raizn/md_manager.h"
+#include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"
 
@@ -274,6 +277,52 @@ TEST_F(MdManagerTest, ScanSurvivesPowerCutDuringGc)
                });
     loop2.run_until_pred([&] { return done; });
     EXPECT_TRUE(out.is_ok()) << out.to_string();
+}
+
+TEST(MdManagerDefaultZones, GcWaitsForTheRecycledZoneReset)
+{
+    // The default three metadata zones leave one swap zone. One-sector
+    // writes into one stripe log two sectors of partial parity each,
+    // so the parity log outruns the 64-sector zones faster than a GC
+    // reset (2 ms) hands the recycled zone back.
+    EventLoop loop;
+    std::vector<std::unique_ptr<ZnsDevice>> devs;
+    std::vector<BlockDevice *> ptrs;
+    for (int i = 0; i < 5; ++i) {
+        ZnsDeviceConfig dc;
+        dc.nzones = 8;
+        dc.zone_size = 64;
+        devs.push_back(std::make_unique<ZnsDevice>(&loop, dc));
+        ptrs.push_back(devs.back().get());
+    }
+    RaiznConfig rc;
+    rc.num_devices = 5;
+    rc.su_sectors = 16;
+    ASSERT_EQ(rc.md_zones_per_device, 3u);
+    auto res = RaiznVolume::create(&loop, ptrs, rc);
+    ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+    std::unique_ptr<RaiznVolume> vol = std::move(res).value();
+
+    int ok = 0;
+    for (uint64_t lba = 0; lba < 64; ++lba) {
+        vol->write(lba, pattern_data(1, lba), {}, [&](IoResult r) {
+            ok += r.status.is_ok();
+        });
+    }
+    loop.run();
+    EXPECT_EQ(ok, 64);
+    EXPECT_GE(vol->md_manager().gc_runs(), 2u);
+
+    IoResult r;
+    vol->read(0, 64, [&](IoResult got) { r = std::move(got); });
+    loop.run();
+    ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+    for (uint64_t lba = 0; lba < 64; ++lba) {
+        std::vector<uint8_t> want = pattern_data(1, lba);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                               r.data.begin() + lba * kSectorSize))
+            << "sector " << lba;
+    }
 }
 
 /// Member 1 runs timing-only; members 0 and 2 store bytes.

@@ -3,7 +3,7 @@
  * Host-side scoped profiler (src/obs/prof): nesting and self-vs-total
  * accounting on both clocks, folded flamegraph export, window
  * counters, the zero-cost-when-disabled guarantee, and the alloc/copy
- * meters' coverage of RAIZN's partial-parity log.
+ * meters' coverage of RAIZN's partial-parity log and the retrier.
  *
  * The profiler is global, single-threaded state; every test starts by
  * disabling and resetting it so ordering cannot leak between tests.
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/retry.h"
 #include "obs/ledger.h"
 #include "obs/prof/prof.h"
 #include "raizn/volume.h"
@@ -397,6 +398,36 @@ TEST(Prof, TimingOnlyMembersAllocateAndCopyNothing)
     EXPECT_GT(ledger.cause_write_bytes(obs::Cause::kPpLog), 0u);
     EXPECT_EQ(wc.alloc_bytes, 0u);
     EXPECT_EQ(wc.copy_bytes, 0u);
+}
+
+TEST(Prof, RetrierCopiesEachWritePayloadOnce)
+{
+    // The retrier keeps the original request for retries and hands the
+    // device one copy per attempt; a healthy pass makes one attempt per
+    // sub-I/O.
+    fresh();
+    EventLoop loop;
+    ZnsDeviceConfig dc;
+    dc.nzones = 2;
+    dc.zone_size = 128;
+    ZnsDevice dev(&loop, dc);
+    std::vector<BlockDevice *> slots{&dev};
+    IoRetrier retrier(&loop, RetryPolicy{}, nullptr, nullptr, nullptr,
+                      &slots);
+
+    constexpr uint32_t kWrites = 16;
+    prof::enable();
+    uint32_t ok = 0;
+    for (uint32_t i = 0; i < kWrites; ++i) {
+        retrier.submit(&dev, 0, IoRequest::write(i * 4, pattern_data(4, i)),
+                       [&](IoResult r) { ok += r.status.is_ok(); });
+    }
+    loop.run();
+    prof::disable();
+    prof::WindowCounters wc = prof::window_counters();
+    EXPECT_EQ(ok, kWrites);
+    EXPECT_EQ(wc.copy_count, kWrites);
+    EXPECT_EQ(wc.copy_bytes, uint64_t{kWrites} * 4 * kSectorSize);
 }
 
 } // namespace
