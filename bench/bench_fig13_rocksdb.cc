@@ -144,9 +144,18 @@ run_workload(Harness &h, const std::string &wl, uint32_t value_size,
 int
 main(int argc, char **argv)
 {
-    ObsOptions oo;
-    if (!parse_obs_args(argc, argv, &oo))
-        return 2;
+    // Only --metrics-out is honoured; reject the rest of the obs flag
+    // set rather than ignore it.
+    std::string metrics_out;
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) == "--metrics-out" && i + 1 < argc) {
+            metrics_out = argv[++i];
+        } else {
+            std::fprintf(stderr, "usage: %s [--metrics-out m.json]\n",
+                         argv[0]);
+            return 2;
+        }
+    }
     print_header("Fig 13: RocksDB-style db_bench, RAIZN vs mdraid");
     for (uint32_t vs : {4000u, 8000u}) {
         std::printf("\n-- value size %u B --\n", vs);
@@ -184,7 +193,7 @@ main(int argc, char **argv)
                     obs::render_stats(rz_h.env->stats()).c_str());
         std::printf("env gc (block): %s\n",
                     obs::render_stats(md_h.env->stats()).c_str());
-        if (vs == 8000 && !oo.metrics_out.empty()) {
+        if (vs == 8000 && !metrics_out.empty()) {
             // Export the last point's env + volume counters through the
             // unified registry ("env.zoned.*", "env.block.*", ...).
             obs::MetricsRegistry reg;
@@ -192,8 +201,8 @@ main(int argc, char **argv)
             obs::link_stats(reg, "env.block", md_h.env->stats());
             obs::link_stats(reg, "raizn", rz_h.rz.vol->stats());
             obs::link_stats(reg, "mdraid", md_h.md.vol->stats());
-            Status s = reg.write_json(oo.metrics_out);
-            std::printf("metrics json: %s%s\n", oo.metrics_out.c_str(),
+            Status s = reg.write_json(metrics_out);
+            std::printf("metrics json: %s%s\n", metrics_out.c_str(),
                         s.is_ok() ? ""
                                   : (" FAILED: " + s.to_string()).c_str());
         }

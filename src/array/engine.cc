@@ -132,7 +132,9 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
                            &stats_.dev_errors, &stats_.spares_promoted,
                            &stats_.auto_failovers,
-                           &stats_.rebuild_throttle_stalls}),
+                           &stats_.rebuild_throttle_stalls,
+                           &stats_.scrubbed_stripes,
+                           &stats_.crc_mismatches}),
       cfg_(cfg)
 {
     const DeviceGeometry &g = devs_[0]->geometry();

@@ -172,7 +172,6 @@ class ZonedEngine : public ZonedArray
     bool device_failed(uint32_t dev) const { return failed_devs_[dev]; }
     void rebuild_device(uint32_t dev, ProgressCb progress,
                         StatusCb done) override;
-    Status scrub_all(ScrubReport *report = nullptr) override;
 
     // ---- Introspection (crash oracle + tests) ----------------------
     const EngineStats &stats() const { return stats_; }
@@ -385,7 +384,7 @@ class ZonedEngine : public ZonedArray
                                          const std::vector<uint32_t> &cands)
         const;
 
-    // engine_recover.cc — mount, rebuild, scrub
+    // engine_recover.cc — mount, rebuild, scrub policy
     Status run_mount();
     Status replay_wal();
     Status recover_zone(uint32_t zone);
@@ -396,7 +395,11 @@ class ZonedEngine : public ZonedArray
                              uint64_t limit, StatusCb done);
     void copy_wal_to_target(StatusCb done);
     void finish_rebuild(Status s);
-    Status scrub_zone(uint32_t zone, ScrubReport *rep);
+    /// Scrub policy: settled stripes of every zone kind (mirror rows,
+    /// mirror pairs, raid0 chunks, full parity stripes off the tail),
+    /// read below each member's recovered fill. Report-only.
+    bool scrub_candidates(std::vector<ScrubStripe> *out) const override;
+    bool scrub_plan(const ScrubStripe &s, ScrubPlan *plan) override;
 
     EngineConfig cfg_;
     uint32_t nzones_ = 0; ///< logical zones

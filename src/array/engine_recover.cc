@@ -2,17 +2,15 @@
  * @file
  * ZonedEngine mount-time recovery (journal replay, write-pointer
  * reconciliation), device rebuild, the spare-promotion lifecycle, and
- * the scrubber. The data path lives in engine.cc.
+ * the scrub policy (the walker lives in array/scrub.cc). The data path
+ * lives in engine.cc.
  */
 #include "array/engine.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "array/gf256.h"
 #include "array/stripe_gather.h"
 #include "common/logging.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -895,216 +893,70 @@ ZonedEngine::finish_rebuild(Status s)
 }
 
 // ---------------------------------------------------------------------
-// Scrub
+// Scrub policy
 // ---------------------------------------------------------------------
 
-Status
-ZonedEngine::scrub_all(ScrubReport *report)
+bool
+ZonedEngine::scrub_candidates(std::vector<ScrubStripe> *out) const
 {
-    if (!store_data_)
-        return Status(StatusCode::kNotSupported,
-                      "scrub requires data-storing members");
-    ScrubReport local;
-    for (uint32_t z = 0; z < nzones_; ++z) {
-        Status s = scrub_zone(z, &local);
-        if (!s.is_ok())
-            return s;
+    const uint32_t su = cfg_.su_sectors;
+    for (uint32_t zone = 0; zone < nzones_; ++zone) {
+        const EZone &z = zones_[zone];
+        const uint64_t ss = static_cast<uint64_t>(su) * units_of(z.kind);
+        const uint64_t limit = z.finished ? zone_cap_ : z.fill;
+        // Parity kinds verify complete stripes only: the open tail
+        // stripe's parity is still in memory.
+        const bool parity_kind = parity_dev(zone, 0) >= 0;
+        const uint64_t nstripes =
+            parity_kind ? limit / ss : (limit + ss - 1) / ss;
+        for (uint64_t s = 0; s < nstripes; ++s) {
+            if (!parity_kind || z.tails.count(s) == 0)
+                out->push_back({zone, s, z.gen});
+        }
     }
-    if (report != nullptr)
-        *report = local;
-    return Status::ok();
+    return true;
 }
 
-Status
-ZonedEngine::scrub_zone(uint32_t zone, ScrubReport *rep)
+bool
+ZonedEngine::scrub_plan(const ScrubStripe &s, ScrubPlan *plan)
 {
-    EZone &z = zones_[zone];
+    EZone &z = zones_[s.zone];
+    if (z.gen != s.gen || z.resetting)
+        return false;
+    if (plan == nullptr)
+        return true;
     const uint32_t su = cfg_.su_sectors;
     const uint32_t units = units_of(z.kind);
-    const uint64_t stripe_sect = static_cast<uint64_t>(su) * units;
     const uint64_t limit = z.finished ? zone_cap_ : z.fill;
-    if (limit == 0)
-        return Status::ok();
-    auto avail = [&](uint32_t d, uint64_t row_end) {
-        return !dev_down_for_zone(d, zone) && dev_live(d) &&
-            (z.rec_fill.empty() || z.rec_fill[d] >= row_end);
-    };
-    auto read_rows = [&](uint32_t d, uint64_t row, uint32_t n,
-                         std::vector<uint8_t> *out) {
-        IoRequest rd = IoRequest::read(dev_row_lba(zone, row), n);
-        rd.cause = obs::Cause::kScrub;
-        IoResult r = submit_sync(*loop_, *devs_[d], std::move(rd));
-        if (r.status.is_ok())
-            *out = std::move(r.data);
-        return r.status;
-    };
-
-    switch (z.kind) {
-    case ZoneKind::kMirror: {
-        for (uint64_t off = 0; off < limit; off += su) {
-            const uint32_t nn =
-                static_cast<uint32_t>(std::min<uint64_t>(su, limit - off));
-            std::vector<std::vector<uint8_t>> copies;
-            for (uint32_t d = 0; d < num_devices(); ++d) {
-                if (!avail(d, off + nn))
-                    continue;
-                std::vector<uint8_t> buf;
-                if (!read_rows(d, off, nn, &buf).is_ok()) {
-                    ++rep->unrecoverable;
-                    continue;
-                }
-                copies.push_back(std::move(buf));
-            }
-            if (copies.empty()) {
-                ++rep->unrecoverable;
-            } else {
-                for (size_t i = 1; i < copies.size(); ++i)
-                    if (copies[i] != copies[0])
-                        ++rep->parity_mismatches;
-                if (!zones_[zone].crc.verify(off, copies[0].data(), nn))
-                    ++rep->crc_mismatches;
-            }
-            ++rep->stripes_scanned;
-            ++stats_.scrubbed_stripes;
+    const uint64_t row = s.stripe * su;
+    const uint64_t lba = dev_row_lba(s.zone, row);
+    plan->crc = &z.crc;
+    for (uint32_t u = 0; u < units; ++u) {
+        const uint64_t off = (s.stripe * units + u) * su;
+        if (off >= limit)
+            break;
+        const auto n =
+            static_cast<uint32_t>(std::min<uint64_t>(su, limit - off));
+        const size_t copies = plan->units.size();
+        for (uint32_t d : mirror_sources(s.zone, row + n,
+                                         unit_devs(s.zone, s.stripe, u))) {
+            if (dev_live(d))
+                plan->units.push_back({d, lba, n, static_cast<int>(u), off});
         }
-        return Status::ok();
+        if (plan->units.size() == copies)
+            ++plan->unreadable;
     }
-    case ZoneKind::kMirrorPairs: {
-        const uint64_t nstripes =
-            (limit + stripe_sect - 1) / stripe_sect;
-        for (uint64_t s = 0; s < nstripes; ++s) {
-            for (uint32_t u = 0; u < units; ++u) {
-                const uint64_t cb = s * stripe_sect +
-                    static_cast<uint64_t>(u) * su;
-                if (cb >= limit)
-                    break;
-                const uint32_t nn = static_cast<uint32_t>(
-                    std::min<uint64_t>(su, limit - cb));
-                const uint64_t row = s * su;
-                std::vector<std::vector<uint8_t>> copies;
-                for (uint32_t d : {2 * u, 2 * u + 1}) {
-                    if (!avail(d, row + nn))
-                        continue;
-                    std::vector<uint8_t> buf;
-                    if (!read_rows(d, row, nn, &buf).is_ok()) {
-                        ++rep->unrecoverable;
-                        continue;
-                    }
-                    copies.push_back(std::move(buf));
-                }
-                if (copies.empty()) {
-                    ++rep->unrecoverable;
-                    continue;
-                }
-                if (copies.size() == 2 && copies[0] != copies[1])
-                    ++rep->parity_mismatches;
-                if (!zones_[zone].crc.verify(cb, copies[0].data(), nn))
-                    ++rep->crc_mismatches;
-            }
-            ++rep->stripes_scanned;
-            ++stats_.scrubbed_stripes;
-        }
-        return Status::ok();
+    // Parity kinds need every member to check the equations.
+    const int pq[2] = {parity_dev(s.zone, s.stripe), q_dev(s.zone, s.stripe)};
+    for (int i = 0; i < 2 && pq[i] >= 0; ++i) {
+        const auto d = static_cast<uint32_t>(pq[i]);
+        if (plan->unreadable > 0 || !dev_live(d) ||
+            mirror_sources(s.zone, row + su, {d}).empty())
+            return false;
+        plan->units.push_back(
+            {d, lba, su, i == 0 ? StripeGather::kP : StripeGather::kQ, 0});
     }
-    case ZoneKind::kStripe0: {
-        const uint64_t nstripes =
-            (limit + stripe_sect - 1) / stripe_sect;
-        for (uint64_t s = 0; s < nstripes; ++s) {
-            for (uint32_t u = 0; u < units; ++u) {
-                const uint64_t cb = s * stripe_sect +
-                    static_cast<uint64_t>(u) * su;
-                if (cb >= limit)
-                    break;
-                const uint32_t nn = static_cast<uint32_t>(
-                    std::min<uint64_t>(su, limit - cb));
-                const uint32_t d = chunk_dev(zone, s, u);
-                if (!avail(d, s * su + nn)) {
-                    ++rep->unrecoverable;
-                    continue;
-                }
-                std::vector<uint8_t> buf;
-                if (!read_rows(d, s * su, nn, &buf).is_ok()) {
-                    ++rep->unrecoverable;
-                    continue;
-                }
-                if (!zones_[zone].crc.verify(cb, buf.data(), nn))
-                    ++rep->crc_mismatches;
-            }
-            ++rep->stripes_scanned;
-            ++stats_.scrubbed_stripes;
-        }
-        return Status::ok();
-    }
-    default: {
-        // Parity kinds: verify settled complete stripes (the open tail
-        // stripe's parity is still in memory).
-        const uint64_t full_stripes = limit / stripe_sect;
-        const size_t bytes = static_cast<size_t>(su) * kSectorSize;
-        for (uint64_t s = 0; s < full_stripes; ++s) {
-            if (z.tails.count(s) != 0)
-                continue;
-            const uint64_t row = s * su;
-            bool all_avail = true;
-            for (uint32_t u = 0; u < units && all_avail; ++u)
-                if (!avail(chunk_dev(zone, s, u), row + su))
-                    all_avail = false;
-            const int pd = parity_dev(zone, s);
-            const int qd = q_dev(zone, s);
-            if (pd >= 0 &&
-                !avail(static_cast<uint32_t>(pd), row + su))
-                all_avail = false;
-            if (qd >= 0 &&
-                !avail(static_cast<uint32_t>(qd), row + su))
-                all_avail = false;
-            if (!all_avail)
-                continue;
-            std::vector<uint8_t> p_calc(bytes, 0);
-            std::vector<uint8_t> q_calc(bytes, 0);
-            bool io_err = false;
-            for (uint32_t u = 0; u < units; ++u) {
-                std::vector<uint8_t> buf;
-                if (!read_rows(chunk_dev(zone, s, u), row, su, &buf)
-                         .is_ok()) {
-                    ++rep->unrecoverable;
-                    io_err = true;
-                    break;
-                }
-                if (!zones_[zone].crc.verify(
-                        s * stripe_sect + static_cast<uint64_t>(u) * su,
-                        buf.data(), su))
-                    ++rep->crc_mismatches;
-                xor_bytes(p_calc.data(), buf.data(), bytes);
-                if (qd >= 0)
-                    gf256::accumulate(q_calc.data(), buf.data(), bytes,
-                                      u);
-            }
-            if (io_err)
-                continue;
-            std::vector<uint8_t> p_disk;
-            if (!read_rows(static_cast<uint32_t>(pd), row, su, &p_disk)
-                     .is_ok()) {
-                ++rep->unrecoverable;
-                continue;
-            }
-            if (p_disk != p_calc)
-                ++rep->parity_mismatches;
-            if (qd >= 0) {
-                std::vector<uint8_t> q_disk;
-                if (!read_rows(static_cast<uint32_t>(qd), row, su,
-                               &q_disk)
-                         .is_ok()) {
-                    ++rep->unrecoverable;
-                    continue;
-                }
-                if (q_disk != q_calc)
-                    ++rep->parity_mismatches;
-            }
-            ++rep->stripes_scanned;
-            ++stats_.scrubbed_stripes;
-        }
-        return Status::ok();
-    }
-    }
+    return true;
 }
 
 } // namespace raizn

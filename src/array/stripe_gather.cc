@@ -134,7 +134,8 @@ StripeGather::StripeGather(ZonedArray *arr, Spec spec, IoCallback cb)
 }
 
 void
-StripeGather::read(uint32_t dev, uint64_t pba, uint32_t nsectors, int role)
+StripeGather::read(uint32_t dev, uint64_t pba, uint32_t nsectors, int role,
+                   size_t at)
 {
     ++st_->pending;
     IoRequest req = IoRequest::read(pba, nsectors);
@@ -145,14 +146,14 @@ StripeGather::read(uint32_t dev, uint64_t pba, uint32_t nsectors, int role)
     BlockDevice *sent = arr->devs_[dev];
     arr->gather_submit(
         dev, st_->spec.zone, std::move(req),
-        [st = st_, dev, sent, role](IoResult r) {
+        [st = st_, dev, sent, role, at](IoResult r) {
             if (!*st->alive)
                 return;
             // An error from a member that a promoted spare has since
             // replaced must not fail the spare.
             if (!r.status.is_ok() && st->arr->devs_[dev] == sent)
                 st->arr->escalate_dev_error(dev, r.status);
-            st->arrive(r.status, r.data, 0, role);
+            st->arrive(r.status, r.data, at, role);
         });
 }
 

@@ -1,16 +1,17 @@
 /**
  * @file
  * StripeGather: the one fan-out/join core behind every engine's
- * degraded read, rebuild and multi-extent read. A caller names the
- * sources of one unit — member reads, in-memory bytes (stripe-buffer
+ * degraded read, rebuild, multi-extent read and scrub. A caller names
+ * the sources of one unit — member reads, in-memory bytes (stripe-buffer
  * copies, partial parity, relocation caches) or completions it issues
  * itself — and the fold that joins them. The gather issues member reads
  * through ZonedArray::gather_submit, folds each source as it arrives
  * and fires one callback with the unit.
  *
  * Folds (a source lands `at` bytes into the unit):
- *  - kPlace: a read assembled from its extents; each source is copied
- *          to its offset.
+ *  - kPlace: a read assembled from its extents, or a scrubbed
+ *          stripe's units side by side; each source is copied to its
+ *          offset.
  *  - kXor: P equation; the unit is the XOR of every source.
  *  - kQ:   Q equation; data unit v enters as g^v * D_v and the Q source
  *          as is, and the sum is scaled by g^-lost (by 1 when the lost
@@ -76,9 +77,10 @@ class StripeGather
     /// The same, completing a logical read: `cb` gets an IoResult.
     StripeGather(ZonedArray *arr, Spec spec, IoCallback cb);
 
-    /// Reads `nsectors` at `pba` of member `dev` as source `role`.
+    /// Reads `nsectors` at `pba` of member `dev` as source `role`; its
+    /// bytes land `at` bytes in.
     void read(uint32_t dev, uint64_t pba, uint32_t nsectors,
-              int role = kP);
+              int role = kP, size_t at = 0);
     /// In-memory source arriving `delay` ticks from now, `at` bytes in.
     void put(std::vector<uint8_t> data, Tick delay, size_t at = 0);
     /// In-memory source that fails `delay` ticks from now.

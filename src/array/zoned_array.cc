@@ -104,14 +104,6 @@ ZonedArray::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
     });
 }
 
-Status
-ZonedArray::scrub_all(ScrubReport *report)
-{
-    (void)report;
-    return Status(StatusCode::kNotSupported,
-                  "scrub unsupported on this array");
-}
-
 void
 ZonedArray::set_resilience(const ResilienceConfig &rc)
 {

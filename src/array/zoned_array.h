@@ -11,7 +11,10 @@
  *
  * The base also owns the failure lifecycle: one LifecycleConfig, the
  * automatic failover onto a hot spare, and the fixed-rate rebuild
- * throttle every engine's rebuild pump paces itself with.
+ * throttle every engine's rebuild pump paces itself with. And it owns
+ * the one scrub walker (array/scrub.cc): the pass loop, the
+ * background scrubber and the verdict; engines name their stripes and
+ * member reads, and RAIZN repairs.
  *
  * Subclasses provide the data path (read/write/flush/zone management),
  * the failure semantics (mark_device_failed / rebuild), and a stats
@@ -42,6 +45,7 @@ class LatencyMetric;
 class Timeline;
 } // namespace obs
 
+class CrcCatalog;
 class EventLoop;
 
 /// Flags on a logical sequential write (kernel REQ_FUA / REQ_PREFLUSH).
@@ -129,9 +133,27 @@ class ZonedArray
     /// Rebuilds a replaced device from redundancy.
     virtual void rebuild_device(uint32_t dev, ProgressCb progress,
                                 StatusCb done);
-    /// Verifies redundancy (parity equations / mirror equality / CRC
-    /// catalogs) across written stripes.
-    virtual Status scrub_all(ScrubReport *report = nullptr);
+    /**
+     * Verifies redundancy across the written stripes, one stripe at a
+     * time, driving the event loop until the pass completes: P and Q
+     * equations and mirror copies against the media, the bad unit
+     * localised with the CRC catalog and, where the engine repairs,
+     * rewritten. kNotSupported on timing-only members and on arrays
+     * without a scrub policy.
+     */
+    Status scrub_all(ScrubReport *report = nullptr);
+
+    /**
+     * Starts the background scrubber: one stripe every `interval`
+     * ticks, `on_pass` fired after each complete pass. Opt-in — never
+     * started automatically (benches drain the loop synchronously).
+     * Restarting replaces the running pass.
+     */
+    void start_scrubber(Tick interval,
+                        std::function<void(const ScrubReport &)> on_pass =
+                            nullptr);
+    void stop_scrubber() { scrubber_ = nullptr; }
+    bool scrubber_running() const { return scrubber_ != nullptr; }
 
     /// Replaces the retry policy and health thresholds (resets health
     /// history). Call before issuing IO.
@@ -213,6 +235,8 @@ class ZonedArray
         uint64_t *spares_promoted = nullptr;
         uint64_t *auto_failovers = nullptr;
         uint64_t *throttle_stalls = nullptr; ///< rebuild IOs delayed
+        uint64_t *scrubbed_stripes = nullptr;
+        uint64_t *crc_mismatches = nullptr; ///< scrub units failing CRCs
     };
 
     ZonedArray(EventLoop *loop, std::vector<BlockDevice *> devs,
@@ -269,6 +293,53 @@ class ZonedArray
     }
     /// Slow path of pace_rebuild: counts the stall, arms the wake-up.
     void rebuild_stalled(uint64_t sectors, std::function<void()> resume);
+
+    // ---- Scrub policy ----------------------------------------------
+    /// One stripe a scrub pass visits; `gen` is its zone's reset
+    /// generation when the pass listed it.
+    struct ScrubStripe {
+        uint32_t zone = 0;
+        uint64_t stripe = 0;
+        uint64_t gen = 0;
+    };
+    /// One member read of a scrubbed stripe: a data unit (role >= 0,
+    /// repeated for each mirror copy, copies adjacent) or parity
+    /// (StripeGather::kP/kQ).
+    struct ScrubUnit {
+        uint32_t dev = 0;
+        uint64_t pba = 0;
+        uint32_t nsectors = 0;
+        int role = 0;
+        uint64_t crc_off = 0; ///< data units: zone-relative sector
+    };
+    struct ScrubPlan {
+        CrcCatalog *crc = nullptr; ///< the stripe's zone catalog
+        std::vector<ScrubUnit> units;
+        uint32_t unreadable = 0; ///< data units no live member holds
+    };
+    /// Appends the stripes a pass visits, in order; false when this
+    /// array does not scrub.
+    virtual bool scrub_candidates(std::vector<ScrubStripe> * /*out*/) const
+    {
+        return false;
+    }
+    /**
+     * Fills `plan` with the member reads verifying `s`. False skips the
+     * stripe uncounted: its zone was reset or the stripe moved since
+     * it was listed, or no equation can be checked. A null `plan` only
+     * asks whether `s` is still current (once its reads are back).
+     */
+    virtual bool scrub_plan(const ScrubStripe & /*s*/, ScrubPlan * /*plan*/)
+    {
+        return false;
+    }
+    /// Rewrites unit `role` of `s` with `bytes`, which the verdict
+    /// verified; false when the array only reports.
+    virtual bool scrub_repair(const ScrubStripe & /*s*/, int /*role*/,
+                              std::vector<uint8_t> /*bytes*/)
+    {
+        return false;
+    }
 
     // ---- Subclass hooks --------------------------------------------
     /// The one write entry point behind write() and write_len();
@@ -348,6 +419,24 @@ class ZonedArray
 
     /// Guards scheduled events against array destruction.
     std::shared_ptr<bool> alive_;
+
+  private:
+    struct ScrubWalk;
+    /// The candidate snapshot of one pass; kNotSupported on
+    /// timing-only members and on arrays that do not scrub.
+    Status scrub_list(std::vector<ScrubStripe> *out) const;
+    /// Scrubs `s` into `w`'s report, then continues the walk; false
+    /// when the stripe was skipped without issuing anything.
+    bool scrub_stripe(const ScrubStripe &s,
+                      const std::shared_ptr<ScrubWalk> &w);
+    void scrub_verdict(const ScrubStripe &s, const ScrubPlan &plan,
+                       const std::vector<uint8_t> &bytes, ScrubReport *rep);
+    /// Scrubs the next stripe of `w`: at once for scrub_all, after the
+    /// interval for the background scrubber (scrub_then).
+    void scrub_next(const std::shared_ptr<ScrubWalk> &w);
+    void scrub_then(const std::shared_ptr<ScrubWalk> &w);
+
+    std::shared_ptr<ScrubWalk> scrubber_; ///< background pass, or null
 };
 
 } // namespace raizn

@@ -37,12 +37,6 @@ namespace raizn {
 
 namespace {
 
-uint64_t
-zs_key(uint32_t zone, uint64_t stripe)
-{
-    return (static_cast<uint64_t>(zone) << 32) | stripe;
-}
-
 struct RebuildJob {
     uint32_t dev = 0;
     std::vector<uint32_t> zone_order;

@@ -17,16 +17,6 @@
 
 namespace raizn {
 
-namespace {
-
-uint64_t
-zs_key(uint32_t zone, uint64_t stripe)
-{
-    return (static_cast<uint64_t>(zone) << 32) | stripe;
-}
-
-} // namespace
-
 /// Transient state shared by the recovery passes.
 struct RaiznVolume::RecoveryCtx {
     /// Zone reset intents whose generation is still current.

@@ -20,13 +20,6 @@ namespace raizn {
 
 namespace {
 
-/// Key for per-(zone, stripe) maps.
-uint64_t
-zs_key(uint32_t zone, uint64_t stripe)
-{
-    return (static_cast<uint64_t>(zone) << 32) | stripe;
-}
-
 uint64_t g_uuid_source = 0x5a4e5331; // deterministic array UUIDs
 
 } // namespace
@@ -37,7 +30,9 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
                  StatCells{&stats_.io_retries, &stats_.io_timeouts,
                            &stats_.dev_errors, &stats_.spares_promoted,
                            &stats_.auto_failovers,
-                           &stats_.rebuild_throttle_stalls}),
+                           &stats_.rebuild_throttle_stalls,
+                           &stats_.scrubbed_stripes,
+                           &stats_.crc_mismatches}),
       cfg_(cfg)
 {
     layout_ = std::make_unique<Layout>(cfg_, devs_[0]->geometry());
@@ -68,10 +63,7 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
     md_->set_retrier(retrier_.get());
 }
 
-RaiznVolume::~RaiznVolume()
-{
-    scrub_running_ = false;
-}
+RaiznVolume::~RaiznVolume() = default;
 
 void
 RaiznVolume::on_resilience_changed()
@@ -477,7 +469,16 @@ RaiznVolume::submit_data_subio(uint32_t dev, uint32_t zone, uint64_t pba,
     if (pba < burned_.burned_end(dev, zone)) {
         // The arithmetic PBA holds stale pre-crash data that cannot be
         // overwritten: redirect to the metadata zone (§5.2, Fig. 1).
-        relocate_write(dev, zone, lba, std::move(data), nsectors, ctx);
+        PROF_SCOPE("raizn.reloc");
+        stats_.relocated_writes++;
+        ctx->pending++;
+        uint64_t tok = trace_ != nullptr
+            ? trace_->begin_span("write.reloc", ctx->req_id,
+                                 obs::kTrackMetadata, loop_->now())
+            : 0;
+        relocate_unit(dev, zone, lba, nsectors, /*parity=*/false,
+                      std::move(data), /*durable=*/ctx->flags.fua,
+                      md_done(ctx, tok));
         return;
     }
     ctx->pending++;
@@ -506,30 +507,14 @@ RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
     if (pba < burned_.burned_end(dev, zone)) {
         // Parity slot burned: keep the parity in the metadata zone.
         ctx->pending++;
-        MdAppend app;
-        app.header.type = MdType::kRelocatedSu;
-        app.header.start_lba = zs_key(zone, stripe); // parity key
-        app.header.end_lba = app.header.start_lba;
-        app.header.generation = gen_.get(zone);
-        app.inline_data.assign(8, 0);
-        app.inline_data[4] = 1; // parity marker
-        // The entry takes a copy; the relocation caches the original.
-        app.set_payload(cfg_.su_sectors, metered_copy(parity));
-        uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
-        Relocation rel;
-        rel.lba = app.header.start_lba;
-        rel.nsectors = cfg_.su_sectors;
-        rel.dev = dev;
-        rel.md_pba = md_pba + 1; // payload follows the header sector
-        rel.cached = std::move(parity);
-        parity_reloc_[zs_key(zone, stripe)] = std::move(rel);
+        stats_.relocated_writes++;
         uint64_t tok = trace_ != nullptr
             ? trace_->begin_span("write.parity_reloc", ctx->req_id,
                                  obs::kTrackMetadata, loop_->now())
             : 0;
-        md_->append(dev, MdZoneRole::kGeneral, std::move(app), false,
-                    md_done(ctx, tok));
-        stats_.relocated_writes++;
+        relocate_unit(dev, zone, zs_key(zone, stripe), cfg_.su_sectors,
+                      /*parity=*/true, std::move(parity), /*durable=*/false,
+                      md_done(ctx, tok));
         return;
     }
     ctx->pending++;
@@ -605,38 +590,34 @@ RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
 }
 
 void
-RaiznVolume::relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
-                            std::vector<uint8_t> data, uint32_t nsectors,
-                            std::shared_ptr<WriteCtx> ctx)
+RaiznVolume::relocate_unit(uint32_t dev, uint32_t zone, uint64_t key,
+                           uint32_t nsectors, bool parity,
+                           std::vector<uint8_t> bytes, bool durable,
+                           StatusCb done)
 {
-    PROF_SCOPE("raizn.reloc");
-    stats_.relocated_writes++;
-    ctx->pending++;
-
     MdAppend app;
     app.header.type = MdType::kRelocatedSu;
-    app.header.start_lba = lba;
-    app.header.end_lba = lba + nsectors;
+    app.header.start_lba = key;
+    app.header.end_lba = parity ? key : key + nsectors;
     app.header.generation = gen_.get(zone);
     app.inline_data.assign(8, 0);
+    app.inline_data[4] = parity ? 1 : 0; // parity marker
     // The entry takes a copy; the relocation caches the original.
-    app.set_payload(nsectors, metered_copy(data));
+    app.set_payload(nsectors, metered_copy(bytes));
 
-    uint64_t md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral);
     Relocation rel;
-    rel.lba = lba;
+    rel.lba = key;
     rel.nsectors = nsectors;
     rel.dev = dev;
-    rel.md_pba = md_pba + 1;
-    rel.cached = std::move(data); // relocations are cached (§5.2)
-    reloc_.insert(std::move(rel));
-
-    uint64_t tok = trace_ != nullptr
-        ? trace_->begin_span("write.reloc", ctx->req_id,
-                             obs::kTrackMetadata, loop_->now())
-        : 0;
-    md_->append(dev, MdZoneRole::kGeneral, std::move(app),
-                /*durable=*/ctx->flags.fua, md_done(ctx, tok));
+    // The payload follows the header sector.
+    rel.md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral) + 1;
+    rel.cached = std::move(bytes); // relocations are cached (§5.2)
+    if (parity)
+        parity_reloc_[key] = std::move(rel);
+    else
+        reloc_.insert(std::move(rel));
+    md_->append(dev, MdZoneRole::kGeneral, std::move(app), durable,
+                std::move(done));
 }
 
 void

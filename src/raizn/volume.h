@@ -194,28 +194,6 @@ class RaiznVolume : public ZonedArray
      */
     void resume_rebuild(ProgressCb progress, StatusCb done);
 
-    // ---- Scrubbing -------------------------------------------------
-    /**
-     * Synchronously scrubs every eligible stripe (complete, at its
-     * home placement, all devices available): reads data + parity,
-     * verifies the parity equation and per-sector checksums, and
-     * read-repairs corrupted units from redundancy (repairs land in
-     * the metadata zones like any relocated stripe unit). Drives the
-     * event loop until the pass completes.
-     */
-    Status scrub_all(ScrubReport *report = nullptr) override;
-
-    /**
-     * Starts the background scrubber: one stripe every `interval`
-     * ticks, `on_pass` fired after each complete pass. Opt-in — never
-     * started automatically (benches drain the loop synchronously).
-     */
-    void start_scrubber(Tick interval,
-                        std::function<void(const ScrubReport &)> on_pass =
-                            nullptr);
-    void stop_scrubber();
-    bool scrubber_running() const { return scrub_running_; }
-
     /// Marks a device failed: reads reconstruct, writes omit it.
     void mark_device_failed(uint32_t dev) override;
     /// -1 when the array is healthy.
@@ -323,9 +301,17 @@ class RaiznVolume : public ZonedArray
                             std::vector<uint8_t> delta, uint64_t lo_sector,
                             uint64_t hi_sector,
                             std::shared_ptr<WriteCtx> ctx);
-    void relocate_write(uint32_t dev, uint32_t zone, uint64_t lba,
-                        std::vector<uint8_t> data, uint32_t nsectors,
-                        std::shared_ptr<WriteCtx> ctx);
+    /**
+     * Relocates one stripe unit into `dev`'s general metadata zone
+     * (§4.3): a kRelocatedSu append plus the cached map entry that
+     * shadows the home slot. A data unit is keyed by its LBA range
+     * [key, key+nsectors); parity by its stripe's zs_key. The write
+     * path's burned slots and scrub repairs both land here.
+     */
+    void relocate_unit(uint32_t dev, uint32_t zone, uint64_t key,
+                       uint32_t nsectors, bool parity,
+                       std::vector<uint8_t> bytes, bool durable,
+                       StatusCb done);
     void subio_done(std::shared_ptr<WriteCtx> ctx, Status status);
     /// Completion of a write's data, parity or FUA-flush sub-I/O on
     /// member `dev`: a failed member's error degrades the write
@@ -393,16 +379,13 @@ class RaiznVolume : public ZonedArray
     /// A second failure made the volume read-only: nothing to rebuild.
     bool auto_rebuild_vetoed() const override { return read_only_; }
 
-    // scrub.cc
-    void scrub_stripe(uint32_t zone, uint64_t stripe, ScrubReport *rep,
-                      std::function<void()> done);
-    void scrub_repair_unit(uint32_t zone, uint64_t stripe, uint32_t k,
-                           std::vector<uint8_t> data);
-    void scrub_repair_parity(uint32_t zone, uint64_t stripe,
-                             std::vector<uint8_t> parity);
-    std::vector<std::pair<uint32_t, uint64_t>> scrub_candidates() const;
-    void arm_scrubber();
-    void scrubber_step();
+    // scrub.cc — ZonedArray's scrub walker over RAIZN's stripes:
+    // complete home-placed stripes of healthy zones, up to the minimum
+    // member wp. Repairs are relocated stripe units.
+    bool scrub_candidates(std::vector<ScrubStripe> *out) const override;
+    bool scrub_plan(const ScrubStripe &s, ScrubPlan *plan) override;
+    bool scrub_repair(const ScrubStripe &s, int role,
+                      std::vector<uint8_t> bytes) override;
 
     // shared helpers
     /// True when (dev) cannot serve IO for `zone`: physically failed,
@@ -480,14 +463,6 @@ class RaiznVolume : public ZonedArray
     // the resilience/observability layers live in ZonedArray.)
     int pending_rebuild_dev_ = -1; ///< from a mount-time checkpoint
     std::vector<bool> ckpt_rebuilt_; ///< checkpointed zone bitmap
-
-    // Background scrubber state.
-    bool scrub_running_ = false;
-    Tick scrub_interval_ = 0;
-    std::function<void(const ScrubReport &)> scrub_cb_;
-    ScrubReport scrub_pass_;
-    std::vector<std::pair<uint32_t, uint64_t>> scrub_queue_;
-    size_t scrub_cursor_ = 0;
 };
 
 } // namespace raizn

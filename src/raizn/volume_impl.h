@@ -13,6 +13,13 @@
 
 namespace raizn {
 
+/// Key for per-(zone, stripe) maps (parity relocations, the pp index).
+inline uint64_t
+zs_key(uint32_t zone, uint64_t stripe)
+{
+    return (static_cast<uint64_t>(zone) << 32) | stripe;
+}
+
 /// Copies `bytes` into a fresh buffer on the host profiler's alloc and
 /// copy meters (an empty, length-only payload costs nothing).
 inline std::vector<uint8_t>

@@ -568,6 +568,33 @@ TEST(ScrubTest, BackgroundScrubberRepairsAndReports)
         a.expect_pattern(i * 64, 64, 5000 + i);
 }
 
+TEST(ScrubTest, RestartWithinIntervalDoesNotDoubleRate)
+{
+    // A stop and restart half an interval after the start must leave one
+    // wake-up chain: the first pass's armed wake-up ends without scrubbing.
+    auto stripes_in_40_intervals = [](bool restart) {
+        FaultArray a;
+        a.make(no_faults());
+        for (uint32_t i = 0; i < 8; ++i)
+            a.write_pattern(i * 64, 64, 6000 + i);
+        EXPECT_TRUE(a.flush().status.is_ok());
+        const Tick interval = 100 * kNsPerUs;
+        const Tick t0 = a.loop->now();
+        a.vol->start_scrubber(interval);
+        if (restart) {
+            a.loop->run_until(t0 + interval / 2);
+            a.vol->stop_scrubber();
+            a.vol->start_scrubber(interval);
+        }
+        a.loop->run_until(t0 + 40 * interval);
+        a.vol->stop_scrubber();
+        return a.vol->stats().scrubbed_stripes;
+    };
+    const uint64_t single = stripes_in_40_intervals(false);
+    EXPECT_GE(single, 8u);
+    EXPECT_LE(stripes_in_40_intervals(true), single + 1);
+}
+
 // ---- Acceptance: mixed workload under a full fault schedule ------------
 
 TEST(FaultVolumeTest, MixedWorkloadUnderSeededFaultsKeepsIntegrity)
