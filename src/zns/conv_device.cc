@@ -1,7 +1,6 @@
 #include "zns/conv_device.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/ledger.h"
@@ -10,7 +9,8 @@
 namespace raizn {
 
 ConvDevice::ConvDevice(EventLoop *loop, ConvDeviceConfig config)
-    : loop_(loop), config_(std::move(config))
+    : loop_(loop), config_(std::move(config)),
+      data_(config_.nsectors * kSectorSize)
 {
     geom_.zoned = false;
     geom_.nsectors = config_.nsectors;
@@ -81,13 +81,9 @@ ConvDevice::submit(IoRequest req, IoCallback cb)
         stats_.sectors_read += req.nsectors;
         result.lba = req.slba;
         if (config_.data_mode == DataMode::kStore) {
-            result.data.assign(
-                static_cast<size_t>(req.nsectors) * kSectorSize, 0);
-            if (!data_.empty()) {
-                std::memcpy(result.data.data(),
-                            data_.data() + req.slba * kSectorSize,
-                            result.data.size());
-            }
+            size_t len = static_cast<size_t>(req.nsectors) * kSectorSize;
+            result.data.reserve(len);
+            data_.read(req.slba * kSectorSize, len, result.data);
         }
         when = std::max(when, timing_->read_done(req.nsectors));
         break;
@@ -112,16 +108,10 @@ ConvDevice::submit(IoRequest req, IoCallback cb)
         stats_.sectors_written += req.nsectors;
         result.lba = req.slba;
         if (config_.data_mode == DataMode::kStore) {
-            if (data_.empty())
-                data_.assign(geom_.nsectors * kSectorSize, 0);
             size_t len = static_cast<size_t>(req.nsectors) * kSectorSize;
-            if (!req.data.empty()) {
-                assert(req.data.size() == len);
-                std::memcpy(data_.data() + req.slba * kSectorSize,
-                            req.data.data(), len);
-            } else {
-                std::memset(data_.data() + req.slba * kSectorSize, 0, len);
-            }
+            assert(req.data.empty() || req.data.size() == len);
+            data_.write(req.slba * kSectorSize,
+                        req.data.empty() ? nullptr : req.data.data(), len);
         }
         // Run every page through the FTL; GC work it triggers occupies
         // device units ahead of later commands.

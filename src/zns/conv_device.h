@@ -15,6 +15,7 @@
 #include "common/slab.h"
 #include "zns/block_device.h"
 #include "zns/ftl.h"
+#include "zns/page_store.h"
 #include "zns/timing_model.h"
 
 namespace raizn {
@@ -60,6 +61,9 @@ class ConvDevice : public BlockDevice
     /// Replaces the device with a factory-fresh one (rebuild target).
     void replace();
 
+    /// Host bytes held by stored payload pages (0 in timing-only mode).
+    uint64_t resident_bytes() const { return data_.resident_bytes(); }
+
   private:
     /// A completion parked until its event fires (see ZnsDevice).
     struct Pending {
@@ -76,7 +80,7 @@ class ConvDevice : public BlockDevice
     DeviceStats stats_;
     std::unique_ptr<TimingModel> timing_;
     std::unique_ptr<Ftl> ftl_;
-    std::vector<uint8_t> data_; ///< lazily allocated in kStore mode
+    PageStore data_; ///< payload (kStore mode)
     /// Completions in flight; reattach() and replace() void them all.
     Slab<Pending> pending_;
     bool failed_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/ledger.h"
@@ -30,10 +29,10 @@ ZnsDevice::ZnsDevice(EventLoop *loop, ZnsDeviceConfig config)
 
     timing_ = std::make_unique<TimingModel>(*loop_, config_.timing);
     timing_->set_busy_accumulator(&stats_.busy_ns);
-    zones_.resize(config_.nzones);
+    zones_.reserve(config_.nzones);
     for (uint32_t i = 0; i < config_.nzones; ++i) {
-        zones_[i].wp = static_cast<uint64_t>(i) * config_.zone_size;
-        zones_[i].durable_wp = zones_[i].wp;
+        zones_.emplace_back(static_cast<uint64_t>(i) * config_.zone_size,
+                            config_.zone_capacity * kSectorSize);
     }
 }
 
@@ -191,16 +190,10 @@ ZnsDevice::store_data(Zone &z, uint64_t slba, const IoRequest &req)
 {
     if (config_.data_mode != DataMode::kStore)
         return;
-    if (z.data.empty())
-        z.data.assign(config_.zone_capacity * kSectorSize, 0);
-    uint64_t off = (slba - zone_start(z)) * kSectorSize;
     size_t len = static_cast<size_t>(req.nsectors) * kSectorSize;
-    if (!req.data.empty()) {
-        assert(req.data.size() == len);
-        std::memcpy(z.data.data() + off, req.data.data(), len);
-    } else {
-        std::memset(z.data.data() + off, 0, len);
-    }
+    assert(req.data.empty() || req.data.size() == len);
+    z.data.write((slba - zone_start(z)) * kSectorSize,
+                 req.data.empty() ? nullptr : req.data.data(), len);
 }
 
 std::vector<uint8_t>
@@ -209,24 +202,25 @@ ZnsDevice::load_data(uint64_t slba, uint32_t nsectors) const
     std::vector<uint8_t> out;
     if (config_.data_mode != DataMode::kStore)
         return out;
-    out.assign(static_cast<size_t>(nsectors) * kSectorSize, 0);
+    out.reserve(static_cast<size_t>(nsectors) * kSectorSize);
     uint64_t lba = slba;
     uint32_t left = nsectors;
-    uint8_t *dst = out.data();
     while (left > 0) {
         const Zone &z = zones_[lba / config_.zone_size];
-        uint64_t zstart = lba / config_.zone_size * config_.zone_size;
-        uint64_t off_in_zone = lba - zstart;
+        uint64_t off_in_zone = lba % config_.zone_size;
         uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(
             left, config_.zone_size - off_in_zone));
-        // Sectors beyond capacity or unwritten read as zeros.
-        if (!z.data.empty() && off_in_zone < config_.zone_capacity) {
-            uint32_t avail = static_cast<uint32_t>(std::min<uint64_t>(
-                chunk, config_.zone_capacity - off_in_zone));
-            std::memcpy(dst, z.data.data() + off_in_zone * kSectorSize,
-                        static_cast<size_t>(avail) * kSectorSize);
+        // Sectors beyond capacity read as zeros (as do unwritten ones).
+        uint32_t avail = off_in_zone < config_.zone_capacity
+            ? static_cast<uint32_t>(std::min<uint64_t>(
+                  chunk, config_.zone_capacity - off_in_zone))
+            : 0;
+        if (avail > 0) {
+            z.data.read(off_in_zone * kSectorSize,
+                        static_cast<size_t>(avail) * kSectorSize, out);
         }
-        dst += static_cast<size_t>(chunk) * kSectorSize;
+        out.insert(out.end(),
+                   static_cast<size_t>(chunk - avail) * kSectorSize, 0);
         lba += chunk;
         left -= chunk;
     }
@@ -269,6 +263,15 @@ ZnsDevice::do_reset(Zone &z)
     z.wp = zone_start(z);
     z.durable_wp = z.wp;
     z.data.clear();
+}
+
+uint64_t
+ZnsDevice::resident_bytes() const
+{
+    uint64_t total = 0;
+    for (const Zone &z : zones_)
+        total += z.data.resident_bytes();
+    return total;
 }
 
 void
@@ -507,11 +510,8 @@ ZnsDevice::power_cut(const PowerLossSpec &spec)
           }
         }
         // Roll the zone back to the surviving write pointer.
-        if (config_.data_mode == DataMode::kStore && !z.data.empty()) {
-            uint64_t off = (survive - zone_start(z)) * kSectorSize;
-            std::fill(z.data.begin() + static_cast<ptrdiff_t>(off),
-                      z.data.end(), 0);
-        }
+        z.data.zero((survive - zone_start(z)) * kSectorSize,
+                    (zone_cap_end(z) - survive) * kSectorSize);
         z.wp = survive;
         z.durable_wp = survive;
         // Post-boot states: open zones become closed (no opens survive).
@@ -551,9 +551,11 @@ ZnsDevice::corrupt(uint64_t lba, uint32_t nsectors, uint64_t seed)
             return;
         Zone &z = zone_at(cur);
         uint64_t off_in_zone = cur - zone_start(z);
-        if (z.data.empty() || off_in_zone >= config_.zone_capacity)
+        if (off_in_zone >= config_.zone_capacity)
             continue;
-        uint8_t *p = z.data.data() + off_in_zone * kSectorSize;
+        uint8_t *p = z.data.find(off_in_zone * kSectorSize);
+        if (p == nullptr)
+            continue;
         for (size_t b = 0; b < kSectorSize; b += 64)
             p[b] ^= static_cast<uint8_t>(rng.next() | 1);
     }

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/slab.h"
 #include "zns/block_device.h"
+#include "zns/page_store.h"
 #include "zns/timing_model.h"
 
 namespace raizn {
@@ -110,7 +111,8 @@ class ZnsDevice : public BlockDevice
      * at `lba` (XORs bytes with a pattern derived from `seed`). Models
      * latent sector corruption; the device keeps serving the corrupted
      * bytes without error, which is what scrubbing exists to catch.
-     * No-op in timing-only mode or on unwritten sectors.
+     * No-op in timing-only mode and on sectors whose page was never
+     * written (they keep reading as zeros).
      */
     void corrupt(uint64_t lba, uint32_t nsectors, uint64_t seed);
 
@@ -123,6 +125,9 @@ class ZnsDevice : public BlockDevice
     /// Count of zones currently in an open state.
     uint32_t open_zone_count() const { return open_count_; }
     uint32_t active_zone_count() const { return active_count_; }
+
+    /// Host bytes held by stored payload pages (0 in timing-only mode).
+    uint64_t resident_bytes() const;
 
     /// Point-in-time zone-state counts (timeline gauges).
     struct ZoneCensus {
@@ -150,11 +155,16 @@ class ZnsDevice : public BlockDevice
     using Apply = std::function<void()>;
 
     struct Zone {
+        Zone(uint64_t start, uint64_t cap_bytes)
+            : wp(start), durable_wp(start), data(cap_bytes)
+        {
+        }
+
         ZoneState state = ZoneState::kEmpty;
-        uint64_t wp = 0; ///< absolute next-writable LBA (submit-time)
-        uint64_t durable_wp = 0; ///< survives power loss
+        uint64_t wp; ///< absolute next-writable LBA (submit-time)
+        uint64_t durable_wp; ///< survives power loss
         uint64_t last_use = 0; ///< for implicit-open LRU eviction
-        std::vector<uint8_t> data; ///< lazily allocated, capacity bytes
+        PageStore data; ///< payload, capacity bytes (kStore mode)
     };
     /// A completion parked until its event fires; the event captures
     /// only (this, slot, generation).

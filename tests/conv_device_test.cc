@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the conventional SSD emulation: block semantics,
- * FTL mapping, garbage collection onset and write amplification.
+ * FTL mapping, garbage collection onset and write amplification, and
+ * the payload page lifetime.
  */
 #include <gtest/gtest.h>
 
@@ -213,6 +214,55 @@ TEST_F(ConvDeviceTest, FailAndReplace)
     ASSERT_TRUE(r.status.is_ok());
     for (uint8_t b : r.data)
         EXPECT_EQ(b, 0);
+}
+
+constexpr uint64_t kPage = PageStore::kPageBytes;
+constexpr uint32_t kPageSectors = PageStore::kPageBytes / kSectorSize;
+
+TEST_F(ConvDeviceTest, OneSectorWriteAllocatesOnePage)
+{
+    EXPECT_EQ(dev_.resident_bytes(), 0u);
+    ASSERT_TRUE(run(IoRequest::write(1000, pattern_data(1, 1))).status);
+    EXPECT_EQ(dev_.resident_bytes(), kPage) << "a page, not the device";
+    // A write straddling a page boundary allocates both pages.
+    ASSERT_TRUE(run(IoRequest::write(kPageSectors - 1, pattern_data(2, 2)))
+                    .status);
+    EXPECT_EQ(dev_.resident_bytes(), 3 * kPage);
+    auto r = run(IoRequest::read(kPageSectors - 2, 4));
+    ASSERT_TRUE(r.status.is_ok());
+    std::vector<uint8_t> want(kSectorSize, 0);
+    auto data = pattern_data(2, 2);
+    want.insert(want.end(), data.begin(), data.end());
+    want.resize(4 * kSectorSize, 0);
+    EXPECT_EQ(r.data, want);
+}
+
+TEST_F(ConvDeviceTest, ZeroPayloadWriteOverWholePageFreesIt)
+{
+    ASSERT_TRUE(
+        run(IoRequest::write(0, pattern_data(2 * kPageSectors, 1))).status);
+    EXPECT_EQ(dev_.resident_bytes(), 2 * kPage);
+    // A partial zero write clears bytes but keeps the page.
+    ASSERT_TRUE(run(IoRequest::write_len(kPageSectors, 1)).status);
+    EXPECT_EQ(dev_.resident_bytes(), 2 * kPage);
+    ASSERT_TRUE(run(IoRequest::write_len(0, kPageSectors)).status);
+    EXPECT_EQ(dev_.resident_bytes(), kPage);
+
+    auto r = run(IoRequest::read(0, 2 * kPageSectors));
+    ASSERT_TRUE(r.status.is_ok());
+    auto want = pattern_data(2 * kPageSectors, 1);
+    std::fill(want.begin(), want.begin() + (kPageSectors + 1) * kSectorSize,
+              0);
+    EXPECT_EQ(r.data, want);
+}
+
+TEST_F(ConvDeviceTest, ReplaceReturnsEveryPage)
+{
+    ASSERT_TRUE(run(IoRequest::write(0, pattern_data(4, 1))).status);
+    ASSERT_TRUE(run(IoRequest::write(4000, pattern_data(4, 2))).status);
+    EXPECT_EQ(dev_.resident_bytes(), 2 * kPage);
+    dev_.replace();
+    EXPECT_EQ(dev_.resident_bytes(), 0u);
 }
 
 } // namespace

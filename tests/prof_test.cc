@@ -3,7 +3,8 @@
  * Host-side scoped profiler (src/obs/prof): nesting and self-vs-total
  * accounting on both clocks, folded flamegraph export, window
  * counters, the zero-cost-when-disabled guarantee, and the alloc/copy
- * meters' coverage of RAIZN's partial-parity log and the retrier.
+ * meters' coverage of RAIZN's partial-parity log, the retrier and the
+ * devices' payload store.
  *
  * The profiler is global, single-threaded state; every test starts by
  * disabling and resetting it so ordering cannot leak between tests.
@@ -21,6 +22,7 @@
 #include "obs/prof/prof.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
+#include "zns/conv_device.h"
 #include "zns/zns_device.h"
 
 using namespace raizn;
@@ -404,7 +406,7 @@ TEST(Prof, RetrierCopiesEachWritePayloadOnce)
 {
     // The retrier keeps the original request for retries and hands the
     // device one copy per attempt; a healthy pass makes one attempt per
-    // sub-I/O.
+    // sub-I/O. The device then copies each payload into its store.
     fresh();
     EventLoop loop;
     ZnsDeviceConfig dc;
@@ -426,8 +428,44 @@ TEST(Prof, RetrierCopiesEachWritePayloadOnce)
     prof::disable();
     prof::WindowCounters wc = prof::window_counters();
     EXPECT_EQ(ok, kWrites);
-    EXPECT_EQ(wc.copy_count, kWrites);
-    EXPECT_EQ(wc.copy_bytes, uint64_t{kWrites} * 4 * kSectorSize);
+    EXPECT_EQ(wc.copy_count, 2 * kWrites);
+    EXPECT_EQ(wc.copy_bytes, 2 * uint64_t{kWrites} * 4 * kSectorSize);
+}
+
+TEST(Prof, MetersCoverDeviceStore)
+{
+    // Both kStore devices meter their payload store and load copies and
+    // each payload page they allocate.
+    fresh();
+    EventLoop loop;
+    ZnsDeviceConfig zc;
+    zc.nzones = 2;
+    zc.zone_size = 128;
+    ZnsDevice zns(&loop, zc);
+    ConvDeviceConfig cc;
+    cc.nsectors = 4096;
+    ConvDevice conv(&loop, cc);
+    constexpr uint32_t kSectors = 20; // crosses a page boundary
+    constexpr uint64_t kBytes = uint64_t{kSectors} * kSectorSize;
+
+    for (BlockDevice *dev : {static_cast<BlockDevice *>(&zns),
+                             static_cast<BlockDevice *>(&conv)}) {
+        prof::enable();
+        ASSERT_TRUE(submit_sync(loop, *dev,
+                                IoRequest::write(0, pattern_data(kSectors, 1)))
+                        .status.is_ok());
+        prof::disable();
+        prof::WindowCounters wc = prof::window_counters();
+        EXPECT_GE(wc.copy_bytes, kBytes);
+        EXPECT_EQ(wc.alloc_count, 2u) << "two pages";
+        EXPECT_EQ(wc.alloc_bytes, 2 * PageStore::kPageBytes);
+
+        prof::enable();
+        ASSERT_TRUE(
+            submit_sync(loop, *dev, IoRequest::read(0, kSectors)).status);
+        prof::disable();
+        EXPECT_GE(prof::window_counters().copy_bytes, kBytes);
+    }
 }
 
 } // namespace

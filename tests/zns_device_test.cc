@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the emulated ZNS device: zone state machine, write
  * pointer rule, append, open/active limits, persistence + power loss,
- * failure injection.
+ * failure injection, and the payload page lifetime (allocate on first
+ * write, free on reset, rollback and replace).
  */
 #include <gtest/gtest.h>
 
@@ -433,6 +434,102 @@ TEST_F(ZnsDeviceTest, ReadsFasterThanWrites)
     }
     Tick write_time = loop_.now() - wstart;
     EXPECT_LT(read_time, write_time);
+}
+
+// Payload pages: 64 KiB = 16 sectors, so a 48-sector zone spans 3.
+constexpr uint64_t kPage = PageStore::kPageBytes;
+constexpr uint32_t kPageSectors = PageStore::kPageBytes / kSectorSize;
+
+TEST_F(ZnsDeviceTest, OneSectorWriteAllocatesOnePage)
+{
+    EXPECT_EQ(dev_.resident_bytes(), 0u);
+    ASSERT_TRUE(run(IoRequest::write(0, pattern_data(1, 1))).status);
+    EXPECT_EQ(dev_.resident_bytes(), kPage) << "a page, not the zone";
+    // Filling the rest of that page allocates nothing more.
+    ASSERT_TRUE(
+        run(IoRequest::write(1, pattern_data(kPageSectors - 1, 2))).status);
+    EXPECT_EQ(dev_.resident_bytes(), kPage);
+    ASSERT_TRUE(run(IoRequest::write(kPageSectors, pattern_data(1, 3))).status);
+    EXPECT_EQ(dev_.resident_bytes(), 2 * kPage);
+}
+
+TEST_F(ZnsDeviceTest, ResetReturnsTheZonesPages)
+{
+    ASSERT_TRUE(run(IoRequest::write(0, pattern_data(48, 1))).status);
+    ASSERT_TRUE(run(IoRequest::write(64, pattern_data(4, 2))).status);
+    EXPECT_EQ(dev_.resident_bytes(), 4 * kPage);
+    ASSERT_TRUE(run(IoRequest::zone_reset(0)).status);
+    EXPECT_EQ(dev_.resident_bytes(), kPage) << "zone 1 keeps its page";
+    ASSERT_TRUE(run(IoRequest::zone_reset(64)).status);
+    EXPECT_EQ(dev_.resident_bytes(), 0u);
+    // A rewrite after the reset reads back only the new bytes.
+    ASSERT_TRUE(run(IoRequest::write(0, pattern_data(2, 3))).status);
+    auto r = run(IoRequest::read(0, 4));
+    ASSERT_TRUE(r.status.is_ok());
+    auto want = pattern_data(2, 3);
+    want.resize(4 * kSectorSize, 0);
+    EXPECT_EQ(r.data, want);
+}
+
+TEST_F(ZnsDeviceTest, ReplaceReturnsEveryPage)
+{
+    for (uint64_t zone = 0; zone < 3; ++zone) {
+        ASSERT_TRUE(
+            run(IoRequest::write(zone * 64, pattern_data(20, zone))).status);
+    }
+    EXPECT_EQ(dev_.resident_bytes(), 6 * kPage);
+    dev_.replace();
+    EXPECT_EQ(dev_.resident_bytes(), 0u);
+}
+
+TEST_F(ZnsDeviceTest, PowerCutRollbackZeroesTailAndFreesLaterPages)
+{
+    // Durable up to sector 4 (mid page 0), cached through sector 40.
+    ASSERT_TRUE(run(IoRequest::write(0, pattern_data(4, 1))).status);
+    ASSERT_TRUE(run(IoRequest::flush()).status);
+    ASSERT_TRUE(run(IoRequest::write(4, pattern_data(36, 2))).status);
+    EXPECT_EQ(dev_.resident_bytes(), 3 * kPage);
+    dev_.power_cut({PowerLossSpec::Policy::kDropCache, 1});
+    dev_.reattach(&loop_);
+    ASSERT_EQ(dev_.zone_info(0).value().wp, 4u);
+    EXPECT_EQ(dev_.resident_bytes(), kPage) << "pages past the wp freed";
+
+    auto r = run(IoRequest::read(0, 40));
+    ASSERT_TRUE(r.status.is_ok());
+    auto want = pattern_data(4, 1);
+    want.resize(40 * kSectorSize, 0);
+    EXPECT_EQ(r.data, want) << "the rolled-back tail reads zeros";
+
+    ASSERT_TRUE(run(IoRequest::write(4, pattern_data(2, 3))).status);
+    r = run(IoRequest::read(0, 40));
+    auto fresh = pattern_data(2, 3);
+    std::copy(fresh.begin(), fresh.end(), want.begin() + 4 * kSectorSize);
+    EXPECT_EQ(r.data, want) << "no stale bytes after the rewrite";
+}
+
+TEST_F(ZnsDeviceTest, CorruptOfUnwrittenSectorAllocatesNothing)
+{
+    dev_.corrupt(64, 4, 7);
+    EXPECT_EQ(dev_.resident_bytes(), 0u);
+    auto r = run(IoRequest::read(64, 4));
+    ASSERT_TRUE(r.status.is_ok());
+    EXPECT_EQ(r.data, std::vector<uint8_t>(4 * kSectorSize, 0));
+
+    // Written sectors do get corrupted.
+    ASSERT_TRUE(run(IoRequest::write(0, pattern_data(4, 1))).status);
+    dev_.corrupt(0, 1, 7);
+    EXPECT_EQ(dev_.resident_bytes(), kPage);
+    EXPECT_NE(run(IoRequest::read(0, 4)).data, pattern_data(4, 1));
+}
+
+TEST_F(ZnsDeviceTest, TimingOnlyDeviceHoldsNoPages)
+{
+    ZnsDeviceConfig cfg = small_config();
+    cfg.data_mode = DataMode::kNone;
+    ZnsDevice dev(&loop_, cfg);
+    ASSERT_TRUE(submit_sync(loop_, dev, IoRequest::write(0, pattern_data(8, 1)))
+                    .status.is_ok());
+    EXPECT_EQ(dev.resident_bytes(), 0u);
 }
 
 } // namespace
