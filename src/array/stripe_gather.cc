@@ -50,8 +50,10 @@ struct StripeGather::State {
             fail(s);
         } else if (!d.empty() && at < spec.bytes) {
             const size_t n = std::min(d.size(), spec.bytes - at);
-            if (spec.fold == Fold::kPlace)
+            if (spec.fold == Fold::kPlace) {
+                prof::count_copy(n);
                 std::memcpy(p.data() + at, d.data(), n);
+            }
             // P takes every source under kXor, data and P under kTwo.
             if (spec.fold == Fold::kXor ||
                 (spec.fold == Fold::kTwo && role != kQ))

@@ -5,7 +5,9 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,12 +49,24 @@ class Bitmap
         words_[i >> 6] &= ~(1ull << (i & 63));
     }
 
-    /// Sets bits [lo, hi).
+    /// Sets bits [lo, hi), a whole word at a time where it can.
     void
     set_range(size_t lo, size_t hi)
     {
-        for (size_t i = lo; i < hi; ++i)
-            set(i);
+        assert(lo <= hi && hi <= bits_);
+        if (lo >= hi)
+            return;
+        const size_t wlo = lo >> 6, whi = (hi - 1) >> 6;
+        const uint64_t first = ~0ull << (lo & 63);
+        const uint64_t last = ~0ull >> (63 - ((hi - 1) & 63));
+        if (wlo == whi) {
+            words_[wlo] |= first & last;
+            return;
+        }
+        words_[wlo] |= first;
+        std::fill(words_.begin() + static_cast<ptrdiff_t>(wlo) + 1,
+                  words_.begin() + static_cast<ptrdiff_t>(whi), ~0ull);
+        words_[whi] |= last;
     }
 
     void
@@ -76,11 +90,18 @@ class Bitmap
     size_t
     find_first_clear(size_t from = 0) const
     {
-        for (size_t i = from; i < bits_; ++i) {
-            if (!test(i))
-                return i;
+        if (from >= bits_)
+            return bits_;
+        size_t w = from >> 6;
+        // Treat the bits below `from` as set.
+        uint64_t clear = ~(words_[w] | ~(~0ull << (from & 63)));
+        while (clear == 0) {
+            if (++w == words_.size())
+                return bits_;
+            clear = ~words_[w];
         }
-        return bits_;
+        const size_t i = (w << 6) + static_cast<size_t>(__builtin_ctzll(clear));
+        return i < bits_ ? i : bits_;
     }
 
     size_t

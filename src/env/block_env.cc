@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "obs/prof/prof.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -41,18 +42,26 @@ class BlockWritableFile : public WritableFile
     {
         if (closed_)
             return Status(StatusCode::kInvalidArgument, "closed");
-        buffer_.insert(buffer_.end(), data.begin(), data.end());
         size_ += data.size();
         env_->stats_.bytes_appended += data.size();
-        if (buffer_.size() >= 256 * kKiB)
-            return spill();
+        if (buffer_.empty() && data.size() >= kSpillBytes) {
+            // Direct path: written straight from the caller's bytes,
+            // the same device writes as buffering them and spilling.
+            Status st = spill(data);
+            if (!st)
+                buffer_.assign(data.begin(), data.end());
+            return st;
+        }
+        buffer_.insert(buffer_.end(), data.begin(), data.end());
+        if (buffer_.size() >= kSpillBytes)
+            return spill_buffer();
         return Status::ok();
     }
 
     Status
     sync() override
     {
-        Status st = spill();
+        Status st = spill_buffer();
         if (!st)
             return st;
         return env_->sync_volume();
@@ -63,7 +72,7 @@ class BlockWritableFile : public WritableFile
     {
         if (closed_)
             return Status::ok();
-        Status st = spill();
+        Status st = spill_buffer();
         closed_ = true;
         return st;
     }
@@ -71,26 +80,38 @@ class BlockWritableFile : public WritableFile
     uint64_t size() const override { return size_; }
 
   private:
+    static constexpr size_t kSpillBytes = 256 * kKiB;
+
     Status
-    spill()
+    spill_buffer()
     {
-        if (buffer_.empty())
+        Status st = spill(buffer_);
+        if (st)
+            buffer_.clear();
+        return st;
+    }
+
+    /// Appends `bytes` to the file. The partial tail sector is
+    /// rewritten in place (block devices allow overwrites), so the
+    /// stream written is the old tail, then `bytes`, zero-padded to a
+    /// sector; each volume write gets its one buffer cut from it.
+    Status
+    spill(std::span<const uint8_t> bytes)
+    {
+        if (bytes.empty())
             return Status::ok();
         auto &meta = env_->files_[name_];
-        // Rewrite the partial tail sector in place (block devices
-        // allow overwrites), then append whole sectors.
         uint64_t tail_bytes = meta.size_bytes % kSectorSize;
         uint64_t write_off = meta.size_bytes - tail_bytes; // bytes
-        std::vector<uint8_t> chunk;
+        std::vector<uint8_t> tail;
         if (tail_bytes > 0) {
             auto old = env_->read_span(meta, write_off, tail_bytes);
             if (!old.is_ok())
                 return old.status();
-            chunk = std::move(old).value();
+            tail = std::move(old).value();
         }
-        chunk.insert(chunk.end(), buffer_.begin(), buffer_.end());
-        chunk.resize(round_up(chunk.size(), kSectorSize), 0);
-        uint64_t need_sectors = chunk.size() / kSectorSize;
+        const uint64_t stream = tail_bytes + bytes.size();
+        uint64_t need_sectors = div_ceil(stream, kSectorSize);
         uint64_t have_sectors = 0;
         for (const auto &e : meta.extents)
             have_sectors += e.sectors;
@@ -103,16 +124,30 @@ class BlockWritableFile : public WritableFile
             for (const auto &e : alloc.value())
                 meta.extents.push_back(e);
         }
-        // Write chunk sectors through the extent map.
+        // Write the stream's sectors through the extent map.
         uint64_t done = 0;
         while (done < need_sectors) {
             uint64_t lba, run;
             env_->map_sector(meta, first_sector + done, &lba, &run);
             run = std::min(run, need_sectors - done);
-            std::vector<uint8_t> part(
-                chunk.begin() + static_cast<ptrdiff_t>(done * kSectorSize),
-                chunk.begin() +
-                    static_cast<ptrdiff_t>((done + run) * kSectorSize));
+            const uint64_t lo = done * kSectorSize;
+            const uint64_t hi = (done + run) * kSectorSize;
+            std::vector<uint8_t> part;
+            part.reserve(hi - lo);
+            if (lo < tail_bytes) {
+                part.insert(part.end(),
+                            tail.begin() + static_cast<ptrdiff_t>(lo),
+                            tail.begin() + static_cast<ptrdiff_t>(
+                                               std::min(hi, tail_bytes)));
+            }
+            const uint64_t blo = std::max(lo, tail_bytes) - tail_bytes;
+            const uint64_t bhi = std::min(hi, stream) - tail_bytes;
+            if (bhi > blo)
+                part.insert(part.end(), bytes.begin() + blo,
+                            bytes.begin() + bhi);
+            prof::count_alloc(hi - lo);
+            prof::count_copy(part.size());
+            part.resize(hi - lo); // zero pad
             auto r = vol_sync(env_->loop_, [&](IoCallback cb) {
                 env_->vol_->write(lba, std::move(part), {}, std::move(cb));
             });
@@ -120,8 +155,7 @@ class BlockWritableFile : public WritableFile
                 return r.status;
             done += run;
         }
-        meta.size_bytes += buffer_.size();
-        buffer_.clear();
+        meta.size_bytes += bytes.size();
         return Status::ok();
     }
 
@@ -183,7 +217,7 @@ Result<std::vector<uint8_t>>
 BlockEnv::read_span(const FileMeta &meta, uint64_t offset,
                     uint64_t length)
 {
-    std::vector<uint8_t> out(length);
+    std::vector<uint8_t> out;
     uint64_t got = 0;
     while (got < length) {
         uint64_t byte_off = offset + got;
@@ -200,9 +234,27 @@ BlockEnv::read_span(const FileMeta &meta, uint64_t offset,
         });
         if (!r.status.is_ok())
             return r.status;
-        if (!r.data.empty()) {
-            std::memcpy(out.data() + got, r.data.data() + in_sector,
-                        span_bytes);
+        if (span_bytes == length && !r.data.empty()) {
+            // One extent: hand back the volume's buffer, trimmed in
+            // place.
+            if (in_sector > 0) {
+                prof::count_copy(span_bytes);
+                std::memmove(r.data.data(), r.data.data() + in_sector,
+                             span_bytes);
+            }
+            r.data.resize(span_bytes);
+            return std::move(r.data);
+        }
+        if (out.capacity() == 0) {
+            prof::count_alloc(length);
+            out.reserve(length);
+        }
+        if (r.data.empty()) {
+            out.resize(out.size() + span_bytes); // timing-only: zeros
+        } else {
+            prof::count_copy(span_bytes);
+            out.insert(out.end(), r.data.begin() + in_sector,
+                       r.data.begin() + in_sector + span_bytes);
         }
         got += span_bytes;
     }
@@ -304,6 +356,13 @@ BlockEnv::delete_file(const std::string &name)
     files_.erase(it);
     stats_.files_deleted++;
     return Status::ok();
+}
+
+size_t
+BlockEnv::extent_count(const std::string &name) const
+{
+    auto it = files_.find(name);
+    return it == files_.end() ? 0 : it->second.extents.size();
 }
 
 bool

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 
 #include "env/env.h"
 #include "mdraid/md_volume.h"
@@ -31,6 +32,8 @@ class BlockEnv : public Env
     const EnvStats &stats() const override { return stats_; }
 
     MdVolume *volume() const { return vol_; }
+    /// Extents allocated to `name` (0 for an unknown file).
+    size_t extent_count(const std::string &name) const;
 
   private:
     friend class BlockWritableFile;

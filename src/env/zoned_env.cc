@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "obs/prof/prof.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -42,11 +43,25 @@ class ZonedWritableFile : public WritableFile
     {
         if (closed_)
             return Status(StatusCode::kInvalidArgument, "closed");
-        buffer_.insert(buffer_.end(), data.begin(), data.end());
         size_ += data.size();
         env_->stats_.bytes_appended += data.size();
+        if (buffer_.empty() && data.size() >= kSpillBytes) {
+            // Direct path: the whole sectors go out straight from the
+            // caller's bytes and only the tail is buffered -- the same
+            // device writes as buffering everything and spilling.
+            size_t whole = data.size() / kSectorSize * kSectorSize;
+            Status st = write_out({data.data(), whole});
+            if (!st) {
+                buffer_.assign(data.begin(), data.end());
+                return st;
+            }
+            buffer_.assign(data.begin() + static_cast<ptrdiff_t>(whole),
+                           data.end());
+            return Status::ok();
+        }
+        buffer_.insert(buffer_.end(), data.begin(), data.end());
         // Spill full sectors opportunistically in large chunks.
-        if (buffer_.size() >= 256 * kKiB)
+        if (buffer_.size() >= kSpillBytes)
             return spill(false);
         return Status::ok();
     }
@@ -76,6 +91,8 @@ class ZonedWritableFile : public WritableFile
     uint64_t size() const override { return size_; }
 
   private:
+    static constexpr size_t kSpillBytes = 256 * kKiB;
+
     /// Writes buffered bytes out. `pad` forces the partial tail sector
     /// (ZNS cannot rewrite it later, so the pad is wasted space —
     /// exactly the cost a zoned WAL pays).
@@ -86,15 +103,22 @@ class ZonedWritableFile : public WritableFile
         size_t take = pad ? buffer_.size() : whole;
         if (take == 0)
             return Status::ok();
-        std::vector<uint8_t> chunk(round_up(take, kSectorSize), 0);
-        std::memcpy(chunk.data(), buffer_.data(), take);
-        auto res = env_->append_sectors(name_, chunk, take);
-        if (!res.is_ok())
-            return res.status();
-        auto &meta = env_->files_[name_];
-        meta.size_bytes += take;
+        Status st = write_out({buffer_.data(), take});
+        if (!st)
+            return st;
         buffer_.erase(buffer_.begin(),
                       buffer_.begin() + static_cast<ptrdiff_t>(take));
+        return Status::ok();
+    }
+
+    /// Appends `bytes` to the file's extents (the last sector padded).
+    Status
+    write_out(std::span<const uint8_t> bytes)
+    {
+        auto res = env_->append_sectors(name_, bytes);
+        if (!res.is_ok())
+            return res.status();
+        env_->files_[name_].size_bytes += bytes.size();
         return Status::ok();
     }
 
@@ -122,7 +146,7 @@ class ZonedReadableFile : public ReadableFile
             length = meta_->size_bytes - offset;
         }
         env_->stats_.bytes_read += length;
-        std::vector<uint8_t> out(length);
+        std::vector<uint8_t> out;
         uint64_t got = 0;
         // Walk extents; each extent holds sectors*kSectorSize bytes of
         // the file's byte stream except trailing pad in its last
@@ -152,15 +176,32 @@ class ZonedReadableFile : public ReadableFile
             });
             if (!r.status.is_ok())
                 return r.status;
-            if (!r.data.empty()) {
-                std::memcpy(out.data() + got,
-                            r.data.data() +
-                                (in_ext - first_sector * kSectorSize),
-                            take);
+            const uint64_t skip = in_ext - first_sector * kSectorSize;
+            if (take == length && !r.data.empty()) {
+                // One extent: hand back the volume's buffer, trimmed
+                // in place.
+                if (skip > 0) {
+                    prof::count_copy(take);
+                    std::memmove(r.data.data(), r.data.data() + skip, take);
+                }
+                r.data.resize(take);
+                return std::move(r.data);
+            }
+            if (out.capacity() == 0) {
+                prof::count_alloc(length);
+                out.reserve(length);
+            }
+            if (r.data.empty()) {
+                out.resize(out.size() + take); // timing-only: zeros
+            } else {
+                prof::count_copy(take);
+                out.insert(out.end(), r.data.begin() + skip,
+                           r.data.begin() + skip + take);
             }
             got += take;
             file_off += ext_bytes;
         }
+        out.resize(length);
         return out;
     }
 
@@ -287,11 +328,9 @@ ZonedEnv::clean_one_zone()
             std::vector<uint64_t> repl_valid;
             uint64_t done = 0, bytes_left = valid;
             while (done < ext.sectors) {
-                std::vector<uint8_t> part(
-                    data.begin() +
-                        static_cast<ptrdiff_t>(done * kSectorSize),
-                    data.end());
-                auto moved = append_raw(part);
+                auto moved = append_raw(
+                    std::span<const uint8_t>(data).subspan(done *
+                                                           kSectorSize));
                 if (!moved.is_ok()) {
                     cleaning_ = false;
                     return moved.status();
@@ -330,9 +369,9 @@ ZonedEnv::clean_one_zone()
 }
 
 Result<ZonedEnv::Extent>
-ZonedEnv::append_raw(const std::vector<uint8_t> &data)
+ZonedEnv::append_raw(std::span<const uint8_t> bytes)
 {
-    uint64_t sectors = data.size() / kSectorSize;
+    uint64_t sectors = div_ceil(bytes.size(), kSectorSize);
     Status st = ensure_write_zone(sectors);
     if (!st)
         return st;
@@ -345,9 +384,14 @@ ZonedEnv::append_raw(const std::vector<uint8_t> &data)
         sectors = room;
     }
     uint64_t lba = zi.value().wp;
-    std::vector<uint8_t> chunk(
-        data.begin(),
-        data.begin() + static_cast<ptrdiff_t>(sectors * kSectorSize));
+    const size_t chunk_bytes = sectors * kSectorSize;
+    const size_t copy = std::min(bytes.size(), chunk_bytes);
+    std::vector<uint8_t> chunk;
+    chunk.reserve(chunk_bytes);
+    chunk.assign(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(copy));
+    chunk.resize(chunk_bytes); // zero pad
+    prof::count_alloc(chunk_bytes);
+    prof::count_copy(copy);
     // Relocation writes issued by the cleaner are environment GC, not
     // new user data: the provenance ledger must keep them out of the
     // write-amplification denominator.
@@ -365,19 +409,15 @@ ZonedEnv::append_raw(const std::vector<uint8_t> &data)
 
 Result<ZonedEnv::Extent>
 ZonedEnv::append_sectors(const std::string &file,
-                         const std::vector<uint8_t> &data,
-                         uint64_t valid_bytes)
+                         std::span<const uint8_t> bytes)
 {
     FileMeta &meta = files_[file];
-    uint64_t total = data.size() / kSectorSize;
+    uint64_t total = div_ceil(bytes.size(), kSectorSize);
     uint64_t done = 0;
-    uint64_t bytes_left = valid_bytes;
+    uint64_t bytes_left = bytes.size();
     Extent first{0, 0};
     while (done < total) {
-        std::vector<uint8_t> part(
-            data.begin() + static_cast<ptrdiff_t>(done * kSectorSize),
-            data.end());
-        auto res = append_raw(part);
+        auto res = append_raw(bytes.subspan(done * kSectorSize));
         if (!res.is_ok())
             return res.status();
         Extent ext = res.value();
@@ -463,6 +503,13 @@ ZonedEnv::delete_file(const std::string &name)
     files_.erase(it);
     stats_.files_deleted++;
     return Status::ok();
+}
+
+size_t
+ZonedEnv::extent_count(const std::string &name) const
+{
+    auto it = files_.find(name);
+    return it == files_.end() ? 0 : it->second.extents.size();
 }
 
 bool

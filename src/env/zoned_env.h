@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "env/env.h"
@@ -34,6 +35,8 @@ class ZonedEnv : public Env
     const EnvStats &stats() const override { return stats_; }
 
     RaiznVolume *volume() const { return vol_; }
+    /// Extents holding `name`'s bytes (0 for an unknown file).
+    size_t extent_count(const std::string &name) const;
 
   private:
     friend class ZonedWritableFile;
@@ -57,14 +60,15 @@ class ZonedEnv : public Env
     };
 
     uint64_t extent_bytes(const FileMeta &meta, size_t idx) const;
-    /// Appends sector-padded bytes for `file` (of which `valid_bytes`
-    /// are real data), splitting across zones.
+    /// Appends `bytes` for `file` as whole sectors, zero-padding the
+    /// last one, splitting across zones.
     Result<Extent> append_sectors(const std::string &file,
-                                  const std::vector<uint8_t> &data,
-                                  uint64_t valid_bytes);
-    /// Appends raw sectors to the active zone (may short-write at the
-    /// zone end); used by both the write path and the cleaner.
-    Result<Extent> append_raw(const std::vector<uint8_t> &data);
+                                  std::span<const uint8_t> bytes);
+    /// Writes a prefix of `bytes`, sector-padded, at the active zone's
+    /// write pointer (a short write at the zone end); used by both the
+    /// write path and the cleaner. It builds the one buffer handed to
+    /// RaiznVolume::write, so it makes the env's one payload copy.
+    Result<Extent> append_raw(std::span<const uint8_t> bytes);
     Status ensure_write_zone(uint64_t needed_sectors);
     Status clean_one_zone();
     void account_delete(const FileMeta &meta);

@@ -27,11 +27,19 @@ put_u64(std::vector<uint8_t> &buf, uint64_t v)
     std::memcpy(buf.data() + off, &v, 8);
 }
 
+/// Appends `n` raw bytes with one memcpy (no per-byte conversion).
+inline void
+put_bytes(std::vector<uint8_t> &buf, const void *p, size_t n)
+{
+    const auto *b = static_cast<const uint8_t *>(p);
+    buf.insert(buf.end(), b, b + n);
+}
+
 inline void
 put_str(std::vector<uint8_t> &buf, const std::string &s)
 {
     put_u32(buf, static_cast<uint32_t>(s.size()));
-    buf.insert(buf.end(), s.begin(), s.end());
+    put_bytes(buf, s.data(), s.size());
 }
 
 inline uint32_t

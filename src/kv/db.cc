@@ -53,17 +53,18 @@ Db::open_wal()
 }
 
 Status
-Db::write_impl(const std::string &key,
-               const std::optional<std::string> &value)
+Db::write_impl(const std::string &key, const std::string *value)
 {
-    // WAL record: klen | vlen(or max) | key | value
-    std::vector<uint8_t> rec;
+    // WAL record: klen | vlen(or max) | key | value, built in the one
+    // reused record buffer.
+    std::vector<uint8_t> &rec = wal_rec_;
+    rec.clear();
     put_u32(rec, static_cast<uint32_t>(key.size()));
     put_u32(rec, value ? static_cast<uint32_t>(value->size())
                        : UINT32_MAX);
-    rec.insert(rec.end(), key.begin(), key.end());
+    put_bytes(rec, key.data(), key.size());
     if (value)
-        rec.insert(rec.end(), value->begin(), value->end());
+        put_bytes(rec, value->data(), value->size());
     Status st = wal_->append(rec);
     if (!st)
         return st;
@@ -74,7 +75,10 @@ Db::write_impl(const std::string &key,
     }
 
     mem_bytes_ += key.size() + (value ? value->size() : 0) + 16;
-    mem_[key] = value;
+    if (value)
+        mem_[key] = *value;
+    else
+        mem_[key] = std::nullopt;
     if (mem_bytes_ >= opt_.memtable_bytes) {
         st = flush_memtable();
         if (!st)
@@ -90,14 +94,14 @@ Status
 Db::put(const std::string &key, const std::string &value)
 {
     stats_.puts++;
-    return write_impl(key, value);
+    return write_impl(key, &value);
 }
 
 Status
 Db::delete_key(const std::string &key)
 {
     stats_.deletes++;
-    return write_impl(key, std::nullopt);
+    return write_impl(key, nullptr);
 }
 
 Result<std::string>

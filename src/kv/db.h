@@ -68,8 +68,8 @@ class Db
 
     Db(Env *env, DbOptions options);
 
-    Status write_impl(const std::string &key,
-                      const std::optional<std::string> &value);
+    /// Logs and applies one write; a null `value` is a delete.
+    Status write_impl(const std::string &key, const std::string *value);
     Status flush_memtable();
     Status maybe_compact();
     Status compact_l0();
@@ -84,6 +84,7 @@ class Db
     std::map<std::string, std::optional<std::string>> mem_;
     uint64_t mem_bytes_ = 0;
     std::unique_ptr<WritableFile> wal_;
+    std::vector<uint8_t> wal_rec_; ///< reused WAL record buffer
     uint64_t wal_number_ = 0;
     uint64_t next_file_ = 1;
     /// levels_[0] ordered newest-first; deeper levels sorted by key.

@@ -23,7 +23,14 @@ SstWriter::write(Env *env, const std::string &name,
         return file.status();
     WritableFile *out = file.value().get();
 
+    // The record image is sized up front and filled with memcpy
+    // appends: it is the table's one copy of the payload before the
+    // env writes it out.
+    uint64_t data_bytes = 0;
+    for (const KvEntry &e : entries)
+        data_bytes += 8 + e.first.size() + (e.second ? e.second->size() : 0);
     std::vector<uint8_t> data;
+    data.reserve(data_bytes);
     std::vector<uint8_t> index;
     std::vector<std::string> keys;
     keys.reserve(entries.size());
@@ -39,9 +46,9 @@ SstWriter::write(Env *env, const std::string &name,
         put_u32(data, e.second
                           ? static_cast<uint32_t>(e.second->size())
                           : kTombstone);
-        data.insert(data.end(), e.first.begin(), e.first.end());
+        put_bytes(data, e.first.data(), e.first.size());
         if (e.second)
-            data.insert(data.end(), e.second->begin(), e.second->end());
+            put_bytes(data, e.second->data(), e.second->size());
         keys.push_back(e.first);
     }
     std::vector<uint8_t> bloom = BloomFilter::build(keys);

@@ -52,7 +52,10 @@ class PersistBitmap
     {
         uint64_t units = upto_sectors / su_sectors_;
         units = std::min<uint64_t>(units, bits_.size());
-        bits_.set_range(0, units);
+        // Every unit below the prefix is already set.
+        if (units <= prefix_)
+            return;
+        bits_.set_range(prefix_, units);
         advance_prefix();
     }
 
@@ -87,8 +90,7 @@ class PersistBitmap
     void
     advance_prefix()
     {
-        while (prefix_ < bits_.size() && bits_.test(prefix_))
-            prefix_++;
+        prefix_ = bits_.find_first_clear(prefix_);
     }
 
     uint32_t su_sectors_ = 1;

@@ -736,55 +736,64 @@ RaiznVolume::start_fua_flush_phase(std::shared_ptr<WriteCtx> ctx)
         finish_write(ctx);
 }
 
+namespace {
+
+/// One flush's join: every member's completion counts down to it.
+struct FlushJoin {
+    uint32_t pending = 0;
+    Status first;
+    std::vector<uint64_t> wps; ///< per-zone write offset at submission
+    IoCallback cb;
+};
+
+} // namespace
+
 void
 RaiznVolume::flush(IoCallback cb)
 {
     PROF_SCOPE("raizn.flush");
     stats_.flushes++;
-    // Duplicate the flush to every array device (§5.3).
-    auto pending = std::make_shared<uint32_t>(0);
-    auto first = std::make_shared<Status>();
+    // Duplicate the flush to every array device (§5.3). One join per
+    // flush; each member's closure holds only a pointer to it.
+    auto join = std::allocate_shared<FlushJoin>(PoolAllocator<FlushJoin>());
+    join->cb = std::move(cb);
     // Snapshot write pointers: everything submitted before the flush
     // becomes durable at its completion.
-    auto wps = std::make_shared<std::vector<uint64_t>>();
+    join->wps.reserve(zones_.size());
     for (const LZone &lz : zones_)
-        wps->push_back(lz.wp - lz.start);
-    auto done = [this, pending, first, wps,
-                 cb = std::move(cb)](IoResult r) {
-        if (!r.status.is_ok() && first->is_ok())
-            *first = r.status;
-        if (--*pending > 0)
+        join->wps.push_back(lz.wp - lz.start);
+    static constexpr auto arrive = [](RaiznVolume *v, FlushJoin &j,
+                                      const Status &s) {
+        if (!s.is_ok() && j.first.is_ok())
+            j.first = s;
+        if (--j.pending > 0)
             return;
-        for (uint32_t z = 0; z < zones_.size(); ++z) {
-            if ((*wps)[z] > 0)
-                zones_[z].pbm.mark_persisted_upto((*wps)[z]);
+        for (uint32_t z = 0; z < v->zones_.size(); ++z) {
+            if (j.wps[z] > 0)
+                v->zones_[z].pbm.mark_persisted_upto(j.wps[z]);
         }
         IoResult out;
-        out.status = *first;
-        cb(std::move(out));
+        out.status = j.first;
+        IoCallback done = std::move(j.cb);
+        done(std::move(out));
     };
     for (uint32_t d = 0; d < devs_.size(); ++d) {
         if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
             continue;
-        (*pending)++;
+        join->pending++;
         IoRequest freq = IoRequest::flush();
         freq.cause = obs::Cause::kUserData;
-        dev_submit(d, std::move(freq),
-                   [this, done, d](IoResult r) mutable {
-                       if (!r.status.is_ok() &&
-                           escalate_dev_error(d, r.status)) {
-                           r.status = Status::ok();
-                       }
-                       done(std::move(r));
-                   });
+        dev_submit(d, std::move(freq), [this, join, d](IoResult r) {
+            if (!r.status.is_ok() && escalate_dev_error(d, r.status))
+                r.status = Status::ok();
+            arrive(this, *join, r.status);
+        });
     }
-    if (*pending == 0) {
+    if (join->pending == 0) {
         // No live devices.
-        (*pending)++;
-        IoResult r;
-        r.status = Status(StatusCode::kOffline, "no devices");
-        loop_->schedule_after(1, [done, r]() mutable {
-            done(std::move(r));
+        join->pending++;
+        loop_->schedule_after(1, [this, join] {
+            arrive(this, *join, Status(StatusCode::kOffline, "no devices"));
         });
     }
 }
@@ -1115,9 +1124,11 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                 if (!rel->cached.empty()) {
                     const uint8_t *img =
                         rel->cached.data() + off_in_rel * kSectorSize;
-                    g.put(std::vector<uint8_t>(img,
-                                               img + run_len * kSectorSize),
-                          kNsPerUs, at_bytes);
+                    const size_t n = size_t{run_len} * kSectorSize;
+                    prof::count_alloc(n);
+                    prof::count_copy(n);
+                    g.put(std::vector<uint8_t>(img, img + n), kNsPerUs,
+                          at_bytes);
                 } else if (static_cast<int>(rel->dev) != failed_dev_ &&
                            !devs_[rel->dev]->failed()) {
                     IoRequest rreq =

@@ -1,33 +1,47 @@
 /**
  * @file
- * Heap-allocation budget of the member-command hop. This binary
- * replaces the global operator new with a counting one, warms a healthy
- * RAIZN array on timing-only members, and asserts that 64 KiB writes
- * and 4 KiB reads then cost at most a small fixed number of
- * allocations per logical op. The event queue, device completions,
+ * Heap-allocation budgets. This binary replaces the global operator
+ * new with a counting one.
+ *
+ * The member-command hop: a healthy RAIZN array on timing-only members,
+ * once warm, must spend at most a small fixed number of allocations per
+ * 64 KiB write and 4 KiB read. The event queue, device completions,
  * retrier state and read joins are pooled; a regression that puts a
  * per-command allocation back on that path breaks the budget.
+ *
+ * The kStore write path above the volume: a ZonedEnv append allocates
+ * one buffer per volume write and nothing the size of the payload
+ * besides, and a Db put's WAL record lives in one reused buffer.
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "env/zoned_env.h"
+#include "kv/db.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "wkld/setup.h"
 
 namespace {
 uint64_t g_news = 0;
+uint64_t g_new_bytes = 0;
 bool g_counting = false;
 } // namespace
 
 void *
 operator new(size_t n)
 {
-    if (g_counting)
+    if (g_counting) {
         g_news++;
+        g_new_bytes += n;
+    }
     if (void *p = std::malloc(n != 0 ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -125,6 +139,90 @@ TEST(AllocBudget, WarmTimingOnlyHopAllocatesAlmostNothing)
     // was pooled); each read its sub-read closure (1 per read, was 9).
     EXPECT_LE(per_write, 3.0);
     EXPECT_LE(per_read, 2.0);
+}
+
+/// Bytes `fn` allocates.
+template <typename Fn>
+uint64_t
+bytes_allocated_by(Fn fn)
+{
+    g_new_bytes = 0;
+    g_counting = true;
+    fn();
+    g_counting = false;
+    return g_new_bytes;
+}
+
+BenchScale
+small_store_scale()
+{
+    BenchScale scale;
+    scale.zones_per_device = 9; // 4 MiB logical zones
+    scale.zone_cap_sectors = 256;
+    scale.data_mode = DataMode::kStore;
+    return scale;
+}
+
+TEST(AllocBudget, ZonedEnvAppendAllocatesOneBufferPerVolumeWrite)
+{
+    // A 4 MiB append plus close through ZonedEnv, against the same
+    // volume writes issued on a twin array from buffers built before
+    // counting: the difference is what the env allocates. It hands
+    // RaiznVolume::write one buffer per write (4 MiB in all) and keeps
+    // no payload-sized copy of its own.
+    constexpr uint32_t kSectors = 1024;
+    constexpr uint64_t kBytes = uint64_t{kSectors} * kSectorSize;
+    const std::vector<uint8_t> payload = pattern_data(kSectors, 5);
+
+    RaiznArray a = make_raizn_array(small_store_scale());
+    ZonedEnv env(a.loop.get(), a.vol.get());
+    auto f = env.new_writable("000001.sst");
+    ASSERT_TRUE(f.is_ok());
+    const uint64_t via_env = bytes_allocated_by([&] {
+        ASSERT_TRUE(f.value()->append(payload).is_ok());
+        ASSERT_TRUE(f.value()->close().is_ok());
+    });
+    ASSERT_EQ(a.vol->zone_capacity(), kSectors); // one volume write
+
+    RaiznArray b = make_raizn_array(small_store_scale());
+    std::vector<uint8_t> bytes = payload;
+    const uint64_t direct = bytes_allocated_by([&] {
+        bool ok = false;
+        b.vol->write(0, std::move(bytes), {},
+                     [&](IoResult r) { ok = r.status.is_ok(); });
+        b.loop->run();
+        ASSERT_TRUE(ok);
+    });
+    ASSERT_GE(via_env, direct);
+    EXPECT_LE(via_env - direct, kBytes + 4 * kKiB);
+}
+
+TEST(AllocBudget, DbPutKeepsTheWalRecordInOneBuffer)
+{
+    // A warm put allocates its memtable node and the memtable's copy of
+    // the value; the WAL record is built in a reused buffer and the
+    // WAL's file buffer has already grown past its 256 KiB spill mark.
+    constexpr size_t kValueBytes = 4000;
+    RaiznArray a = make_raizn_array(small_store_scale());
+    ZonedEnv env(a.loop.get(), a.vol.get());
+    auto db = Db::open(&env, DbOptions{});
+    ASSERT_TRUE(db.is_ok());
+    std::vector<std::pair<std::string, std::string>> kvs;
+    for (int i = 0; i < 102; ++i) {
+        char key[16];
+        std::snprintf(key, sizeof(key), "key%012d", i); // 15 B: inline
+        kvs.emplace_back(key, std::string(kValueBytes, static_cast<char>(i)));
+    }
+    // 70 puts of ~4 KiB records: the WAL spills once, at the 66th.
+    for (int i = 0; i < 70; ++i)
+        ASSERT_TRUE(db.value()->put(kvs[i].first, kvs[i].second).is_ok());
+    constexpr int kPuts = 32; // no spill and no memtable flush
+    const uint64_t bytes = bytes_allocated_by([&] {
+        for (int i = 70; i < 70 + kPuts; ++i)
+            ASSERT_TRUE(db.value()->put(kvs[i].first, kvs[i].second).is_ok());
+    });
+    EXPECT_EQ(db.value()->stats().memtable_flushes, 0u);
+    EXPECT_LE(static_cast<double>(bytes) / kPuts, kValueBytes + 256.0);
 }
 
 } // namespace

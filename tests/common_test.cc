@@ -300,5 +300,37 @@ TEST(BitmapTest, RangeOps)
     EXPECT_EQ(bm.count_set(), 0u);
 }
 
+TEST(BitmapTest, WordRangesMatchBitByBit)
+{
+    // set_range fills whole words and find_first_clear scans them; both
+    // must agree with a one-bit-at-a-time model at every word edge.
+    Rng rng(5);
+    for (size_t bits : {1u, 63u, 64u, 65u, 127u, 128u, 200u}) {
+        Bitmap bm(bits);
+        std::vector<bool> model(bits, false);
+        for (int step = 0; step < 300; ++step) {
+            size_t lo = rng.next_below(bits + 1);
+            size_t hi = rng.next_below(bits + 1);
+            if (lo > hi)
+                std::swap(lo, hi);
+            if (rng.next_below(8) == 0) {
+                bm.clear_all();
+                model.assign(bits, false);
+            }
+            bm.set_range(lo, hi);
+            for (size_t i = lo; i < hi; ++i)
+                model[i] = true;
+            const size_t from = rng.next_below(bits + 1);
+            size_t want = from;
+            while (want < bits && model[want])
+                want++;
+            ASSERT_EQ(bm.find_first_clear(from), want)
+                << bits << " bits, from " << from;
+        }
+        for (size_t i = 0; i < bits; ++i)
+            ASSERT_EQ(bm.test(i), model[i]) << bits << "/" << i;
+    }
+}
+
 } // namespace
 } // namespace raizn

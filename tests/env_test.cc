@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "env/block_env.h"
 #include "env/zoned_env.h"
 #include "wkld/setup.h"
@@ -16,6 +18,44 @@ std::vector<uint8_t>
 bytes_of(const std::string &s)
 {
     return std::vector<uint8_t>(s.begin(), s.end());
+}
+
+/// `n` bytes that differ by offset and by `seed`.
+std::vector<uint8_t>
+pattern(size_t n, uint32_t seed)
+{
+    std::vector<uint8_t> v(n);
+    for (size_t i = 0; i < n; ++i)
+        v[i] = static_cast<uint8_t>((i * 131 + seed * 29 + (i >> 12)) & 0xff);
+    return v;
+}
+
+void
+append_to(std::vector<uint8_t> *all, const std::vector<uint8_t> &more)
+{
+    all->insert(all->end(), more.begin(), more.end());
+}
+
+/// Reads `name` back whole and checks it byte for byte, then one
+/// unaligned slice.
+void
+expect_reads_back(Env *env, const std::string &name,
+                  const std::vector<uint8_t> &want)
+{
+    ASSERT_EQ(env->file_size(name).value(), want.size());
+    auto r = env->open_readable(name);
+    ASSERT_TRUE(r.is_ok());
+    auto all = r.value()->read(0, want.size());
+    ASSERT_TRUE(all.is_ok());
+    ASSERT_TRUE(all.value() == want) << name;
+    const uint64_t off = want.size() / 3 + 5;
+    const uint64_t len = want.size() / 2;
+    auto slice = r.value()->read(off, len);
+    ASSERT_TRUE(slice.is_ok());
+    ASSERT_TRUE(std::equal(slice.value().begin(), slice.value().end(),
+                           want.begin() + static_cast<ptrdiff_t>(off),
+                           want.begin() + static_cast<ptrdiff_t>(off + len)))
+        << name << " slice";
 }
 
 class ZonedEnvTest : public ::testing::Test
@@ -157,6 +197,98 @@ TEST_F(ZonedEnvTest, CleanerRelocatesLiveData)
         ASSERT_EQ(v, 0xaa);
 }
 
+// A >= 256 KiB append into an empty buffer goes out straight from the
+// caller's bytes (whole sectors) and buffers only its unaligned tail;
+// the small appends after it join the tail and the sync pads it into
+// the sector right after, which merges into the one extent.
+TEST_F(ZonedEnvTest, DirectAppendKeepsUnalignedTail)
+{
+    auto f = env_->new_writable("f");
+    ASSERT_TRUE(f.is_ok());
+    std::vector<uint8_t> want = pattern(300 * kKiB + 123, 1);
+    ASSERT_TRUE(f.value()->append(want).is_ok());
+    EXPECT_EQ(env_->file_size("f").value(), 300 * kKiB); // tail buffered
+    for (uint32_t i = 0; i < 3; ++i) {
+        std::vector<uint8_t> small = pattern(1000, 10 + i);
+        ASSERT_TRUE(f.value()->append(small).is_ok());
+        append_to(&want, small);
+    }
+    ASSERT_TRUE(f.value()->sync().is_ok());
+    ASSERT_TRUE(f.value()->close().is_ok());
+    expect_reads_back(env_.get(), "f", want);
+    EXPECT_EQ(env_->extent_count("f"), 1u);
+    const EnvStats &st = env_->stats();
+    EXPECT_EQ(st.files_created, 1u);
+    EXPECT_EQ(st.bytes_appended, want.size());
+    EXPECT_EQ(st.bytes_read, want.size() + want.size() / 2);
+    EXPECT_EQ(st.gc_relocated_bytes, 0u);
+    EXPECT_EQ(st.zones_reclaimed, 0u);
+}
+
+// A direct append that runs past the active zone's end splits into one
+// extent per zone; the padded tail lands right after the second.
+TEST_F(ZonedEnvTest, DirectAppendCrossesAZone)
+{
+    auto pre = env_->new_writable("pre");
+    ASSERT_TRUE(pre.value()->append(pattern(kMiB, 2)).is_ok());
+    ASSERT_TRUE(pre.value()->close().is_ok());
+    const uint64_t zone_bytes = arr_.vol->zone_capacity() * kSectorSize;
+    std::vector<uint8_t> want = pattern(zone_bytes + 777, 3);
+    auto f = env_->new_writable("x");
+    ASSERT_TRUE(f.value()->append(want).is_ok());
+    ASSERT_TRUE(f.value()->close().is_ok());
+    expect_reads_back(env_.get(), "x", want);
+    EXPECT_EQ(env_->extent_count("pre"), 1u);
+    EXPECT_EQ(env_->extent_count("x"), 2u);
+    const EnvStats &st = env_->stats();
+    EXPECT_EQ(st.files_created, 2u);
+    EXPECT_EQ(st.bytes_appended, kMiB + want.size());
+    EXPECT_EQ(st.bytes_read, want.size() + want.size() / 2);
+    EXPECT_EQ(st.gc_relocated_bytes, 0u);
+}
+
+// The cleaner relocates a file written by the direct path (whole
+// sectors straight from the caller, padded tails at each sync) and the
+// file still reads back byte for byte.
+TEST_F(ZonedEnvTest, CleanerRelocatesDirectlyWrittenFile)
+{
+    auto keep = env_->new_writable("keep");
+    auto kill = env_->new_writable("kill");
+    std::vector<uint8_t> want;
+    for (uint32_t i = 0; i < 8; ++i) {
+        std::vector<uint8_t> k = pattern(256 * kKiB + 100, 20 + i);
+        ASSERT_TRUE(keep.value()->append(k).is_ok());
+        ASSERT_TRUE(keep.value()->sync().is_ok());
+        append_to(&want, k);
+        ASSERT_TRUE(kill.value()->append(pattern(256 * kKiB, 40 + i)).is_ok());
+        ASSERT_TRUE(kill.value()->sync().is_ok());
+    }
+    ASSERT_TRUE(keep.value()->close().is_ok());
+    ASSERT_TRUE(kill.value()->close().is_ok());
+    // One extent per round: the direct write and its padded tail are
+    // contiguous; "kill" lands between rounds.
+    const size_t keep_extents = env_->extent_count("keep");
+    EXPECT_EQ(keep_extents, 8u);
+    ASSERT_TRUE(env_->delete_file("kill").is_ok());
+
+    // Fill until the cleaner has to move "keep".
+    auto filler = env_->new_writable("filler");
+    std::vector<uint8_t> mb = pattern(256 * kKiB, 60);
+    for (int i = 0; i < 200 && env_->stats().gc_relocated_bytes == 0; ++i)
+        ASSERT_TRUE(filler.value()->append(mb).is_ok());
+    ASSERT_TRUE(filler.value()->close().is_ok());
+    const EnvStats &st = env_->stats();
+    // The victim is the first zone, where only "keep" is live: all of
+    // its 65-sector rounds move, and nothing else does.
+    EXPECT_EQ(st.gc_relocated_bytes, 8 * 65 * kSectorSize);
+    EXPECT_EQ(st.zones_reclaimed, 1u);
+    expect_reads_back(env_.get(), "keep", want);
+    // Relocation moves extent by extent and merges none.
+    EXPECT_EQ(env_->extent_count("keep"), keep_extents);
+    EXPECT_EQ(st.files_created, 3u);
+    EXPECT_EQ(st.files_deleted, 1u);
+}
+
 class BlockEnvTest : public ::testing::Test
 {
   protected:
@@ -217,6 +349,63 @@ TEST_F(BlockEnvTest, DeleteFreesSpace)
     EXPECT_LT(env_->free_bytes(), before);
     ASSERT_TRUE(env_->delete_file("tmp").is_ok());
     EXPECT_EQ(env_->free_bytes(), before);
+}
+
+// The BlockEnv direct path: a >= 256 KiB append into an empty buffer
+// is written straight from the caller's bytes, its unaligned tail
+// padded on the device and rewritten in place by the next spill.
+TEST_F(BlockEnvTest, DirectAppendKeepsUnalignedTail)
+{
+    auto f = env_->new_writable("f");
+    ASSERT_TRUE(f.is_ok());
+    std::vector<uint8_t> want = pattern(300 * kKiB + 123, 1);
+    ASSERT_TRUE(f.value()->append(want).is_ok());
+    EXPECT_EQ(env_->file_size("f").value(), want.size()); // nothing held
+    for (uint32_t i = 0; i < 3; ++i) {
+        std::vector<uint8_t> small = pattern(1000, 10 + i);
+        ASSERT_TRUE(f.value()->append(small).is_ok());
+        append_to(&want, small);
+    }
+    ASSERT_TRUE(f.value()->sync().is_ok());
+    ASSERT_TRUE(f.value()->close().is_ok());
+    expect_reads_back(env_.get(), "f", want);
+    EXPECT_EQ(env_->extent_count("f"), 1u);
+    const EnvStats &st = env_->stats();
+    EXPECT_EQ(st.files_created, 1u);
+    EXPECT_EQ(st.bytes_appended, want.size());
+    // The tail rewrite reads below the file API: not in bytes_read.
+    EXPECT_EQ(st.bytes_read, want.size() + want.size() / 2);
+}
+
+// BlockEnv has no zones and no cleaner; its crossing is between two
+// allocated extents. A freed 1 MiB hole takes the first 256 sectors of
+// the stream (the old partial tail sector rewritten in place, then the
+// caller's bytes) and the rest lands after the live file.
+TEST_F(BlockEnvTest, DirectAppendCrossesAnExtentAfterTail)
+{
+    auto a = env_->new_writable("a");
+    ASSERT_TRUE(a.value()->append(bytes_of("a")).is_ok());
+    ASSERT_TRUE(a.value()->close().is_ok());
+    auto b = env_->new_writable("b");
+    ASSERT_TRUE(b.value()->append(bytes_of("b")).is_ok());
+    ASSERT_TRUE(b.value()->close().is_ok());
+    ASSERT_TRUE(env_->delete_file("a").is_ok());
+
+    auto f = env_->new_writable("x");
+    std::vector<uint8_t> want = pattern(1000, 5);
+    ASSERT_TRUE(f.value()->append(want).is_ok());
+    ASSERT_TRUE(f.value()->sync().is_ok());
+    std::vector<uint8_t> big = pattern(kMiB + 777, 6);
+    ASSERT_TRUE(f.value()->append(big).is_ok());
+    append_to(&want, big);
+    ASSERT_TRUE(f.value()->close().is_ok());
+    expect_reads_back(env_.get(), "x", want);
+    EXPECT_EQ(env_->extent_count("x"), 2u);
+    const EnvStats &st = env_->stats();
+    EXPECT_EQ(st.files_created, 3u);
+    EXPECT_EQ(st.files_deleted, 1u);
+    EXPECT_EQ(st.bytes_appended, 2 + want.size());
+    EXPECT_EQ(st.bytes_read, want.size() + want.size() / 2);
 }
 
 TEST_F(BlockEnvTest, ManyFilesListAndDelete)

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "obs/prof/prof.h"
 #include "raizn/gen_counter.h"
 #include "raizn/metadata.h"
@@ -349,6 +350,44 @@ TEST(PersistBitmapTest, PrefixTracking)
     EXPECT_EQ(pbm.persisted_prefix_units(), 4u);
     pbm.clear();
     EXPECT_EQ(pbm.persisted_prefix_units(), 0u);
+}
+
+TEST(PersistBitmapTest, RandomOpsMatchNaiveModel)
+{
+    // mark_unit / mark_persisted_upto / clear against a plain vector of
+    // flags, over sizes around the 64-bit word edges.
+    Rng rng(11);
+    for (uint64_t units : {1u, 63u, 64u, 65u, 130u, 1000u}) {
+        const uint32_t su = 1 + static_cast<uint32_t>(rng.next_below(16));
+        PersistBitmap pbm(units, su);
+        std::vector<bool> model(units, false);
+        for (int step = 0; step < 2000; ++step) {
+            const uint64_t pick = rng.next_below(100);
+            if (pick < 60) {
+                const uint64_t u = rng.next_below(units);
+                pbm.mark_unit(u);
+                model[u] = true;
+            } else if (pick < 98) {
+                const uint64_t upto = rng.next_below((units + 2) * su);
+                pbm.mark_persisted_upto(upto);
+                for (uint64_t u = 0; u < std::min(upto / su, units); ++u)
+                    model[u] = true;
+            } else {
+                pbm.clear();
+                model.assign(units, false);
+            }
+            uint64_t prefix = 0;
+            while (prefix < units && model[prefix])
+                prefix++;
+            ASSERT_EQ(pbm.persisted_prefix_units(), prefix)
+                << "units " << units << " step " << step;
+            const uint64_t probe = rng.next_below(units);
+            ASSERT_EQ(pbm.unit_persisted(probe), model[probe])
+                << "units " << units << " step " << step << " unit " << probe;
+        }
+        for (uint64_t u = 0; u < units; ++u)
+            ASSERT_EQ(pbm.unit_persisted(u), model[u]) << units << "/" << u;
+    }
 }
 
 TEST(PersistBitmapTest, MemoryIsOneBitPerUnit)

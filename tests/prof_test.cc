@@ -3,8 +3,8 @@
  * Host-side scoped profiler (src/obs/prof): nesting and self-vs-total
  * accounting on both clocks, folded flamegraph export, window
  * counters, the zero-cost-when-disabled guarantee, and the alloc/copy
- * meters' coverage of RAIZN's partial-parity log, the retrier and the
- * devices' payload store.
+ * meters' coverage of RAIZN's partial-parity log, the retrier, the
+ * devices' payload store and the zoned env's write copy.
  *
  * The profiler is global, single-threaded state; every test starts by
  * disabling and resetting it so ordering cannot leak between tests.
@@ -17,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "env/zoned_env.h"
 #include "fault/retry.h"
 #include "obs/ledger.h"
 #include "obs/prof/prof.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
+#include "wkld/setup.h"
 #include "zns/conv_device.h"
 #include "zns/zns_device.h"
 
@@ -430,6 +432,62 @@ TEST(Prof, RetrierCopiesEachWritePayloadOnce)
     EXPECT_EQ(ok, kWrites);
     EXPECT_EQ(wc.copy_count, 2 * kWrites);
     EXPECT_EQ(wc.copy_bytes, 2 * uint64_t{kWrites} * 4 * kSectorSize);
+}
+
+TEST(Prof, ZonedEnvCopiesEachAppendedByteOnce)
+{
+    // A 4 MiB append plus close through ZonedEnv over a kStore RAIZN
+    // array. The env's one copy is the buffer it hands
+    // RaiznVolume::write. A twin array takes the same volume writes
+    // from buffers built outside the window, so the difference between
+    // the two windows is exactly the env's share.
+    BenchScale scale;
+    scale.zones_per_device = 9;
+    scale.zone_cap_sectors = 256;
+    scale.data_mode = DataMode::kStore;
+    constexpr uint32_t kSectors = 1024; // 4 MiB
+    const std::vector<uint8_t> payload = pattern_data(kSectors, 3);
+
+    RaiznArray a = make_raizn_array(scale);
+    ZonedEnv env(a.loop.get(), a.vol.get());
+    auto f = env.new_writable("000001.sst");
+    ASSERT_TRUE(f.is_ok());
+    fresh();
+    prof::enable();
+    ASSERT_TRUE(f.value()->append(payload).is_ok());
+    ASSERT_TRUE(f.value()->close().is_ok());
+    prof::disable();
+    const prof::WindowCounters via_env = prof::window_counters();
+
+    // The env fills the first empty zone from its start and splits at
+    // each zone end.
+    RaiznArray b = make_raizn_array(scale);
+    const uint64_t zone = b.vol->zone_capacity();
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> writes;
+    for (uint64_t lba = 0; lba < kSectors;) {
+        const uint64_t n = std::min<uint64_t>(kSectors - lba, zone - lba % zone);
+        writes.emplace_back(
+            lba, std::vector<uint8_t>(
+                     payload.begin() + static_cast<ptrdiff_t>(lba * kSectorSize),
+                     payload.begin() +
+                         static_cast<ptrdiff_t>((lba + n) * kSectorSize)));
+        lba += n;
+    }
+    fresh();
+    prof::enable();
+    for (auto &[lba, bytes] : writes) {
+        bool ok = false;
+        b.vol->write(lba, std::move(bytes), {},
+                     [&](IoResult r) { ok = r.status.is_ok(); });
+        b.loop->run();
+        ASSERT_TRUE(ok);
+    }
+    prof::disable();
+    const prof::WindowCounters direct = prof::window_counters();
+
+    EXPECT_EQ(via_env.copy_bytes - direct.copy_bytes,
+              uint64_t{kSectors} * kSectorSize);
+    EXPECT_EQ(via_env.copy_count - direct.copy_count, writes.size());
 }
 
 TEST(Prof, MetersCoverDeviceStore)
