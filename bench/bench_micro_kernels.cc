@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of RAIZN's hot CPU kernels: XOR
- * parity, sector CRC32C, partial-parity delta computation, metadata
+ * parity (a stripe unit and a sector), CRC32C of a sector and of a
+ * bloom-filter key, partial-parity delta computation, metadata
  * entry encode/decode, latency histogram insertion, and event-loop
  * dispatch.
  *
@@ -18,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/kernels.h"
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "raizn/metadata.h"
@@ -43,6 +44,22 @@ BM_XorParity64K(benchmark::State &state)
 }
 BENCHMARK(BM_XorParity64K);
 
+/// One sector folded into a parity buffer (a one-sector write's delta).
+void
+BM_XorParity4K(benchmark::State &state)
+{
+    std::vector<uint8_t> dst(kSectorSize, 0xaa);
+    std::vector<uint8_t> src(kSectorSize, 0x55);
+    for (auto _ : state) {
+        xor_bytes(dst.data(), src.data(), dst.size());
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(dst.size()));
+}
+BENCHMARK(BM_XorParity4K);
+
 /// One sector through the read-verify / write-catalog checksum.
 void
 BM_Crc32c4K(benchmark::State &state)
@@ -57,6 +74,19 @@ BM_Crc32c4K(benchmark::State &state)
                             static_cast<int64_t>(sector.size()));
 }
 BENCHMARK(BM_Crc32c4K);
+
+/// A kv key through the bloom filter's hash: the short-input path.
+void
+BM_Crc32cKey(benchmark::State &state)
+{
+    char key[17]; // 16 B, kv_bulk's key width
+    std::snprintf(key, sizeof(key), "%016llu", 123456ull);
+    for (auto _ : state) {
+        uint32_t crc = crc32c(key, 16);
+        benchmark::DoNotOptimize(crc);
+    }
+}
+BENCHMARK(BM_Crc32cKey);
 
 void
 BM_FullStripeParity(benchmark::State &state)

@@ -1,7 +1,8 @@
 #include "array/crc_catalog.h"
 
-#include "common/crc32.h"
+#include "common/kernels.h"
 #include "common/units.h"
+#include "obs/prof/prof.h"
 
 namespace raizn {
 
@@ -25,6 +26,7 @@ CrcCatalog::record(uint64_t off, const uint8_t *bytes, uint32_t n)
         crcs_.assign(zone_sectors_, 0);
         valid_.assign(zone_sectors_, false);
     }
+    PROF_SCOPE("crc.record");
     for (uint32_t i = 0; i < n; ++i) {
         valid_[off + i] = bytes != nullptr;
         if (bytes != nullptr)
@@ -38,6 +40,7 @@ CrcCatalog::check(uint64_t off, const uint8_t *bytes, uint32_t n) const
     Coverage c;
     if (bytes == nullptr)
         return c;
+    PROF_SCOPE("crc.check");
     for (uint32_t i = 0; i < n && off + i < valid_.size(); ++i) {
         if (!valid_[off + i])
             continue;

@@ -12,13 +12,12 @@
 
 #include "array/gf256.h"
 #include "array/stripe_gather.h"
-#include "common/crc32.h"
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 
 namespace raizn {

@@ -15,8 +15,8 @@
 #include "array/crc_catalog.h"
 #include "array/gf256.h"
 #include "array/stripe_gather.h"
+#include "common/kernels.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes
 #include "sim/event_loop.h"
 
 namespace raizn {

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "array/gf256.h"
+#include "common/kernels.h"
 #include "common/slab.h"
 #include "obs/prof/prof.h"
-#include "raizn/stripe_buffer.h" // xor_bytes
 #include "sim/event_loop.h"
 
 namespace raizn {

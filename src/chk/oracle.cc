@@ -5,8 +5,8 @@
 #include <functional>
 
 #include "array/engine.h"
+#include "common/kernels.h"
 #include "common/logging.h"
-#include "raizn/stripe_buffer.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"

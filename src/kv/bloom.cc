@@ -1,6 +1,6 @@
 #include "kv/bloom.h"
 
-#include "common/crc32.h"
+#include "common/kernels.h"
 
 namespace raizn {
 

@@ -5,13 +5,14 @@
 #include <cstring>
 
 #include "array/stripe_gather.h"
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/prof/prof.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "raizn/stripe_buffer.h" // xor_bytes, parity_byte_range
+#include "raizn/stripe_buffer.h" // parity_byte_range
 #include "sim/event_loop.h"
 #include "zns/conv_device.h"
 

@@ -68,8 +68,14 @@ State &
 state()
 {
     static State s;
-    if (s.nodes.empty())
+    if (s.nodes.empty()) {
+        // Room for a typical run's call tree and nesting depth, so the
+        // first scopes of a window do not grow either vector inside it
+        // (a cold allocation costs ~100 us under ASan); clears keep it.
+        s.nodes.reserve(256);
+        s.stack.reserve(32);
         s.nodes.push_back(Node{nullptr, 0}); // synthetic root, index 0
+    }
     return s;
 }
 

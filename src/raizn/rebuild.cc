@@ -28,6 +28,7 @@
 #include <cassert>
 #include <map>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "raizn/volume_impl.h"

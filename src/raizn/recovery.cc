@@ -11,6 +11,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "raizn/volume_impl.h"
 #include "sim/event_loop.h"

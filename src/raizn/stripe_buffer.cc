@@ -4,28 +4,10 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/kernels.h"
 #include "obs/prof/prof.h"
 
 namespace raizn {
-
-void
-xor_bytes(uint8_t *dst, const uint8_t *src, size_t n)
-{
-    // Word-wise main loop. memcpy loads and stores keep unaligned
-    // sub-ranges free of alignment and aliasing UB, and compile to
-    // plain moves.
-    size_t words = n / 8;
-    for (size_t i = 0; i < words; ++i) {
-        uint64_t d = 0;
-        uint64_t s = 0;
-        std::memcpy(&d, dst + i * 8, 8);
-        std::memcpy(&s, src + i * 8, 8);
-        d ^= s;
-        std::memcpy(dst + i * 8, &d, 8);
-    }
-    for (size_t i = words * 8; i < n; ++i)
-        dst[i] ^= src[i];
-}
 
 void
 parity_byte_range(uint64_t s, uint64_t e, uint32_t su_sectors,
@@ -89,8 +71,9 @@ StripeBuffer::full_parity() const
     PROF_SCOPE("raizn.parity.full");
     uint64_t su_bytes = static_cast<uint64_t>(su_sectors_) * kSectorSize;
     prof::count_alloc(su_bytes);
-    std::vector<uint8_t> parity(su_bytes, 0);
-    for (uint32_t k = 0; k < data_units_; ++k)
+    // The first unit is copied, only the later ones fold.
+    std::vector<uint8_t> parity(data_.begin(), data_.begin() + su_bytes);
+    for (uint32_t k = 1; k < data_units_; ++k)
         xor_bytes(parity.data(), data_.data() + k * su_bytes, su_bytes);
     return parity;
 }
@@ -109,12 +92,15 @@ StripeBuffer::parity_delta(uint64_t s, uint64_t e, uint64_t *lo_sector,
         return {};
     size_t out_bytes = (*hi_sector - *lo_sector) * kSectorSize;
     prof::count_alloc(out_bytes);
-    std::vector<uint8_t> delta(out_bytes, 0);
+    std::vector<uint8_t> delta;
+    delta.reserve(out_bytes);
     uint64_t su_bytes = static_cast<uint64_t>(su_sectors_) * kSectorSize;
     uint64_t sb = s * kSectorSize;
     uint64_t eb = e * kSectorSize;
     uint64_t base = *lo_sector * kSectorSize; // parity offset of delta[0]
-    // XOR every written byte in [sb, eb) into its parity position.
+    // XOR every written byte in [sb, eb) into its parity position. The
+    // first unit is copied in, zero-extended on both sides; only the
+    // later units fold.
     uint64_t k1 = sb / su_bytes;
     uint64_t k2 = (eb - 1) / su_bytes;
     for (uint64_t k = k1; k <= k2; ++k) {
@@ -122,8 +108,15 @@ StripeBuffer::parity_delta(uint64_t s, uint64_t e, uint64_t *lo_sector,
         uint64_t unit_hi = std::min(eb, (k + 1) * su_bytes);
         uint64_t parity_off = unit_lo - k * su_bytes;
         assert(parity_off >= base);
-        xor_bytes(delta.data() + (parity_off - base),
-                  data_.data() + unit_lo, unit_hi - unit_lo);
+        const uint8_t *src = data_.data() + unit_lo;
+        if (k == k1) {
+            delta.resize(parity_off - base);
+            delta.insert(delta.end(), src, src + (unit_hi - unit_lo));
+            delta.resize(out_bytes);
+        } else {
+            xor_bytes(delta.data() + (parity_off - base), src,
+                      unit_hi - unit_lo);
+        }
     }
     return delta;
 }
@@ -136,11 +129,15 @@ StripeBuffer::prefix_parity() const
     PROF_SCOPE("raizn.parity.prefix");
     uint64_t su_bytes = static_cast<uint64_t>(su_sectors_) * kSectorSize;
     prof::count_alloc(su_bytes);
-    std::vector<uint8_t> parity(su_bytes, 0);
-    if (filled_ == 0)
-        return parity;
+    // The first unit's filled bytes are copied and zero-extended, only
+    // the later units fold.
     uint64_t filled_bytes = filled_ * kSectorSize;
-    for (uint32_t k = 0; k < data_units_; ++k) {
+    std::vector<uint8_t> parity;
+    parity.reserve(su_bytes);
+    parity.assign(data_.begin(),
+                  data_.begin() + std::min(su_bytes, filled_bytes));
+    parity.resize(su_bytes);
+    for (uint32_t k = 1; k < data_units_; ++k) {
         uint64_t lo = static_cast<uint64_t>(k) * su_bytes;
         if (lo >= filled_bytes)
             break;

@@ -21,9 +21,6 @@
 
 namespace raizn {
 
-/// XOR `n` bytes of `src` into `dst`.
-void xor_bytes(uint8_t *dst, const uint8_t *src, size_t n);
-
 /**
  * Affected parity byte range [lo, hi) for a write covering stripe
  * offsets [s, e) (in sectors, within one stripe of D stripe units of

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "common/crc32.h"
+#include "common/kernels.h"
 
 namespace raizn {
 

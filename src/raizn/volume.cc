@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "array/stripe_gather.h"
+#include "common/kernels.h"
 #include "common/logging.h"
 #include "common/slab.h"
 #include "obs/ledger.h"

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: status, units, histogram, rng, crc32,
- * bitmap.
+ * Unit tests for src/common: status, units, histogram, rng, the CRC32C
+ * and XOR kernels, bitmap.
  */
 #include <gtest/gtest.h>
 
@@ -9,9 +9,9 @@
 #include <map>
 
 #include "common/bitmap.h"
-#include "common/crc32.h"
-#include "common/crc32_internal.h"
 #include "common/histogram.h"
+#include "common/kernels.h"
+#include "common/kernels_internal.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -245,6 +245,41 @@ expect_chains(CrcFn fn)
     }
 }
 
+/**
+ * Sector- and unit-sized inputs (4 KiB, 64 KiB) at random seeds, cut
+ * into chained calls at random points and at points just around each
+ * long- and short-lane step edge, against the portable reference.
+ */
+void
+expect_long_inputs_chain(CrcFn fn)
+{
+    Rng rng(29);
+    for (size_t len : {size_t{4096}, size_t{65536}}) {
+        std::vector<uint8_t> buf(len);
+        for (auto &b : buf)
+            b = static_cast<uint8_t>(rng.next());
+        std::vector<size_t> cuts;
+        for (size_t lane : {detail::kCrcLongLane, detail::kCrcShortLane}) {
+            for (size_t edge = 3 * lane; edge < len; edge += 3 * lane) {
+                cuts.push_back(edge - 1);
+                cuts.push_back(edge);
+                cuts.push_back(edge + 1 + edge / (3 * lane) % 8);
+            }
+        }
+        for (int i = 0; i < 16; ++i)
+            cuts.push_back(rng.next_below(len + 1));
+        for (size_t cut : cuts) {
+            auto seed = static_cast<uint32_t>(rng.next());
+            uint32_t want = detail::crc32c_portable(buf.data(), len, seed);
+            ASSERT_EQ(fn(buf.data(), len, seed), want)
+                << "len " << len << " seed " << seed;
+            uint32_t head = fn(buf.data(), cut, seed);
+            ASSERT_EQ(fn(buf.data() + cut, len - cut, head), want)
+                << "len " << len << " cut " << cut << " seed " << seed;
+        }
+    }
+}
+
 TEST(Crc32Test, PortableMatchesBitwiseReference)
 {
     EXPECT_EQ(detail::crc32c_portable("123456789", 9, 0), 0xE3069283u);
@@ -256,18 +291,79 @@ TEST(Crc32Test, DispatchedMatchesBitwiseReference)
 {
     expect_matches_bitwise(crc32c);
     expect_chains(crc32c);
+    expect_long_inputs_chain(crc32c);
 }
 
 TEST(Crc32Test, HardwareMatchesBitwiseReference)
 {
-#ifdef RAIZN_HAVE_CRC32C_HW
+#ifdef RAIZN_HAVE_X86_KERNELS
     if (!detail::crc32c_hw_supported())
         GTEST_SKIP() << "host CPU lacks SSE4.2";
     EXPECT_EQ(detail::crc32c_hw("123456789", 9, 0), 0xE3069283u);
     expect_matches_bitwise(detail::crc32c_hw);
     expect_chains(detail::crc32c_hw);
+    expect_long_inputs_chain(detail::crc32c_hw);
 #else
     GTEST_SKIP() << "no hardware CRC32C path on this architecture";
+#endif
+}
+
+using XorFn = void (*)(uint8_t *, const uint8_t *, size_t);
+
+/// Checks `fn` against a byte loop on every length 0..1100 at every
+/// dst and src offset 0..31, and that bytes outside the range stay.
+void
+expect_xor_matches_byte_loop(XorFn fn)
+{
+    constexpr size_t kMaxLen = 1100;
+    constexpr size_t kOffsets = 32;
+    constexpr size_t kSize = kMaxLen + kOffsets;
+    Rng rng(31);
+    std::vector<uint8_t> src(kSize), dst(kSize), want(kMaxLen);
+    for (auto &b : src)
+        b = static_cast<uint8_t>(rng.next());
+    for (auto &b : dst)
+        b = static_cast<uint8_t>(rng.next());
+    std::vector<uint8_t> got = dst;
+    for (size_t doff = 0; doff < kOffsets; ++doff) {
+        for (size_t soff = 0; soff < kOffsets; ++soff) {
+            for (size_t i = 0; i < kMaxLen; ++i)
+                want[i] = dst[doff + i] ^ src[soff + i];
+            for (size_t n = 0; n <= kMaxLen; ++n) {
+                fn(got.data() + doff, src.data() + soff, n);
+                ASSERT_EQ(std::memcmp(got.data() + doff, want.data(), n), 0)
+                    << "n " << n << " doff " << doff << " soff " << soff;
+                ASSERT_EQ(std::memcmp(got.data(), dst.data(), doff), 0)
+                    << "n " << n << " doff " << doff << " soff " << soff;
+                ASSERT_EQ(std::memcmp(got.data() + doff + n,
+                                      dst.data() + doff + n,
+                                      kSize - doff - n),
+                          0)
+                    << "n " << n << " doff " << doff << " soff " << soff;
+                std::memcpy(got.data() + doff, dst.data() + doff, n);
+            }
+        }
+    }
+}
+
+TEST(XorTest, PortableMatchesByteLoop)
+{
+    expect_xor_matches_byte_loop(detail::xor_bytes_portable);
+}
+
+TEST(XorTest, DispatchedMatchesByteLoop)
+{
+    expect_xor_matches_byte_loop(xor_bytes);
+}
+
+TEST(XorTest, Avx2MatchesByteLoop)
+{
+#ifdef RAIZN_HAVE_X86_KERNELS
+    if (!detail::xor_avx2_supported())
+        GTEST_SKIP() << "host CPU lacks AVX2";
+    expect_xor_matches_byte_loop(detail::xor_bytes_avx2);
+#else
+    GTEST_SKIP() << "no AVX2 XOR path on this architecture";
 #endif
 }
 

@@ -8,10 +8,10 @@
 
 #include <memory>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "fault/fault_device.h"
 #include "mdraid/md_volume.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 #include "zns/conv_device.h"
 

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "obs/prof/prof.h"
 #include "raizn/gen_counter.h"
@@ -268,6 +269,34 @@ TEST(StripeBufferTest, FullParityIsXorOfUnits)
         for (uint32_t k = 0; k < 4; ++k)
             expect ^= data[k * 4 * kSectorSize + j];
         ASSERT_EQ(parity[j], expect) << "byte " << j;
+    }
+}
+
+TEST(StripeBufferTest, ParityCallsMatchByteReference)
+{
+    // Every write [s, e) of a 4 x 4-sector stripe, and the prefix
+    // parity at every fill level, against zero-filled buffers folded
+    // byte by byte.
+    constexpr uint32_t kUnits = 4, kSu = 4;
+    constexpr uint64_t kStripe = kUnits * kSu;
+    constexpr uint64_t kSuBytes = kSu * kSectorSize;
+    auto data = pattern_data(kStripe, 21);
+    for (uint64_t e = 1; e <= kStripe; ++e) {
+        StripeBuffer buf(kUnits, kSu, false);
+        buf.assign(0);
+        buf.fill(0, data.data(), e);
+        std::vector<uint8_t> prefix(kSuBytes, 0);
+        for (uint64_t b = 0; b < e * kSectorSize; ++b)
+            prefix[b % kSuBytes] ^= data[b];
+        ASSERT_EQ(buf.prefix_parity(), prefix) << "filled " << e;
+        for (uint64_t s = 0; s < e; ++s) {
+            uint64_t lo, hi;
+            auto delta = buf.parity_delta(s, e, &lo, &hi);
+            std::vector<uint8_t> want((hi - lo) * kSectorSize, 0);
+            for (uint64_t b = s * kSectorSize; b < e * kSectorSize; ++b)
+                want[b % kSuBytes - lo * kSectorSize] ^= data[b];
+            ASSERT_EQ(delta, want) << "write [" << s << ", " << e << ")";
+        }
     }
 }
 

@@ -12,8 +12,8 @@
 
 #include "array/gf256.h"
 #include "array/stripe_gather.h"
+#include "common/kernels.h"
 #include "common/rng.h"
-#include "raizn/stripe_buffer.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"
 

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/kernels.h"
 #include "raizn_test_util.h"
 
 namespace raizn {
