@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "common/kernels.h"
 #include "common/histogram.h"
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "raizn/metadata.h"
 #include "raizn/stripe_buffer.h"

@@ -1,7 +1,6 @@
 #include "common/kernels.h"
 
 #include <array>
-#include <atomic>
 #include <cstring>
 
 #include "common/kernels_internal.h"
@@ -62,14 +61,13 @@ make_shift_table(size_t lane)
     return t;
 }
 
-constexpr ShiftTable kLongShift = make_shift_table(kCrcLongLane);
-constexpr ShiftTable kShortShift = make_shift_table(kCrcShortLane);
+constexpr ShiftTable kLaneShift = make_shift_table(kCrcLane);
 
 inline uint32_t
-shift(const ShiftTable &t, uint32_t reg)
+shift_lane(uint32_t reg)
 {
-    return t[0][reg & 0xff] ^ t[1][(reg >> 8) & 0xff] ^
-        t[2][(reg >> 16) & 0xff] ^ t[3][reg >> 24];
+    return kLaneShift[0][reg & 0xff] ^ kLaneShift[1][(reg >> 8) & 0xff] ^
+        kLaneShift[2][(reg >> 16) & 0xff] ^ kLaneShift[3][reg >> 24];
 }
 
 inline uint64_t
@@ -107,31 +105,45 @@ xor_bytes_portable(uint8_t *dst, const uint8_t *src, size_t n)
 
 #ifdef RAIZN_HAVE_X86_KERNELS
 namespace {
-/**
- * Folds whole three-lane steps of `kLane`-byte lanes from `*p` into the
- * raw register `crc`, advancing `*p` and `*len`. One `crc32` chain is
- * latency-bound (3 cycles per 8 bytes) while the unit accepts one per
- * cycle: three chains over consecutive lanes, each started from zero,
- * keep it busy. The running register only passes through the shifts,
- * so the next step's chains do not wait for the merge.
- */
-template <size_t kLane>
+/// One `crc32` chain over `p[0, len)` from the raw register `crc`:
+/// 8 bytes per step, then a byte tail.
 __attribute__((target("sse4.2"))) inline uint32_t
-crc_lanes(const uint8_t **p, size_t *len, uint32_t crc, const ShiftTable &t)
+crc_chain(const uint8_t *p, size_t len, uint32_t crc)
 {
-    for (; *len >= 3 * kLane; *p += 3 * kLane, *len -= 3 * kLane) {
-        const uint8_t *q = *p;
-        uint64_t a = 0, b = 0, c = 0;
-        for (size_t i = 0; i < kLane; i += 8) {
-            a = _mm_crc32_u64(a, load64(q + i));
-            b = _mm_crc32_u64(b, load64(q + kLane + i));
-            c = _mm_crc32_u64(c, load64(q + 2 * kLane + i));
-        }
-        crc = shift(t, crc) ^ static_cast<uint32_t>(a);
-        crc = shift(t, crc) ^ static_cast<uint32_t>(b);
-        crc = shift(t, crc) ^ static_cast<uint32_t>(c);
-    }
+    uint64_t crc64 = crc;
+    for (; len >= 8; p += 8, len -= 8)
+        crc64 = _mm_crc32_u64(crc64, load64(p));
+    crc = static_cast<uint32_t>(crc64);
+    for (; len > 0; ++p, --len)
+        crc = _mm_crc32_u8(crc, *p);
     return crc;
+}
+
+/**
+ * crc_chain for inputs of at least three lanes. One chain is
+ * latency-bound (3 cycles per 8 bytes) while the unit accepts one per
+ * cycle, so each step runs three chains over three consecutive lanes,
+ * each started from zero, and merges them with the lane's zero-shift
+ * table. The running register only passes through the shifts, so the
+ * next step's chains do not wait for the merge. What the steps leave
+ * takes one chain. Out of line so short inputs do not save the
+ * registers the three chains need.
+ */
+__attribute__((target("sse4.2"), noinline)) uint32_t
+crc_lanes(const uint8_t *p, size_t len, uint32_t crc)
+{
+    for (; len >= 3 * kCrcLane; p += 3 * kCrcLane, len -= 3 * kCrcLane) {
+        uint64_t a = 0, b = 0, c = 0;
+        for (size_t i = 0; i < kCrcLane; i += 8) {
+            a = _mm_crc32_u64(a, load64(p + i));
+            b = _mm_crc32_u64(b, load64(p + kCrcLane + i));
+            c = _mm_crc32_u64(c, load64(p + 2 * kCrcLane + i));
+        }
+        crc = shift_lane(crc) ^ static_cast<uint32_t>(a);
+        crc = shift_lane(crc) ^ static_cast<uint32_t>(b);
+        crc = shift_lane(crc) ^ static_cast<uint32_t>(c);
+    }
+    return crc_chain(p, len, crc);
 }
 } // namespace
 
@@ -139,18 +151,9 @@ __attribute__((target("sse4.2"))) uint32_t
 crc32c_hw(const void *data, size_t len, uint32_t seed)
 {
     const auto *p = static_cast<const uint8_t *>(data);
-    uint32_t crc = ~seed;
-    if (len >= 3 * kCrcShortLane) {
-        crc = crc_lanes<kCrcLongLane>(&p, &len, crc, kLongShift);
-        crc = crc_lanes<kCrcShortLane>(&p, &len, crc, kShortShift);
-    }
-    uint64_t crc64 = crc;
-    for (; len >= 8; p += 8, len -= 8)
-        crc64 = _mm_crc32_u64(crc64, load64(p));
-    crc = static_cast<uint32_t>(crc64);
-    for (; len > 0; ++p, --len)
-        crc = _mm_crc32_u8(crc, *p);
-    return ~crc;
+    if (len >= 3 * kCrcLane) [[unlikely]] // off the short inputs' path
+        return ~crc_lanes(p, len, ~seed);
+    return ~crc_chain(p, len, ~seed);
 }
 
 namespace {
@@ -208,68 +211,30 @@ xor_avx2_supported()
 
 } // namespace detail
 
-namespace {
-
-using CrcFn = uint32_t (*)(const void *, size_t, uint32_t);
-using XorFn = void (*)(uint8_t *, const uint8_t *, size_t);
-
-uint32_t crc32c_first(const void *data, size_t len, uint32_t seed);
-void xor_bytes_first(uint8_t *dst, const uint8_t *src, size_t n);
-
-/**
- * The paths this host runs. Constant-initialized to resolvers, so it is
- * valid before any static initializer runs; the first call of either
- * kernel picks both paths, and every later call is one load and an
- * indirect jump. Atomic so a first call on two threads at once is no
- * data race; every resolver stores the same values.
- */
-struct Kernels {
-    std::atomic<CrcFn> crc32c;
-    std::atomic<XorFn> xor_bytes;
-};
-constinit Kernels g_kernels{crc32c_first, xor_bytes_first};
-
-void
-pick_kernels()
-{
-    CrcFn crc = detail::crc32c_portable;
-    XorFn xor_fn = detail::xor_bytes_portable;
-#ifdef RAIZN_HAVE_X86_KERNELS
-    if (detail::crc32c_hw_supported())
-        crc = detail::crc32c_hw;
-    if (detail::xor_avx2_supported())
-        xor_fn = detail::xor_bytes_avx2;
-#endif
-    g_kernels.crc32c.store(crc);
-    g_kernels.xor_bytes.store(xor_fn);
-}
-
-uint32_t
-crc32c_first(const void *data, size_t len, uint32_t seed)
-{
-    pick_kernels();
-    return crc32c(data, len, seed);
-}
-
-void
-xor_bytes_first(uint8_t *dst, const uint8_t *src, size_t n)
-{
-    pick_kernels();
-    xor_bytes(dst, src, n);
-}
-
-} // namespace
-
 uint32_t
 crc32c(const void *data, size_t len, uint32_t seed)
 {
-    return g_kernels.crc32c.load()(data, len, seed);
+#ifdef RAIZN_HAVE_X86_KERNELS
+    static const auto impl = detail::crc32c_hw_supported()
+        ? detail::crc32c_hw
+        : detail::crc32c_portable;
+    return impl(data, len, seed);
+#else
+    return detail::crc32c_portable(data, len, seed);
+#endif
 }
 
 void
 xor_bytes(uint8_t *dst, const uint8_t *src, size_t n)
 {
-    g_kernels.xor_bytes.load()(dst, src, n);
+#ifdef RAIZN_HAVE_X86_KERNELS
+    static const auto impl = detail::xor_avx2_supported()
+        ? detail::xor_bytes_avx2
+        : detail::xor_bytes_portable;
+    impl(dst, src, n);
+#else
+    detail::xor_bytes_portable(dst, src, n);
+#endif
 }
 
 } // namespace raizn

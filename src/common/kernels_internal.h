@@ -20,11 +20,11 @@ void xor_bytes_portable(uint8_t *dst, const uint8_t *src, size_t n);
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RAIZN_HAVE_X86_KERNELS 1
 /**
- * SSE4.2 `crc32` instruction. Inputs of at least three lanes run as
- * three independent instruction chains over consecutive lanes, merged
- * with a zero-shift table: long lanes first, then short ones. Shorter
- * inputs and the tail take one chain, 8 bytes per step. Only call it
- * when crc32c_hw_supported().
+ * SSE4.2 `crc32` instruction. Each step runs three independent
+ * instruction chains over three consecutive kCrcLane-byte lanes,
+ * merged with a zero-shift table. Inputs under three lanes and the
+ * tail take one chain, 8 bytes per step. Only call it when
+ * crc32c_hw_supported().
  */
 uint32_t crc32c_hw(const void *data, size_t len, uint32_t seed);
 
@@ -33,11 +33,9 @@ uint32_t crc32c_hw(const void *data, size_t len, uint32_t seed);
 void xor_bytes_avx2(uint8_t *dst, const uint8_t *src, size_t n);
 #endif
 
-/// Lane bytes of crc32c_hw's two three-lane steps. Three long lanes
-/// take all but the last 16 bytes of a 4 KiB sector; short lanes take
-/// what the long ones leave of other inputs.
-constexpr size_t kCrcLongLane = 1360;
-constexpr size_t kCrcShortLane = 256;
+/// Lane bytes of crc32c_hw's three-lane step: one step takes all but
+/// the last 16 bytes of a 4 KiB sector, the catalog's input.
+constexpr size_t kCrcLane = 1360;
 
 /// True when `crc32c()` dispatches to crc32c_hw on this host.
 bool crc32c_hw_supported();
