@@ -170,7 +170,6 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
         break;
     }
     failed_devs_.assign(n, false);
-    zone_rebuilt_.assign(nzones_, false);
     zones_.resize(nzones_);
     for (EZone &ez : zones_) {
         ez.crc = CrcCatalog(zone_cap_);
@@ -264,8 +263,7 @@ ZonedEngine::dev_row_lba(uint32_t zone, uint64_t row) const
 bool
 ZonedEngine::dev_live(uint32_t dev) const
 {
-    return !failed_devs_[dev] &&
-           !(rebuilding_ && static_cast<int>(dev) == rebuild_dev_);
+    return !failed_devs_[dev] && rebuild_target() != static_cast<int>(dev);
 }
 
 bool
@@ -526,8 +524,6 @@ ZonedEngine::zone_advance(uint32_t zone)
     EZone &z = zones_[zone];
     if (z.wq_busy || z.wq.empty())
         return;
-    if (rebuild_cur_zone_ == static_cast<int>(zone))
-        return; // parked until the zone's rebuild pass completes
     z.wq_busy = true;
     auto step = std::move(z.wq.front());
     z.wq.pop_front();
@@ -1096,7 +1092,7 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
             });
             done();
         };
-        if (rebuilding_) {
+        if (rebuild_running()) {
             ack_sched(Status(StatusCode::kBusy, "rebuild in progress"));
             return;
         }
@@ -1235,7 +1231,7 @@ ZonedEngine::finish_zone(uint32_t zone, IoCallback cb)
                              "recovered zone is read-only until reset"));
             return;
         }
-        if (rebuilding_) {
+        if (rebuild_running()) {
             ack_sched(Status(StatusCode::kBusy, "rebuild in progress"));
             return;
         }

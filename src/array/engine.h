@@ -170,8 +170,6 @@ class ZonedEngine : public ZonedArray
     /// touching lost chunks returns errors from then on.
     bool data_loss() const { return nfailed_ > fault_tolerance(); }
     bool device_failed(uint32_t dev) const { return failed_devs_[dev]; }
-    void rebuild_device(uint32_t dev, ProgressCb progress,
-                        StatusCb done) override;
 
     // ---- Introspection (crash oracle + tests) ----------------------
     const EngineStats &stats() const { return stats_; }
@@ -213,11 +211,8 @@ class ZonedEngine : public ZonedArray
     {
         return failed_devs_[dev];
     }
-    /// One rebuild at a time, and none once data is already lost.
-    bool auto_rebuild_vetoed() const override
-    {
-        return rebuilding_ || data_loss();
-    }
+    /// No rebuild once data is already lost.
+    bool auto_rebuild_vetoed() const override { return data_loss(); }
 
   private:
     /**
@@ -384,17 +379,40 @@ class ZonedEngine : public ZonedArray
                                          const std::vector<uint32_t> &cands)
         const;
 
-    // engine_recover.cc — mount, rebuild, scrub policy
+    // engine_recover.cc — mount, rebuild policy, scrub policy
     Status run_mount();
     Status replay_wal();
     Status recover_zone(uint32_t zone);
-    void rebuild_zone(uint32_t zone);
-    void rebuild_mirror_rows(uint32_t zone, uint64_t row, uint64_t limit,
-                             uint32_t src, StatusCb done);
-    void rebuild_stripe_from(uint32_t zone, uint64_t stripe,
-                             uint64_t limit, StatusCb done);
-    void copy_wal_to_target(StatusCb done);
-    void finish_rebuild(Status s);
+    /// Rebuild policy: the target's journal copied first and caught up
+    /// last; every zone walked as a zone-queue step after a reset of
+    /// the target's copy. Mirror zones copy kMirrorRebuildRows rows per
+    /// unit from one intact copy; striped kinds rebuild one stripe per
+    /// unit (mirror partner, P/Q, tail buffer or reconstruct_chunk).
+    /// A rebuilt zone re-joins its participants with a kJoin record.
+    bool rebuild_zones(uint32_t dev,
+                       std::vector<uint32_t> *out) const override;
+    void rebuild_prepare(uint32_t dev, StatusCb cb) override;
+    void rebuild_zone_open(uint32_t dev, uint32_t zone,
+                           std::function<void(Status, uint64_t)> cb) override;
+    RebuildExtent rebuild_extent(uint32_t t, uint32_t zone,
+                                 uint64_t unit) const override;
+    void rebuild_read(uint32_t t, uint32_t zone, uint64_t unit,
+                      const RebuildExtent &e, DataCb cb) override;
+    void rebuild_write(uint32_t dev, uint32_t zone, IoRequest req,
+                       IoCallback cb) override;
+    void rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
+                           StatusCb cb) override;
+    void rebuild_finish(uint32_t dev, Status s, StatusCb cb) override;
+    /// The unit of `stripe` target `t` holds: a data unit, P or Q
+    /// (StripeGather roles), or none.
+    int rebuild_role(uint32_t t, uint32_t zone, uint64_t stripe) const;
+    /// First live member other than `t` holding data unit `u` of
+    /// `stripe` through row `row_end`, UINT32_MAX when none does.
+    uint32_t rebuild_source(uint32_t t, uint32_t zone, uint64_t stripe,
+                            uint32_t u, uint64_t row_end) const;
+    /// Re-joins `t` to the rebuilt zone and releases the zone queue.
+    void rebuild_join(uint32_t t, uint32_t zone, Status s, StatusCb cb);
+    void copy_wal_to_target(uint32_t t, StatusCb done);
     /// Scrub policy: settled stripes of every zone kind (mirror rows,
     /// mirror pairs, raid0 chunks, full parity stripes off the tail),
     /// read below each member's recovered fill. Report-only.
@@ -426,14 +444,10 @@ class ZonedEngine : public ZonedArray
     std::set<uint64_t> inflight_ios_;
     std::vector<std::shared_ptr<FlushBarrier>> barriers_;
 
-    // Rebuild state.
-    bool rebuilding_ = false;
-    int rebuild_dev_ = -1;
-    std::vector<bool> zone_rebuilt_;
-    int rebuild_cur_zone_ = -1;
-    ProgressCb rebuild_progress_;
-    StatusCb rebuild_done_;
-    uint64_t rebuild_wal_copied_ = 0;
+    // Rebuild policy state (the walk itself lives in ZonedArray).
+    static constexpr uint64_t kMirrorRebuildRows = 32; ///< per unit
+    uint64_t rebuild_wal_copied_ = 0; ///< journal slots on the target
+    std::function<void()> rebuild_release_; ///< open zone's queue step
 };
 
 } // namespace raizn

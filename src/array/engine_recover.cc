@@ -1,9 +1,9 @@
 /**
  * @file
  * ZonedEngine mount-time recovery (journal replay, write-pointer
- * reconciliation), device rebuild, the spare-promotion lifecycle, and
- * the scrub policy (the walker lives in array/scrub.cc). The data path
- * lives in engine.cc.
+ * reconciliation), and the rebuild and scrub policies (the shared walks
+ * live in array/rebuild.cc and array/scrub.cc). The data path lives in
+ * engine.cc.
  */
 #include "array/engine.h"
 
@@ -21,6 +21,18 @@ uint64_t
 bit(uint32_t dev)
 {
     return 1ull << dev;
+}
+
+/// rebuild_role: the target holds no unit of the stripe.
+constexpr int kNoRole = -3;
+
+/// Tags an engine rebuild command with its trace stage and cause.
+IoRequest
+rebuild_io(IoRequest req)
+{
+    req.trace_stage = "eng.rebuild";
+    req.cause = obs::Cause::kRebuild;
+    return req;
 }
 
 } // namespace
@@ -316,580 +328,358 @@ ZonedEngine::recover_zone(uint32_t zone)
 // Rebuild
 // ---------------------------------------------------------------------
 
-void
-ZonedEngine::rebuild_device(uint32_t dev, ProgressCb progress,
-                            StatusCb done)
+bool
+ZonedEngine::rebuild_zones(uint32_t /*dev*/, std::vector<uint32_t> *out) const
 {
-    auto reject = [this, &done](Status s) {
-        loop_->schedule_after(1,
-                              [done = std::move(done), s = std::move(s)] {
-                                  if (done)
-                                      done(s);
-                              });
-    };
-    if (dev >= num_devices()) {
-        reject(Status(StatusCode::kInvalidArgument,
-                      "device index out of range"));
-        return;
-    }
-    if (rebuilding_) {
-        reject(Status(StatusCode::kBusy, "rebuild already in progress"));
-        return;
-    }
-    rebuilding_ = true;
-    rebuild_dev_ = static_cast<int>(dev);
-    rebuild_progress_ = std::move(progress);
-    rebuild_done_ = std::move(done);
-    rebuild_wal_copied_ = 0;
-    zone_rebuilt_.assign(nzones_, false);
-    start_rebuild_throttle();
-    if (failed_devs_[dev]) {
-        failed_devs_[dev] = false;
-        --nfailed_;
-    }
+    for (uint32_t z = 0; out != nullptr && z < nzones_; ++z)
+        out->push_back(z);
+    return true;
+}
+
+void
+ZonedEngine::rebuild_prepare(uint32_t dev, StatusCb cb)
+{
+    failed_devs_[dev] = false;
+    --nfailed_;
     // Whatever the target held is untrusted until copied back, zone by
     // zone; participants gate both reads and new writes.
     for (uint32_t z = 0; z < nzones_; ++z)
         zones_[z].participants &= ~bit(dev);
     LOG_INFO("%s: rebuilding member %u", metric_prefix().c_str(), dev);
-    IoRequest rst = IoRequest::zone_reset(0);
-    rst.trace_stage = "eng.rebuild";
-    rst.cause = obs::Cause::kRebuild;
-    chain_submit(dev, 0, std::move(rst),
-                 [this, alive = alive_](IoResult r) {
+    auto ready = [this, dev, cb = std::move(cb)](Status s) {
+        if (!s.is_ok()) {
+            failed_devs_[dev] = true; // never became trustworthy
+            ++nfailed_;
+        }
+        cb(s);
+    };
+    rebuild_wal_copied_ = 0;
+    chain_submit(dev, 0, rebuild_io(IoRequest::zone_reset(0)),
+                 [this, dev, ready, alive = alive_](IoResult r) {
                      if (!*alive)
                          return;
-                     if (!r.status.is_ok()) {
-                         finish_rebuild(r.status);
-                         return;
-                     }
-                     copy_wal_to_target([this, alive](Status s) {
-                         if (!*alive)
-                             return;
-                         if (!s.is_ok()) {
-                             finish_rebuild(s);
-                             return;
-                         }
-                         rebuild_zone(0);
-                     });
+                     if (!r.status.is_ok())
+                         ready(r.status);
+                     else
+                         copy_wal_to_target(dev, ready);
                  });
 }
 
 void
-ZonedEngine::copy_wal_to_target(StatusCb done)
+ZonedEngine::copy_wal_to_target(uint32_t t, StatusCb done)
 {
-    const uint32_t t = static_cast<uint32_t>(rebuild_dev_);
-    int src = -1;
-    for (uint32_t d = 0; d < num_devices(); ++d)
-        if (d != t && !failed_devs_[d]) {
-            src = static_cast<int>(d);
-            break;
-        }
-    auto shared_done = std::make_shared<StatusCb>(std::move(done));
-    if (src < 0) {
-        loop_->schedule_after(1, [shared_done] {
-            (*shared_done)(
-                Status(StatusCode::kOffline, "no live journal source"));
-        });
+    uint32_t src = 0;
+    while (src < num_devices() && (src == t || failed_devs_[src]))
+        ++src;
+    if (rebuild_wal_copied_ >= wal_next_ || src == num_devices()) {
+        Status s = src < num_devices()
+            ? Status::ok()
+            : Status(StatusCode::kOffline, "no live journal source");
+        loop_->schedule_after(1, [done = std::move(done), s] { done(s); });
         return;
     }
-    // `step` refers to itself only through a weak_ptr; the IO
-    // completions it arms hold it, so a copy abandoned mid-flight (the
-    // engine destroyed) frees with them.
-    auto step = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_step = step;
-    auto conclude = [this, shared_done](Status s) {
-        loop_->schedule_after(1, [shared_done, s = std::move(s)] {
-            (*shared_done)(s);
-        });
-    };
-    *step = [this, t, src, weak_step, conclude, alive = alive_] {
-        if (rebuild_wal_copied_ >= wal_next_) {
-            conclude(Status::ok());
+    // One slot at a time, read from a live member, written FUA; each
+    // completion copies the next, so an abandoned copy frees with them.
+    const uint64_t slot = rebuild_wal_copied_;
+    auto write_slot = [this, t, slot, done, alive = alive_](IoResult r) {
+        if (!*alive)
+            return;
+        if (!r.status.is_ok()) {
+            done(r.status);
             return;
         }
-        auto self = weak_step.lock(); // the caller holds a strong ref
-        const uint64_t slot = rebuild_wal_copied_;
-        auto write_slot = [this, t, self, conclude, slot,
-                           alive](std::vector<uint8_t> payload) {
-            IoRequest wr = store_data_
-                ? IoRequest::write(slot, std::move(payload), /*fua=*/true)
-                : IoRequest::write_len(slot, 1, /*fua=*/true);
-            wr.trace_stage = "eng.rebuild";
-            wr.cause = obs::Cause::kRebuild;
-            chain_submit(t, 0, std::move(wr),
-                         [this, self, conclude, alive](IoResult w) {
-                             if (!*alive)
-                                 return;
-                             if (!w.status.is_ok()) {
-                                 conclude(w.status);
-                                 return;
-                             }
-                             ++rebuild_wal_copied_;
-                             (*self)();
-                         });
-        };
-        if (!store_data_) {
-            write_slot({});
-            return;
-        }
-        IoRequest rd = IoRequest::read(slot, 1);
-        rd.trace_stage = "eng.rebuild";
-        rd.cause = obs::Cause::kRebuild;
-        chain_submit(static_cast<uint32_t>(src), 0, std::move(rd),
-                     [write_slot, conclude, alive](IoResult r) {
+        IoRequest wr = store_data_
+            ? IoRequest::write(slot, std::move(r.data), /*fua=*/true)
+            : IoRequest::write_len(slot, 1, /*fua=*/true);
+        chain_submit(t, 0, rebuild_io(std::move(wr)),
+                     [this, t, done, alive](IoResult w) {
                          if (!*alive)
                              return;
-                         if (!r.status.is_ok()) {
-                             conclude(r.status);
+                         if (!w.status.is_ok()) {
+                             done(w.status);
                              return;
                          }
-                         write_slot(std::move(r.data));
+                         ++rebuild_wal_copied_;
+                         copy_wal_to_target(t, done);
                      });
     };
-    (*step)();
+    if (store_data_)
+        chain_submit(src, 0, rebuild_io(IoRequest::read(slot, 1)),
+                     std::move(write_slot));
+    else
+        write_slot(IoResult{});
 }
 
 void
-ZonedEngine::rebuild_zone(uint32_t zone)
+ZonedEngine::rebuild_zone_open(uint32_t dev, uint32_t zone,
+                               std::function<void(Status, uint64_t)> cb)
 {
-    if (zone >= nzones_) {
-        // Catch up journal records appended while zones were copying,
-        // then seal the member with a flush.
-        copy_wal_to_target([this, alive = alive_](Status s) {
-            if (!*alive)
-                return;
-            if (!s.is_ok()) {
-                finish_rebuild(s);
-                return;
-            }
-            IoRequest fl = IoRequest::flush();
-            fl.trace_stage = "eng.rebuild";
-            fl.cause = obs::Cause::kRebuild;
-            chain_submit(static_cast<uint32_t>(rebuild_dev_), 0,
-                         std::move(fl), [this, alive](IoResult r) {
-                             if (!*alive)
-                                 return;
-                             finish_rebuild(r.status);
-                         });
-        });
-        return;
-    }
     // Run as a zone-queue step: every already-submitted write has
     // issued its chunks (so the chains order them before our reads),
-    // and later writes stay parked until the copy commits. The fill
-    // snapshot below is therefore stable for the whole pass.
-    zone_enqueue(zone, [this, zone](std::function<void()> wq_done) {
-        rebuild_cur_zone_ = static_cast<int>(zone);
-        EZone &z = zones_[zone];
-        const uint32_t t = static_cast<uint32_t>(rebuild_dev_);
-        const uint64_t limit = z.finished ? zone_cap_ : z.fill;
-        StatusCb zone_done = [this, zone, t,
-                              wq_done = std::move(wq_done)](Status s) {
-            rebuild_cur_zone_ = -1;
-            if (!s.is_ok()) {
-                wq_done();
-                finish_rebuild(s);
-                return;
-            }
-            EZone &ez = zones_[zone];
-            zone_rebuilt_[zone] = true;
-            ez.participants |= bit(t);
-            if (!ez.rec_fill.empty()) {
-                Result<ZoneInfo> zi = devs_[t]->zone_info(phys_zone(zone));
-                if (zi.is_ok()) {
-                    uint64_t rows = zi.value().full()
-                        ? phys_cap_
-                        : zi.value().written();
-                    ez.rec_fill[t] = ez.kind == ZoneKind::kMirror
-                        ? std::min<uint64_t>(rows, zone_cap_)
-                        : rows;
-                }
-            }
-            ++stats_.zones_rebuilt;
-            WalRecord j;
-            j.type = WalRecord::kJoin;
-            j.zone = zone;
-            j.gen = ez.gen;
-            j.participants = bit(t);
-            append_wal(j, [this, zone, wq_done,
-                           alive = alive_](Status js) {
-                if (!*alive)
-                    return;
-                if (!js.is_ok())
-                    LOG_WARN("rebuild: join record for zone %u failed: %s",
-                             zone, js.message().c_str());
-                wq_done();
-                if (rebuild_progress_)
-                    rebuild_progress_(zone + 1, nzones_);
-                rebuild_zone(zone + 1);
-            });
-        };
+    // and later writes stay parked until the zone commits. The fill
+    // snapshot is therefore stable for the whole pass.
+    zone_enqueue(zone, [this, dev, zone,
+                        cb = std::move(cb)](std::function<void()> wq_done) {
+        rebuild_release_ = std::move(wq_done);
         // Wipe the target's copy of the zone; its write pointer must
         // restart from zero for the sequential copy.
-        IoRequest rst = IoRequest::zone_reset(
-            static_cast<uint64_t>(zone + 1) *
-            devs_[0]->geometry().zone_size);
-        rst.trace_stage = "eng.rebuild";
-        rst.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(rst),
-                     [this, zone, t, limit, zone_done,
-                      alive = alive_](IoResult r) {
+        IoRequest rst = IoRequest::zone_reset(dev_row_lba(zone, 0));
+        chain_submit(dev, phys_zone(zone), rebuild_io(std::move(rst)),
+                     [this, dev, zone, cb, alive = alive_](IoResult r) {
             if (!*alive)
                 return;
-            if (!r.status.is_ok()) {
-                zone_done(r.status);
-                return;
-            }
-            EZone &ez = zones_[zone];
-            switch (ez.kind) {
-            case ZoneKind::kStripe0:
-                if (limit > static_cast<uint64_t>(t) * cfg_.su_sectors) {
-                    zone_done(Status(
-                        StatusCode::kIoError,
-                        "raid0 data on a lost member is unrecoverable"));
-                    return;
-                }
-                loop_->schedule_after(
-                    1, [zone_done] { zone_done(Status::ok()); });
-                return;
-            case ZoneKind::kMirror: {
-                if (limit == 0) {
-                    loop_->schedule_after(
-                        1, [zone_done] { zone_done(Status::ok()); });
-                    return;
-                }
-                std::vector<uint32_t> all(num_devices());
-                for (uint32_t d = 0; d < num_devices(); ++d)
-                    all[d] = d;
-                uint32_t src = UINT32_MAX;
-                for (uint32_t d : mirror_sources(zone, limit, all))
-                    if (d != t && dev_live(d)) {
-                        src = d;
-                        break;
-                    }
-                if (src == UINT32_MAX) {
-                    zone_done(Status(StatusCode::kIoError,
-                                     "no intact mirror source"));
-                    return;
-                }
-                rebuild_mirror_rows(zone, 0, limit, src, zone_done);
-                return;
-            }
-            default:
-                rebuild_stripe_from(zone, 0, limit, zone_done);
-                return;
-            }
+            const EZone &ez = zones_[zone];
+            const uint64_t limit = ez.finished ? zone_cap_ : ez.fill;
+            const uint64_t unit = ez.kind == ZoneKind::kMirror
+                ? kMirrorRebuildRows
+                : static_cast<uint64_t>(cfg_.su_sectors) * units_of(ez.kind);
+            if (!r.status.is_ok())
+                cb(r.status, 0);
+            else if (ez.kind != ZoneKind::kStripe0)
+                cb(Status::ok(), div_ceil(limit, unit));
+            else if (limit > static_cast<uint64_t>(dev) * cfg_.su_sectors)
+                cb(Status(StatusCode::kIoError,
+                          "raid0 data on a lost member is unrecoverable"),
+                   0);
+            else
+                cb(Status::ok(), 0);
         });
     });
 }
 
-void
-ZonedEngine::rebuild_mirror_rows(uint32_t zone, uint64_t row,
-                                 uint64_t limit, uint32_t src,
-                                 StatusCb done)
+int
+ZonedEngine::rebuild_role(uint32_t t, uint32_t zone, uint64_t stripe) const
 {
-    const uint32_t t = static_cast<uint32_t>(rebuild_dev_);
-    if (row >= limit) {
-        if (!zones_[zone].finished) {
-            loop_->schedule_after(1, [done = std::move(done)] {
-                done(Status::ok());
-            });
-            return;
-        }
-        IoRequest req = IoRequest::zone_finish(
-            static_cast<uint64_t>(zone + 1) *
-            devs_[0]->geometry().zone_size);
-        req.trace_stage = "eng.rebuild";
-        req.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(req),
-                     [done = std::move(done)](IoResult r) {
-                         done(r.status);
-                     });
-        return;
+    const EZone &z = zones_[zone];
+    if (parity_dev(zone, stripe) == static_cast<int>(t))
+        return StripeGather::kP;
+    if (q_dev(zone, stripe) == static_cast<int>(t))
+        return StripeGather::kQ;
+    if (z.kind == ZoneKind::kMirrorPairs)
+        return static_cast<int>(t / 2);
+    for (uint32_t u = 0; u < units_of(z.kind); ++u)
+        if (chunk_dev(zone, stripe, u) == t)
+            return static_cast<int>(u);
+    return kNoRole;
+}
+
+uint32_t
+ZonedEngine::rebuild_source(uint32_t t, uint32_t zone, uint64_t stripe,
+                            uint32_t u, uint64_t row_end) const
+{
+    for (uint32_t d : mirror_sources(zone, row_end, unit_devs(zone, stripe, u)))
+        if (d != t && dev_live(d))
+            return d;
+    return UINT32_MAX;
+}
+
+ZonedArray::RebuildExtent
+ZonedEngine::rebuild_extent(uint32_t t, uint32_t zone, uint64_t unit) const
+{
+    const EZone &z = zones_[zone];
+    const uint32_t su = cfg_.su_sectors;
+    const uint64_t limit = z.finished ? zone_cap_ : z.fill;
+    if (z.kind == ZoneKind::kMirror) {
+        const uint64_t row = unit * kMirrorRebuildRows;
+        return {dev_row_lba(zone, row),
+                static_cast<uint32_t>(
+                    std::min<uint64_t>(limit - row, kMirrorRebuildRows))};
     }
-    const uint32_t n =
-        static_cast<uint32_t>(std::min<uint64_t>(limit - row, 32));
-    if (!pace_rebuild(n, [this, zone, row, limit, src, done] {
-            rebuild_mirror_rows(zone, row, limit, src, done);
-        }))
-        return;
-    IoRequest rd = IoRequest::read(dev_row_lba(zone, row), n);
-    rd.trace_stage = "eng.rebuild";
-    rd.cause = obs::Cause::kRebuild;
-    chain_submit(
-        src, phys_zone(zone), std::move(rd),
-        [this, zone, row, n, limit, src, done = std::move(done),
-         alive = alive_](IoResult r) {
-            if (!*alive)
-                return;
-            if (!r.status.is_ok()) {
-                done(r.status);
-                return;
-            }
-            const uint32_t tgt = static_cast<uint32_t>(rebuild_dev_);
-            IoRequest wr = store_data_
-                ? IoRequest::write(dev_row_lba(zone, row),
-                                   std::move(r.data))
-                : IoRequest::write_len(dev_row_lba(zone, row), n);
-            wr.trace_stage = "eng.rebuild";
-            wr.cause = obs::Cause::kRebuild;
-            chain_submit(tgt, phys_zone(zone), std::move(wr),
-                         [this, zone, row, n, limit, src, done, alive](
-                             IoResult w) {
-                             if (!*alive)
-                                 return;
-                             if (!w.status.is_ok()) {
-                                 done(w.status);
-                                 return;
-                             }
-                             rebuild_mirror_rows(zone, row + n, limit,
-                                                 src, done);
-                         });
-        });
+    const uint64_t stripe_sect = static_cast<uint64_t>(su) * units_of(z.kind);
+    const uint64_t base = unit * stripe_sect;
+    const uint64_t lba = dev_row_lba(zone, unit * su);
+    const bool complete = base + stripe_sect <= limit;
+    const int role = rebuild_role(t, zone, unit);
+    if (role == StripeGather::kP || role == StripeGather::kQ) {
+        // Tail-stripe parity is in-memory only; nothing to restore.
+        return {lba, complete ? su : 0u};
+    }
+    const uint64_t chunk_base = base + static_cast<uint64_t>(role) * su;
+    // A frozen zone's open stripe lost its tail buffer with the crash:
+    // leave the target short, mirroring the degraded-read contract.
+    if (role == kNoRole || limit <= chunk_base ||
+        (!complete && z.frozen && z.kind != ZoneKind::kMirrorPairs))
+        return {};
+    return {lba, static_cast<uint32_t>(
+                     std::min<uint64_t>(limit - chunk_base, su))};
 }
 
 void
-ZonedEngine::rebuild_stripe_from(uint32_t zone, uint64_t stripe,
-                                 uint64_t limit, StatusCb done)
+ZonedEngine::rebuild_read(uint32_t t, uint32_t zone, uint64_t unit,
+                          const RebuildExtent &e, DataCb cb)
 {
     EZone &z = zones_[zone];
-    const uint32_t t = static_cast<uint32_t>(rebuild_dev_);
     const uint32_t su = cfg_.su_sectors;
     const uint32_t units = units_of(z.kind);
-    const uint64_t stripe_sect = static_cast<uint64_t>(su) * units;
-    const uint64_t base = stripe * stripe_sect;
-    const uint64_t row0 = stripe * su;
-
-    if (base >= limit) {
-        if (!z.finished) {
-            loop_->schedule_after(1, [done = std::move(done)] {
-                done(Status::ok());
-            });
+    const uint64_t row0 = e.pba - dev_row_lba(zone, 0);
+    const int role = z.kind == ZoneKind::kMirror ? 0
+                                                 : rebuild_role(t, zone, unit);
+    auto unavailable = [&cb](const char *what) {
+        cb(Status(StatusCode::kIoError, what), {});
+    };
+    // Timing-only members: only mirror zones read what they copy.
+    if (!store_data_ && z.kind != ZoneKind::kMirror) {
+        cb(Status::ok(), {});
+        return;
+    }
+    if (z.kind == ZoneKind::kMirror || z.kind == ZoneKind::kMirrorPairs) {
+        // Copy the rows from an intact replica.
+        const uint32_t src = rebuild_source(
+            t, zone, unit, static_cast<uint32_t>(role), row0 + e.nsectors);
+        if (src == UINT32_MAX) {
+            unavailable("rebuild: no intact mirror copy");
             return;
         }
-        IoRequest req = IoRequest::zone_finish(
-            static_cast<uint64_t>(zone + 1) *
-            devs_[0]->geometry().zone_size);
-        req.trace_stage = "eng.rebuild";
-        req.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(req),
-                     [done = std::move(done)](IoResult r) {
-                         done(r.status);
+        chain_submit(src, phys_zone(zone),
+                     rebuild_io(IoRequest::read(e.pba, e.nsectors)),
+                     [cb = std::move(cb)](IoResult r) {
+                         cb(r.status, std::move(r.data));
                      });
         return;
     }
-
-    // The lifecycle throttle charges one stripe unit per stripe: the
-    // target's share of it.
-    if (!pace_rebuild(su, [this, zone, stripe, limit, done] {
-            rebuild_stripe_from(zone, stripe, limit, done);
-        }))
-        return;
-
-    StatusCb next = [this, zone, stripe, limit, done](Status s) {
-        if (!s.is_ok()) {
-            done(s);
-            return;
-        }
-        rebuild_stripe_from(zone, stripe + 1, limit, done);
-    };
-    auto skip = [this, next] {
-        loop_->schedule_after(1, [next] { next(Status::ok()); });
-    };
-    auto write_target = [this, zone, t, next](uint64_t row,
-                                              std::vector<uint8_t> data,
-                                              uint32_t nsect) {
-        IoRequest wr = data.empty()
-            ? IoRequest::write_len(dev_row_lba(zone, row), nsect)
-            : IoRequest::write(dev_row_lba(zone, row), std::move(data));
-        wr.trace_stage = "eng.rebuild";
-        wr.cause = obs::Cause::kRebuild;
-        chain_submit(t, phys_zone(zone), std::move(wr),
-                     [next](IoResult r) { next(r.status); });
-    };
-
-    const bool complete = base + stripe_sect <= limit;
-    const int pd = parity_dev(zone, stripe);
-    const int qd = q_dev(zone, stripe);
-    const bool t_is_q = qd >= 0 && static_cast<uint32_t>(qd) == t;
-
-    if ((pd >= 0 && static_cast<uint32_t>(pd) == t) || t_is_q) {
-        // Tail-stripe parity is in-memory only; nothing to restore.
-        if (!complete) {
-            skip();
-            return;
-        }
-        if (!store_data_) {
-            write_target(row0, {}, su);
-            return;
-        }
-        std::vector<uint32_t> src(units, UINT32_MAX);
+    if (role == StripeGather::kP || role == StripeGather::kQ) {
+        // The lost parity solves its equation over the data units.
+        std::vector<uint32_t> src(units);
         for (uint32_t u = 0; u < units; ++u) {
-            for (uint32_t d :
-                 mirror_sources(zone, row0 + su, unit_devs(zone, stripe, u)))
-                if (d != t && dev_live(d)) {
-                    src[u] = d;
-                    break;
-                }
+            src[u] = rebuild_source(t, zone, unit, u, row0 + su);
             if (src[u] == UINT32_MAX) {
-                loop_->schedule_after(1, [next] {
-                    next(Status(StatusCode::kIoError,
-                                "rebuild: stripe data unavailable"));
-                });
+                unavailable("rebuild: stripe data unavailable");
                 return;
             }
         }
-        // The lost parity solves its equation over the data units.
         StripeGather::Spec spec;
-        spec.fold = t_is_q ? StripeGather::Fold::kQ
-                           : StripeGather::Fold::kXor;
+        spec.fold = role == StripeGather::kQ ? StripeGather::Fold::kQ
+                                             : StripeGather::Fold::kXor;
         spec.bytes = static_cast<size_t>(su) * kSectorSize;
-        spec.lost = t_is_q ? StripeGather::kQ : StripeGather::kP;
+        spec.lost = role;
         spec.zone = zone;
         spec.cause = obs::Cause::kRebuild;
         spec.stage = "eng.rebuild";
-        StripeGather g(
-            this, spec,
-            [su, row0, next, write_target](Status s,
-                                           std::vector<uint8_t> out) {
-                if (!s.is_ok()) {
-                    next(s);
-                    return;
-                }
-                write_target(row0, std::move(out), su);
-            });
+        StripeGather g(this, spec, std::move(cb));
         for (uint32_t u = 0; u < units; ++u)
-            g.read(src[u], dev_row_lba(zone, row0), su,
-                    static_cast<int>(u));
+            g.read(src[u], e.pba, su, static_cast<int>(u));
         g.seal();
         return;
     }
-
-    // Target holds a data chunk (or one copy of a mirror pair).
-    uint32_t u_t = UINT32_MAX;
-    if (z.kind == ZoneKind::kMirrorPairs) {
-        u_t = t / 2;
-    } else {
-        for (uint32_t u = 0; u < units; ++u)
-            if (chunk_dev(zone, stripe, u) == t) {
-                u_t = u;
-                break;
-            }
-    }
-    if (u_t == UINT32_MAX) {
-        skip();
-        return;
-    }
-    const uint64_t chunk_base =
-        base + static_cast<uint64_t>(u_t) * su;
-    const uint64_t rows = limit > chunk_base
-        ? std::min<uint64_t>(limit - chunk_base, su)
-        : 0;
-    if (rows == 0) {
-        skip();
-        return;
-    }
-    const uint32_t nrows = static_cast<uint32_t>(rows);
-    if (!store_data_) {
-        write_target(row0, {}, nrows);
-        return;
-    }
-
-    if (z.kind == ZoneKind::kMirrorPairs) {
-        const uint32_t partner = t ^ 1u;
-        const bool ok = !dev_down_for_zone(partner, zone) &&
-            dev_live(partner) &&
-            (z.rec_fill.empty() || z.rec_fill[partner] >= row0 + rows);
-        if (!ok) {
-            loop_->schedule_after(1, [next] {
-                next(Status(StatusCode::kIoError, "mirror pair lost"));
-            });
-            return;
-        }
-        IoRequest rd = IoRequest::read(dev_row_lba(zone, row0), nrows);
-        rd.trace_stage = "eng.rebuild";
-        rd.cause = obs::Cause::kRebuild;
-        chain_submit(partner, phys_zone(zone), std::move(rd),
-                     [row0, nrows, next, write_target](IoResult r) {
-                         if (!r.status.is_ok()) {
-                             next(r.status);
-                             return;
-                         }
-                         write_target(row0, std::move(r.data), nrows);
-                     });
-        return;
-    }
-
-    if (!complete) {
+    const uint64_t limit = z.finished ? zone_cap_ : z.fill;
+    if ((unit + 1) * su * units > limit) {
         // Open (tail) stripe: parity is not on media. Serve the chunk
-        // from the in-memory tail buffer; for frozen zones that buffer
-        // died with the crash, so the sectors are gone — leave the
-        // target short, mirroring the degraded-read contract.
-        auto it = z.tails.find(stripe);
-        if (!z.frozen && it != z.tails.end() &&
-            it->second.filled >=
-                static_cast<uint64_t>(u_t) * su + rows &&
-            !it->second.data.empty()) {
-            const size_t off =
-                static_cast<size_t>(u_t) * su * kSectorSize;
-            std::vector<uint8_t> chunk(
-                it->second.data.begin() + off,
-                it->second.data.begin() + off + rows * kSectorSize);
-            write_target(row0, std::move(chunk), nrows);
+        // from the in-memory tail buffer.
+        auto it = z.tails.find(unit);
+        const size_t off = static_cast<size_t>(role) * su * kSectorSize;
+        const size_t len = static_cast<size_t>(e.nsectors) * kSectorSize;
+        if (it == z.tails.end() || it->second.data.size() < off + len ||
+            it->second.filled < static_cast<uint64_t>(role) * su + e.nsectors) {
+            unavailable("rebuild: open-stripe data unavailable");
             return;
         }
-        if (z.frozen) {
-            skip();
-            return;
-        }
-        loop_->schedule_after(1, [next] {
-            next(Status(StatusCode::kIoError,
-                        "rebuild: open-stripe data unavailable"));
-        });
+        const uint8_t *p = it->second.data.data() + off;
+        cb(Status::ok(), std::vector<uint8_t>(p, p + len));
         return;
     }
-
-    reconstruct_chunk(
-        zone, stripe, u_t, 0, nrows, obs::Cause::kRebuild,
-        [row0, nrows, next, write_target](Status s,
-                                          std::vector<uint8_t> data) {
-            if (!s.is_ok()) {
-                next(s);
-                return;
-            }
-            write_target(row0, std::move(data), nrows);
-        });
+    reconstruct_chunk(zone, unit, static_cast<uint32_t>(role), 0, e.nsectors,
+                      obs::Cause::kRebuild, std::move(cb));
 }
 
 void
-ZonedEngine::finish_rebuild(Status s)
+ZonedEngine::rebuild_write(uint32_t dev, uint32_t zone, IoRequest req,
+                           IoCallback cb)
 {
-    rebuilding_ = false;
-    rebuild_cur_zone_ = -1;
-    const int dev = rebuild_dev_;
-    rebuild_dev_ = -1;
-    StatusCb done = std::move(rebuild_done_);
-    rebuild_done_ = nullptr;
-    rebuild_progress_ = nullptr;
-    if (s.is_ok()) {
-        LOG_INFO("%s: member %d rebuilt (%llu zones)",
-                 metric_prefix().c_str(), dev,
-                 static_cast<unsigned long long>(stats_.zones_rebuilt));
-    } else {
-        LOG_WARN("%s: rebuild of member %d failed: %s",
-                 metric_prefix().c_str(), dev, s.message().c_str());
-        // The target never became trustworthy; keep it out of the
-        // array (per-zone participants already exclude it).
-        if (dev >= 0 && !failed_devs_[dev]) {
-            failed_devs_[dev] = true;
-            ++nfailed_;
-        }
+    chain_submit(dev, phys_zone(zone), std::move(req), std::move(cb));
+}
+
+void
+ZonedEngine::rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
+                               StatusCb cb)
+{
+    if (!s.is_ok() || !zones_[zone].finished) {
+        rebuild_join(dev, zone, s, std::move(cb));
+        return;
     }
-    for (uint32_t z = 0; z < nzones_; ++z)
-        zone_advance(z);
-    if (done)
-        done(s);
+    chain_submit(dev, phys_zone(zone),
+                 rebuild_io(IoRequest::zone_finish(dev_row_lba(zone, 0))),
+                 [this, dev, zone, cb = std::move(cb),
+                  alive = alive_](IoResult r) {
+                     if (*alive)
+                         rebuild_join(dev, zone, r.status, cb);
+                 });
+}
+
+void
+ZonedEngine::rebuild_join(uint32_t t, uint32_t zone, Status s, StatusCb cb)
+{
+    std::function<void()> release = std::move(rebuild_release_);
+    rebuild_release_ = nullptr;
+    if (!s.is_ok()) {
+        release();
+        cb(s);
+        return;
+    }
+    EZone &ez = zones_[zone];
+    ez.participants |= bit(t);
+    Result<ZoneInfo> zi = devs_[t]->zone_info(phys_zone(zone));
+    if (!ez.rec_fill.empty() && zi.is_ok()) {
+        uint64_t rows = zi.value().full() ? phys_cap_ : zi.value().written();
+        ez.rec_fill[t] = ez.kind == ZoneKind::kMirror
+            ? std::min<uint64_t>(rows, zone_cap_)
+            : rows;
+    }
+    ++stats_.zones_rebuilt;
+    WalRecord j;
+    j.type = WalRecord::kJoin;
+    j.zone = zone;
+    j.gen = ez.gen;
+    j.participants = bit(t);
+    append_wal(j, [zone, release, cb, alive = alive_](Status js) {
+        if (!*alive)
+            return;
+        if (!js.is_ok())
+            LOG_WARN("rebuild: join record for zone %u failed: %s", zone,
+                     js.message().c_str());
+        release();
+        cb(Status::ok());
+    });
+}
+
+void
+ZonedEngine::rebuild_finish(uint32_t dev, Status s, StatusCb cb)
+{
+    auto conclude = [this, dev, cb = std::move(cb)](Status st) {
+        if (st.is_ok()) {
+            LOG_INFO("%s: member %u rebuilt (%llu zones)",
+                     metric_prefix().c_str(), dev,
+                     static_cast<unsigned long long>(stats_.zones_rebuilt));
+        } else {
+            LOG_WARN("%s: rebuild of member %u failed: %s",
+                     metric_prefix().c_str(), dev, st.message().c_str());
+            // The target never became trustworthy; keep it out of the
+            // array (per-zone participants already exclude it).
+            if (!failed_devs_[dev]) {
+                failed_devs_[dev] = true;
+                ++nfailed_;
+            }
+        }
+        cb(st);
+    };
+    if (!s.is_ok()) {
+        conclude(s);
+        return;
+    }
+    // Catch up journal records appended while zones were copying, then
+    // seal the member with a flush.
+    copy_wal_to_target(dev, [this, dev, conclude, alive = alive_](Status cs) {
+        if (!*alive)
+            return;
+        if (!cs.is_ok()) {
+            conclude(cs);
+            return;
+        }
+        chain_submit(dev, 0, rebuild_io(IoRequest::flush()),
+                     [conclude, alive](IoResult r) {
+                         if (*alive)
+                             conclude(r.status);
+                     });
+    });
 }
 
 // ---------------------------------------------------------------------

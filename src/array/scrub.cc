@@ -34,10 +34,7 @@ struct ZonedArray::ScrubWalk {
 Status
 ZonedArray::scrub_list(std::vector<ScrubStripe> *out) const
 {
-    bool stores = true;
-    for (BlockDevice *d : devs_)
-        stores &= d->data_mode() == DataMode::kStore;
-    if (!stores || !scrub_candidates(out))
+    if (!members_store_data() || !scrub_candidates(out))
         return Status(StatusCode::kNotSupported,
                       "scrub needs data-storing members and a scrub policy");
     return Status::ok();

@@ -30,13 +30,19 @@ RebuildThrottle::refill()
     last_refill_ns_ = now;
 }
 
+double
+RebuildThrottle::need(uint64_t sectors) const
+{
+    return static_cast<double>(std::min(sectors, cfg_.burst_sectors));
+}
+
 bool
 RebuildThrottle::try_acquire(uint64_t sectors)
 {
     if (!enabled())
         return true;
     refill();
-    if (tokens_ + 1e-9 < static_cast<double>(sectors)) {
+    if (tokens_ + 1e-9 < need(sectors)) {
         stalls_++;
         return false;
     }
@@ -49,7 +55,7 @@ RebuildThrottle::ns_until(uint64_t sectors) const
 {
     if (!enabled())
         return 0;
-    double deficit = static_cast<double>(sectors) - tokens_;
+    double deficit = need(sectors) - tokens_;
     if (deficit <= 0)
         return 0;
     return static_cast<uint64_t>(

@@ -32,7 +32,9 @@ class RebuildThrottle {
 
     /// Consumes `sectors` tokens if available (always succeeds when
     /// throttling is disabled). On failure the caller should sleep for
-    /// ns_until(sectors) and retry.
+    /// ns_until(sectors) and retry. A request larger than the bucket
+    /// waits for a full bucket and leaves the rest as debt, so it
+    /// issues and the rate still holds.
     bool try_acquire(uint64_t sectors);
 
     /// Nanoseconds of refill needed before `sectors` tokens are
@@ -43,6 +45,8 @@ class RebuildThrottle {
 
   private:
     void refill();
+    /// Tokens `sectors` waits for: at most a full bucket.
+    double need(uint64_t sectors) const;
 
     EventLoop *loop_;
     RebuildThrottleConfig cfg_;

@@ -92,16 +92,13 @@ ZonedArray::finish_zone(uint32_t zone, IoCallback cb)
     });
 }
 
-void
-ZonedArray::rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done)
+bool
+ZonedArray::members_store_data() const
 {
-    (void)dev;
-    (void)progress;
-    loop_->schedule_after(1, [done = std::move(done)] {
-        if (done)
-            done(Status(StatusCode::kNotSupported,
-                        "rebuild unsupported on this array"));
-    });
+    bool stores = true;
+    for (BlockDevice *d : devs_)
+        stores &= d->data_mode() == DataMode::kStore;
+    return stores;
 }
 
 void
@@ -265,7 +262,7 @@ void
 ZonedArray::maybe_start_auto_rebuild(uint32_t dev)
 {
     if (!lifecycle_.auto_rebuild || spare_ == nullptr ||
-        !is_marked_failed(dev) || auto_rebuild_vetoed())
+        !is_marked_failed(dev) || auto_rebuild_vetoed() || rebuild_running())
         return;
     const DeviceGeometry &sg = spare_->geometry();
     const DeviceGeometry &mg = devs_[dev]->geometry();
@@ -283,7 +280,7 @@ ZonedArray::maybe_start_auto_rebuild(uint32_t dev)
     // reenter it.
     loop_->schedule_after(1, [this, dev, alive = alive_] {
         if (!*alive || spare_ == nullptr || !is_marked_failed(dev) ||
-            auto_rebuild_vetoed())
+            auto_rebuild_vetoed() || rebuild_running())
             return;
         devs_[dev] = spare_;
         spare_ = nullptr;

@@ -11,15 +11,20 @@
  *
  * The base also owns the failure lifecycle: one LifecycleConfig, the
  * automatic failover onto a hot spare, and the fixed-rate rebuild
- * throttle every engine's rebuild pump paces itself with. And it owns
- * the one scrub walker (array/scrub.cc): the pass loop, the
- * background scrubber and the verdict; engines name their stripes and
- * member reads, and RAIZN repairs.
+ * throttle. It owns the one rebuild walk (array/rebuild.cc): the
+ * argument check, the zone walk, the pacing, an in-order window of
+ * reconstruct-ahead units per zone, progress, spans and the finish;
+ * engines name the zones, each unit's target extent and content, the
+ * target-write route and what a rebuilt zone commits. And it owns the
+ * one scrub walker (array/scrub.cc): the pass loop, the background
+ * scrubber and the verdict; engines name their stripes and member
+ * reads, and RAIZN repairs.
  *
  * Subclasses provide the data path (read/write/flush/zone management),
- * the failure semantics (mark_device_failed / rebuild), and a stats
- * struct; the base reaches into that struct through StatCells so each
- * engine keeps its own counter layout and metric names.
+ * the failure semantics (mark_device_failed), the rebuild and scrub
+ * policies, and a stats struct; the base reaches into that struct
+ * through StatCells so each engine keeps its own counter layout and
+ * metric names.
  */
 #pragma once
 
@@ -130,9 +135,14 @@ class ZonedArray
     /// First failed device, -1 when the array is healthy.
     virtual int failed_device() const = 0;
     virtual bool degraded() const { return failed_device() >= 0; }
-    /// Rebuilds a replaced device from redundancy.
-    virtual void rebuild_device(uint32_t dev, ProgressCb progress,
-                                StatusCb done);
+    /**
+     * Rebuilds member `dev`, marked failed and since replaced, from
+     * redundancy, zone by zone: `progress` fires once per zone, `done`
+     * once with the first error. kInvalidArgument when `dev` is out of
+     * range, healthy or not replaced; kBusy while a rebuild runs;
+     * kNotSupported on arrays without a rebuild policy.
+     */
+    void rebuild_device(uint32_t dev, ProgressCb progress, StatusCb done);
     /**
      * Verifies redundancy across the written stripes, one stripe at a
      * time, driving the event loop until the pass completes: P and Q
@@ -341,6 +351,65 @@ class ZonedArray
         return false;
     }
 
+    // ---- Rebuild policy --------------------------------------------
+    /// Where one rebuild unit lands on the target; 0 sectors: nothing.
+    struct RebuildExtent {
+        uint64_t pba = 0;
+        uint32_t nsectors = 0;
+    };
+    /// Appends the zones a rebuild of `dev` walks, in order; a null
+    /// `out` only asks whether this array rebuilds at all.
+    virtual bool rebuild_zones(uint32_t /*dev*/,
+                               std::vector<uint32_t> * /*out*/) const
+    {
+        return false;
+    }
+    /// Readies the rebuild of `dev` before the walk; an error ends it.
+    virtual void rebuild_prepare(uint32_t, StatusCb cb) { cb(Status::ok()); }
+    /// Opens `zone` once its units may be written, with their count.
+    virtual void
+    rebuild_zone_open(uint32_t /*dev*/, uint32_t /*zone*/,
+                      std::function<void(Status, uint64_t)> cb)
+    {
+        cb(Status::ok(), 0);
+    }
+    /// Target extent of a unit of the open zone (stable while open).
+    virtual RebuildExtent rebuild_extent(uint32_t, uint32_t, uint64_t) const
+    {
+        return {};
+    }
+    /// Reconstructs a non-empty unit (empty bytes when timing-only).
+    virtual void rebuild_read(uint32_t /*dev*/, uint32_t /*zone*/,
+                              uint64_t /*unit*/, const RebuildExtent &,
+                              DataCb cb)
+    {
+        cb(Status(StatusCode::kNotSupported, "no rebuild policy"), {});
+    }
+    /// Sends one target write. Default: dev_submit.
+    virtual void rebuild_write(uint32_t dev, uint32_t, IoRequest req,
+                               IoCallback cb)
+    {
+        dev_submit(dev, std::move(req), std::move(cb));
+    }
+    /// Commits a zone whose units are written (`s`: its first error);
+    /// `cb` continues the walk.
+    virtual void rebuild_zone_done(uint32_t, uint32_t, Status s, StatusCb cb)
+    {
+        cb(s);
+    }
+    /// Ends the rebuild after the walk; `cb` reports the final status.
+    virtual void rebuild_finish(uint32_t, Status s, StatusCb cb) { cb(s); }
+    /// Ledger cause of the target writes.
+    virtual obs::Cause rebuild_cause() const { return obs::Cause::kRebuild; }
+
+    bool rebuild_running() const { return rebuild_ != nullptr; }
+    /// The member being rebuilt, -1 when none.
+    int rebuild_target() const;
+    /// True while a rebuild runs and has rebuilt (or skipped) `zone`.
+    bool zone_rebuilt(uint32_t zone) const;
+    /// Marks `zone` as needing no rebuild (from rebuild_prepare).
+    void mark_zone_rebuilt(uint32_t zone);
+
     // ---- Subclass hooks --------------------------------------------
     /// The one write entry point behind write() and write_len();
     /// `data` is empty for timing-only writes.
@@ -376,8 +445,8 @@ class ZonedArray
     /// Runs right after the spare was swapped into slot `dev`.
     virtual void on_spare_promoted(uint32_t dev) { (void)dev; }
     /// True when no rebuild can heal the array right now (more failures
-    /// than it tolerates, or a rebuild already running): automatic
-    /// failover leaves the spare attached.
+    /// than it tolerates): automatic failover leaves the spare attached,
+    /// as it does while a rebuild runs.
     virtual bool auto_rebuild_vetoed() const { return false; }
     /// Whether `dev` is the/a failed device from escalate_dev_error's
     /// point of view. Multi-failure engines override.
@@ -421,6 +490,19 @@ class ZonedArray
     std::shared_ptr<bool> alive_;
 
   private:
+    struct RebuildWalk;
+    /// Why `dev` cannot be rebuilt now; ok when it can.
+    Status rebuild_check(uint32_t dev) const;
+    /// Advances `w`: opens the next zone, issues reads within the
+    /// window, writes the ready units in order, completes the zone.
+    void rebuild_pump(const std::shared_ptr<RebuildWalk> &w);
+    void rebuild_zone_complete(const std::shared_ptr<RebuildWalk> &w);
+    void rebuild_end(const std::shared_ptr<RebuildWalk> &w);
+    std::shared_ptr<RebuildWalk> rebuild_; ///< running rebuild, or null
+
+    /// True when every member stores payloads.
+    bool members_store_data() const;
+
     struct ScrubWalk;
     /// The candidate snapshot of one pass; kNotSupported on
     /// timing-only members and on arrays that do not scrub.

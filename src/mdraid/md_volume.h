@@ -101,15 +101,10 @@ class MdVolume : public ZonedArray
         set_resilience(ResilienceConfig{retry, health});
     }
 
-    /**
-     * Resyncs a replaced device: reconstructs and rewrites the ENTIRE
-     * device address space, regardless of how much user data exists —
-     * mdraid cannot tell valid data apart (§6.2, Fig. 12). Paced by
-     * the lifecycle throttle; automatic failover (set_spare /
-     * set_lifecycle, inherited) calls it after promoting the spare.
-     */
-    void rebuild_device(uint32_t dev, ProgressCb progress,
-                        StatusCb done) override;
+    // rebuild_device (inherited) resyncs a replaced device: it
+    // reconstructs and rewrites the ENTIRE device address space,
+    // regardless of how much user data exists — mdraid cannot tell
+    // valid data apart (§6.2, Fig. 12).
 
     // attach_observability (inherited) links MdVolumeStats under
     // "mdraid.*", per-device DeviceStats + latency histograms under
@@ -164,6 +159,21 @@ class MdVolume : public ZonedArray
     bool store_data() const { return store_data_; }
     // dev_submit / escalate_dev_error are inherited from ZonedArray;
     // all device IO funnels through the retrier.
+
+    // resync.cc — the rebuild policy: every chunk of the replacement,
+    // XOR-reconstructed, booked as resync traffic.
+    bool rebuild_zones(uint32_t dev,
+                       std::vector<uint32_t> *out) const override;
+    void rebuild_zone_open(uint32_t dev, uint32_t zone,
+                           std::function<void(Status, uint64_t)> cb) override;
+    RebuildExtent rebuild_extent(uint32_t dev, uint32_t zone,
+                                 uint64_t stripe) const override;
+    void rebuild_read(uint32_t dev, uint32_t zone, uint64_t stripe,
+                      const RebuildExtent &e, DataCb cb) override;
+    void rebuild_write(uint32_t dev, uint32_t zone, IoRequest req,
+                       IoCallback cb) override;
+    void rebuild_finish(uint32_t dev, Status s, StatusCb cb) override;
+    obs::Cause rebuild_cause() const override { return obs::Cause::kResync; }
 
     // ZonedArray hooks.
     std::string metric_prefix() const override { return "mdraid"; }

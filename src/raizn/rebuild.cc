@@ -1,11 +1,12 @@
 /**
  * @file
- * Device rebuild (paper §4.2, Fig. 12). When a failed device is
- * replaced, RAIZN rebuilds it zone by zone — active (open/closed)
- * zones first, then full zones — reconstructing only LBA ranges that
- * contain user data (everything between each zone's start and its
- * write pointer). Empty zones are skipped entirely, which is why
- * RAIZN's time-to-repair scales with the amount of valid data while
+ * RAIZN's rebuild policy (paper §4.2, Fig. 12) over the shared rebuild
+ * walk in array/rebuild.cc. When a failed device is replaced, RAIZN
+ * rebuilds it zone by zone — active (open/closed) zones first, then
+ * full zones — reconstructing only LBA ranges that contain user data
+ * (everything between each zone's start and its write pointer), one
+ * stripe unit per stripe. Empty zones are skipped entirely, which is
+ * why RAIZN's time-to-repair scales with the amount of valid data while
  * mdraid's resync is constant.
  *
  * The rebuild is crash-resumable: a checkpoint record (which logical
@@ -14,19 +15,13 @@
  * first write touches the target, after every completed zone, and as
  * a terminal "done" record. Mount-time recovery finds the newest
  * record and, for an in-progress one, re-marks the target as the
- * array's absent device so resume_rebuild() can verify and skip the
- * checkpointed zones instead of restarting. The final write of every
- * rebuilt zone carries FUA, which under the sequential zone cache
+ * array's absent device so its next rebuild verifies and skips the
+ * checkpointed zones instead of restarting. The walk writes every
+ * zone's final unit with FUA, which under the sequential zone cache
  * model persists the whole zone, so a checkpointed zone is durable by
  * construction.
- *
- * Rebuild traffic is paced by the array's fixed-rate token bucket
- * (ZonedArray::pace_rebuild, array/throttle.h) so degraded foreground
- * service keeps a configurable share of the array.
  */
 #include <algorithm>
-#include <cassert>
-#include <map>
 
 #include "common/kernels.h"
 #include "common/logging.h"
@@ -35,39 +30,6 @@
 #include "sim/event_loop.h"
 
 namespace raizn {
-
-namespace {
-
-struct RebuildJob {
-    uint32_t dev = 0;
-    std::vector<uint32_t> zone_order;
-    size_t zone_i = 0;
-    RaiznVolume::ProgressCb progress;
-    StatusCb done;
-    Status status;
-
-    // Per-zone pipeline state.
-    uint32_t zone = 0;
-    uint64_t fill = 0; ///< zone offset of the logical write pointer
-    uint64_t nstripes = 0;
-    uint64_t next_issue = 0;
-    uint64_t next_write = 0;
-    std::map<uint64_t, std::pair<bool, std::vector<uint8_t>>> ready;
-    uint32_t inflight_writes = 0;
-    bool zone_active = false;
-    /// Last stripe index with a non-empty unit on the target: its
-    /// write carries FUA so the whole zone is durable on completion.
-    uint64_t last_data_stripe = 0;
-
-    // Trace correlation (0 = tracing detached).
-    uint64_t trace_req = 0;   ///< request id shared by every sub-span
-    uint64_t total_token = 0; ///< open "rebuild.device" span
-    uint64_t zone_token = 0;  ///< open "rebuild.zone" span
-
-    static constexpr uint64_t kWindow = 32;
-};
-
-} // namespace
 
 Status
 RaiznVolume::rewrite_replicated_md(uint32_t dev)
@@ -125,7 +87,7 @@ RaiznVolume::encode_current_rebuild_checkpoint(uint32_t dev,
     rec.rebuilt.assign(zones_.size(), false);
     uint32_t done = 0;
     for (uint32_t z = 0; z < zones_.size(); ++z) {
-        if (z < zone_rebuilt_.size() && zone_rebuilt_[z]) {
+        if (zone_rebuilt(z)) {
             rec.rebuilt[z] = true;
             done++;
         }
@@ -177,24 +139,21 @@ RaiznVolume::persist_rebuild_checkpoint(uint32_t dev, uint32_t state,
 }
 
 uint64_t
-RaiznVolume::expected_phys_fill(uint32_t dev, uint32_t zone) const
+RaiznVolume::expected_phys_fill(uint32_t dev, uint32_t zone,
+                                uint64_t fill) const
 {
-    const LZone &lz = zones_[zone];
     const uint32_t su = cfg_.su_sectors;
     const uint64_t ss = layout_->stripe_sectors();
-    uint64_t fill = lz.wp - lz.start;
-    uint64_t fs = fill / ss;
-    uint64_t rem = fill % ss;
+    const uint64_t fs = fill / ss;
+    const uint64_t rem = fill % ss;
     // One stripe unit (data or parity) per complete stripe, plus this
     // device's written share of the tail stripe.
     uint64_t e = fs * su;
     if (rem > 0) {
-        int pos = layout_->data_pos_of_dev(zone, fs, dev);
-        if (pos >= 0) {
-            uint64_t start = static_cast<uint64_t>(pos) * su;
-            if (rem > start)
-                e += std::min<uint64_t>(su, rem - start);
-        }
+        const int pos = layout_->data_pos_of_dev(zone, fs, dev);
+        const uint64_t start = static_cast<uint64_t>(pos) * su;
+        if (pos >= 0 && rem > start)
+            e += std::min<uint64_t>(su, rem - start);
     }
     return e;
 }
@@ -243,14 +202,6 @@ RaiznVolume::relog_tail_pp(uint32_t dev, uint32_t zone)
 }
 
 void
-RaiznVolume::rebuild_device(uint32_t dev, ProgressCb progress,
-                            StatusCb done)
-{
-    rebuild_device_internal(dev, /*resume=*/false, std::move(progress),
-                            std::move(done));
-}
-
-void
 RaiznVolume::resume_rebuild(ProgressCb progress, StatusCb done)
 {
     if (pending_rebuild_dev_ < 0) {
@@ -260,63 +211,62 @@ RaiznVolume::resume_rebuild(ProgressCb progress, StatusCb done)
         });
         return;
     }
-    uint32_t dev = static_cast<uint32_t>(pending_rebuild_dev_);
-    pending_rebuild_dev_ = -1;
-    rebuild_device_internal(dev, /*resume=*/true, std::move(progress),
-                            std::move(done));
+    rebuild_device(static_cast<uint32_t>(pending_rebuild_dev_),
+                   std::move(progress), std::move(done));
+}
+
+bool
+RaiznVolume::rebuild_zones(uint32_t /*dev*/, std::vector<uint32_t> *out) const
+{
+    if (out == nullptr)
+        return true;
+    // Active (open/closed) zones first, then full zones; empty and
+    // resume-verified zones need no work (§4.2).
+    for (uint32_t z = 0; z < zones_.size(); ++z) {
+        if (is_active(zones_[z].cond) && !zone_rebuilt(z))
+            out->push_back(z);
+    }
+    for (uint32_t z = 0; z < zones_.size(); ++z) {
+        if (zones_[z].cond == raizn::ZoneState::kFull && !zone_rebuilt(z))
+            out->push_back(z);
+    }
+    return true;
 }
 
 void
-RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
-                                     ProgressCb progress, StatusCb done)
+RaiznVolume::rebuild_prepare(uint32_t dev, StatusCb cb)
 {
-    if (failed_dev_ != static_cast<int>(dev) || devs_[dev]->failed()) {
-        loop_->schedule_after(1, [done = std::move(done)] {
-            done(Status(StatusCode::kInvalidArgument,
-                        "device not failed+replaced"));
-        });
-        return;
-    }
-
-    rebuilding_ = true;
-    zone_rebuilt_.assign(zones_.size(), false);
     for (uint32_t z = 0; z < zones_.size(); ++z) {
         if (zones_[z].cond == raizn::ZoneState::kEmpty)
-            zone_rebuilt_[z] = true;
+            mark_zone_rebuilt(z);
     }
 
+    // A checkpointed rebuild of `dev` resumes: trust a checkpointed
+    // zone only when the target's physical write pointer matches the
+    // fill the recovered logical zone implies; everything else is
+    // reset and rebuilt from parity.
+    const bool resume = pending_rebuild_dev_ == static_cast<int>(dev);
+    pending_rebuild_dev_ = -1;
     if (resume) {
-        // Trust a checkpointed zone only when the target's physical
-        // write pointer matches the fill the recovered logical zone
-        // implies; everything else is reset and rebuilt from parity.
         for (uint32_t z = 0; z < zones_.size(); ++z) {
-            if (zone_rebuilt_[z])
+            if (zone_rebuilt(z))
                 continue;
-            bool verified = false;
-            if (z < ckpt_rebuilt_.size() && ckpt_rebuilt_[z]) {
-                auto zi = devs_[dev]->zone_info(z);
-                if (zi.is_ok() &&
-                    zi.value().written() == expected_phys_fill(dev, z)) {
-                    verified = true;
-                }
-            }
-            if (verified) {
-                zone_rebuilt_[z] = true;
+            auto zi = devs_[dev]->zone_info(z);
+            const uint64_t written = zi.is_ok() ? zi.value().written() : 0;
+            if (zi.is_ok() && z < ckpt_rebuilt_.size() && ckpt_rebuilt_[z] &&
+                written == expected_phys_fill(dev, z, zones_[z].written())) {
+                mark_zone_rebuilt(z);
                 stats_.rebuild_zones_resumed++;
                 continue;
             }
-            auto zi = devs_[dev]->zone_info(z);
-            if (zi.is_ok() && zi.value().written() > 0) {
+            if (written > 0) {
                 uint64_t phys =
                     static_cast<uint64_t>(z) * layout_->phys_zone_size();
                 IoRequest rst = IoRequest::zone_reset(phys);
                 rst.cause = obs::Cause::kRebuild;
                 auto r = dev_sync(dev, std::move(rst));
                 if (!r.status.is_ok()) {
-                    Status st = r.status;
-                    loop_->schedule_after(
-                        1, [done = std::move(done), st] { done(st); });
-                    rebuilding_ = false;
+                    cb(r.status);
                     return;
                 }
             }
@@ -333,10 +283,7 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
 
     Status st = rewrite_replicated_md(dev);
     if (!st) {
-        rebuilding_ = false;
-        loop_->schedule_after(1, [done = std::move(done), st] {
-            done(st);
-        });
+        cb(st);
         return;
     }
 
@@ -358,232 +305,102 @@ RaiznVolume::rebuild_device_internal(uint32_t dev, bool resume,
                         [](Status) {});
         }
         for (uint32_t z = 0; z < zones_.size(); ++z) {
-            if (zone_rebuilt_[z] &&
-                zones_[z].cond != raizn::ZoneState::kEmpty) {
+            if (zone_rebuilt(z) && zones_[z].cond != raizn::ZoneState::kEmpty)
                 relog_tail_pp(dev, z);
-            }
         }
     }
+    cb(Status::ok());
+}
 
-    // Throttled rebuild: rate-limit reconstruction traffic so degraded
-    // foreground service keeps headroom.
-    start_rebuild_throttle();
+void
+RaiznVolume::rebuild_zone_open(uint32_t /*dev*/, uint32_t zone,
+                               std::function<void(Status, uint64_t)> cb)
+{
+    LZone &lz = zones_[zone];
+    lz.blocked = true; // writes queue while this zone rebuilds
+    cb(Status::ok(), div_ceil(lz.written(), layout_->stripe_sectors()));
+}
 
-    auto job = std::make_shared<RebuildJob>();
-    job->dev = dev;
-    job->progress = std::move(progress);
-    job->done = std::move(done);
-    if (trace_ != nullptr) {
-        job->trace_req = trace_->next_request_id();
-        job->total_token = trace_->begin_span(
-            "rebuild.device", job->trace_req, obs::kTrackMetadata,
-            loop_->now());
+ZonedArray::RebuildExtent
+RaiznVolume::rebuild_extent(uint32_t dev, uint32_t zone, uint64_t s) const
+{
+    // Sectors this device holds in stripe s, given the zone fill.
+    const uint64_t fill = zones_[zone].written();
+    const uint32_t su = cfg_.su_sectors;
+    const uint64_t ss = layout_->stripe_sectors();
+    uint64_t len = 0;
+    int pos = layout_->data_pos_of_dev(zone, s, dev);
+    if (pos < 0) { // parity: present only for complete stripes
+        len = (s + 1) * ss <= fill ? su : 0;
+    } else {
+        uint64_t start = s * ss + static_cast<uint64_t>(pos) * su;
+        if (fill > start)
+            len = std::min<uint64_t>(su, fill - start);
     }
+    return {layout_->slot_pba(zone, s), static_cast<uint32_t>(len)};
+}
 
-    // Active (open/closed) zones first, then full zones; empty and
-    // resume-verified zones need no work (§4.2).
-    for (uint32_t z = 0; z < zones_.size(); ++z) {
-        if (is_active(zones_[z].cond) && !zone_rebuilt_[z])
-            job->zone_order.push_back(z);
+void
+RaiznVolume::rebuild_read(uint32_t dev, uint32_t zone, uint64_t s,
+                          const RebuildExtent &e, DataCb cb)
+{
+    reconstruct_stripe_unit(zone, s, layout_->data_pos_of_dev(zone, s, dev),
+                            0, e.nsectors, obs::Cause::kRebuild,
+                            std::move(cb));
+}
+
+void
+RaiznVolume::rebuild_write(uint32_t dev, uint32_t /*zone*/, IoRequest req,
+                           IoCallback cb)
+{
+    stats_.stripes_rebuilt++;
+    // Target writes bypass dev_submit (no retry against a fresh
+    // replacement), so the device-track span is explicit.
+    uint64_t wtok = trace_ != nullptr
+        ? trace_->begin_span(req.trace_stage, req.trace_req,
+                             obs::kTrackDevBase + dev, loop_->now())
+        : 0;
+    devs_[dev]->submit(std::move(req),
+                       [this, wtok, cb = std::move(cb)](IoResult r) {
+                           if (trace_ != nullptr && wtok != 0)
+                               trace_->end_span(wtok, loop_->now());
+                           cb(std::move(r));
+                       });
+}
+
+void
+RaiznVolume::rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
+                               StatusCb cb)
+{
+    // Re-log partial parity for the tail stripe if this device is its
+    // parity holder (the old device's parity log is gone).
+    relog_tail_pp(dev, zone);
+    stats_.zones_rebuilt++;
+    persist_rebuild_checkpoint(dev, RebuildCheckpointRecord::kInProgress,
+                               ~0u, /*wait=*/false);
+    zones_[zone].blocked = false;
+    drain_waiters(zone);
+    cb(s);
+}
+
+void
+RaiznVolume::rebuild_finish(uint32_t dev, Status s, StatusCb cb)
+{
+    failed_dev_ = -1;
+    // Relocations and burned ranges on the rebuilt device are folded
+    // into the reconstructed data.
+    std::vector<uint64_t> drop;
+    for (const Relocation *rel : reloc_.all()) {
+        if (rel->dev == dev)
+            drop.push_back(rel->lba);
     }
-    for (uint32_t z = 0; z < zones_.size(); ++z) {
-        if (zones_[z].cond == raizn::ZoneState::kFull && !zone_rebuilt_[z])
-            job->zone_order.push_back(z);
-    }
-
-    // Kick off the per-zone pipeline. The pump refers to itself only
-    // weakly: the IO completions and wake-ups it arms hold it alive, so
-    // a rebuild abandoned mid-flight (volume teardown, power cut) frees
-    // it along with those pending callbacks.
-    using Pump = std::function<void(std::shared_ptr<RebuildJob>)>;
-    auto pump = std::make_shared<Pump>();
-    std::weak_ptr<Pump> weak_pump = pump;
-    auto finished = std::make_shared<bool>(false);
-    auto finish_job = [this, finished](std::shared_ptr<RebuildJob> job) {
-        if (*finished)
-            return;
-        *finished = true;
-        rebuilding_ = false;
-        failed_dev_ = -1;
-        // Relocations and burned ranges on the rebuilt device are
-        // folded into the reconstructed data.
-        std::vector<uint64_t> drop;
-        for (const Relocation *rel : reloc_.all()) {
-            if (rel->dev == job->dev)
-                drop.push_back(rel->lba);
-        }
-        for (uint64_t lba : drop)
-            reloc_.drop_zone(lba, lba + 1);
-        for (uint32_t z = 0; z < zones_.size(); ++z)
-            burned_.clear_dev_zone(job->dev, z);
-        persist_rebuild_checkpoint(job->dev,
-                                   RebuildCheckpointRecord::kDone, ~0u,
-                                   /*wait=*/false);
-        if (trace_ != nullptr && job->total_token != 0)
-            trace_->end_span(job->total_token, loop_->now());
-        auto done = std::move(job->done);
-        done(job->status);
-    };
-
-    auto complete_zone = [this, weak_pump,
-                          finish_job](std::shared_ptr<RebuildJob> job) {
-        LZone &lz = zones_[job->zone];
-        if (trace_ != nullptr && job->zone_token != 0) {
-            trace_->end_span(job->zone_token, loop_->now());
-            job->zone_token = 0;
-        }
-        // Re-log partial parity for the tail stripe if this device is
-        // its parity holder (the old device's parity log is gone).
-        relog_tail_pp(job->dev, job->zone);
-        zone_rebuilt_[job->zone] = true;
-        stats_.zones_rebuilt++;
-        persist_rebuild_checkpoint(job->dev,
-                                   RebuildCheckpointRecord::kInProgress,
-                                   ~0u, /*wait=*/false);
-        lz.blocked = false;
-        drain_waiters(job->zone);
-        if (job->progress)
-            job->progress(job->zone_i + 1, job->zone_order.size());
-        job->zone_i++;
-        job->zone_active = false;
-        (*weak_pump.lock())(job); // alive: only the pump calls this
-    };
-
-    *pump = [this, weak_pump, complete_zone,
-             finish_job](std::shared_ptr<RebuildJob> job) {
-        auto pump = weak_pump.lock(); // alive: our caller holds it
-        if (!job->zone_active) {
-            if (job->zone_i >= job->zone_order.size()) {
-                finish_job(job); // no-op for late completions
-                return;
-            }
-            // Begin the next zone.
-            job->zone = job->zone_order[job->zone_i];
-            LZone &lz = zones_[job->zone];
-            lz.blocked = true; // writes queue while this zone rebuilds
-            job->fill = lz.wp - lz.start;
-            job->nstripes =
-                div_ceil(job->fill, layout_->stripe_sectors());
-            job->next_issue = 0;
-            job->next_write = 0;
-            job->ready.clear();
-            job->inflight_writes = 0;
-            job->zone_active = true;
-            if (trace_ != nullptr) {
-                job->zone_token = trace_->begin_span(
-                    "rebuild.zone", job->trace_req, obs::kTrackMetadata,
-                    loop_->now());
-            }
-        }
-
-        const uint32_t su = cfg_.su_sectors;
-        const uint64_t ss = layout_->stripe_sectors();
-
-        // Sectors this device holds in stripe s, given the zone fill.
-        auto unit_len = [&](uint64_t s) -> uint64_t {
-            int pos = layout_->data_pos_of_dev(job->zone, s, job->dev);
-            if (pos < 0) // parity: present only for complete stripes
-                return (s + 1) * ss <= job->fill ? su : 0;
-            uint64_t start = s * ss + static_cast<uint64_t>(pos) * su;
-            if (job->fill <= start)
-                return 0;
-            return std::min<uint64_t>(su, job->fill - start);
-        };
-
-        if (job->next_issue == 0 && job->next_write == 0) {
-            // Zone start: find the last stripe this device contributes
-            // to, so its write can carry FUA (persisting the zone).
-            job->last_data_stripe = 0;
-            for (uint64_t s = 0; s < job->nstripes; ++s) {
-                if (unit_len(s) > 0)
-                    job->last_data_stripe = s;
-            }
-        }
-
-        // Issue reconstructions within the window, paced by the
-        // throttle when one is configured.
-        while (job->next_issue < job->nstripes &&
-               job->next_issue < job->next_write + RebuildJob::kWindow) {
-            uint64_t s = job->next_issue;
-            uint64_t len = unit_len(s);
-            if (len == 0) {
-                job->next_issue++;
-                job->ready[s] = {true, {}};
-                continue;
-            }
-            if (!pace_rebuild(len, [pump, job] { (*pump)(job); }))
-                break;
-            job->next_issue++;
-            int pos = layout_->data_pos_of_dev(job->zone, s, job->dev);
-            job->ready[s] = {false, {}};
-            uint64_t rtok = trace_ != nullptr
-                ? trace_->begin_span("rebuild.reconstruct",
-                                     job->trace_req, obs::kTrackMetadata,
-                                     loop_->now())
-                : 0;
-            reconstruct_stripe_unit(
-                job->zone, s, pos, 0, len, obs::Cause::kRebuild,
-                [this, job, s, pump, rtok](Status st,
-                                           std::vector<uint8_t> data) {
-                    if (trace_ != nullptr && rtok != 0)
-                        trace_->end_span(rtok, loop_->now());
-                    if (!st.is_ok() && job->status.is_ok())
-                        job->status = st;
-                    job->ready[s] = {true, std::move(data)};
-                    (*pump)(job);
-                });
-        }
-
-        // Submit ready writes in strict stripe order (sequential zone).
-        while (job->next_write < job->nstripes &&
-               job->ready.count(job->next_write) &&
-               job->ready[job->next_write].first) {
-            uint64_t s = job->next_write++;
-            auto content = std::move(job->ready[s].second);
-            job->ready.erase(s);
-            uint64_t len = unit_len(s);
-            if (len == 0)
-                continue;
-            IoRequest req;
-            req.op = IoOp::kWrite;
-            req.cause = obs::Cause::kRebuild;
-            req.slba = layout_->slot_pba(job->zone, s);
-            req.nsectors = static_cast<uint32_t>(len);
-            // The zone's final write is FUA: under the sequential zone
-            // cache model it persists everything written before it, so
-            // the checkpoint that follows never over-claims.
-            req.fua = s == job->last_data_stripe;
-            if (store_data_) {
-                content.resize(static_cast<size_t>(len) * kSectorSize);
-                req.data = std::move(content);
-            }
-            job->inflight_writes++;
-            stats_.stripes_rebuilt++;
-            // Target writes bypass dev_submit (no retry against a
-            // fresh replacement), so the device-track span is explicit.
-            uint64_t wtok = trace_ != nullptr
-                ? trace_->begin_span("rebuild.write", job->trace_req,
-                                     obs::kTrackDevBase + job->dev,
-                                     loop_->now())
-                : 0;
-            devs_[job->dev]->submit(
-                std::move(req), [this, job, pump, wtok](IoResult r) {
-                    if (trace_ != nullptr && wtok != 0)
-                        trace_->end_span(wtok, loop_->now());
-                    if (!r.status.is_ok() && job->status.is_ok())
-                        job->status = r.status;
-                    job->inflight_writes--;
-                    (*pump)(job);
-                });
-        }
-
-        if (job->next_write >= job->nstripes &&
-            job->inflight_writes == 0 && job->zone_active) {
-            complete_zone(job);
-        }
-    };
-
-    loop_->schedule_after(1, [pump, job] { (*pump)(job); });
+    for (uint64_t lba : drop)
+        reloc_.drop_zone(lba, lba + 1);
+    for (uint32_t z = 0; z < zones_.size(); ++z)
+        burned_.clear_dev_zone(dev, z);
+    persist_rebuild_checkpoint(dev, RebuildCheckpointRecord::kDone, ~0u,
+                               /*wait=*/false);
+    cb(s);
 }
 
 } // namespace raizn

@@ -561,20 +561,8 @@ RaiznVolume::repair_or_remap(uint32_t zone, std::vector<uint64_t> written)
     }
     L = std::min(L, layout_->logical_zone_cap());
 
-    // Expected physical fill of device d for logical fill l.
-    auto expected = [&](uint32_t d, uint64_t l) -> uint64_t {
-        uint64_t fs = l / ss;
-        uint64_t rem = l % ss;
-        uint64_t e = fs * su;
-        if (rem > 0) {
-            int pos = layout_->data_pos_of_dev(zone, fs, d);
-            if (pos >= 0) {
-                uint64_t start = static_cast<uint64_t>(pos) * su;
-                if (rem > start)
-                    e += std::min<uint64_t>(su, rem - start);
-            }
-        }
-        return e;
+    auto expected = [&](uint32_t d, uint64_t l) {
+        return expected_phys_fill(d, zone, l);
     };
 
     // Cumulative partial parity for a stripe, from the replayed index.

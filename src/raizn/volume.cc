@@ -162,8 +162,7 @@ RaiznVolume::dev_unavailable(uint32_t dev, uint32_t zone) const
     if (static_cast<int>(dev) != failed_dev_)
         return false;
     // Marked failed but replaced: zones already rebuilt are usable.
-    return !(rebuilding_ && zone < zone_rebuilt_.size() &&
-             zone_rebuilt_[zone]);
+    return !zone_rebuilt(zone);
 }
 
 Result<std::unique_ptr<RaiznVolume>>
@@ -1449,7 +1448,7 @@ RaiznVolume::snapshot_for_gc(uint32_t dev, MdZoneRole role)
     // An in-flight device rebuild keeps its progress record alive
     // across metadata GC — dropping it would turn a crash during GC
     // into an unresumable rebuild.
-    if (rebuilding_ && failed_dev_ >= 0 &&
+    if (rebuild_running() && failed_dev_ >= 0 &&
         dev != static_cast<uint32_t>(failed_dev_)) {
         MdAppend app;
         app.header.type = MdType::kRebuildCheckpoint;

@@ -188,9 +188,10 @@ class RaiznVolume : public ZonedArray
     int pending_rebuild_device() const { return pending_rebuild_dev_; }
 
     /**
-     * Resumes a checkpointed rebuild after a crash: zones the
-     * checkpoint marks complete are verified against the replacement
-     * device's write pointers and skipped; everything else is rebuilt.
+     * Resumes a checkpointed rebuild after a crash: rebuild_device of
+     * the pending device, whose zones the checkpoint marks complete are
+     * verified against the replacement's write pointers and skipped;
+     * everything else is rebuilt.
      */
     void resume_rebuild(ProgressCb progress, StatusCb done);
 
@@ -199,16 +200,10 @@ class RaiznVolume : public ZonedArray
     /// -1 when the array is healthy.
     int failed_device() const override { return failed_dev_; }
     bool read_only() const { return read_only_; }
-
-    /**
-     * Rebuilds a replaced device zone by zone, active zones first,
-     * copying only LBA ranges that contain user data (§4.2). The
-     * device must have been replaced (fresh) before calling. Writes
-     * arriving during rebuild are served degraded for zones not yet
-     * rebuilt.
-     */
-    void rebuild_device(uint32_t dev, ProgressCb progress,
-                        StatusCb done) override;
+    // rebuild_device (inherited) rebuilds a replaced device zone by
+    // zone, active zones first, copying only LBA ranges that contain
+    // user data (§4.2). Writes arriving during the rebuild are served
+    // degraded for zones not yet rebuilt.
 
     // ---- Observability ---------------------------------------------
     // attach_observability (inherited) links every VolumeStats counter
@@ -353,11 +348,24 @@ class RaiznVolume : public ZonedArray
                                  const ZoneRebuildRecord *resume);
     Status persist_superblocks();
 
-    // rebuild.cc
-    Status rebuild_zone_sync(uint32_t dev, uint32_t zone);
+    // rebuild.cc — the rebuild policy: resume verification and the
+    // durable checkpoint, the written stripe units of non-empty zones,
+    // target writes past the retrier.
+    bool rebuild_zones(uint32_t dev,
+                       std::vector<uint32_t> *out) const override;
+    void rebuild_prepare(uint32_t dev, StatusCb cb) override;
+    void rebuild_zone_open(uint32_t dev, uint32_t zone,
+                           std::function<void(Status, uint64_t)> cb) override;
+    RebuildExtent rebuild_extent(uint32_t dev, uint32_t zone,
+                                 uint64_t s) const override;
+    void rebuild_read(uint32_t dev, uint32_t zone, uint64_t s,
+                      const RebuildExtent &e, DataCb cb) override;
+    void rebuild_write(uint32_t dev, uint32_t zone, IoRequest req,
+                       IoCallback cb) override;
+    void rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
+                           StatusCb cb) override;
+    void rebuild_finish(uint32_t dev, Status s, StatusCb cb) override;
     Status rewrite_replicated_md(uint32_t dev);
-    void rebuild_device_internal(uint32_t dev, bool resume,
-                                 ProgressCb progress, StatusCb done);
     /// Durably logs rebuild progress to every surviving device. `wait`
     /// drives the loop until the record is durable (rebuild start: the
     /// record must exist before the first write touches the target).
@@ -369,9 +377,10 @@ class RaiznVolume : public ZonedArray
     /// Re-logs the folded tail-stripe partial parity of `zone` to the
     /// rebuild target when the target is its parity holder.
     void relog_tail_pp(uint32_t dev, uint32_t zone);
-    /// Expected physical fill (sectors) of `dev`'s copy of `zone` for
-    /// the current logical fill — the resume-verification yardstick.
-    uint64_t expected_phys_fill(uint32_t dev, uint32_t zone) const;
+    /// Expected physical fill (sectors) of `dev`'s copy of `zone` for a
+    /// logical fill of `fill` sectors (recovery, resume verification).
+    uint64_t expected_phys_fill(uint32_t dev, uint32_t zone,
+                                uint64_t fill) const;
     /// Health-monitor escalation edges land here.
     void on_health_event(uint32_t dev, HealthEvent ev) override;
     /// Points the md manager at the promoted spare in slot `dev`.
@@ -456,11 +465,10 @@ class RaiznVolume : public ZonedArray
     bool read_only_ = false;
     bool store_data_ = true;
     DebugFault debug_fault_ = DebugFault::kNone;
-    bool rebuilding_ = false;
-    std::vector<bool> zone_rebuilt_; ///< during rebuild_device
 
-    // Checkpointed rebuild. (The spare, lifecycle policy, throttle and
-    // the resilience/observability layers live in ZonedArray.)
+    // Checkpointed rebuild. (The spare, lifecycle policy, throttle, the
+    // rebuild walk and the resilience/observability layers live in
+    // ZonedArray.)
     int pending_rebuild_dev_ = -1; ///< from a mount-time checkpoint
     std::vector<bool> ckpt_rebuilt_; ///< checkpointed zone bitmap
 };

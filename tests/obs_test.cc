@@ -10,10 +10,13 @@
 #include <set>
 #include <string>
 
+#include "array/engine.h"
 #include "common/histogram.h"
+#include "mdraid/md_volume.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "raizn_test_util.h"
+#include "zns/conv_device.h"
 
 namespace raizn::obs {
 namespace {
@@ -416,6 +419,68 @@ TEST(TraceRecorder, ThrottledRebuildSpansReachChromeExport)
             << "span absent from Chrome export: " << w;
     EXPECT_NE(json.find("rebuild.checkpoint"), std::string::npos)
         << "checkpoint instants absent from Chrome export";
+}
+
+// The one rebuild walk traces mdraid's resync and the engine modes'
+// rebuilds with the same spans.
+TEST(TraceRecorder, EveryEngineRebuildEmitsTheSameSpans)
+{
+    for (RaidMode mode : {RaidMode::kMdraid, RaidMode::kRaid5}) {
+        SCOPED_TRACE(to_string(mode));
+        EventLoop loop;
+        std::vector<std::unique_ptr<BlockDevice>> devs;
+        std::vector<BlockDevice *> ptrs;
+        std::unique_ptr<ZonedArray> arr;
+        if (mode == RaidMode::kMdraid) {
+            for (uint32_t i = 0; i < 5; ++i) {
+                ConvDeviceConfig cfg;
+                cfg.nsectors = 2 * kMiB / kSectorSize;
+                cfg.pages_per_block = 64;
+                devs.push_back(std::make_unique<ConvDevice>(&loop, cfg));
+                ptrs.push_back(devs.back().get());
+            }
+            arr = std::make_unique<MdVolume>(&loop, ptrs, MdVolumeConfig{});
+        } else {
+            for (uint32_t i = 0; i < 4; ++i) {
+                devs.push_back(std::make_unique<ZnsDevice>(
+                    &loop, TestArray::device_config(5, 64)));
+                ptrs.push_back(devs.back().get());
+            }
+            EngineConfig ec;
+            ec.mode = mode;
+            ec.su_sectors = 4;
+            auto res = ZonedEngine::create(&loop, ptrs, ec);
+            ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+            arr = std::move(res).value();
+        }
+        TraceRecorder trace;
+        arr->attach_observability(nullptr, &trace);
+        bool done = false;
+        arr->write(0, std::vector<uint8_t>(48 * kSectorSize, 0x3c), {},
+                   [&](IoResult) { done = true; });
+        loop.run_until_pred([&] { return done; });
+
+        arr->mark_device_failed(2);
+        if (mode == RaidMode::kMdraid)
+            static_cast<ConvDevice *>(devs[2].get())->replace();
+        else
+            static_cast<ZnsDevice *>(devs[2].get())->replace();
+        Status st;
+        done = false;
+        arr->rebuild_device(2, nullptr, [&](Status s) {
+            st = s;
+            done = true;
+        });
+        loop.run_until_pred([&] { return done; });
+        ASSERT_TRUE(st.is_ok()) << st.to_string();
+
+        std::set<std::string> stages;
+        for (const TraceSpan &sp : trace.spans())
+            stages.insert(sp.stage);
+        for (const char *w : {"rebuild.device", "rebuild.zone",
+                              "rebuild.reconstruct", "rebuild.write"})
+            EXPECT_EQ(stages.count(w), 1u) << "missing span: " << w;
+    }
 }
 
 } // namespace

@@ -254,8 +254,9 @@ TEST_F(VolumeTest, MetadataGcRecyclesZones)
             arr_.write_pattern(lba, 4, lba);
             writes++;
         }
-        if (arr_.vol->md_manager().gc_runs() == 0)
+        if (arr_.vol->md_manager().gc_runs() == 0) {
             ASSERT_TRUE(arr_.reset_zone(0).status.is_ok());
+        }
     }
     EXPECT_GT(arr_.vol->md_manager().gc_runs(), 0u)
         << "metadata GC never triggered after " << writes << " writes";
