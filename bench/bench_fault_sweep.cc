@@ -8,9 +8,9 @@
  * plotting, and prints the volume's resilience counters per point.
  *
  * A second section sweeps the device-failure matrix across every
- * ZonedArray engine (raid0/1/5/6/10/auto and raizn): each mode runs a
- * sequential-write pass with 0..tolerance+1 members failed, and the
- * bench ASSERTS the mode-appropriate outcome — error-free IO at or
+ * ZonedArray engine (raid0/1/5/6/10/auto, raizn and mdraid): each mode
+ * runs a sequential-write pass with 0..tolerance+1 members failed, and
+ * the bench ASSERTS the mode-appropriate outcome — error-free IO at or
  * below the mode's fault tolerance, surfaced IO errors beyond it.
  *
  * --smoke runs neither sweep: it is the per-engine observability
@@ -215,6 +215,7 @@ run_matrix_point(RaidMode mode, uint32_t nfail)
     constexpr uint32_t kBs = 64;
     BenchScale scale;
     FaultSweepArray rarr;
+    MdArray marr;
     EngineArray earr;
     ZonedArray *za = nullptr;
     EventLoop *loop = nullptr;
@@ -222,6 +223,10 @@ run_matrix_point(RaidMode mode, uint32_t nfail)
         rarr = make_faulty_array(scale, 0.0, -1);
         za = rarr.vol.get();
         loop = rarr.loop.get();
+    } else if (mode == RaidMode::kMdraid) {
+        marr = make_mdraid_array(scale);
+        za = marr.vol.get();
+        loop = marr.loop.get();
     } else {
         earr = make_engine_array(mode, scale);
         za = earr.eng.get();
@@ -308,8 +313,7 @@ main(int argc, char **argv)
     // per-mode CI shard artifact.
     if (argc >= 3 && std::string(argv[1]) == "--matrix") {
         RaidMode mode;
-        if (!parse_raid_mode(argv[2], &mode) ||
-            mode == RaidMode::kMdraid) {
+        if (!parse_raid_mode(argv[2], &mode)) {
             std::fprintf(stderr, "unknown engine mode '%s'\n", argv[2]);
             return 2;
         }
@@ -386,7 +390,7 @@ main(int argc, char **argv)
     for (RaidMode mode :
          {RaidMode::kRaid0, RaidMode::kRaid1, RaidMode::kRaid5,
           RaidMode::kRaid6, RaidMode::kRaid10, RaidMode::kAuto,
-          RaidMode::kRaizn}) {
+          RaidMode::kRaizn, RaidMode::kMdraid}) {
         for (uint32_t nfail = 0; nfail <= fault_tolerance(mode) + 1;
              ++nfail)
             matrix.push_back(run_matrix_point(mode, nfail));

@@ -169,7 +169,6 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
         zone_cap_ = 0;
         break;
     }
-    failed_devs_.assign(n, false);
     zones_.resize(nzones_);
     for (EZone &ez : zones_) {
         ez.crc = CrcCatalog(zone_cap_);
@@ -261,16 +260,9 @@ ZonedEngine::dev_row_lba(uint32_t zone, uint64_t row) const
 }
 
 bool
-ZonedEngine::dev_live(uint32_t dev) const
-{
-    return !failed_devs_[dev] && rebuild_target() != static_cast<int>(dev);
-}
-
-bool
 ZonedEngine::dev_down_for_zone(uint32_t dev, uint32_t zone) const
 {
-    return failed_devs_[dev] ||
-           (zones_[zone].participants & bit(dev)) == 0;
+    return !member_up(dev) || (zones_[zone].participants & bit(dev)) == 0;
 }
 
 Result<ZoneInfo>
@@ -575,38 +567,10 @@ ZonedEngine::barrier_flush(IoCallback cb)
 void
 ZonedEngine::issue_barrier_devices(std::shared_ptr<FlushBarrier> b)
 {
-    auto pending = std::make_shared<uint32_t>(0);
-    auto st = std::make_shared<Status>();
-    auto done = [this, b, st] {
-        IoResult r;
-        r.status = *st;
-        b->cb(std::move(r));
-    };
-    for (uint32_t d = 0; d < num_devices(); ++d) {
-        // Includes an in-progress rebuild target: already-rebuilt zones
-        // take new writes on it, so acked-FUA durability must cover it.
-        if (failed_devs_[d])
-            continue;
-        ++*pending;
-        IoRequest req = IoRequest::flush();
-        req.trace_stage = "eng.flush";
-        req.cause = obs::Cause::kUserData;
-        dev_submit(d, std::move(req),
-                   [this, d, pending, st, done](IoResult r) {
-                       if (!r.status.is_ok() &&
-                           !(escalate_dev_error(d, r.status) &&
-                             nfailed_ <= fault_tolerance())) {
-                           if (st->is_ok())
-                               *st = r.status;
-                       }
-                       if (--*pending == 0)
-                           done();
-                   });
-    }
-    if (*pending == 0) {
-        *st = Status(StatusCode::kOffline, "no live members to flush");
-        loop_->schedule_after(1, [done] { done(); });
-    }
+    IoRequest req = IoRequest::flush();
+    req.trace_stage = "eng.flush";
+    req.cause = obs::Cause::kUserData;
+    fan_out(req, std::move(b->cb));
 }
 
 // ---------------------------------------------------------------------
@@ -659,40 +623,25 @@ ZonedEngine::append_wal(WalRecord rec, StatusCb cb)
         return;
     }
     const uint64_t slot = wal_next_++;
-    auto pending = std::make_shared<uint32_t>(0);
-    auto st = std::make_shared<Status>();
-    auto shared_cb = std::make_shared<StatusCb>(std::move(cb));
     std::vector<uint8_t> payload = encode_wal(rec);
+    MemberJoin join(this, [this, cb = std::move(cb)](IoResult r) {
+        if (r.status.is_ok())
+            ++stats_.wal_appends;
+        cb(r.status);
+    });
+    // Not to the rebuild target: the rebuild copies its journal and
+    // catches it up at the end.
     for (uint32_t d = 0; d < num_devices(); ++d) {
-        if (!dev_live(d))
+        if (is_marked_failed(d))
             continue;
-        ++*pending;
         IoRequest req = store_data_
             ? IoRequest::write(slot, payload, /*fua=*/true)
             : IoRequest::write_len(slot, 1, /*fua=*/true);
         req.trace_stage = "eng.wal";
         req.cause = obs::Cause::kWalMd;
-        chain_submit(d, 0, std::move(req),
-                     [this, d, pending, st, shared_cb](IoResult r) {
-                         if (!r.status.is_ok() &&
-                             !(escalate_dev_error(d, r.status) &&
-                               nfailed_ <= fault_tolerance())) {
-                             if (st->is_ok())
-                                 *st = r.status;
-                         }
-                         if (--*pending == 0) {
-                             if (st->is_ok())
-                                 ++stats_.wal_appends;
-                             (*shared_cb)(*st);
-                         }
-                     });
+        chain_submit(d, 0, std::move(req), join.member(d));
     }
-    if (*pending == 0) {
-        loop_->schedule_after(1, [shared_cb] {
-            (*shared_cb)(
-                Status(StatusCode::kOffline, "no live journal members"));
-        });
-    }
+    join.seal();
 }
 
 // ---------------------------------------------------------------------
@@ -745,10 +694,8 @@ ZonedEngine::submit_write(uint64_t lba, uint32_t nsectors,
              "write not at the zone write pointer");
         return;
     }
-    if (nfailed_ > fault_tolerance()) {
-        fail(StatusCode::kOffline, "insufficient surviving members");
+    if (refuse_write(cb))
         return;
-    }
     z.fill += nsectors;
 
     auto ctx = std::make_shared<WriteCtx>();
@@ -946,81 +893,80 @@ void
 ZonedEngine::complete_stripe(uint32_t zone, uint64_t stripe)
 {
     PROF_SCOPE("eng.parity.compute");
+    write_parity(zone, stripe, nullptr);
     EZone &z = zones_[zone];
-    TailBuf &t = z.tails[stripe];
+    auto it = z.tails.find(stripe);
+    if (it != z.tails.end() && it->second.parity_pending == 0)
+        z.tails.erase(it);
+}
+
+void
+ZonedEngine::write_parity(uint32_t zone, uint64_t stripe, MemberJoin *seal)
+{
+    TailBuf &t = zones_[zone].tails[stripe];
     const uint32_t su = cfg_.su_sectors;
-    const uint32_t units = units_of(z.kind);
+    const uint32_t units = units_of(zones_[zone].kind);
     const size_t chunk_bytes = static_cast<size_t>(su) * kSectorSize;
-    auto parity_cb = [this, zone, stripe](uint32_t d) {
-        return [this, zone, stripe, d, alive = alive_](IoResult r) {
-            if (!*alive)
-                return;
-            if (!r.status.is_ok())
-                escalate_dev_error(d, r.status);
-            // The tail served degraded reads until parity landed; it
-            // can go once every issued parity write completed.
-            EZone &ez = zones_[zone];
-            auto it = ez.tails.find(stripe);
-            if (it != ez.tails.end() &&
-                --it->second.parity_pending == 0 && it->second.complete)
-                ez.tails.erase(it);
-        };
-    };
-    int pd = parity_dev(zone, stripe);
-    if (pd >= 0 && !dev_down_for_zone(pd, zone)) {
+    const int pq[2] = {parity_dev(zone, stripe), q_dev(zone, stripe)};
+    for (int i = 0; i < 2; ++i) {
+        const auto d = static_cast<uint32_t>(pq[i]);
+        if (pq[i] < 0 || dev_down_for_zone(d, zone))
+            continue;
         IoRequest req;
         if (store_data_) {
             std::vector<uint8_t> p(chunk_bytes, 0);
-            for (uint32_t u = 0; u < units; ++u)
-                xor_bytes(p.data(), t.data.data() + u * chunk_bytes,
-                          chunk_bytes);
+            for (uint32_t u = 0; u < units; ++u) {
+                const uint8_t *src = t.data.data() + u * chunk_bytes;
+                if (i == 0)
+                    xor_bytes(p.data(), src, chunk_bytes);
+                else
+                    gf256::accumulate(p.data(), src, chunk_bytes, u);
+            }
             req = IoRequest::write(dev_row_lba(zone, stripe * su),
                                    std::move(p));
         } else {
             req = IoRequest::write_len(dev_row_lba(zone, stripe * su), su);
         }
-        req.trace_stage = "eng.parity";
-        req.cause = obs::Cause::kParity;
-        ++stats_.parity_writes;
-        ++t.parity_pending;
-        chain_submit(static_cast<uint32_t>(pd), phys_zone(zone),
-                     std::move(req), parity_cb(pd));
-    }
-    int qd = q_dev(zone, stripe);
-    if (qd >= 0 && !dev_down_for_zone(qd, zone)) {
-        IoRequest req;
-        if (store_data_) {
-            std::vector<uint8_t> q(chunk_bytes, 0);
-            for (uint32_t u = 0; u < units; ++u)
-                gf256::accumulate(q.data(),
-                                  t.data.data() + u * chunk_bytes,
-                                  chunk_bytes, u);
-            req = IoRequest::write(dev_row_lba(zone, stripe * su),
-                                   std::move(q));
+        if (i == 0) {
+            req.trace_stage = seal != nullptr ? "eng.parity_seal"
+                                              : "eng.parity";
+            ++stats_.parity_writes;
         } else {
-            req = IoRequest::write_len(dev_row_lba(zone, stripe * su), su);
+            req.trace_stage = seal != nullptr ? "eng.q_seal"
+                                              : "eng.q_parity";
+            ++stats_.q_parity_writes;
         }
-        req.trace_stage = "eng.q_parity";
         req.cause = obs::Cause::kParity;
-        ++stats_.q_parity_writes;
         ++t.parity_pending;
-        chain_submit(static_cast<uint32_t>(qd), phys_zone(zone),
-                     std::move(req), parity_cb(qd));
+        IoCallback joined = seal != nullptr ? seal->member(d) : nullptr;
+        chain_submit(d, phys_zone(zone), std::move(req),
+                     [this, zone, stripe, d, alive = alive_,
+                      joined = std::move(joined)](IoResult r) {
+                         if (!*alive)
+                             return;
+                         if (!joined && !r.status.is_ok())
+                             escalate_dev_error(d, r.status);
+                         // The tail served degraded reads until its
+                         // parity landed; it can go once every issued
+                         // parity write is back.
+                         EZone &ez = zones_[zone];
+                         auto it = ez.tails.find(stripe);
+                         if (it != ez.tails.end() &&
+                             --it->second.parity_pending == 0 &&
+                             it->second.complete)
+                             ez.tails.erase(it);
+                         if (joined)
+                             joined(std::move(r));
+                     });
     }
-    if (t.parity_pending == 0)
-        z.tails.erase(stripe);
 }
 
 void
 ZonedEngine::chunk_done(std::shared_ptr<WriteCtx> ctx, uint32_t dev,
                         const Status &s)
 {
-    if (!s.is_ok()) {
-        bool now_failed = escalate_dev_error(dev, s);
-        if (!(now_failed && nfailed_ <= fault_tolerance()) &&
-            ctx->status.is_ok())
-            ctx->status = s;
-    }
+    if (!s.is_ok() && !escalate_dev_error(dev, s) && ctx->status.is_ok())
+        ctx->status = s;
     if (--ctx->pending == 0 && ctx->issued_all)
         finish_write(ctx);
 }
@@ -1119,19 +1065,15 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
                 return;
             }
             // Intent is durable everywhere; physically reset the zone
-            // on every non-failed member (this also cures staleness).
+            // on every up member (this also cures staleness).
             uint64_t parts = 0;
-            auto pending = std::make_shared<uint32_t>(0);
-            auto st = std::make_shared<Status>();
             for (uint32_t d = 0; d < num_devices(); ++d)
-                if (!failed_devs_[d])
+                if (member_up(d))
                     parts |= bit(d);
-            auto after = [this, zone, newgen, parts, st, shared_cb,
-                          done] {
-                if (!st->is_ok()) {
+            MemberJoin join(this, [this, zone, newgen, parts, shared_cb,
+                                   done](IoResult r) {
+                if (!r.status.is_ok()) {
                     zones_[zone].resetting = false;
-                    IoResult r;
-                    r.status = *st;
                     (*shared_cb)(std::move(r));
                     done();
                     return;
@@ -1168,32 +1110,17 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
                     (*shared_cb)(std::move(r));
                     done();
                 });
-            };
+            });
             for (uint32_t d = 0; d < num_devices(); ++d) {
-                if (failed_devs_[d])
+                if (!member_up(d))
                     continue;
-                ++*pending;
-                IoRequest req = IoRequest::zone_reset(
-                    static_cast<uint64_t>(zone + 1) *
-                    devs_[0]->geometry().zone_size);
+                IoRequest req = IoRequest::zone_reset(dev_row_lba(zone, 0));
                 req.trace_stage = "eng.zone_reset";
                 req.cause = obs::Cause::kZoneMgmt;
                 chain_submit(d, phys_zone(zone), std::move(req),
-                             [this, d, pending, st, after](IoResult r) {
-                                 if (!r.status.is_ok() &&
-                                     !(escalate_dev_error(d, r.status) &&
-                                       nfailed_ <= fault_tolerance())) {
-                                     if (st->is_ok())
-                                         *st = r.status;
-                                 }
-                                 if (--*pending == 0)
-                                     after();
-                             });
+                             join.member(d));
             }
-            if (*pending == 0) {
-                *st = Status(StatusCode::kOffline, "no live members");
-                loop_->schedule_after(1, [after] { after(); });
-            }
+            join.seal();
         });
     });
 }
@@ -1236,101 +1163,29 @@ ZonedEngine::finish_zone(uint32_t zone, IoCallback cb)
             return;
         }
         z.finish_pending = true;
-        auto pending = std::make_shared<uint32_t>(0);
-        auto st = std::make_shared<Status>();
-        auto after = [this, zone, st, shared_cb, done] {
+        MemberJoin join(this, [this, zone, shared_cb, done](IoResult r) {
             EZone &ez = zones_[zone];
             ez.finish_pending = false;
-            if (st->is_ok()) {
+            if (r.status.is_ok()) {
                 ez.finished = true;
                 ez.fill = zone_cap_;
                 ++stats_.zone_finishes;
             }
-            IoResult r;
-            r.status = *st;
             (*shared_cb)(std::move(r));
             done();
-        };
+        });
         // A finished zone is fully redundant on media: the device-level
         // finish pads every data row with zeros, so the open tail
         // stripe's parity must be sealed as if the stripe were
         // zero-padded to full width. The per-device submit chains keep
         // each seal row ahead of that member's finish command.
-        const uint32_t su = cfg_.su_sectors;
-        const uint32_t units = units_of(z.kind);
-        const size_t chunk_bytes = static_cast<size_t>(su) * kSectorSize;
         for (auto it = z.tails.begin(); it != z.tails.end();) {
             TailBuf &t = it->second;
             if (t.complete) {
                 ++it;
                 continue;
             }
-            const uint64_t stripe = it->first;
-            auto seal_cb = [this, zone, stripe, pending, st,
-                            after](uint32_t d) {
-                return [this, zone, stripe, d, pending, st,
-                        after](IoResult r) {
-                    if (!r.status.is_ok() &&
-                        !(escalate_dev_error(d, r.status) &&
-                          nfailed_ <= fault_tolerance())) {
-                        if (st->is_ok())
-                            *st = r.status;
-                    }
-                    EZone &ez = zones_[zone];
-                    auto ti = ez.tails.find(stripe);
-                    if (ti != ez.tails.end() &&
-                        --ti->second.parity_pending == 0)
-                        ez.tails.erase(ti);
-                    if (--*pending == 0)
-                        after();
-                };
-            };
-            int pd = parity_dev(zone, stripe);
-            if (pd >= 0 && !dev_down_for_zone(pd, zone)) {
-                IoRequest req;
-                if (store_data_) {
-                    std::vector<uint8_t> p(chunk_bytes, 0);
-                    for (uint32_t u = 0; u < units; ++u)
-                        xor_bytes(p.data(),
-                                  t.data.data() + u * chunk_bytes,
-                                  chunk_bytes);
-                    req = IoRequest::write(dev_row_lba(zone, stripe * su),
-                                           std::move(p));
-                } else {
-                    req = IoRequest::write_len(
-                        dev_row_lba(zone, stripe * su), su);
-                }
-                req.trace_stage = "eng.parity_seal";
-                req.cause = obs::Cause::kParity;
-                ++stats_.parity_writes;
-                ++t.parity_pending;
-                ++*pending;
-                chain_submit(static_cast<uint32_t>(pd), phys_zone(zone),
-                             std::move(req), seal_cb(pd));
-            }
-            int qd = q_dev(zone, stripe);
-            if (qd >= 0 && !dev_down_for_zone(qd, zone)) {
-                IoRequest req;
-                if (store_data_) {
-                    std::vector<uint8_t> q(chunk_bytes, 0);
-                    for (uint32_t u = 0; u < units; ++u)
-                        gf256::accumulate(q.data(),
-                                          t.data.data() + u * chunk_bytes,
-                                          chunk_bytes, u);
-                    req = IoRequest::write(dev_row_lba(zone, stripe * su),
-                                           std::move(q));
-                } else {
-                    req = IoRequest::write_len(
-                        dev_row_lba(zone, stripe * su), su);
-                }
-                req.trace_stage = "eng.q_seal";
-                req.cause = obs::Cause::kParity;
-                ++stats_.q_parity_writes;
-                ++t.parity_pending;
-                ++*pending;
-                chain_submit(static_cast<uint32_t>(qd), phys_zone(zone),
-                             std::move(req), seal_cb(qd));
-            }
+            write_parity(zone, it->first, &join);
             if (t.parity_pending == 0) {
                 it = z.tails.erase(it); // no live parity member to seal
             } else {
@@ -1339,30 +1194,15 @@ ZonedEngine::finish_zone(uint32_t zone, IoCallback cb)
             }
         }
         for (uint32_t d = 0; d < num_devices(); ++d) {
-            if (failed_devs_[d])
+            if (!member_up(d))
                 continue;
-            ++*pending;
-            IoRequest req = IoRequest::zone_finish(
-                static_cast<uint64_t>(zone + 1) *
-                devs_[0]->geometry().zone_size);
+            IoRequest req = IoRequest::zone_finish(dev_row_lba(zone, 0));
             req.trace_stage = "eng.zone_finish";
             req.cause = obs::Cause::kZoneMgmt;
             chain_submit(d, phys_zone(zone), std::move(req),
-                         [this, d, pending, st, after](IoResult r) {
-                             if (!r.status.is_ok() &&
-                                 !(escalate_dev_error(d, r.status) &&
-                                   nfailed_ <= fault_tolerance())) {
-                                 if (st->is_ok())
-                                     *st = r.status;
-                             }
-                             if (--*pending == 0)
-                                 after();
-                         });
+                         join.member(d));
         }
-        if (*pending == 0) {
-            *st = Status(StatusCode::kOffline, "no live members");
-            loop_->schedule_after(1, [after] { after(); });
-        }
+        join.seal();
     });
 }
 
@@ -1655,27 +1495,6 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
 // ---------------------------------------------------------------------
 // Failure management / observability
 // ---------------------------------------------------------------------
-
-void
-ZonedEngine::mark_device_failed(uint32_t dev)
-{
-    if (dev >= num_devices() || failed_devs_[dev])
-        return;
-    failed_devs_[dev] = true;
-    ++nfailed_;
-    LOG_WARN("%s: member %u marked failed (%u failed, tolerance %u)",
-             metric_prefix().c_str(), dev, nfailed_, fault_tolerance());
-    maybe_start_auto_rebuild(dev);
-}
-
-int
-ZonedEngine::failed_device() const
-{
-    for (uint32_t d = 0; d < num_devices(); ++d)
-        if (failed_devs_[d])
-            return static_cast<int>(d);
-    return -1;
-}
 
 void
 ZonedEngine::link_stats_hook(obs::MetricsRegistry &reg)

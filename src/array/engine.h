@@ -163,13 +163,9 @@ class ZonedEngine : public ZonedArray
     void finish_zone(uint32_t zone, IoCallback cb) override;
 
     // ---- Fault management ------------------------------------------
-    void mark_device_failed(uint32_t dev) override;
-    int failed_device() const override;
-    bool degraded() const override { return nfailed_ > 0; }
     /// True once more devices failed than the mode tolerates: IO
     /// touching lost chunks returns errors from then on.
-    bool data_loss() const { return nfailed_ > fault_tolerance(); }
-    bool device_failed(uint32_t dev) const { return failed_devs_[dev]; }
+    bool data_loss() const { return !within_tolerance(); }
 
     // ---- Introspection (crash oracle + tests) ----------------------
     const EngineStats &stats() const { return stats_; }
@@ -207,12 +203,6 @@ class ZonedEngine : public ZonedArray
         return std::string(to_string(cfg_.mode));
     }
     void link_stats_hook(obs::MetricsRegistry &reg) override;
-    bool is_marked_failed(uint32_t dev) const override
-    {
-        return failed_devs_[dev];
-    }
-    /// No rebuild once data is already lost.
-    bool auto_rebuild_vetoed() const override { return data_loss(); }
 
   private:
     /**
@@ -291,8 +281,7 @@ class ZonedEngine : public ZonedArray
     uint32_t units_of(ZoneKind k) const;
     /// Absolute device LBA of row `row` in logical zone `zone`.
     uint64_t dev_row_lba(uint32_t zone, uint64_t row) const;
-    bool dev_live(uint32_t dev) const;
-    /// True when `dev` cannot serve IO for `zone` right now: failed,
+    /// True when `dev` cannot serve IO for `zone` right now: down,
     /// untrusted (stale after an excluded reset), or the rebuild
     /// target for a zone not rebuilt yet.
     bool dev_down_for_zone(uint32_t dev, uint32_t zone) const;
@@ -312,7 +301,7 @@ class ZonedEngine : public ZonedArray
     uint64_t track_io();
     void untrack_io(uint64_t id);
     /// Waits for every currently-tracked data IO, then flushes all
-    /// live members, then `cb`.
+    /// up members, then `cb`.
     void barrier_flush(IoCallback cb);
     void issue_barrier_devices(std::shared_ptr<FlushBarrier> b);
 
@@ -336,6 +325,14 @@ class ZonedEngine : public ZonedArray
     void note_tail(uint32_t zone, uint64_t pos, uint32_t n,
                    const uint8_t *bytes);
     void complete_stripe(uint32_t zone, uint64_t stripe);
+    /**
+     * Writes P (and Q) of `stripe` from its tail buffer to each parity
+     * member that can take it, the unwritten rows as zeros. With a
+     * `seal` join (zone finish) the writes join it; otherwise an error
+     * escalates. Each completion retires the tail once its last parity
+     * write is back.
+     */
+    void write_parity(uint32_t zone, uint64_t stripe, MemberJoin *seal);
     void chunk_done(std::shared_ptr<WriteCtx> ctx, uint32_t dev,
                     const Status &s);
     void finish_write(std::shared_ptr<WriteCtx> ctx);
@@ -426,8 +423,6 @@ class ZonedEngine : public ZonedArray
     bool store_data_ = true;
 
     std::vector<EZone> zones_;
-    std::vector<bool> failed_devs_;
-    uint32_t nfailed_ = 0;
     EngineStats stats_;
 
     // Journal (physical zone 0, replicated).

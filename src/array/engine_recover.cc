@@ -66,7 +66,7 @@ ZonedEngine::replay_wal()
     std::vector<uint64_t> heights(n, 0);
     uint64_t max_h = 0;
     for (uint32_t d = 0; d < n; ++d) {
-        if (failed_devs_[d])
+        if (is_marked_failed(d))
             continue;
         Result<ZoneInfo> zi = devs_[d]->zone_info(0);
         if (!zi.is_ok())
@@ -76,7 +76,7 @@ ZonedEngine::replay_wal()
     }
     std::vector<Slot> merged(max_h);
     for (uint32_t d = 0; d < n; ++d) {
-        if (failed_devs_[d] || heights[d] == 0)
+        if (is_marked_failed(d) || heights[d] == 0)
             continue;
         IoRequest rd = IoRequest::read(0, static_cast<uint32_t>(heights[d]));
         rd.cause = obs::Cause::kWalMd;
@@ -100,7 +100,7 @@ ZonedEngine::replay_wal()
     // some members only). Pad the short ones so the next append lands
     // at one slot everywhere.
     for (uint32_t d = 0; d < n; ++d) {
-        if (failed_devs_[d])
+        if (is_marked_failed(d))
             continue;
         for (uint64_t s = heights[d]; s < max_h; ++s) {
             std::vector<uint8_t> sector = merged[s].valid
@@ -170,7 +170,7 @@ ZonedEngine::replay_wal()
                 devs_[0]->geometry().zone_size;
             uint64_t np = 0;
             for (uint32_t d = 0; d < n; ++d) {
-                if (failed_devs_[d])
+                if (is_marked_failed(d))
                     continue;
                 IoRequest rst = IoRequest::zone_reset(lba);
                 rst.cause = obs::Cause::kWalMd;
@@ -191,7 +191,7 @@ ZonedEngine::replay_wal()
             std::vector<uint8_t> sector = encode_wal(drec);
             const uint64_t slot = wal_next_++;
             for (uint32_t d = 0; d < n; ++d) {
-                if (failed_devs_[d])
+                if (is_marked_failed(d))
                     continue;
                 IoRequest wr =
                     IoRequest::write(slot, sector, /*fua=*/true);
@@ -235,7 +235,7 @@ ZonedEngine::recover_zone(uint32_t zone)
     std::vector<uint64_t> rows(n, 0);
     std::vector<bool> full(n, false);
     for (uint32_t d = 0; d < n; ++d) {
-        if (failed_devs_[d])
+        if (is_marked_failed(d))
             continue;
         Result<ZoneInfo> zi = devs_[d]->zone_info(phys_zone(zone));
         if (!zi.is_ok())
@@ -244,7 +244,7 @@ ZonedEngine::recover_zone(uint32_t zone)
         rows[d] = full[d] ? phys_cap_ : zi.value().written();
     }
     auto trusted = [&](uint32_t d) {
-        return !failed_devs_[d] && (z.participants & bit(d)) != 0;
+        return !is_marked_failed(d) && (z.participants & bit(d)) != 0;
     };
 
     // "Finished" must hold under degraded finishes, where only the live
@@ -339,29 +339,22 @@ ZonedEngine::rebuild_zones(uint32_t /*dev*/, std::vector<uint32_t> *out) const
 void
 ZonedEngine::rebuild_prepare(uint32_t dev, StatusCb cb)
 {
-    failed_devs_[dev] = false;
-    --nfailed_;
-    // Whatever the target held is untrusted until copied back, zone by
-    // zone; participants gate both reads and new writes.
+    // The target is up from here on, yet whatever it held is untrusted
+    // until copied back, zone by zone; participants gate both reads and
+    // new writes.
     for (uint32_t z = 0; z < nzones_; ++z)
         zones_[z].participants &= ~bit(dev);
     LOG_INFO("%s: rebuilding member %u", metric_prefix().c_str(), dev);
-    auto ready = [this, dev, cb = std::move(cb)](Status s) {
-        if (!s.is_ok()) {
-            failed_devs_[dev] = true; // never became trustworthy
-            ++nfailed_;
-        }
-        cb(s);
-    };
     rebuild_wal_copied_ = 0;
     chain_submit(dev, 0, rebuild_io(IoRequest::zone_reset(0)),
-                 [this, dev, ready, alive = alive_](IoResult r) {
+                 [this, dev, cb = std::move(cb),
+                  alive = alive_](IoResult r) {
                      if (!*alive)
                          return;
                      if (!r.status.is_ok())
-                         ready(r.status);
+                         cb(r.status);
                      else
-                         copy_wal_to_target(dev, ready);
+                         copy_wal_to_target(dev, cb);
                  });
 }
 
@@ -369,7 +362,7 @@ void
 ZonedEngine::copy_wal_to_target(uint32_t t, StatusCb done)
 {
     uint32_t src = 0;
-    while (src < num_devices() && (src == t || failed_devs_[src]))
+    while (src < num_devices() && (src == t || is_marked_failed(src)))
         ++src;
     if (rebuild_wal_copied_ >= wal_next_ || src == num_devices()) {
         Status s = src < num_devices()
@@ -468,7 +461,7 @@ ZonedEngine::rebuild_source(uint32_t t, uint32_t zone, uint64_t stripe,
                             uint32_t u, uint64_t row_end) const
 {
     for (uint32_t d : mirror_sources(zone, row_end, unit_devs(zone, stripe, u)))
-        if (d != t && dev_live(d))
+        if (d != t && !is_marked_failed(d))
             return d;
     return UINT32_MAX;
 }
@@ -650,14 +643,10 @@ ZonedEngine::rebuild_finish(uint32_t dev, Status s, StatusCb cb)
                      metric_prefix().c_str(), dev,
                      static_cast<unsigned long long>(stats_.zones_rebuilt));
         } else {
+            // The target stays failed; per-zone participants already
+            // exclude it.
             LOG_WARN("%s: rebuild of member %u failed: %s",
                      metric_prefix().c_str(), dev, st.message().c_str());
-            // The target never became trustworthy; keep it out of the
-            // array (per-zone participants already exclude it).
-            if (!failed_devs_[dev]) {
-                failed_devs_[dev] = true;
-                ++nfailed_;
-            }
         }
         cb(st);
     };
@@ -730,7 +719,7 @@ ZonedEngine::scrub_plan(const ScrubStripe &s, ScrubPlan *plan)
         const size_t copies = plan->units.size();
         for (uint32_t d : mirror_sources(s.zone, row + n,
                                          unit_devs(s.zone, s.stripe, u))) {
-            if (dev_live(d))
+            if (!is_marked_failed(d))
                 plan->units.push_back({d, lba, n, static_cast<int>(u), off});
         }
         if (plan->units.size() == copies)
@@ -740,7 +729,7 @@ ZonedEngine::scrub_plan(const ScrubStripe &s, ScrubPlan *plan)
     const int pq[2] = {parity_dev(s.zone, s.stripe), q_dev(s.zone, s.stripe)};
     for (int i = 0; i < 2 && pq[i] >= 0; ++i) {
         const auto d = static_cast<uint32_t>(pq[i]);
-        if (plan->unreadable > 0 || !dev_live(d) ||
+        if (plan->unreadable > 0 || is_marked_failed(d) ||
             mirror_sources(s.zone, row + su, {d}).empty())
             return false;
         plan->units.push_back(

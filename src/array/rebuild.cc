@@ -5,7 +5,8 @@
  * traffic with the lifecycle throttle, and per zone keeps a window of
  * units reconstructing ahead while it writes them to the target in unit
  * order, the zone's last one with FUA so the finished zone is durable.
- * The first error wins; progress fires once per zone.
+ * The first error wins; progress fires once per zone. The target's
+ * failed mark clears when the walk ends without error, and only then.
  *
  * The engine supplies the policy (zoned_array.h, "Rebuild policy"): what
  * to ready before the walk, which zones to walk, each unit's target
@@ -306,6 +307,10 @@ ZonedArray::rebuild_end(const std::shared_ptr<RebuildWalk> &w)
         if (!*w->alive)
             return;
         rebuild_ = nullptr;
+        // Only a rebuilt member leaves the failed set; a failed
+        // rebuild leaves its target out until the next one succeeds.
+        if (s.is_ok())
+            clear_failed(w->dev);
         if (trace_ != nullptr && w->total_token != 0)
             trace_->end_span(w->total_token, loop_->now());
         auto done = std::move(w->done);

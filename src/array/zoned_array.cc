@@ -1,5 +1,7 @@
 #include "array/zoned_array.h"
 
+#include <bit>
+#include <cassert>
 #include <utility>
 
 #include "common/logging.h"
@@ -43,6 +45,7 @@ ZonedArray::ZonedArray(EventLoop *loop, std::vector<BlockDevice *> devs,
                        StatCells cells)
     : loop_(loop), devs_(std::move(devs)), cells_(cells)
 {
+    assert(devs_.size() <= 64); // one bit per member in failed_mask_
     health_ = std::make_unique<HealthMonitor>(
         static_cast<uint32_t>(devs_.size()));
     health_->set_escalation([this](uint32_t dev, HealthEvent ev) {
@@ -242,6 +245,73 @@ ZonedArray::observe_io(bool write, uint32_t nsectors, const char *span,
     };
 }
 
+void
+ZonedArray::mark_device_failed(uint32_t dev)
+{
+    if (dev >= num_devices()) {
+        LOG_ERROR("%s: mark_device_failed: no member %u",
+                  metric_prefix().c_str(), dev);
+        return;
+    }
+    if (is_marked_failed(dev))
+        return;
+    note_failed(dev);
+    if (!within_tolerance()) {
+        LOG_ERROR("%s: member %u failed beyond tolerance (%u failed, "
+                  "tolerance %u): %s",
+                  metric_prefix().c_str(), dev, failed_count_,
+                  fault_tolerance(), write_refusal().to_string().c_str());
+        return;
+    }
+    LOG_INFO("%s: member %u marked failed; serving degraded",
+             metric_prefix().c_str(), dev);
+    if (!devs_[dev]->failed())
+        devs_[dev]->fail();
+    maybe_start_auto_rebuild(dev);
+}
+
+void
+ZonedArray::note_failed(uint32_t dev)
+{
+    if (is_marked_failed(dev))
+        return;
+    failed_mask_ |= uint64_t{1} << dev;
+    ++failed_count_;
+    if (first_failed_ < 0)
+        first_failed_ = static_cast<int>(dev);
+}
+
+void
+ZonedArray::clear_failed(uint32_t dev)
+{
+    if (!is_marked_failed(dev))
+        return;
+    failed_mask_ &= ~(uint64_t{1} << dev);
+    --failed_count_;
+    if (first_failed_ == static_cast<int>(dev))
+        first_failed_ =
+            failed_mask_ != 0 ? std::countr_zero(failed_mask_) : -1;
+}
+
+Status
+ZonedArray::write_refusal() const
+{
+    return Status(StatusCode::kOffline, "insufficient surviving members");
+}
+
+bool
+ZonedArray::refuse_write(IoCallback &cb)
+{
+    if (within_tolerance())
+        return false;
+    loop_->schedule_after(1, [cb = std::move(cb), s = write_refusal()] {
+        IoResult r;
+        r.status = s;
+        cb(std::move(r));
+    });
+    return true;
+}
+
 bool
 ZonedArray::escalate_dev_error(uint32_t dev, const Status &s)
 {
@@ -255,14 +325,88 @@ ZonedArray::escalate_dev_error(uint32_t dev, const Status &s)
     } else if (health_->should_fail(dev)) {
         mark_device_failed(dev);
     }
-    return is_marked_failed(dev);
+    return is_marked_failed(dev) && within_tolerance();
+}
+
+// ---- Member fan-out ----------------------------------------------------
+
+ZonedArray::MemberJoin::MemberJoin(ZonedArray *arr, IoCallback done)
+    : arr_(arr), slot_(arr->joins_.acquire())
+{
+    arr->joins_[slot_].done = std::move(done);
+}
+
+IoCallback
+ZonedArray::MemberJoin::member(uint32_t dev)
+{
+    Join &j = arr_->joins_[slot_];
+    j.pending++;
+    j.sent = true;
+    return [arr = arr_, slot = slot_, dev](IoResult r) {
+        arr->join_arrive(slot, dev, std::move(r.status));
+    };
+}
+
+void
+ZonedArray::MemberJoin::send(uint32_t dev, IoRequest req)
+{
+    arr_->dev_submit(dev, std::move(req), member(dev));
+}
+
+void
+ZonedArray::MemberJoin::seal()
+{
+    Join &j = arr_->joins_[slot_];
+    j.sealed = true;
+    if (j.sent) {
+        if (j.pending == 0)
+            arr_->join_settle(slot_);
+        return;
+    }
+    j.first = Status(StatusCode::kOffline, "no live members");
+    arr_->loop_->schedule_after(
+        1, [arr = arr_, slot = slot_, alive = arr_->alive_] {
+            if (*alive)
+                arr->join_settle(slot);
+        });
+}
+
+void
+ZonedArray::join_arrive(uint32_t slot, uint32_t dev, Status s)
+{
+    if (!s.is_ok() && !escalate_dev_error(dev, s) &&
+        joins_[slot].first.is_ok())
+        joins_[slot].first = std::move(s);
+    Join &j = joins_[slot];
+    if (--j.pending == 0 && j.sealed)
+        join_settle(slot);
+}
+
+void
+ZonedArray::join_settle(uint32_t slot)
+{
+    IoResult out;
+    out.status = std::move(joins_[slot].first);
+    IoCallback done = std::move(joins_[slot].done);
+    joins_.release(slot);
+    done(std::move(out));
+}
+
+void
+ZonedArray::fan_out(const IoRequest &req, IoCallback done)
+{
+    MemberJoin join(this, std::move(done));
+    for (uint32_t d = 0; d < num_devices(); ++d)
+        if (member_up(d))
+            join.send(d, req);
+    join.seal();
 }
 
 void
 ZonedArray::maybe_start_auto_rebuild(uint32_t dev)
 {
     if (!lifecycle_.auto_rebuild || spare_ == nullptr ||
-        !is_marked_failed(dev) || auto_rebuild_vetoed() || rebuild_running())
+        !is_marked_failed(dev) || !within_tolerance() || rebuild_running())
         return;
     const DeviceGeometry &sg = spare_->geometry();
     const DeviceGeometry &mg = devs_[dev]->geometry();
@@ -280,7 +424,7 @@ ZonedArray::maybe_start_auto_rebuild(uint32_t dev)
     // reenter it.
     loop_->schedule_after(1, [this, dev, alive = alive_] {
         if (!*alive || spare_ == nullptr || !is_marked_failed(dev) ||
-            auto_rebuild_vetoed() || rebuild_running())
+            !within_tolerance() || rebuild_running())
             return;
         devs_[dev] = spare_;
         spare_ = nullptr;
@@ -339,8 +483,7 @@ ZonedArray::rebuild_stalled(uint64_t sectors, std::function<void()> resume)
 void
 ZonedArray::on_health_event(uint32_t dev, HealthEvent ev)
 {
-    if (ev == HealthEvent::kFailed &&
-        failed_device() != static_cast<int>(dev))
+    if (ev == HealthEvent::kFailed)
         mark_device_failed(dev);
 }
 

@@ -9,19 +9,30 @@
  * metrics/trace attachment (per-device DeviceStats + latency
  * histograms, health counters, total-latency histograms).
  *
- * The base also owns the failure lifecycle: one LifecycleConfig, the
- * automatic failover onto a hot spare, and the fixed-rate rebuild
- * throttle. It owns the one rebuild walk (array/rebuild.cc): the
- * argument check, the zone walk, the pacing, an in-order window of
- * reconstruct-ahead units per zone, progress, spans and the finish;
- * engines name the zones, each unit's target extent and content, the
- * target-write route and what a rebuilt zone commits. And it owns the
- * one scrub walker (array/scrub.cc): the pass loop, the background
- * scrubber and the verdict; engines name their stripes and member
- * reads, and RAIZN repairs.
+ * The base also owns the failure lifecycle. It holds the one
+ * failed-member set: a member bitmask, the count and the first member
+ * marked. A mark fails the member on the media and may promote a hot
+ * spare; it clears only when a rebuild of that member succeeds, at the
+ * end of the shared walk. A member is up when it is not marked failed,
+ * or when it is the running rebuild's target (already-rebuilt zones
+ * take writes on it, so flushes must reach it). A failure beyond
+ * fault_tolerance() is recorded, vetoes automatic failover and refuses
+ * writes. Every flush, zone reset and finish and journal append fans out
+ * through one MemberJoin, which absorbs a member error the array can
+ * survive by failing that member within tolerance.
+ *
+ * It also owns one LifecycleConfig, the automatic failover onto a hot
+ * spare, and the fixed-rate rebuild throttle. It owns the one rebuild
+ * walk (array/rebuild.cc): the argument check, the zone walk, the
+ * pacing, an in-order window of reconstruct-ahead units per zone,
+ * progress, spans and the finish; engines name the zones, each unit's
+ * target extent and content, the target-write route and what a rebuilt
+ * zone commits. And it owns the one scrub walker (array/scrub.cc): the
+ * pass loop, the background scrubber and the verdict; engines name their
+ * stripes and member reads, and RAIZN repairs.
  *
  * Subclasses provide the data path (read/write/flush/zone management),
- * the failure semantics (mark_device_failed), the rebuild and scrub
+ * the refusal a write gets beyond tolerance, the rebuild and scrub
  * policies, and a stats struct; the base reaches into that struct
  * through StatCells so each engine keeps its own counter layout and
  * metric names.
@@ -37,6 +48,7 @@
 
 #include "array/raid_mode.h"
 #include "array/throttle.h"
+#include "common/slab.h"
 #include "fault/health.h"
 #include "fault/retry.h"
 #include "zns/block_device.h"
@@ -130,11 +142,27 @@ class ZonedArray
     virtual void finish_zone(uint32_t zone, IoCallback cb);
 
     // ---- Fault management ------------------------------------------
-    /// Marks a device failed: reads reconstruct, writes omit it.
-    virtual void mark_device_failed(uint32_t dev) = 0;
-    /// First failed device, -1 when the array is healthy.
-    virtual int failed_device() const = 0;
-    virtual bool degraded() const { return failed_device() >= 0; }
+    /**
+     * Marks member `dev` failed: reads reconstruct and writes omit it.
+     * Within fault_tolerance() the member is also failed on the media
+     * and a usable hot spare is promoted. Beyond it the mark is only
+     * recorded, and writes get write_refusal(). The mark clears when a
+     * rebuild of `dev` succeeds, and only then.
+     */
+    void mark_device_failed(uint32_t dev);
+    /// First member marked failed (and still marked), -1 when none is.
+    int failed_device() const { return first_failed_; }
+    bool is_marked_failed(uint32_t dev) const
+    {
+        return (failed_mask_ >> dev & 1) != 0;
+    }
+    bool degraded() const { return failed_count_ > 0; }
+    /// True while no more members are marked failed than tolerated.
+    bool
+    within_tolerance() const
+    {
+        return failed_count_ <= fault_tolerance();
+    }
     /**
      * Rebuilds member `dev`, marked failed and since replaced, from
      * redundancy, zone by zone: `progress` fires once per zone, `done`
@@ -444,16 +472,53 @@ class ZonedArray
     virtual void on_health_event(uint32_t dev, HealthEvent ev);
     /// Runs right after the spare was swapped into slot `dev`.
     virtual void on_spare_promoted(uint32_t dev) { (void)dev; }
-    /// True when no rebuild can heal the array right now (more failures
-    /// than it tolerates): automatic failover leaves the spare attached,
-    /// as it does while a rebuild runs.
-    virtual bool auto_rebuild_vetoed() const { return false; }
-    /// Whether `dev` is the/a failed device from escalate_dev_error's
-    /// point of view. Multi-failure engines override.
-    virtual bool is_marked_failed(uint32_t dev) const
+    /// What a write gets once more members failed than the array
+    /// tolerates. Default: kOffline.
+    virtual Status write_refusal() const;
+    /// Answers `cb` with write_refusal() on the next tick when the
+    /// array is beyond its tolerance; false when writes may proceed.
+    bool refuse_write(IoCallback &cb);
+
+    /// Up: takes commands. Not marked failed, or the running rebuild's
+    /// target.
+    bool
+    member_up(uint32_t dev) const
     {
-        return failed_device() == static_cast<int>(dev);
+        return !is_marked_failed(dev) ||
+               static_cast<int>(dev) == rebuild_target();
     }
+    /// Records `dev` as failed without side effects (mount-time
+    /// discovery of an absent member).
+    void note_failed(uint32_t dev);
+
+    /**
+     * One command fanned out to members and joined, in the style of
+     * StripeGather: flushes, zone resets and finishes (parity seals
+     * included) and journal appends. Each member completion escalates
+     * its error; the error counts unless that member is now marked
+     * failed within tolerance. `done` gets the first error that counted
+     * once every member has arrived, and kOffline on the next tick when
+     * the join was sealed without a member. The join state is one slot
+     * of a pool the array owns, and each member completion captures
+     * only the array, the slot and the member.
+     */
+    class MemberJoin
+    {
+      public:
+        MemberJoin(ZonedArray *arr, IoCallback done);
+        /// Completion of the command the caller sends to member `dev`.
+        IoCallback member(uint32_t dev);
+        /// Sends `req` to member `dev` through dev_submit.
+        void send(uint32_t dev, IoRequest req);
+        /// No more members follow.
+        void seal();
+
+      private:
+        ZonedArray *arr_;
+        uint32_t slot_;
+    };
+    /// Sends a copy of `req` to every up member, joined into `done`.
+    void fan_out(const IoRequest &req, IoCallback done);
 
     EventLoop *loop_;
     std::vector<BlockDevice *> devs_;
@@ -490,6 +555,27 @@ class ZonedArray
     std::shared_ptr<bool> alive_;
 
   private:
+    // The failed-member set.
+    uint64_t failed_mask_ = 0; ///< members marked failed, bit per slot
+    uint32_t failed_count_ = 0;
+    int first_failed_ = -1;
+
+    struct Join {
+        uint32_t pending = 0;
+        bool sent = false; ///< a member took the command
+        bool sealed = false;
+        Status first;
+        IoCallback done;
+    };
+    /// A member of join `slot` arrived with `s` from member `dev`.
+    void join_arrive(uint32_t slot, uint32_t dev, Status s);
+    /// Fires join `slot`: sealed, and every member arrived.
+    void join_settle(uint32_t slot);
+    Slab<Join> joins_;
+
+    /// Clears `dev`'s mark (a rebuild of it succeeded).
+    void clear_failed(uint32_t dev);
+
     struct RebuildWalk;
     /// Why `dev` cannot be rebuilt now; ok when it can.
     Status rebuild_check(uint32_t dev) const;

@@ -132,7 +132,7 @@ MdVolume::chunk_pba(uint64_t stripe) const
 bool
 MdVolume::member_down(uint32_t dev)
 {
-    if (static_cast<int>(dev) == failed_dev_)
+    if (is_marked_failed(dev))
         return true;
     if (!devs_[dev]->failed())
         return false;
@@ -257,6 +257,8 @@ MdVolume::submit_write(uint64_t lba, uint32_t nsectors,
         });
         return;
     }
+    if (refuse_write(cb))
+        return;
     stats_.logical_writes++;
     stats_.sectors_written += nsectors;
 
@@ -547,47 +549,9 @@ MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
 void
 MdVolume::flush(IoCallback cb)
 {
-    auto pending = std::make_shared<uint32_t>(0);
-    auto first = std::make_shared<Status>();
-    auto done = [pending, first, cb = std::move(cb)](IoResult r) {
-        if (!r.status.is_ok() && first->is_ok())
-            *first = r.status;
-        if (--*pending == 0) {
-            IoResult out;
-            out.status = *first;
-            cb(std::move(out));
-        }
-    };
-    for (uint32_t d = 0; d < devs_.size(); ++d) {
-        if (member_down(d))
-            continue;
-        (*pending)++;
-        IoRequest freq = IoRequest::flush();
-        freq.cause = obs::Cause::kUserData;
-        dev_submit(d, std::move(freq),
-                   [this, done, d](IoResult r) mutable {
-                       if (!r.status.is_ok() &&
-                           escalate_dev_error(d, r.status)) {
-                           r.status = Status::ok();
-                       }
-                       done(std::move(r));
-                   });
-    }
-}
-
-void
-MdVolume::mark_device_failed(uint32_t dev)
-{
-    if (dev >= devs_.size()) {
-        LOG_ERROR("mdraid: mark_device_failed: no device %u", dev);
-        return;
-    }
-    if (failed_dev_ < 0) {
-        failed_dev_ = static_cast<int>(dev);
-        if (!devs_[dev]->failed())
-            devs_[dev]->fail();
-        maybe_start_auto_rebuild(dev);
-    }
+    IoRequest freq = IoRequest::flush();
+    freq.cause = obs::Cause::kUserData;
+    fan_out(freq, std::move(cb));
 }
 
 } // namespace raizn

@@ -90,9 +90,6 @@ class MdVolume : public ZonedArray
     void read(uint64_t lba, uint32_t nsectors, IoCallback cb) override;
     void flush(IoCallback cb) override;
 
-    void mark_device_failed(uint32_t dev) override;
-    int failed_device() const override { return failed_dev_; }
-
     using ZonedArray::set_resilience;
     /// Legacy knob form; same semantics as the ResilienceConfig one.
     void set_resilience(const RetryPolicy &retry,
@@ -172,7 +169,6 @@ class MdVolume : public ZonedArray
                       const RebuildExtent &e, DataCb cb) override;
     void rebuild_write(uint32_t dev, uint32_t zone, IoRequest req,
                        IoCallback cb) override;
-    void rebuild_finish(uint32_t dev, Status s, StatusCb cb) override;
     obs::Cause rebuild_cause() const override { return obs::Cause::kResync; }
 
     // ZonedArray hooks.
@@ -186,7 +182,6 @@ class MdVolume : public ZonedArray
     uint64_t capacity_;
     std::unique_ptr<StripeCache> cache_;
     MdVolumeStats stats_;
-    int failed_dev_ = -1;
     bool store_data_;
 };
 

@@ -63,11 +63,4 @@ MdVolume::rebuild_write(uint32_t dev, uint32_t /*zone*/, IoRequest req,
     });
 }
 
-void
-MdVolume::rebuild_finish(uint32_t /*dev*/, Status s, StatusCb cb)
-{
-    failed_dev_ = -1;
-    cb(s);
-}
-
 } // namespace raizn

@@ -33,7 +33,8 @@ struct RaiznConfig {
     bool
     valid() const
     {
-        return num_devices >= 3 && su_sectors >= 1 &&
+        // At most 64 members: ZonedArray keeps one bit per member.
+        return num_devices >= 3 && num_devices <= 64 && su_sectors >= 1 &&
             md_zones_per_device >= 3 && stripe_buffers_per_zone >= 1;
     }
 };

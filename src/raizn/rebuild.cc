@@ -12,14 +12,14 @@
  * The rebuild is crash-resumable: a checkpoint record (which logical
  * zones of the target hold durable reconstructed data) is appended to
  * every surviving device's general metadata log — once before the
- * first write touches the target, after every completed zone, and as
- * a terminal "done" record. Mount-time recovery finds the newest
- * record and, for an in-progress one, re-marks the target as the
- * array's absent device so its next rebuild verifies and skips the
- * checkpointed zones instead of restarting. The walk writes every
- * zone's final unit with FUA, which under the sequential zone cache
- * model persists the whole zone, so a checkpointed zone is durable by
- * construction.
+ * first write touches the target, after every completed zone, and,
+ * once the rebuild succeeded, as a terminal "done" record. Mount-time
+ * recovery finds the newest record and, for an in-progress one,
+ * re-marks the target as the array's absent device so its next rebuild
+ * verifies and skips the checkpointed zones instead of restarting. The
+ * walk writes every zone's final unit with FUA, which under the
+ * sequential zone cache model persists the whole zone, so a
+ * checkpointed zone is durable by construction.
  */
 #include <algorithm>
 
@@ -386,7 +386,12 @@ RaiznVolume::rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
 void
 RaiznVolume::rebuild_finish(uint32_t dev, Status s, StatusCb cb)
 {
-    failed_dev_ = -1;
+    if (!s.is_ok()) {
+        // The target stays failed, and the last in-progress checkpoint
+        // stays the newest: a remount resumes this rebuild.
+        cb(s);
+        return;
+    }
     // Relocations and burned ranges on the rebuilt device are folded
     // into the reconstructed data.
     std::vector<uint64_t> drop;

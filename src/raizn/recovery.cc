@@ -99,23 +99,22 @@ RaiznVolume::mount(EventLoop *loop, std::vector<BlockDevice *> devs)
     vol->sb_ = best;
     for (uint32_t d = 0; d < vol->devs_.size(); ++d) {
         if (vol->devs_[d]->failed())
-            vol->failed_dev_ = static_cast<int>(d);
+            vol->note_failed(d);
     }
     for (uint32_t d = 0; d < vol->devs_.size(); ++d) {
         if (has_sb[d] || vol->devs_[d]->failed())
             continue;
-        if (vol->failed_dev_ >= 0 &&
-            vol->failed_dev_ != static_cast<int>(d)) {
+        if (vol->degraded()) {
             return Status(StatusCode::kIoError,
                           strprintf("device %u has no superblock and "
                                     "device %d is failed: two devices "
                                     "down",
-                                    d, vol->failed_dev_));
+                                    d, vol->failed_device()));
         }
         LOG_WARN("device %u carries no superblock: treating as an "
                  "unrebuilt replacement (degraded mount)",
                  d);
-        vol->failed_dev_ = static_cast<int>(d);
+        vol->note_failed(d);
     }
     Status st = vol->run_recovery();
     if (!st)
@@ -164,14 +163,13 @@ RaiznVolume::run_recovery()
             if (devs_[newest.dev]->failed()) {
                 // The target itself is gone again: plain degraded
                 // mount; the checkpoint is moot.
-            } else if (failed_dev_ >= 0 &&
-                       failed_dev_ != static_cast<int>(newest.dev)) {
+            } else if (degraded() && !is_marked_failed(newest.dev)) {
                 LOG_ERROR("rebuild checkpoint for dev %u but dev %d is "
                           "failed: two devices down",
-                          newest.dev, failed_dev_);
+                          newest.dev, failed_device());
             } else {
-                failed_dev_ = static_cast<int>(newest.dev);
-                pending_rebuild_dev_ = failed_dev_;
+                note_failed(newest.dev);
+                pending_rebuild_dev_ = static_cast<int>(newest.dev);
                 ckpt_rebuilt_ = newest.rebuilt;
                 LOG_INFO("rebuild of dev %u interrupted "
                          "(%u zones checkpointed); resume available",
@@ -197,7 +195,7 @@ RaiznVolume::run_recovery()
     // only durable trace is the pp log (its data unit lives on the
     // failed device), so it is not actually empty.
     std::set<uint32_t> pp_backed;
-    if (failed_dev_ >= 0) {
+    if (degraded()) {
         for (const auto &devlog : devlogs) {
             for (const MdEntry &e : devlog.entries) {
                 if (e.header.type != MdType::kPartialParity)
@@ -490,7 +488,7 @@ RaiznVolume::recover_logical_zone(uint32_t zone, RecoveryCtx &rc)
     // A degraded zone empty on every live device may still hold
     // FUA-acked content reconstructable from the replayed pp log.
     bool pp_backed = false;
-    if (failed_dev_ >= 0) {
+    if (degraded()) {
         for (const auto &[key, recs] : pp_index_) {
             if (static_cast<uint32_t>(key >> 32) == zone && !recs.empty())
                 pp_backed = true;
@@ -503,7 +501,7 @@ RaiznVolume::recover_logical_zone(uint32_t zone, RecoveryCtx &rc)
         return Status::ok();
     }
 
-    if (all_full && failed_dev_ < 0) {
+    if (all_full && !degraded()) {
         lz.cond = raizn::ZoneState::kFull;
         lz.wp = lz.cap_end;
         lz.pbm.reset(layout_->logical_zone_cap() / cfg_.su_sectors,
@@ -597,17 +595,17 @@ RaiznVolume::repair_or_remap(uint32_t zone, std::vector<uint64_t> written)
             last_stripe = std::max(last_stripe, (e - 1) / su);
         }
     }
-    if (failed_dev_ >= 0) {
+    if (degraded()) {
         // Every stripe holding failed-device data within L must prove
         // that unit reconstructable (durable parity or durable pp),
         // even when no live device has a hole — otherwise the fill is
         // rolled back to the unit, not discovered lost at read time.
         for (uint64_t s = 0; s * ss < L; ++s) {
             if (layout_->data_pos_of_dev(
-                    zone, s, static_cast<uint32_t>(failed_dev_)) < 0) {
+                    zone, s, static_cast<uint32_t>(failed_device())) < 0) {
                 continue;
             }
-            uint64_t e = expected(static_cast<uint32_t>(failed_dev_), L);
+            uint64_t e = expected(static_cast<uint32_t>(failed_device()), L);
             if (e <= s * su)
                 continue;
             first_stripe = std::min(first_stripe, s);
@@ -642,14 +640,14 @@ RaiznVolume::repair_or_remap(uint32_t zone, std::vector<uint64_t> written)
             // unavailable — but only the part below L; an unwritten
             // failed unit (tail stripe) holds nothing and must not
             // count against the single-parity budget.
-            int failed_pos = failed_dev_ >= 0
+            int failed_pos = degraded()
                 ? layout_->data_pos_of_dev(
-                      zone, s, static_cast<uint32_t>(failed_dev_))
+                      zone, s, static_cast<uint32_t>(failed_device()))
                 : -1;
             uint64_t failed_hi = 0;
             if (failed_pos >= 0) {
                 uint64_t e = std::min(
-                    expected(static_cast<uint32_t>(failed_dev_), L),
+                    expected(static_cast<uint32_t>(failed_device()), L),
                     slot + su);
                 if (e > slot)
                     failed_hi = e - slot;
@@ -898,13 +896,13 @@ RaiznVolume::repair_or_remap(uint32_t zone, std::vector<uint64_t> written)
     // folded delta cannot be split. Roll the fill back to the record's
     // start (always a write boundary, so never below a durable ack)
     // whenever the tail stripe needs the pp log for a failed data unit.
-    if (failed_dev_ >= 0) {
+    if (degraded()) {
         bool moved = true;
         while (moved && F > 0) {
             moved = false;
             uint64_t s = (F - 1) / ss;
             int pos = layout_->data_pos_of_dev(
-                zone, s, static_cast<uint32_t>(failed_dev_));
+                zone, s, static_cast<uint32_t>(failed_device()));
             if (pos < 0 ||
                 s * ss + static_cast<uint64_t>(pos) * su >= F) {
                 continue; // no failed data unit inside the fill

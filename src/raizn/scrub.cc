@@ -21,7 +21,7 @@ namespace raizn {
 bool
 RaiznVolume::scrub_candidates(std::vector<ScrubStripe> *out) const
 {
-    if (read_only_)
+    if (read_only())
         return true;
     const uint64_t ss = layout_->stripe_sectors();
     const uint32_t su = cfg_.su_sectors;

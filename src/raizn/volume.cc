@@ -159,7 +159,7 @@ RaiznVolume::dev_unavailable(uint32_t dev, uint32_t zone) const
 {
     if (devs_[dev]->failed())
         return true;
-    if (static_cast<int>(dev) != failed_dev_)
+    if (!is_marked_failed(dev))
         return false;
     // Marked failed but replaced: zones already rebuilt are usable.
     return !zone_rebuilt(zone);
@@ -305,8 +305,8 @@ RaiznVolume::submit_write(uint64_t lba, uint32_t nsectors,
                                   cb(std::move(r));
                               });
     };
-    if (read_only_)
-        return fail(StatusCode::kReadOnly, "volume is read-only");
+    if (refuse_write(cb))
+        return;
     if (nsectors == 0 || lba + nsectors > capacity())
         return fail(StatusCode::kInvalidArgument, "write out of range");
     uint32_t zone = layout_->zone_of(lba);
@@ -720,10 +720,9 @@ RaiznVolume::start_fua_flush_phase(std::shared_ptr<WriteCtx> ctx)
         need[layout_->parity_dev(ctx->zone, stripe)] = true;
     }
     for (uint32_t d = 0; d < devs_.size(); ++d) {
-        if (!need[d] || static_cast<int>(d) == failed_dev_ ||
-            devs_[d]->failed()) {
+        // A member rebuilt for this zone takes its writes: flush it too.
+        if (!need[d] || dev_unavailable(d, ctx->zone))
             continue;
-        }
         ctx->pending++;
         stats_.fua_dependency_flushes++;
         IoRequest freq = IoRequest::flush();
@@ -736,66 +735,28 @@ RaiznVolume::start_fua_flush_phase(std::shared_ptr<WriteCtx> ctx)
         finish_write(ctx);
 }
 
-namespace {
-
-/// One flush's join: every member's completion counts down to it.
-struct FlushJoin {
-    uint32_t pending = 0;
-    Status first;
-    std::vector<uint64_t> wps; ///< per-zone write offset at submission
-    IoCallback cb;
-};
-
-} // namespace
-
 void
 RaiznVolume::flush(IoCallback cb)
 {
     PROF_SCOPE("raizn.flush");
     stats_.flushes++;
-    // Duplicate the flush to every array device (§5.3). One join per
-    // flush; each member's closure holds only a pointer to it.
-    auto join = std::allocate_shared<FlushJoin>(PoolAllocator<FlushJoin>());
-    join->cb = std::move(cb);
-    // Snapshot write pointers: everything submitted before the flush
-    // becomes durable at its completion.
-    join->wps.reserve(zones_.size());
+    // Duplicate the flush to every up member, the rebuild target
+    // included (§5.3). Everything submitted before the flush becomes
+    // durable at its completion: snapshot the write pointers.
+    std::vector<uint64_t> wps;
+    wps.reserve(zones_.size());
     for (const LZone &lz : zones_)
-        join->wps.push_back(lz.wp - lz.start);
-    static constexpr auto arrive = [](RaiznVolume *v, FlushJoin &j,
-                                      const Status &s) {
-        if (!s.is_ok() && j.first.is_ok())
-            j.first = s;
-        if (--j.pending > 0)
-            return;
-        for (uint32_t z = 0; z < v->zones_.size(); ++z) {
-            if (j.wps[z] > 0)
-                v->zones_[z].pbm.mark_persisted_upto(j.wps[z]);
+        wps.push_back(lz.wp - lz.start);
+    IoRequest freq = IoRequest::flush();
+    freq.cause = obs::Cause::kUserData;
+    fan_out(freq, [this, wps = std::move(wps),
+                   cb = std::move(cb)](IoResult r) {
+        for (uint32_t z = 0; z < zones_.size(); ++z) {
+            if (wps[z] > 0)
+                zones_[z].pbm.mark_persisted_upto(wps[z]);
         }
-        IoResult out;
-        out.status = j.first;
-        IoCallback done = std::move(j.cb);
-        done(std::move(out));
-    };
-    for (uint32_t d = 0; d < devs_.size(); ++d) {
-        if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
-            continue;
-        join->pending++;
-        IoRequest freq = IoRequest::flush();
-        freq.cause = obs::Cause::kUserData;
-        dev_submit(d, std::move(freq), [this, join, d](IoResult r) {
-            if (!r.status.is_ok() && escalate_dev_error(d, r.status))
-                r.status = Status::ok();
-            arrive(this, *join, r.status);
-        });
-    }
-    if (join->pending == 0) {
-        // No live devices.
-        join->pending++;
-        loop_->schedule_after(1, [this, join] {
-            arrive(this, *join, Status(StatusCode::kOffline, "no devices"));
-        });
-    }
+        cb(std::move(r));
+    });
 }
 
 // ---- Zone management --------------------------------------------------
@@ -838,14 +799,7 @@ RaiznVolume::reset_zone(uint32_t zone, IoCallback cb)
     auto wal_pending = std::make_shared<uint32_t>(0);
     auto do_resets = [this, zone, cb = std::move(cb)]() mutable {
         // 2. Reset every physical zone.
-        auto pending = std::make_shared<uint32_t>(0);
-        auto first = std::make_shared<Status>();
-        auto on_reset = [this, zone, pending, first,
-                         cb = std::move(cb)](IoResult r) mutable {
-            if (!r.status.is_ok() && first->is_ok())
-                *first = r.status;
-            if (--*pending > 0)
-                return;
+        MemberJoin join(this, [this, zone, cb = std::move(cb)](IoResult r) {
             // 3. All physical zones reset: bump and persist the
             //    generation counter, clear in-memory state, unblock.
             LZone &lz = zones_[zone];
@@ -874,32 +828,18 @@ RaiznVolume::reset_zone(uint32_t zone, IoCallback cb)
             }
             lz.blocked = false;
             drain_waiters(zone);
-            IoResult out;
-            out.status = *first;
-            cb(std::move(out));
-        };
+            cb(std::move(r));
+        });
         uint64_t phys_zone_start =
             static_cast<uint64_t>(zone) * layout_->phys_zone_size();
         for (uint32_t d = 0; d < devs_.size(); ++d) {
-            if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
+            if (dev_unavailable(d, zone))
                 continue;
-            (*pending)++;
             IoRequest rst = IoRequest::zone_reset(phys_zone_start);
             rst.cause = obs::Cause::kZoneMgmt;
-            dev_submit(d, std::move(rst),
-                       [this, on_reset, d](IoResult r) mutable {
-                           if (!r.status.is_ok() &&
-                               escalate_dev_error(d, r.status)) {
-                               r.status = Status::ok();
-                           }
-                           on_reset(std::move(r));
-                       });
+            join.send(d, std::move(rst));
         }
-        if (*pending == 0) {
-            IoResult r;
-            r.status = Status(StatusCode::kOffline, "no devices");
-            cb(std::move(r));
-        }
+        join.seal();
     };
 
     auto on_wal = std::make_shared<std::function<void(Status)>>();
@@ -917,7 +857,7 @@ RaiznVolume::reset_zone(uint32_t zone, IoCallback cb)
             (*do_resets_shared)();
     };
     for (uint32_t d : wal_devs) {
-        if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
+        if (is_marked_failed(d) || devs_[d]->failed())
             continue;
         (*wal_pending)++;
     }
@@ -926,7 +866,7 @@ RaiznVolume::reset_zone(uint32_t zone, IoCallback cb)
         return;
     }
     for (uint32_t d : wal_devs) {
-        if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
+        if (is_marked_failed(d) || devs_[d]->failed())
             continue;
         MdAppend app;
         app.header.type = MdType::kZoneResetLog;
@@ -944,7 +884,7 @@ RaiznVolume::persist_gen_block(uint32_t block)
 {
     uint64_t seq = gen_update_seq_++;
     for (uint32_t d = 0; d < devs_.size(); ++d) {
-        if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
+        if (is_marked_failed(d) || devs_[d]->failed())
             continue;
         MdAppend app;
         app.header = gen_.block_header(block, seq);
@@ -969,14 +909,7 @@ RaiznVolume::finish_zone(uint32_t zone, IoCallback cb)
         });
         return;
     }
-    auto pending = std::make_shared<uint32_t>(0);
-    auto first = std::make_shared<Status>();
-    auto done = [this, zone, pending, first,
-                 cb = std::move(cb)](IoResult r) mutable {
-        if (!r.status.is_ok() && first->is_ok())
-            *first = r.status;
-        if (--*pending > 0)
-            return;
+    MemberJoin join(this, [this, zone, cb = std::move(cb)](IoResult r) {
         LZone &lz = zones_[zone];
         if (is_open(lz.cond))
             open_zones_--;
@@ -984,10 +917,8 @@ RaiznVolume::finish_zone(uint32_t zone, IoCallback cb)
         lz.pbm.mark_persisted_upto(lz.wp - lz.start);
         lz.wp = lz.cap_end;
         lz.buffers.clear();
-        IoResult out;
-        out.status = *first;
-        cb(std::move(out));
-    };
+        cb(std::move(r));
+    });
     uint64_t fill = lz.wp - lz.start;
     uint64_t in_stripe = fill % layout_->stripe_sectors();
     if (in_stripe > 0) {
@@ -1013,45 +944,27 @@ RaiznVolume::finish_zone(uint32_t zone, IoCallback cb)
             if (store_data_ && buf->stripe_no() == stripe)
                 parity = buf->prefix_parity();
             stats_.full_parity_writes++;
-            (*pending)++;
             IoRequest req;
             req.op = IoOp::kWrite;
             req.slba = slot;
             req.nsectors = cfg_.su_sectors;
             req.data = std::move(parity);
             req.cause = obs::Cause::kParity;
-            dev_submit(pdev, std::move(req),
-                       [this, done, pdev](IoResult r) mutable {
-                           if (!r.status.is_ok() &&
-                               escalate_dev_error(pdev, r.status)) {
-                               r.status = Status::ok();
-                           }
-                           done(std::move(r));
-                       });
+            join.send(pdev, std::move(req));
         }
     }
     uint64_t phys_zone_start =
         static_cast<uint64_t>(zone) * layout_->phys_zone_size();
     for (uint32_t d = 0; d < devs_.size(); ++d) {
-        if (static_cast<int>(d) == failed_dev_ || devs_[d]->failed())
+        // A target that has not rebuilt this zone yet stays empty: the
+        // walk fills it and the zone ends full there.
+        if (dev_unavailable(d, zone))
             continue;
-        (*pending)++;
         IoRequest fin = IoRequest::zone_finish(phys_zone_start);
         fin.cause = obs::Cause::kZoneMgmt;
-        dev_submit(d, std::move(fin),
-                   [this, done, d](IoResult r) mutable {
-                       if (!r.status.is_ok() &&
-                           escalate_dev_error(d, r.status)) {
-                           r.status = Status::ok();
-                       }
-                       done(std::move(r));
-                   });
+        join.send(d, std::move(fin));
     }
-    if (*pending == 0) {
-        IoResult r;
-        r.status = Status(StatusCode::kOffline, "no devices");
-        cb(std::move(r));
-    }
+    join.seal();
 }
 
 // ---- Read path --------------------------------------------------------
@@ -1129,7 +1042,7 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                     prof::count_copy(n);
                     g.put(std::vector<uint8_t>(img, img + n), kNsPerUs,
                           at_bytes);
-                } else if (static_cast<int>(rel->dev) != failed_dev_ &&
+                } else if (!is_marked_failed(rel->dev) &&
                            !devs_[rel->dev]->failed()) {
                     IoRequest rreq =
                         IoRequest::read(rel->md_pba + off_in_rel, run_len);
@@ -1148,7 +1061,7 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                                  "relocated data on failed device"),
                           kNsPerUs);
                 }
-            } else if (static_cast<int>(sub.dev) == failed_dev_) {
+            } else if (is_marked_failed(sub.dev)) {
                 // Only the marked-failed member is skipped. One that
                 // failed unnoticed is read like any other: its error
                 // escalates and the read degrades.
@@ -1292,8 +1205,7 @@ RaiznVolume::reconstruct_stripe_unit(uint32_t zone, uint64_t stripe,
             uint64_t off_in_rel = read_lba - rel->lba;
             put_cached(rel->cached.data(), off_in_rel,
                        off_in_rel + (unit_hi - lo));
-        } else if (static_cast<int>(dev) != failed_dev_ &&
-                   !devs_[dev]->failed()) {
+        } else if (!is_marked_failed(dev) && !devs_[dev]->failed()) {
             g.read(dev, layout_->slot_pba(zone, stripe) + lo,
                     static_cast<uint32_t>(unit_hi - lo));
         } else {
@@ -1310,8 +1222,7 @@ RaiznVolume::reconstruct_stripe_unit(uint32_t zone, uint64_t stripe,
             if (prel != parity_reloc_.end() &&
                 !prel->second.cached.empty()) {
                 put_cached(prel->second.cached.data(), lo, hi);
-            } else if (static_cast<int>(pdev) != failed_dev_ &&
-                       !devs_[pdev]->failed()) {
+            } else if (!is_marked_failed(pdev) && !devs_[pdev]->failed()) {
                 g.read(pdev, layout_->slot_pba(zone, stripe) + lo,
                         static_cast<uint32_t>(hi - lo));
             } else {
@@ -1345,26 +1256,10 @@ RaiznVolume::reconstruct_stripe_unit(uint32_t zone, uint64_t stripe,
 
 // ---- Fault management --------------------------------------------------
 
-void
-RaiznVolume::mark_device_failed(uint32_t dev)
+Status
+RaiznVolume::write_refusal() const
 {
-    if (dev >= devs_.size()) {
-        LOG_ERROR("mark_device_failed: no device %u", dev);
-        return;
-    }
-    if (failed_dev_ == static_cast<int>(dev))
-        return;
-    if (failed_dev_ >= 0) {
-        LOG_ERROR("second device failure (dev %u): volume is read-only",
-                  dev);
-        read_only_ = true;
-        return;
-    }
-    LOG_INFO("device %u marked failed; serving degraded", dev);
-    failed_dev_ = static_cast<int>(dev);
-    if (!devs_[dev]->failed())
-        devs_[dev]->fail();
-    maybe_start_auto_rebuild(dev);
+    return Status(StatusCode::kReadOnly, "volume is read-only");
 }
 
 void
@@ -1382,14 +1277,9 @@ RaiznVolume::on_health_event(uint32_t dev, HealthEvent ev)
                  dev);
         break;
     case HealthEvent::kFailed:
-        // The data path escalates through escalate_dev_error when a
-        // command actually fails; this edge catches evidence that
-        // accrued without a caller to observe it (e.g. metadata-path
-        // retries) so the failover never waits for the next IO.
-        if (failed_dev_ != static_cast<int>(dev))
-            mark_device_failed(dev);
         break;
     }
+    ZonedArray::on_health_event(dev, ev);
 }
 
 void
@@ -1448,13 +1338,13 @@ RaiznVolume::snapshot_for_gc(uint32_t dev, MdZoneRole role)
     // An in-flight device rebuild keeps its progress record alive
     // across metadata GC — dropping it would turn a crash during GC
     // into an unresumable rebuild.
-    if (rebuild_running() && failed_dev_ >= 0 &&
-        dev != static_cast<uint32_t>(failed_dev_)) {
+    const int target = rebuild_target();
+    if (target >= 0 && dev != static_cast<uint32_t>(target)) {
         MdAppend app;
         app.header.type = MdType::kRebuildCheckpoint;
         app.header.generation = gen_update_seq_++;
         app.inline_data = encode_current_rebuild_checkpoint(
-            static_cast<uint32_t>(failed_dev_),
+            static_cast<uint32_t>(target),
             RebuildCheckpointRecord::kInProgress, ~0u);
         out.push_back(std::move(app));
     }

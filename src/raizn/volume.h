@@ -195,11 +195,9 @@ class RaiznVolume : public ZonedArray
      */
     void resume_rebuild(ProgressCb progress, StatusCb done);
 
-    /// Marks a device failed: reads reconstruct, writes omit it.
-    void mark_device_failed(uint32_t dev) override;
-    /// -1 when the array is healthy.
-    int failed_device() const override { return failed_dev_; }
-    bool read_only() const { return read_only_; }
+    // mark_device_failed / failed_device (inherited): a second failure
+    // makes the volume read-only.
+    bool read_only() const { return !within_tolerance(); }
     // rebuild_device (inherited) rebuilds a replaced device zone by
     // zone, active zones first, copying only LBA ranges that contain
     // user data (§4.2). Writes arriving during the rebuild are served
@@ -381,12 +379,13 @@ class RaiznVolume : public ZonedArray
     /// logical fill of `fill` sectors (recovery, resume verification).
     uint64_t expected_phys_fill(uint32_t dev, uint32_t zone,
                                 uint64_t fill) const;
-    /// Health-monitor escalation edges land here.
+    /// Health-monitor escalation edges land here: suspect and
+    /// fail-slow counters, then the base's failover.
     void on_health_event(uint32_t dev, HealthEvent ev) override;
     /// Points the md manager at the promoted spare in slot `dev`.
     void on_spare_promoted(uint32_t dev) override;
-    /// A second failure made the volume read-only: nothing to rebuild.
-    bool auto_rebuild_vetoed() const override { return read_only_; }
+    /// Writes to a volume past its one tolerated failure: kReadOnly.
+    Status write_refusal() const override;
 
     // scrub.cc — ZonedArray's scrub walker over RAIZN's stripes:
     // complete home-placed stripes of healthy zones, up to the minimum
@@ -405,7 +404,7 @@ class RaiznVolume : public ZonedArray
     /// promoted spare is live but holds no trusted data yet).
     bool dev_down(uint32_t dev) const
     {
-        return devs_[dev]->failed() || static_cast<int>(dev) == failed_dev_;
+        return devs_[dev]->failed() || is_marked_failed(dev);
     }
     MdAppend make_pp_append(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
@@ -461,8 +460,6 @@ class RaiznVolume : public ZonedArray
     VolumeStats stats_;
     uint32_t max_open_zones_ = 0;
     uint32_t open_zones_ = 0;
-    int failed_dev_ = -1;
-    bool read_only_ = false;
     bool store_data_ = true;
     DebugFault debug_fault_ = DebugFault::kNone;
 

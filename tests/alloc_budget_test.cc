@@ -12,6 +12,10 @@
  * The kStore write path above the volume: a ZonedEnv append allocates
  * one buffer per volume write and nothing the size of the payload
  * besides, and a Db put's WAL record lives in one reused buffer.
+ *
+ * The member fan-out: a warm flush, on RAIZN and on the raid5 engine,
+ * stays within the allocations it made before flushes went through the
+ * shared ZonedArray join.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "array/engine.h"
 #include "common/rng.h"
 #include "env/zoned_env.h"
 #include "kv/db.h"
@@ -47,13 +52,15 @@ operator new(size_t n)
     throw std::bad_alloc();
 }
 
-void
+// Out of line, so GCC does not pair an inlined free() with an inlined
+// operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, size_t) noexcept
 {
     std::free(p);
@@ -139,6 +146,68 @@ TEST(AllocBudget, WarmTimingOnlyHopAllocatesAlmostNothing)
     // was pooled); each read its sub-read closure (1 per read, was 9).
     EXPECT_LE(per_write, 3.0);
     EXPECT_LE(per_read, 2.0);
+}
+
+/// Allocations per flush of `arr` once warm: a few writes give every
+/// member something to flush, then flushes run one at a time.
+double
+allocs_per_flush(ZonedArray *arr, EventLoop *loop)
+{
+    uint64_t done = 0;
+    auto count = [&done](IoResult r) { done += r.status.is_ok(); };
+    for (uint64_t lba = 0; lba < 256; lba += 64) {
+        arr->write_len(lba, 64, {}, count);
+        loop->run();
+    }
+    constexpr int kWarm = 16;
+    constexpr int kFlushes = 64;
+    for (int i = 0; i < kWarm; ++i) {
+        arr->flush(count);
+        loop->run();
+    }
+    g_news = 0;
+    g_counting = true;
+    for (int i = 0; i < kFlushes; ++i) {
+        arr->flush(count);
+        loop->run();
+    }
+    g_counting = false;
+    EXPECT_EQ(done, 4u + kWarm + kFlushes);
+    return static_cast<double>(g_news) / kFlushes;
+}
+
+TEST(AllocBudget, WarmRaiznFlush)
+{
+    BenchScale scale; // 5 timing-only members
+    RaiznArray arr = make_raizn_array(scale);
+    // 21 per flush before the shared member join, whose member
+    // completions fit std::function's inline buffer (17 with it).
+    EXPECT_LE(allocs_per_flush(arr.vol.get(), arr.loop.get()), 21.0);
+}
+
+TEST(AllocBudget, WarmRaid5Flush)
+{
+    BenchScale scale;
+    EventLoop loop;
+    std::vector<std::unique_ptr<ZnsDevice>> devs;
+    std::vector<BlockDevice *> ptrs;
+    for (uint32_t i = 0; i < scale.num_devices; ++i) {
+        ZnsDeviceConfig cfg;
+        cfg.nzones = scale.zones_per_device;
+        cfg.zone_size = scale.zone_cap_sectors;
+        cfg.zone_capacity = scale.zone_cap_sectors;
+        cfg.data_mode = scale.data_mode;
+        cfg.timing = TimingParams::zns();
+        devs.push_back(std::make_unique<ZnsDevice>(&loop, cfg));
+        ptrs.push_back(devs.back().get());
+    }
+    EngineConfig ec;
+    ec.mode = RaidMode::kRaid5;
+    ec.su_sectors = scale.su_sectors;
+    auto eng = ZonedEngine::create(&loop, ptrs, ec);
+    ASSERT_TRUE(eng.is_ok()) << eng.status().to_string();
+    // 23 per flush before the shared member join (16 with it).
+    EXPECT_LE(allocs_per_flush(eng.value().get(), &loop), 23.0);
 }
 
 /// Bytes `fn` allocates.

@@ -205,6 +205,94 @@ TEST_F(LifecycleTest, BlankReplacementDetectedAtMount)
     arr_.expect_pattern(0, 256, 8);
 }
 
+TEST_F(LifecycleTest, FailedRebuildResumesAfterRemount)
+{
+    // The replacement dies mid-rebuild. The member stays failed, no
+    // "done" checkpoint is written, and once it is replaced again a
+    // remount finds the in-progress checkpoint and resumes.
+    arr_.write_pattern(0, 512, 14);
+    arr_.write_pattern(512, 256, 15);
+    ASSERT_TRUE(arr_.flush().status.is_ok());
+    const uint32_t victim = 1;
+    arr_.vol->mark_device_failed(victim);
+    arr_.devs[victim]->replace();
+    bool done = false;
+    Status st;
+    arr_.vol->rebuild_device(victim, nullptr, [&](Status s) {
+        st = s;
+        done = true;
+    });
+    const Tick t0 = arr_.loop->now();
+    arr_.loop->run_until_pred(
+        [&] { return done || arr_.loop->now() >= t0 + 20 * kNsPerUs; });
+    ASSERT_FALSE(done) << "rebuild finished before the target died";
+    arr_.devs[victim]->fail();
+    arr_.loop->run_until_pred([&] { return done; });
+    EXPECT_EQ(st.code(), StatusCode::kOffline) << st.to_string();
+    EXPECT_EQ(arr_.vol->failed_device(), static_cast<int>(victim));
+    EXPECT_TRUE(arr_.vol->degraded());
+    arr_.expect_pattern(0, 512, 14);
+
+    arr_.devs[victim]->replace();
+    ASSERT_TRUE(
+        arr_.crash_and_remount({PowerLossSpec::Policy::kKeepAll, 0}).is_ok());
+    ASSERT_TRUE(arr_.vol->has_pending_rebuild());
+    EXPECT_EQ(arr_.vol->pending_rebuild_device(), static_cast<int>(victim));
+    bool rdone = false;
+    Status rst;
+    arr_.vol->resume_rebuild(nullptr, [&](Status s) {
+        rst = s;
+        rdone = true;
+    });
+    arr_.loop->run_until_pred([&] { return rdone; });
+    ASSERT_TRUE(rst.is_ok()) << rst.to_string();
+    EXPECT_EQ(arr_.vol->failed_device(), -1);
+    arr_.expect_pattern(0, 512, 14);
+    arr_.expect_pattern(512, 256, 15);
+}
+
+TEST_F(LifecycleTest, FlushDuringRebuildReachesTheTarget)
+{
+    // An empty zone needs no rebuild, so its writes land on the target
+    // at once; a flush acked during the rebuild must make them durable
+    // there too, or a power cut after the rebuild drops the target's
+    // unit and the remount finds a stripe hole to repair from parity.
+    arr_.write_pattern(0, 512, 16);
+    arr_.write_pattern(512, 512, 17);
+    ASSERT_TRUE(arr_.flush().status.is_ok());
+    const uint32_t victim = 1;
+    arr_.vol->mark_device_failed(victim);
+    arr_.devs[victim]->replace();
+    RaiznVolume::LifecycleConfig lc;
+    lc.auto_rebuild = false;
+    lc.throttle.rate_sectors_per_sec = 100000;
+    lc.throttle.burst_sectors = 32;
+    arr_.vol->set_lifecycle(lc);
+    bool done = false;
+    Status st;
+    arr_.vol->rebuild_device(victim, nullptr, [&](Status s) {
+        st = s;
+        done = true;
+    });
+    const uint64_t empty_zone = 3 * 512;
+    arr_.write_pattern(empty_zone, 64, 18);
+    ASSERT_TRUE(arr_.flush().status.is_ok());
+    ASSERT_FALSE(done) << "rebuild finished before the flush";
+    arr_.loop->run_until_pred([&] { return done; });
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(arr_.vol->failed_device(), -1);
+    arr_.loop->run(); // the "done" checkpoint lands
+
+    ASSERT_TRUE(
+        arr_.crash_and_remount({PowerLossSpec::Policy::kDropCache, 19})
+            .is_ok());
+    EXPECT_LT(arr_.vol->failed_device(), 0);
+    EXPECT_EQ(arr_.vol->stats().holes_repaired_in_place, 0u);
+    EXPECT_EQ(arr_.vol->stats().holes_remapped, 0u);
+    arr_.expect_pattern(empty_zone, 64, 18);
+    arr_.expect_pattern(0, 512, 16);
+}
+
 TEST_F(LifecycleTest, ThrottleTokenBucket)
 {
     EventLoop loop;

@@ -11,7 +11,11 @@
  *  - a fixed-rate throttle counts stalls and the rebuild still
  *    finishes;
  *  - destroying the array mid-rebuild frees the walk and its callbacks
- *    (checked for leaks under the asan preset).
+ *    (checked for leaks under the asan preset);
+ *  - a rebuild whose target dies fails and leaves the member failed;
+ *  - a flush with every member dead completes with kOffline;
+ *  - a failure beyond the tolerance refuses writes (kReadOnly on
+ *    RAIZN, kOffline elsewhere) and keeps the first member marked.
  */
 #include <gtest/gtest.h>
 
@@ -151,6 +155,22 @@ struct RebuildSut {
         bool flushed = false;
         arr->flush([&](IoResult) { flushed = true; });
         loop->run_until_pred([&] { return flushed; });
+    }
+
+    /// Writes 16 sectors of pattern at the end of the written prefix.
+    IoResult
+    append16()
+    {
+        IoResult out;
+        bool done = false;
+        arr->write(written, pattern(16, 0x33), {}, [&](IoResult r) {
+            out = std::move(r);
+            done = true;
+        });
+        loop->run_until_pred([&] { return done; });
+        EXPECT_TRUE(done);
+        written += 16;
+        return out;
     }
 
     /// Fails and replaces kVictim.
@@ -306,6 +326,68 @@ TEST_P(RebuildContract, TeardownMidRebuildFreesTheWalk)
     sut.loop.reset();
     EXPECT_FALSE(done);
     EXPECT_EQ(1, token.use_count()) << "the walk outlived its array";
+}
+
+TEST_P(RebuildContract, FailedRebuildLeavesTheMemberFailed)
+{
+    sut.lose_victim();
+    Status st;
+    bool done = false;
+    sut.arr->rebuild_device(RebuildSut::kVictim, nullptr, [&](Status s) {
+        st = s;
+        done = true;
+    });
+    // The target dies 20 us into the rebuild.
+    const Tick t0 = sut.loop->now();
+    sut.loop->run_until_pred(
+        [&] { return done || sut.loop->now() >= t0 + 20 * kNsPerUs; });
+    ASSERT_FALSE(done) << "rebuild finished before the target died";
+    sut.victim()->fail();
+    sut.loop->run_until_pred([&] { return done; });
+    ASSERT_TRUE(done);
+    EXPECT_EQ("OFFLINE: device failed", st.to_string());
+    EXPECT_EQ(static_cast<int>(RebuildSut::kVictim),
+              sut.arr->failed_device());
+    EXPECT_TRUE(sut.arr->degraded());
+}
+
+TEST_P(RebuildContract, FlushWithEveryMemberDeadCompletes)
+{
+    for (uint32_t d = 0; d < sut.arr->num_devices(); ++d)
+        sut.arr->device(d)->fail();
+    IoResult out;
+    bool done = false;
+    sut.arr->flush([&](IoResult r) {
+        out = std::move(r);
+        done = true;
+    });
+    sut.loop->run_until_pred([&] { return done; });
+    ASSERT_TRUE(done) << "flush never completed";
+    EXPECT_EQ(StatusCode::kOffline, out.status.code())
+        << out.status.to_string();
+}
+
+TEST_P(RebuildContract, FailureBeyondToleranceRefusesWrites)
+{
+    // Members 0, 2, 3, ...: fail as many as the array tolerates, then
+    // one more.
+    const uint32_t tolerance = sut.arr->fault_tolerance();
+    std::vector<uint32_t> lost{0};
+    for (uint32_t d = 2; lost.size() <= tolerance; ++d)
+        lost.push_back(d);
+    for (size_t i = 0; i < tolerance; ++i)
+        sut.arr->mark_device_failed(lost[i]);
+    IoResult r = sut.append16();
+    ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+
+    sut.arr->mark_device_failed(lost.back());
+    r = sut.append16();
+    const StatusCode want = GetParam() == RaidMode::kRaizn
+        ? StatusCode::kReadOnly
+        : StatusCode::kOffline;
+    EXPECT_EQ(want, r.status.code()) << r.status.to_string();
+    EXPECT_EQ(0, sut.arr->failed_device());
+    EXPECT_TRUE(sut.arr->degraded());
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, RebuildContract, ::testing::ValuesIn(kModes),

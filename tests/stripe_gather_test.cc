@@ -20,8 +20,7 @@
 namespace raizn {
 namespace {
 
-/// The thinnest ZonedArray: members, the gather, and a record of the
-/// failures it was asked to mark.
+/// The thinnest ZonedArray: members and the gather.
 class GatherArray : public ZonedArray
 {
   public:
@@ -41,25 +40,11 @@ class GatherArray : public ZonedArray
     void replace_member(uint32_t d, BlockDevice *dev) { devs_[d] = dev; }
     uint64_t dev_errors() const { return dev_errors_; }
 
-    std::vector<uint32_t> marked_failed;
-
     RaidMode mode() const override { return RaidMode::kRaid5; }
     uint32_t fault_tolerance() const override { return 1; }
     uint64_t capacity() const override { return 0; }
     void read(uint64_t, uint32_t, IoCallback) override {}
     void flush(IoCallback) override {}
-    void
-    mark_device_failed(uint32_t dev) override
-    {
-        if (!is_marked_failed(dev))
-            marked_failed.push_back(dev);
-    }
-    int
-    failed_device() const override
-    {
-        return marked_failed.empty() ? -1
-                                     : static_cast<int>(marked_failed[0]);
-    }
 
   protected:
     void submit_write(uint64_t, uint32_t, std::vector<uint8_t>, WriteFlags,
@@ -291,7 +276,9 @@ TEST_F(StripeGatherTest, FirstErrorWinsAndEveryReadIsIssued)
     }
     // The live member's error escalated.
     EXPECT_EQ(arr_->dev_errors(), 1u);
-    EXPECT_EQ(arr_->marked_failed, std::vector<uint32_t>{1});
+    EXPECT_EQ(arr_->failed_device(), 1);
+    for (uint32_t d = 0; d < kDevs; ++d)
+        EXPECT_EQ(arr_->is_marked_failed(d), d == 1) << "member " << d;
 }
 
 TEST_F(StripeGatherTest, SealedGatherWithNoSourcesCompletesNextTick)
@@ -357,7 +344,7 @@ TEST_F(StripeGatherTest, LateErrorFromReplacedMemberIsNotEscalated)
     EXPECT_EQ(o.calls, 1);
     EXPECT_EQ(o.status.code(), StatusCode::kOffline);
     EXPECT_EQ(arr_->dev_errors(), 0u);
-    EXPECT_TRUE(arr_->marked_failed.empty());
+    EXPECT_FALSE(arr_->degraded());
 }
 
 } // namespace
