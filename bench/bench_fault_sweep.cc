@@ -99,20 +99,22 @@ struct Record {
 
 Record
 run_point(const SweepPoint &pt, const std::string &mode,
-          BenchObs *obs = nullptr)
+          const ObsOptions *oo = nullptr)
 {
     constexpr uint32_t kBs = 64; // 256 KiB blocks
     BenchScale scale;
+    obs::Session session; // outlives the array it watches
     auto arr = make_faulty_array(scale, pt.err_rate, pt.slow_dev);
-    if (obs != nullptr) {
+    if (oo != nullptr) {
         // Instrumented point: volume + fault-injector counters feed
         // the registry, stage spans feed the trace ring.
-        arr.vol->attach_observability(&obs->registry, &obs->trace);
         for (uint32_t i = 0; i < arr.fdevs.size(); ++i) {
-            obs::link_stats(obs->registry,
+            obs::link_stats(session.registry(),
                             "fault.dev" + std::to_string(i),
                             arr.fdevs[i]->fault_stats());
         }
+        arr.vol->attach(&session);
+        session.start();
     }
     ZonedArrayTarget target(arr.vol.get());
     uint64_t zone_cap = arr.vol->zone_capacity();
@@ -145,11 +147,12 @@ run_point(const SweepPoint &pt, const std::string &mode,
     std::printf("  %-10s %-9s %8.0f MiB/s  p99 %7.0f us  %s\n",
                 pt.label.c_str(), mode.c_str(), mibs, p99_us,
                 st.dump().c_str());
-    if (obs != nullptr) {
-        // Export before the array (and the linked counters) dies.
+    if (oo != nullptr) {
         std::printf("  instrumented point: %s %s\n", pt.label.c_str(),
                     mode.c_str());
-        obs->finish(arr.vol->num_devices());
+        std::printf("\n-- per-stage latency breakdown --\n%s",
+                    session.trace().stage_breakdown().c_str());
+        write_obs(*oo, session, "");
     }
     return {pt,        mode,          mibs,         p99_us,
             st.io_retries, st.io_timeouts, st.dev_errors};
@@ -266,16 +269,20 @@ int
 engine_coverage_smoke(const ObsOptions &oo)
 {
     print_header("Smoke: eng.write span coverage per ZonedEngine mode");
-    prof::enable();
+    // The whole-smoke session holds the profiler window; each mode's
+    // session nests in it and goes to <obs-dir>/<mode>/.
+    obs::Session whole;
+    whole.start();
     int rc = 0;
     for (RaidMode mode :
          {RaidMode::kRaid0, RaidMode::kRaid1, RaidMode::kRaid5,
           RaidMode::kRaid6, RaidMode::kRaid10, RaidMode::kAuto}) {
         PROF_SCOPE("bench.fault_sweep.smoke");
         BenchScale scale;
-        BenchObs obs;
+        obs::Session session;
         auto arr = make_engine_array(mode, scale);
-        arr.eng->attach_observability(&obs.registry, &obs.trace);
+        arr.eng->attach(&session);
+        session.start();
         ZonedArrayTarget target(arr.eng.get());
         WorkloadRunner runner(arr.loop.get(), &target);
         auto jobs = seq_jobs(RwMode::kSeqWrite, 64, 4, 64,
@@ -284,22 +291,23 @@ engine_coverage_smoke(const ObsOptions &oo)
             j.io_limit = kIosPerJob / 4;
         runner.run_merged(jobs);
 
-        size_t n = 0;
-        double mean = 0;
-        double worst = obs.write_coverage("eng.write", &n, &mean);
+        obs::SpanCoverage cov = session.span_coverage("eng.write");
+        const std::string name(to_string(mode));
         std::printf("  %-7s coverage min=%.1f%% mean=%.1f%% over %zu "
-                    "writes\n", std::string(to_string(mode)).c_str(),
-                    worst * 100, mean * 100, n);
-        if (n == 0 || worst < 0.95) {
+                    "writes\n", name.c_str(), cov.min * 100,
+                    cov.mean * 100, cov.n);
+        if (cov.n == 0 || cov.min < 0.95) {
             std::fprintf(stderr,
                          "FAIL: %s eng.write span coverage %.1f%% below "
                          "95%% (n=%zu)\n",
-                         std::string(to_string(mode)).c_str(),
-                         worst * 100, n);
+                         name.c_str(), cov.min * 100, cov.n);
             rc = 1;
         }
+        write_obs(oo, session, name);
     }
-    finish_prof(oo);
+    whole.close();
+    std::printf("%s", whole.prof_table().c_str());
+    write_obs(oo, whole, "");
     return rc;
 }
 
@@ -373,15 +381,13 @@ main(int argc, char **argv)
     // The err=1e-3 seqwrite point doubles as the instrumented run:
     // retries and error handling show up as extra device spans in its
     // stage breakdown.
-    BenchObs obs;
-    obs.opts = oo;
     std::vector<Record> records;
     for (const auto &pt : points) {
         for (const char *mode : {"seqwrite", "randread"}) {
             bool instrument = pt.err_rate == 1e-3 && pt.slow_dev < 0 &&
                 !pt.degraded && std::string(mode) == "seqwrite";
             records.push_back(
-                run_point(pt, mode, instrument ? &obs : nullptr));
+                run_point(pt, mode, instrument ? &oo : nullptr));
         }
     }
 

@@ -9,24 +9,24 @@
  * flat because ZNS devices do no device-side GC. Points A-D mark
  * 20/40/60/80% of the overwrite.
  *
- * Both runs are instrumented with the telemetry timeline: every
- * registry metric (volume counters with derived rates, per-device FTL
- * occupancy/GC gauges, zone census, utilization) is sampled per
- * interval, exportable as CSV via --timeseries-out, and fed to an
- * anomaly detector watching the volume write rate. The run
+ * Each run is an obs::Session: its timeline samples every registry
+ * metric (volume counters with derived rates, per-device FTL
+ * occupancy/GC gauges, zone census, utilization, per-cause ledger
+ * bytes) each 100 ms of virtual time and feeds an anomaly detector
+ * watching the volume write rate; --obs-dir DIR writes the sessions
+ * to DIR/mdraid/ and DIR/raizn/ (timeline.csv among them). The run
  * self-checks the paper's claim: the mdraid series must trip a
  * `throughput_collapse` event inside the overwrite phase, and the
  * RAIZN series must trip none. Emits BENCH_fig10_collapse.json for
  * the CI perf-regression gate.
  *
- *   bench_fig10_gc_timeseries [--smoke] [--timeseries-out f.csv]
- *                             [--timeseries-interval-ms N]
+ *   bench_fig10_gc_timeseries [--smoke] [--obs-dir DIR]
  */
 #include <cstdio>
 #include <string>
 
 #include "bench_util.h"
-#include "obs/ledger.h"
+#include "obs/anomaly.h"
 
 using namespace raizn;
 using namespace raizn::bench;
@@ -93,21 +93,13 @@ summarize_anomalies(const obs::AnomalyDetector &det, Series *out)
 Series
 run_mdraid(const ObsOptions &oo, const BenchScale &scale)
 {
+    obs::Session session;
     auto arr = make_mdraid_array(scale);
-    obs::MetricsRegistry reg;
-    arr.vol->attach_observability(&reg, nullptr);
-    // Byte-provenance columns: per-cause byte rates + WAF/RAF gauges
-    // ride along in every timeseries CSV row.
-    obs::IoLedger ledger;
-    arr.vol->attach_ledger(&ledger);
-    ledger.link_metrics(&reg);
-    auto tl = make_timeline(oo, arr.loop.get(), &reg);
-    arr.vol->install_timeline(tl.get());
-    ledger.install_probe(tl.get());
+    arr.vol->attach(&session);
     obs::AnomalyDetector det(
         collapse_config("mdraid.sectors_written.rate"));
-    tl->set_detector(&det);
-    tl->start();
+    session.timeline()->set_detector(&det);
+    session.start();
 
     ZonedArrayTarget target(arr.vol.get());
     Sampler sampler(100 * kNsPerMs);
@@ -131,7 +123,7 @@ run_mdraid(const ObsOptions &oo, const BenchScale &scale)
     out.end = arr.loop->now();
     out.samples = sampler.samples();
     out.interval = sampler.interval();
-    finish_timeline(oo, tl.get(), "mdraid");
+    write_obs(oo, session, "mdraid");
     summarize_anomalies(det, &out);
     return out;
 }
@@ -139,21 +131,13 @@ run_mdraid(const ObsOptions &oo, const BenchScale &scale)
 Series
 run_raizn(const ObsOptions &oo, const BenchScale &scale)
 {
+    obs::Session session;
     auto arr = make_raizn_array(scale);
-    obs::MetricsRegistry reg;
-    arr.vol->attach_observability(&reg, nullptr);
-    // Same byte-provenance columns as the mdraid series, so the two
-    // CSVs line up cause-for-cause.
-    obs::IoLedger ledger;
-    arr.vol->attach_ledger(&ledger);
-    ledger.link_metrics(&reg);
-    auto tl = make_timeline(oo, arr.loop.get(), &reg);
-    arr.vol->install_timeline(tl.get());
-    ledger.install_probe(tl.get());
+    arr.vol->attach(&session);
     obs::AnomalyDetector det(
         collapse_config("raizn.sectors_written.rate"));
-    tl->set_detector(&det);
-    tl->start();
+    session.timeline()->set_detector(&det);
+    session.start();
 
     ZonedArrayTarget target(arr.vol.get());
     Sampler sampler(100 * kNsPerMs);
@@ -180,7 +164,7 @@ run_raizn(const ObsOptions &oo, const BenchScale &scale)
     out.end = arr.loop->now();
     out.samples = sampler.samples();
     out.interval = sampler.interval();
-    finish_timeline(oo, tl.get(), "raizn");
+    write_obs(oo, session, "raizn");
     summarize_anomalies(det, &out);
     return out;
 }

@@ -11,11 +11,12 @@
  * bucket). An online rebuild competes with foreground writes
  * for device bandwidth; the throttle trades longer MTTR for a
  * foreground throughput floor. Emits BENCH_rebuild_mttr.json. The
- * fixed-throttle run is telemetry-instrumented: --timeseries-out
- * exports the per-interval CSV (rebuild write rate vs foreground
- * rate, throttle stalls, per-device utilization).
+ * fixed-throttle run is an obs::Session: --obs-dir DIR writes it to
+ * DIR/mttr_fixed/, its timeline.csv holding the per-interval rebuild
+ * write rate vs foreground rate, throttle stalls and per-device
+ * utilization.
  *
- *   bench_fig12_rebuild [--smoke] [--timeseries-out f.csv]
+ *   bench_fig12_rebuild [--smoke] [--obs-dir DIR]
  */
 #include <cstdio>
 #include <iterator>
@@ -129,21 +130,18 @@ run_mttr(const BenchScale &scale, const char *setting, uint64_t rate,
     rec.setting = setting;
     rec.rate = rate;
 
+    obs::Session session; // outlives the array it watches
     auto arr = make_raizn_array(scale);
     ZonedArrayTarget target(arr.vol.get());
     uint64_t zc = arr.vol->zone_capacity();
     uint64_t fill = arr.vol->capacity() / 2 / zc * zc;
     prime_target(arr.loop.get(), &target, fill);
 
-    // Telemetry on the throttled online rebuild: the timeline starts
-    // after priming so the CSV window is the rebuild itself.
-    obs::MetricsRegistry reg;
-    std::unique_ptr<obs::Timeline> tl;
+    // Telemetry on the throttled online rebuild: the session starts
+    // after priming so its window is the rebuild itself.
     if (oo != nullptr) {
-        arr.vol->attach_observability(&reg, nullptr);
-        tl = make_timeline(*oo, arr.loop.get(), &reg);
-        arr.vol->install_timeline(tl.get());
-        tl->start();
+        arr.vol->attach(&session);
+        session.start();
     }
 
     arr.vol->mark_device_failed(0);
@@ -183,8 +181,8 @@ run_mttr(const BenchScale &scale, const char *setting, uint64_t rate,
     rec.zones_rebuilt = arr.vol->stats().zones_rebuilt;
     rec.rebuilt_sectors =
         arr.devs[0]->stats().sectors_written - replaced_before;
-    if (oo != nullptr && tl != nullptr)
-        finish_timeline(*oo, tl.get(), std::string("mttr_") + setting);
+    if (oo != nullptr)
+        write_obs(*oo, session, std::string("mttr_") + setting);
     return rec;
 }
 

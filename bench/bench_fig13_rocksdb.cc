@@ -11,7 +11,10 @@
  *
  * --smoke runs the same table on a sixth of the keys and operations
  * (ctest fig13_smoke): a short end-to-end pass of the kv, env, array
- * and device layers with real bytes.
+ * and device layers with real bytes. --obs-dir DIR writes an
+ * obs::Session: the host profile of the whole run plus the last
+ * point's env and volume counters ("env.zoned.*", "env.block.*",
+ * "raizn.*", "mdraid.*").
  */
 #include <cstdio>
 #include <string>
@@ -156,23 +159,14 @@ run_workload(Harness &h, const std::string &wl, uint32_t value_size,
 int
 main(int argc, char **argv)
 {
-    // Only --smoke and --metrics-out are honoured; reject the rest of
-    // the obs flag set rather than ignore it.
-    std::string metrics_out;
-    Scale sc = kFull;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else if (a == "--smoke") {
-            sc = kSmoke;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--metrics-out m.json]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    ObsOptions oo;
+    if (!parse_obs_args(argc, argv, &oo))
+        return 2;
+    const Scale sc = oo.smoke ? kSmoke : kFull;
+    // Profiles the whole run when --obs-dir is given.
+    obs::Session session;
+    if (!oo.obs_dir.empty())
+        session.start();
     print_header("Fig 13: RocksDB-style db_bench, RAIZN vs mdraid");
     for (uint32_t vs : {4000u, 8000u}) {
         std::printf("\n-- value size %u B --\n", vs);
@@ -215,22 +209,20 @@ main(int argc, char **argv)
                     obs::render_stats(rz_h.env->stats()).c_str());
         std::printf("env gc (block): %s\n",
                     obs::render_stats(md_h.env->stats()).c_str());
-        if (vs == 8000 && !metrics_out.empty()) {
-            // Export the last point's env + volume counters through the
-            // unified registry ("env.zoned.*", "env.block.*", ...).
-            obs::MetricsRegistry reg;
+        if (vs == 8000) {
+            // The last point's env + volume counters, snapshotted
+            // before its harnesses die.
+            obs::MetricsRegistry &reg = session.registry();
             obs::link_stats(reg, "env.zoned", rz_h.env->stats());
             obs::link_stats(reg, "env.block", md_h.env->stats());
             obs::link_stats(reg, "raizn", rz_h.rz.vol->stats());
             obs::link_stats(reg, "mdraid", md_h.md.vol->stats());
-            Status s = reg.write_json(metrics_out);
-            std::printf("metrics json: %s%s\n", metrics_out.c_str(),
-                        s.is_ok() ? ""
-                                  : (" FAILED: " + s.to_string()).c_str());
+            session.close();
         }
     }
     std::printf("\nPaper shape: RAIZN within 10%% of mdraid on "
                 "throughput and p99 for all four workloads (steady "
                 "state, before conventional-SSD GC).\n");
+    write_obs(oo, session, "");
     return 0;
 }

@@ -8,72 +8,42 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/anomaly.h"
-#include "obs/metrics.h"
 #include "obs/prof/prof.h"
-#include "obs/timeline.h"
-#include "obs/trace.h"
+#include "obs/session.h"
 #include "wkld/runner.h"
 #include "wkld/setup.h"
 #include "wkld/target.h"
 
 namespace raizn::bench {
 
-/// Observability flags shared by the benches: --metrics-out <path>
-/// writes the registry JSON, --trace-out <path> the Chrome trace,
-/// --timeseries-out <path> per-interval CSV rows of every metric
-/// (--timeseries-interval-ms sets the sampling period), and --smoke
-/// bounds the run for ctest.
+/// Flags shared by the benches: --obs-dir DIR writes each
+/// instrumented run's obs::Session artifacts (metrics, trace,
+/// timeline, ledger, host profile, manifest) under DIR, one
+/// subdirectory per run; --smoke bounds the run for ctest.
 struct ObsOptions {
-    std::string metrics_out;
-    std::string trace_out;
-    std::string timeseries_out;
-    std::string prof_out;  ///< host profiler JSON summary
-    std::string flame_out; ///< collapsed-stack flamegraph (folded)
-    uint64_t timeseries_interval_ms = 100;
+    std::string obs_dir;
     bool smoke = false;
 };
 
 /**
- * Consumes the observability flags from argv; returns false (and
- * prints usage) on an unrecognized argument so benches without flags
- * of their own can pass argc/argv straight through.
+ * Consumes the shared flags from argv; returns false (and prints
+ * usage) on an unrecognized argument so benches without flags of
+ * their own can pass argc/argv straight through.
  */
 inline bool
 parse_obs_args(int argc, char **argv, ObsOptions *out)
 {
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a == "--metrics-out" && i + 1 < argc) {
-            out->metrics_out = argv[++i];
-        } else if (a == "--trace-out" && i + 1 < argc) {
-            out->trace_out = argv[++i];
-        } else if (a == "--timeseries-out" && i + 1 < argc) {
-            out->timeseries_out = argv[++i];
-        } else if (a == "--timeseries-interval-ms" && i + 1 < argc) {
-            out->timeseries_interval_ms =
-                std::strtoull(argv[++i], nullptr, 10);
-            if (out->timeseries_interval_ms == 0)
-                out->timeseries_interval_ms = 100;
-        } else if (a == "--prof-out" && i + 1 < argc) {
-            out->prof_out = argv[++i];
-        } else if (a == "--flame-out" && i + 1 < argc) {
-            out->flame_out = argv[++i];
+        if (a == "--obs-dir" && i + 1 < argc) {
+            out->obs_dir = argv[++i];
         } else if (a == "--smoke") {
             out->smoke = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--metrics-out m.json] "
-                         "[--trace-out t.json] "
-                         "[--timeseries-out t.csv] "
-                         "[--timeseries-interval-ms N] "
-                         "[--prof-out p.json] [--flame-out f.folded] "
-                         "[--smoke]\n",
+            std::fprintf(stderr, "usage: %s [--obs-dir DIR] [--smoke]\n",
                          argv[0]);
             return false;
         }
@@ -81,141 +51,24 @@ parse_obs_args(int argc, char **argv, ObsOptions *out)
     return true;
 }
 
-/// Inserts ".tag" before the path's extension ("a/b.csv", "md" ->
-/// "a/b.md.csv"), so one --timeseries-out flag can name several runs.
-inline std::string
-path_with_tag(const std::string &path, const std::string &tag)
-{
-    size_t slash = path.find_last_of('/');
-    size_t dot = path.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash)) {
-        return path + "." + tag;
-    }
-    return path.substr(0, dot) + "." + tag + path.substr(dot);
-}
-
-/// Builds a Timeline for one bench run's loop at the configured
-/// interval (caller wires probes/detector and calls start()).
-inline std::unique_ptr<obs::Timeline>
-make_timeline(const ObsOptions &oo, EventLoop *loop,
-              obs::MetricsRegistry *reg)
-{
-    obs::TimelineConfig cfg;
-    cfg.interval = oo.timeseries_interval_ms * kNsPerMs;
-    // Benches keep every row: 1<<16 rows outlives any bench run.
-    cfg.capacity = 1 << 16;
-    return std::make_unique<obs::Timeline>(loop, reg, cfg);
-}
-
-/// Flushes the final partial interval and writes the CSV when
-/// --timeseries-out was given (with `tag` when non-empty).
-inline void
-finish_timeline(const ObsOptions &oo, obs::Timeline *tl,
-                const std::string &tag = "")
-{
-    tl->sample_now();
-    tl->stop();
-    if (oo.timeseries_out.empty())
-        return;
-    std::string path = tag.empty()
-        ? oo.timeseries_out
-        : path_with_tag(oo.timeseries_out, tag);
-    Status s = tl->write_csv(path);
-    std::printf("timeseries csv: %s (%zu rows x %zu cols)%s\n",
-                path.c_str(), tl->size(), tl->columns().size(),
-                s.is_ok() ? "" : (" FAILED: " + s.to_string()).c_str());
-}
-
-/// Registry + trace ring for one instrumented bench pass, plus the
-/// export step (stage table to stdout, JSON files when requested).
-struct BenchObs {
-    ObsOptions opts;
-    obs::MetricsRegistry registry;
-    obs::TraceRecorder trace{1 << 16};
-
-    /**
-     * Prints the per-stage latency table and writes the JSON outputs.
-     * `num_devices` names the device tracks in the Chrome trace.
-     */
-    void
-    finish(uint32_t num_devices)
-    {
-        std::printf("\n-- per-stage latency breakdown --\n%s",
-                    trace.stage_breakdown().c_str());
-        if (!opts.metrics_out.empty()) {
-            Status s = registry.write_json(opts.metrics_out);
-            std::printf("metrics json: %s%s\n", opts.metrics_out.c_str(),
-                        s.is_ok() ? "" : (" FAILED: " + s.to_string())
-                                             .c_str());
-        }
-        if (!opts.trace_out.empty()) {
-            Status s = trace.write_chrome_json(opts.trace_out,
-                                               num_devices);
-            std::printf("chrome trace: %s (open in chrome://tracing or "
-                        "ui.perfetto.dev)%s\n",
-                        opts.trace_out.c_str(),
-                        s.is_ok() ? "" : (" FAILED: " + s.to_string())
-                                             .c_str());
-        }
-    }
-
-    /**
-     * Coverage of `total_stage` requests: for each traced request that
-     * has a `total_stage` span, the fraction of its wall time covered
-     * by its other spans. Returns the minimum across sampled requests
-     * (worst case), or 0 when none were traced; `*n_out` gets the
-     * sample count and `*mean_out` the average when non-null.
-     */
-    double
-    write_coverage(const char *total_stage, size_t *n_out = nullptr,
-                   double *mean_out = nullptr) const
-    {
-        std::vector<double> covs = trace.all_request_coverage(total_stage);
-        double worst = covs.empty() ? 0.0 : 1.0, sum = 0.0;
-        for (double c : covs) {
-            worst = std::min(worst, c);
-            sum += c;
-        }
-        if (n_out != nullptr)
-            *n_out = covs.size();
-        if (mean_out != nullptr && !covs.empty())
-            *mean_out = sum / static_cast<double>(covs.size());
-        return worst;
-    }
-};
-
-/// True when the caller asked for any host-profiler output.
-inline bool
-prof_requested(const ObsOptions &oo)
-{
-    return !oo.prof_out.empty() || !oo.flame_out.empty();
-}
-
 /**
- * Ends the profiler window, prints the top-10 self-time table, and
- * writes the JSON summary / folded flamegraph files that were
- * requested. No-op if the profiler was never enabled.
+ * Closes `s` and, with --obs-dir, writes it to `<obs-dir>/<run>` (the
+ * obs dir itself when `run` is empty). A failed write ends the bench.
  */
 inline void
-finish_prof(const ObsOptions &oo)
+write_obs(const ObsOptions &oo, obs::Session &s, const std::string &run)
 {
-    if (!prof::enabled() && prof::wall_ns() == 0)
+    s.close();
+    if (oo.obs_dir.empty())
         return;
-    prof::disable();
-    std::printf("\n-- host profile: top scopes by self time "
-                "(wall %.1f ms, %.0f events/s, coverage %.1f%%) --\n%s",
-                static_cast<double>(prof::wall_ns()) * 1e-6,
-                prof::events_per_sec(), prof::coverage() * 100.0,
-                prof::table(10).c_str());
-    if (!oo.prof_out.empty() &&
-        prof::write_file(oo.prof_out, prof::summary_json()))
-        std::printf("prof json: %s\n", oo.prof_out.c_str());
-    if (!oo.flame_out.empty() &&
-        prof::write_file(oo.flame_out, prof::folded()))
-        std::printf("flamegraph (folded): %s (feed to flamegraph.pl or "
-                    "speedscope)\n",
-                    oo.flame_out.c_str());
+    std::string dir = run.empty() ? oo.obs_dir : oo.obs_dir + "/" + run;
+    Status st = s.write(dir);
+    if (!st.is_ok()) {
+        std::fprintf(stderr, "FAIL: obs dir %s: %s\n", dir.c_str(),
+                     st.to_string().c_str());
+        std::exit(1);
+    }
+    std::printf("obs dir: %s\n", dir.c_str());
 }
 
 /**

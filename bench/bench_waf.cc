@@ -234,14 +234,17 @@ snap_phase(const std::string &volume, const std::string &phase,
 /// Runs healthy -> degraded -> rebuild for one volume type, appending
 /// one point per phase. raid0 has no redundancy: healthy only.
 bool
-run_volume(const std::string &name, std::vector<WafPoint> *out,
-           bool write_csvs)
+run_volume(const std::string &name, const ObsOptions &oo,
+           std::vector<WafPoint> *out)
 {
     constexpr uint32_t kBs = 16; // 64 KiB, fig8's default block
     constexpr uint32_t kVictim = 1;
-    obs::IoLedger ledger;
+    obs::Session session;
+    const obs::IoLedger &ledger = session.ledger();
     VolRun v = make_vol(name, kVictim);
-    v.arr->attach_ledger(&ledger);
+    v.arr->attach(&session);
+    if (!oo.obs_dir.empty())
+        session.start();
     ZonedArrayTarget target(v.arr);
     // 0 for the conventional md stack.
     const uint64_t zone_align = v.arr->zone_capacity();
@@ -276,17 +279,15 @@ run_volume(const std::string &name, std::vector<WafPoint> *out,
             return false;
     }
 
-    if (write_csvs) {
-        std::string b = "waf_breakdown_" + name + ".csv";
-        std::string h = "waf_heatmap_" + name + ".csv";
-        Status sb = ledger.write_breakdown_csv(b);
-        Status sh = ledger.write_heatmap_csv(h);
-        if (!sb.is_ok() || !sh.is_ok()) {
-            std::fprintf(stderr, "FAIL: csv export: %s / %s\n",
-                         sb.to_string().c_str(),
-                         sh.to_string().c_str());
-            return false;
-        }
+    write_obs(oo, session, name);
+    Status sb = prof::write_file("waf_breakdown_" + name + ".csv",
+                                 ledger.breakdown_csv());
+    Status sh = prof::write_file("waf_heatmap_" + name + ".csv",
+                                 ledger.heatmap_csv());
+    if (!sb.is_ok() || !sh.is_ok()) {
+        std::fprintf(stderr, "FAIL: csv export: %s / %s\n",
+                     sb.to_string().c_str(), sh.to_string().c_str());
+        return false;
     }
     return true;
 }
@@ -411,28 +412,18 @@ main(int argc, char **argv)
         print_header("WAF smoke: RAIZN + mdraid healthy phase");
         // Smoke keeps the qualitative cross-volume check (RAIZN pays
         // pp_log, mdraid does not) without the full phase matrix.
-        obs::IoLedger rl;
-        {
-            BenchScale scale;
-            auto arr = make_raizn_array(scale);
-            arr.vol->attach_ledger(&rl);
-            ZonedArrayTarget target(arr.vol.get());
-            run_seq_write(arr.loop.get(), &target, 16,
-                          arr.vol->zone_capacity());
-            run_rand_read_written(arr.loop.get(), &target, 16);
-            if (!snap_phase("raizn", "healthy", rl, &pts))
+        for (const char *name : {"raizn", "mdraid"}) {
+            obs::Session session;
+            VolRun v = make_vol(name, 1);
+            v.arr->attach(&session);
+            if (!oo.obs_dir.empty())
+                session.start();
+            ZonedArrayTarget target(v.arr);
+            run_seq_write(v.loop, &target, 16, v.arr->zone_capacity());
+            run_rand_read_written(v.loop, &target, 16);
+            if (!snap_phase(name, "healthy", session.ledger(), &pts))
                 return 1;
-        }
-        obs::IoLedger ml;
-        {
-            BenchScale scale;
-            auto arr = make_mdraid_array(scale);
-            arr.vol->attach_ledger(&ml);
-            ZonedArrayTarget target(arr.vol.get());
-            run_seq_write(arr.loop.get(), &target, 16, 0);
-            run_rand_read_written(arr.loop.get(), &target, 16);
-            if (!snap_phase("mdraid", "healthy", ml, &pts))
-                return 1;
+            write_obs(oo, session, name);
         }
         if (!check_story(pts))
             return 1;
@@ -444,7 +435,7 @@ main(int argc, char **argv)
     HostMeter meter;
     for (const char *name : {"raizn", "mdraid", "raid0", "raid1",
                              "raid5", "raid6", "raid10", "auto"}) {
-        if (!run_volume(name, &pts, /*write_csvs=*/true))
+        if (!run_volume(name, oo, &pts))
             return 1;
     }
     if (!check_story(pts))

@@ -15,17 +15,13 @@
  * Workloads: canonical (default), degraded[:dev], random[:seed[:nops]].
  * Policies: drop (default), keep, random, divergent.
  */
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "chk/explorer.h"
-#include "obs/prof/prof.h"
+#include "obs/session.h"
 
 using namespace raizn::chk;
 
@@ -50,22 +46,16 @@ usage(const char *argv0)
             "  --bitflip-rate R  flip one bit of read payloads at rate R\n"
             "  --fault-seed S    seed for the fault schedule\n"
             "  --slow-dev D      make device D 8x slower (fail-slow)\n"
-            "  --dump-on-failure DIR  write a triage bundle per\n"
-            "                    failing point to DIR/point_<N>/:\n"
-            "                    trace.json, metrics.json,\n"
-            "                    timeline.csv, prof.json, ledger.json\n"
-            "  --trace-on-failure DIR  alias for --dump-on-failure\n"
+            "  --obs-dir DIR     host-profile the run into DIR and write\n"
+            "                    each failing point's triage bundle\n"
+            "                    (trace, metrics, timeline, ledger,\n"
+            "                    profile, manifest) to DIR/point_<N>/\n"
             "  --phase workload|rebuild[:dev]\n"
             "                    rebuild: run the workload, fail :dev\n"
             "                    (default 1), cut power during the\n"
             "                    in-flight rebuild, resume after mount\n"
             "  --rebuild-rate R  throttle the rebuild to R sectors/s\n"
-            "  --smoke           bounded exhaustive+sweep for ctest\n"
-            "  --prof            host-profile the run; prints the\n"
-            "                    top-10 self-time scopes afterwards\n"
-            "  --prof-out F      write the profile summary JSON to F\n"
-            "  --flame-out F     write a collapsed-stack flamegraph\n"
-            "                    (folded format) to F\n",
+            "  --smoke           bounded exhaustive+sweep for ctest\n",
             argv0);
     return 2;
 }
@@ -135,12 +125,10 @@ main(int argc, char **argv)
     double err_rate = 0.0, bitflip_rate = 0.0;
     uint64_t fault_seed = 0;
     int slow_dev = -1;
-    std::string dump_dir;
+    std::string obs_dir;
     auto phase = ChkOptions::Phase::kWorkload;
     uint32_t rebuild_dev = 1;
     uint64_t rebuild_rate = 0;
-    bool prof_on = false;
-    std::string prof_out, flame_out;
 
     auto engine = raizn::RaidMode::kRaizn;
 
@@ -196,9 +184,9 @@ main(int argc, char **argv)
             fault_seed = strtoull(next(), nullptr, 0);
         } else if (a == "--slow-dev") {
             slow_dev = static_cast<int>(strtol(next(), nullptr, 0));
-        } else if (a == "--dump-on-failure" || a == "--trace-on-failure") {
-            dump_dir = next();
-            if (dump_dir.empty())
+        } else if (a == "--obs-dir") {
+            obs_dir = next();
+            if (obs_dir.empty())
                 return usage(argv[0]);
         } else if (a == "--phase") {
             std::string p = next();
@@ -217,14 +205,6 @@ main(int argc, char **argv)
             rebuild_rate = strtoull(next(), nullptr, 0);
         } else if (a == "--smoke") {
             smoke = true;
-        } else if (a == "--prof") {
-            prof_on = true;
-        } else if (a == "--prof-out") {
-            prof_out = next();
-            prof_on = true;
-        } else if (a == "--flame-out") {
-            flame_out = next();
-            prof_on = true;
         } else {
             return usage(argv[0]);
         }
@@ -302,14 +282,7 @@ main(int argc, char **argv)
     opts.phase = phase;
     opts.rebuild_dev = rebuild_dev;
     opts.rebuild_rate = rebuild_rate;
-    if (!dump_dir.empty()) {
-        if (mkdir(dump_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-            fprintf(stderr, "cannot create %s: %s\n", dump_dir.c_str(),
-                    strerror(errno));
-            return 2;
-        }
-        opts.dump_dir = dump_dir;
-    }
+    opts.obs_dir = obs_dir;
 
     std::string engine_arg = is_raizn
         ? std::string()
@@ -353,8 +326,11 @@ main(int argc, char **argv)
         repro += buf;
     }
 
-    if (prof_on)
-        raizn::prof::enable();
+    // The whole-run session holds the profiler window; each failing
+    // point's bundle session nests in it.
+    raizn::obs::Session session;
+    if (!obs_dir.empty())
+        session.start();
 
     int rc = 0;
     if (smoke && !is_raizn) {
@@ -466,19 +442,15 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    if (prof_on) {
-        raizn::prof::disable();
-        printf("\n-- host profile: wall %.1f ms, %.0f events/s, "
-               "scope coverage %.1f%% --\n%s",
-               static_cast<double>(raizn::prof::wall_ns()) * 1e-6,
-               raizn::prof::events_per_sec(),
-               raizn::prof::coverage() * 100,
-               raizn::prof::table(10).c_str());
-        if (!prof_out.empty())
-            raizn::prof::write_file(prof_out,
-                                    raizn::prof::summary_json());
-        if (!flame_out.empty())
-            raizn::prof::write_file(flame_out, raizn::prof::folded());
+    if (!obs_dir.empty()) {
+        session.close();
+        printf("%s", session.prof_table().c_str());
+        raizn::Status s = session.write(obs_dir);
+        if (!s.is_ok()) {
+            fprintf(stderr, "cannot write %s: %s\n", obs_dir.c_str(),
+                    s.to_string().c_str());
+            return 2;
+        }
     }
     return rc;
 }

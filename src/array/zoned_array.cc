@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/session.h"
 #include "sim/event_loop.h"
 
 namespace raizn {
@@ -150,6 +148,21 @@ ZonedArray::attach_observability(obs::MetricsRegistry *reg,
             obs::link_stats(*reg,
                             strprintf("%s.health.dev%u", self.c_str(), d),
                             health_->device(d));
+    }
+}
+
+void
+ZonedArray::attach(obs::Session *session)
+{
+    if (session_ != nullptr)
+        session_->forget(this);
+    session_ = session;
+    attach_observability(session ? &session->registry() : nullptr,
+                         session ? &session->trace() : nullptr);
+    attach_ledger(session ? &session->ledger() : nullptr);
+    if (session != nullptr) {
+        session->watch(loop_, num_devices(),
+                       [this](obs::Timeline *tl) { install_timeline(tl); });
     }
 }
 

@@ -57,6 +57,7 @@ namespace raizn {
 
 namespace obs {
 class MetricsRegistry;
+class Session;
 class TraceRecorder;
 class LatencyMetric;
 class Timeline;
@@ -225,29 +226,25 @@ class ZonedArray
 
     // ---- Observability ---------------------------------------------
     /**
-     * Hooks this array into the unified observability layer (src/obs):
-     * the subclass stats struct under "<metric_prefix>.*", per-device
-     * DeviceStats under "<dev_metric_prefix>.dev<i>.*" plus latency
-     * histograms, and (when link_health_metrics()) per-device health
-     * counters under "<metric_prefix>.health.dev<i>.*". Either pointer
-     * may be null; pass nulls to detach.
+     * Wires this array into an observability session (src/obs): its
+     * registry gets the stats (attach_observability), its trace the
+     * stage spans, its ledger every member device, and its timeline
+     * this array's gauge probes. Close the session before the array
+     * dies; null detaches.
+     */
+    void attach(obs::Session *session);
+
+    /**
+     * Links the subclass stats struct under "<metric_prefix>.*",
+     * per-device DeviceStats under "<dev_metric_prefix>.dev<i>.*" plus
+     * latency histograms, and (when link_health_metrics()) per-device
+     * health counters under "<metric_prefix>.health.dev<i>.*". Either
+     * pointer may be null; pass nulls to detach. attach() calls this;
+     * it stays public for rzbench (rzbench/src/common.cc), which
+     * links a bare registry.
      */
     void attach_observability(obs::MetricsRegistry *reg,
                               obs::TraceRecorder *trace);
-    obs::TraceRecorder *trace_recorder() const { return trace_; }
-    /// Registers gauge-refresh probes for timeseries sampling.
-    virtual void install_timeline(obs::Timeline *tl) { (void)tl; }
-
-    /**
-     * Hooks every member device (and a later-promoted spare) into the
-     * byte-provenance ledger: binds slot i to devs_[i] and installs
-     * the device back-pointers, so device-layer recording and the
-     * dev_submit untagged-funnel check both go live. Pass null to
-     * detach. The acked-user-byte denominators (note_user_read/write)
-     * are the volume subclass's job at its ack points.
-     */
-    void attach_ledger(obs::IoLedger *ledger);
-    obs::IoLedger *ledger() const { return ledger_; }
 
     // ---- Introspection ---------------------------------------------
     uint32_t num_devices() const
@@ -555,6 +552,19 @@ class ZonedArray
     std::shared_ptr<bool> alive_;
 
   private:
+    /**
+     * Binds every member device (and a later-promoted spare) to the
+     * byte-provenance ledger and installs the device back-pointers,
+     * so device-layer recording and the dev_submit untagged-funnel
+     * check go live; null detaches. The acked-user-byte denominators
+     * (note_user_read/write) are the subclass's job at its ack points.
+     */
+    void attach_ledger(obs::IoLedger *ledger);
+    /// Registers this array's gauge-refresh probes on the session's
+    /// timeline, tagged with `this` so a detach can drop them.
+    virtual void install_timeline(obs::Timeline *tl) { (void)tl; }
+    obs::Session *session_ = nullptr;
+
     // The failed-member set.
     uint64_t failed_mask_ = 0; ///< members marked failed, bit per slot
     uint32_t failed_count_ = 0;

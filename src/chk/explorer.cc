@@ -1,19 +1,12 @@
 #include "chk/explorer.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include "array/engine.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/prof/prof.h"
-#include "obs/timeline.h"
-#include "obs/trace.h"
+#include "obs/session.h"
 #include "sim/event_loop.h"
 
 namespace raizn::chk {
@@ -22,6 +15,11 @@ namespace {
 
 constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// Bundle timeline: exploration workloads cover a few virtual
+/// milliseconds, so rows are far finer than the benches' 100 ms, and
+/// the ring keeps the run's tail.
+constexpr obs::TimelineConfig kChkTimeline{50 * kNsPerUs, 256};
 
 uint64_t
 mix(uint64_t h, uint64_t v)
@@ -289,7 +287,7 @@ CrashPointExplorer::drive(Array &arr, ShadowVolume &shadow,
                           uint64_t crash_at, uint64_t *completions,
                           uint64_t *final_hash,
                           std::vector<uint64_t> *hash_prefix,
-                          ChkReport *rep)
+                          ChkReport *rep, obs::Session *session)
 {
     PROF_SCOPE("chk.drive");
     arr.loop = std::make_unique<EventLoop>();
@@ -359,26 +357,8 @@ CrashPointExplorer::drive(Array &arr, ShadowVolume &shadow,
         }
         arr.set_vol(std::move(created).value());
     }
-    if (run_trace_ != nullptr || run_reg_ != nullptr)
-        arr.vol->attach_observability(run_reg_, run_trace_);
-    if (run_ledger_ != nullptr) {
-        arr.vol->attach_ledger(run_ledger_);
-        if (run_reg_ != nullptr)
-            run_ledger_->link_metrics(run_reg_);
-    }
-    if (run_reg_ != nullptr) {
-        // Ring-buffered tail of the run's telemetry. Exploration
-        // workloads cover a few virtual milliseconds, so the sampling
-        // period is far finer than the benches' 100ms default.
-        obs::TimelineConfig tc;
-        tc.interval = 50 * kNsPerUs;
-        tc.capacity = 256;
-        run_tl_ =
-            std::make_unique<obs::Timeline>(arr.loop.get(), run_reg_, tc);
-        if (run_ledger_ != nullptr)
-            run_ledger_->install_probe(run_tl_.get());
-        run_tl_->start();
-    }
+    if (session != nullptr)
+        arr.vol->attach(session);
     if (inject) {
         ZonedArray::ResilienceConfig rcfg;
         if (opts_.faults.stuck_rate > 0 || opts_.fail_slow_dev >= 0) {
@@ -504,95 +484,43 @@ CrashPointExplorer::count_boundaries()
 void
 CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
 {
-    const bool dumping = !opts_.dump_dir.empty();
-    // Bundles carry a per-run host profile; when the CLI already
-    // opened a whole-process window (--prof) it is snapshotted
-    // cumulatively instead of being reset per run.
-    const bool own_prof = dumping && !prof::enabled();
-    if (own_prof)
-        prof::enable();
-    PROF_SCOPE("chk.run_one");
-    ChkGeom g = cfg_.geom();
-    ShadowVolume shadow(g.num_zones, g.zone_cap, true);
-
-    // Triage recorders when dump_dir is set; a failure below dumps
-    // the bundle. Declared before the array: the registry and ledger
-    // are linked into volume/device state by raw pointer, so they must
-    // outlive it (and their artifacts are snapshotted to strings while
-    // the pre-cut objects are still alive). Spans still open at the
-    // cut never entered the trace ring, so trace.json shows exactly
-    // what had completed when power was lost.
-    std::unique_ptr<obs::TraceRecorder> trace;
-    std::unique_ptr<obs::MetricsRegistry> reg;
-    std::unique_ptr<obs::IoLedger> ledger;
-    struct {
-        std::string metrics, timeline, ledger;
-        bool taken = false;
-    } snap;
-    Array arr;
-    uint64_t completions = 0, hash = 0;
-    rep->runs++;
-
-    size_t fails_before = rep->failures.size();
-    if (dumping) {
-        trace = std::make_unique<obs::TraceRecorder>(1u << 15);
-        run_trace_ = trace.get();
-        reg = std::make_unique<obs::MetricsRegistry>();
-        run_reg_ = reg.get();
-        ledger = std::make_unique<obs::IoLedger>();
-        run_ledger_ = ledger.get();
+    // Declared before the array, which it must outlive; started first
+    // so the run's own scopes land in its profile.
+    std::unique_ptr<obs::Session> session;
+    if (!opts_.obs_dir.empty()) {
+        session = std::make_unique<obs::Session>(kChkTimeline);
+        session->start();
     }
-    // Snapshots the state-at-the-cut artifacts. Must run before the
-    // pre-cut loop and volume die: the timeline's probe hangs off that
-    // loop and the registry reads pointers into the volume's stats.
-    auto snapshot = [&] {
-        if (!dumping || snap.taken)
-            return;
-        snap.taken = true;
-        if (run_tl_ != nullptr) {
-            run_tl_->sample_now();
-            run_tl_->stop();
-            snap.timeline = run_tl_->to_csv();
-        }
-        ledger->refresh_gauges();
-        snap.metrics = reg->to_json();
-        snap.ledger = ledger->to_json();
-    };
-    auto dump_bundle = [&] {
-        snapshot();
-        run_trace_ = nullptr;
-        run_reg_ = nullptr;
-        run_ledger_ = nullptr;
-        run_tl_.reset();
-        if (own_prof)
-            prof::disable();
-        if (!dumping || rep->failures.size() == fails_before)
-            return;
-        std::string dir = opts_.dump_dir +
-            strprintf("/point_%llu", (unsigned long long)crash_at);
-        if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-            LOG_ERROR("chk: cannot create %s: %s", dir.c_str(),
-                      strerror(errno));
-            return;
-        }
-        Status s = trace->write_chrome_json(dir + "/trace.json",
-                                            cfg_.num_devices);
-        if (!s.is_ok())
-            LOG_ERROR("chk: trace dump failed: %s",
-                      s.to_string().c_str());
-        prof::write_file(dir + "/metrics.json", snap.metrics);
-        prof::write_file(dir + "/timeline.csv", snap.timeline);
-        prof::write_file(dir + "/ledger.json", snap.ledger);
-        prof::write_file(dir + "/prof.json", prof::summary_json());
-        LOG_INFO("chk: wrote triage bundle %s (%zu trace spans)",
-                 dir.c_str(), trace->size());
-    };
-
-    if (!drive(arr, shadow, crash_at, &completions, &hash, nullptr,
-               rep)) {
-        dump_bundle();
+    PROF_SCOPE("chk.run_one");
+    Array arr;
+    rep->runs++;
+    size_t fails_before = rep->failures.size();
+    check_point(arr, crash_at, session.get(), rep);
+    if (session == nullptr || rep->failures.size() == fails_before)
+        return;
+    // An early failure left the pre-cut array alive: write() closes
+    // the session before anything dies.
+    std::string dir = opts_.obs_dir +
+        strprintf("/point_%llu", (unsigned long long)crash_at);
+    Status s = session->write(dir);
+    if (!s.is_ok()) {
+        LOG_ERROR("chk: triage bundle failed: %s", s.to_string().c_str());
         return;
     }
+    LOG_INFO("chk: wrote triage bundle %s (%zu trace spans)", dir.c_str(),
+             session->trace().size());
+}
+
+void
+CrashPointExplorer::check_point(Array &arr, uint64_t crash_at,
+                                obs::Session *session, ChkReport *rep)
+{
+    ChkGeom g = cfg_.geom();
+    ShadowVolume shadow(g.num_zones, g.zone_cap, true);
+    uint64_t completions = 0, hash = 0;
+    if (!drive(arr, shadow, crash_at, &completions, &hash, nullptr, rep,
+               session))
+        return;
 
     if (opts_.verify_replay && counted_ &&
         completions < ref_hash_.size() &&
@@ -602,12 +530,13 @@ CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
              strprintf("schedule diverged from reference after %llu "
                        "completions",
                        (unsigned long long)completions)});
-        dump_bundle();
         return;
     }
 
-    // The pre-cut objects die below; capture the bundle artifacts now.
-    snapshot();
+    // The pre-cut loop and volume die below: the bundle is the state
+    // at the cut. Spans still open then never entered the trace ring.
+    if (session != nullptr)
+        session->close();
 
     // Snapshot acknowledged generations, then cut power everywhere.
     std::vector<uint64_t> pre_gens;
@@ -637,7 +566,6 @@ CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
         if (!mounted.is_ok()) {
             rep->failures.push_back(
                 {crash_at, "mount", mounted.status().to_string()});
-            dump_bundle();
             return;
         }
         arr.set_vol(std::move(mounted).value());
@@ -650,7 +578,6 @@ CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
         if (!mounted.is_ok()) {
             rep->failures.push_back(
                 {crash_at, "mount", mounted.status().to_string()});
-            dump_bundle();
             return;
         }
         arr.set_vol(std::move(mounted).value());
@@ -687,14 +614,12 @@ CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
                                      resumed ? "rebuild-resume"
                                              : "rebuild-restart",
                                      rb_st.to_string()});
-            dump_bundle();
             return;
         }
         if (arr.vol->failed_device() >= 0) {
             rep->failures.push_back(
                 {crash_at, "rebuild-resume",
                  "volume still degraded after post-crash rebuild"});
-            dump_bundle();
             return;
         }
         // Late cut points must have at least one durably checkpointed
@@ -713,7 +638,6 @@ CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
                            (unsigned long long)crash_at,
                            (unsigned long long)boundaries_,
                            (unsigned long long)total_zones)});
-            dump_bundle();
             return;
         }
     }
@@ -740,7 +664,6 @@ CrashPointExplorer::run_one(uint64_t crash_at, ChkReport *rep)
                                     &rep->failures);
         }
     }
-    dump_bundle();
 }
 
 ChkReport

@@ -27,14 +27,9 @@
 #include "raizn/volume.h"
 #include "zns/zns_device.h"
 
-namespace raizn {
-namespace obs {
-class IoLedger;
-class MetricsRegistry;
-class Timeline;
-class TraceRecorder;
-} // namespace obs
-} // namespace raizn
+namespace raizn::obs {
+class Session;
+} // namespace raizn::obs
 
 namespace raizn::chk {
 
@@ -83,16 +78,14 @@ struct ChkOptions {
     /// Device index given `fail_slow_mult`x latency (-1: none).
     int fail_slow_dev = -1;
     double fail_slow_mult = 8.0;
-    /// When non-empty, every failing crash point dumps a triage
-    /// bundle to `<dump_dir>/point_<N>/`: the pre-cut stage trace
-    /// (trace.json), the metrics registry (metrics.json), the tail of
-    /// a ring-buffered timeline (timeline.csv), a host-profile summary
-    /// of the run (prof.json), and the byte-provenance ledger
-    /// (ledger.json). Metrics/timeline/ledger are snapshotted at the
-    /// power cut, so the bundle shows the array's state at the moment
-    /// power was lost. Purely observational: none of the recorders
-    /// alter scheduling, so replay hashes still match.
-    std::string dump_dir;
+    /// When non-empty, every failing crash point writes the
+    /// obs::Session bundle of its pre-cut run to
+    /// `<obs_dir>/point_<N>/`: stage trace, metrics registry, the
+    /// ring-buffered tail of the timeline, byte-provenance ledger,
+    /// host profile and manifest. The session is closed at the power
+    /// cut, so the bundle shows the array's state at the moment power
+    /// was lost. Purely observational: replay hashes still match.
+    std::string obs_dir;
     /// Crash phase. kWorkload (default) cuts power mid-workload.
     /// kRebuild runs the whole workload to completion untraced, fails
     /// `rebuild_dev`, swaps in a blank replacement and starts a
@@ -140,26 +133,24 @@ class CrashPointExplorer
   private:
     struct Array; ///< devices + loop + volume for one run
 
+    /// One crash point; a failing one writes its obs bundle.
     void run_one(uint64_t crash_at, ChkReport *rep);
+    /// Drives, cuts power, remounts and runs the oracle, recording
+    /// failures in `rep`. Closes `session` (if any) at the cut.
+    void check_point(Array &arr, uint64_t crash_at, obs::Session *session,
+                     ChkReport *rep);
     /// Replays the workload until `crash_at` completions; fills in the
-    /// array, shadow, and completion count. Returns false on a
-    /// workload-level error (recorded in `rep`).
+    /// array, shadow, and completion count, with the array attached to
+    /// `session` when non-null. Returns false on a workload-level
+    /// error (recorded in `rep`).
     bool drive(Array &arr, ShadowVolume &shadow, uint64_t crash_at,
                uint64_t *completions, uint64_t *final_hash,
-               std::vector<uint64_t> *hash_prefix, ChkReport *rep);
+               std::vector<uint64_t> *hash_prefix, ChkReport *rep,
+               obs::Session *session = nullptr);
 
     ChkConfig cfg_;
     ChkWorkload wl_;
     ChkOptions opts_;
-    /// Per-run triage recorders when opts_.dump_dir is set; drive()
-    /// attaches them to the volume for the pre-cut phase. Raw pointers
-    /// into run_one()'s stack-owned objects; the timeline is created
-    /// by drive() (it needs the run's event loop) and finalized by
-    /// run_one() before that loop dies.
-    obs::TraceRecorder *run_trace_ = nullptr;
-    obs::MetricsRegistry *run_reg_ = nullptr;
-    obs::IoLedger *run_ledger_ = nullptr;
-    std::unique_ptr<obs::Timeline> run_tl_;
     bool counted_ = false;
     uint64_t boundaries_ = 0;
     std::vector<uint64_t> ref_hash_; ///< cumulative hash after n events

@@ -68,6 +68,8 @@ class Slab
     }
 
     T &operator[](uint32_t i) { return slots_[i].value; }
+    /// Slots ever acquired (live or free).
+    size_t size() const { return slots_.size(); }
 
     uint32_t gen(uint32_t i) const { return slots_[i].gen; }
     /// Bumps slot `i`'s generation without releasing it (a retried

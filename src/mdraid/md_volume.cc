@@ -95,7 +95,7 @@ MdVolume::install_timeline(obs::Timeline *tl)
             ftl[d].op_used_pct->set(cd->ftl().op_used_pct());
             ftl[d].gc_active->set(cd->ftl().gc_active() ? 1 : 0);
         }
-    });
+    }, this);
 }
 
 uint32_t

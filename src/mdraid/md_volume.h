@@ -103,21 +103,15 @@ class MdVolume : public ZonedArray
     // regardless of how much user data exists — mdraid cannot tell
     // valid data apart (§6.2, Fig. 12).
 
-    // attach_observability (inherited) links MdVolumeStats under
-    // "mdraid.*", per-device DeviceStats + latency histograms under
+    // attach (inherited) links MdVolumeStats under "mdraid.*",
+    // per-device DeviceStats + latency histograms under
     // "mdraid.dev<i>.*"; stage spans ("md.write", "md.rmw_read",
-    // "md.chunk_write", "md.parity") go to the trace recorder.
-
-    /**
-     * Registers gauge-refresh probes on `tl`: per-device FTL state
-     * under "mdraid.dev<i>.ftl.*" (free_blocks, op_used_pct,
-     * gc_active) for members that are conventional devices — the
-     * over-provisioning burn-down behind Fig. 10's collapse — plus
-     * the stripe-cache occupancy under "mdraid.gauge.cache_stripes".
-     * Requires attach_observability(reg, ...) first; call before
-     * tl->start().
-     */
-    void install_timeline(obs::Timeline *tl) override;
+    // "md.chunk_write", "md.parity") go to the trace. Its timeline
+    // gauges: per-device FTL state under "mdraid.dev<i>.ftl.*"
+    // (free_blocks, op_used_pct, gc_active) for members that are
+    // conventional devices — the over-provisioning burn-down behind
+    // Fig. 10's collapse — plus the stripe-cache occupancy under
+    // "mdraid.gauge.cache_stripes".
 
     const MdVolumeStats &stats() const { return stats_; }
     const StripeCache &cache() const { return *cache_; }
@@ -129,6 +123,8 @@ class MdVolume : public ZonedArray
 
   private:
     struct WriteCtx;
+
+    void install_timeline(obs::Timeline *tl) override;
 
     /// Random-access write (RAID-5 allows overwrites anywhere). md has
     /// no FUA/PREFLUSH distinction (configured journal-less), so the

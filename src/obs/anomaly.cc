@@ -190,18 +190,4 @@ AnomalyDetector::to_json() const
     return out;
 }
 
-Status
-AnomalyDetector::write_json(const std::string &path) const
-{
-    FILE *f = fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError, "cannot open " + path);
-    std::string j = to_json();
-    size_t n = fwrite(j.data(), 1, j.size(), f);
-    fclose(f);
-    if (n != j.size())
-        return Status(StatusCode::kIoError, "short write to " + path);
-    return Status::ok();
-}
-
 } // namespace raizn::obs

@@ -107,7 +107,6 @@ class AnomalyDetector
     std::string dump() const;
     /// {"events": [{type, series, t_ns, value, reference}, ...]}.
     std::string to_json() const;
-    Status write_json(const std::string &path) const;
 
   private:
     static constexpr int kUnresolved = -2;

@@ -6,7 +6,6 @@
 
 #include "common/units.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "zns/block_device.h"
 
 namespace raizn::obs {
@@ -22,19 +21,6 @@ append_f(std::string *out, const char *fmt, ...)
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
     *out += buf;
-}
-
-Status
-write_file(const std::string &path, const std::string &content)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError, "cannot open " + path);
-    size_t n = std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    if (n != content.size())
-        return Status(StatusCode::kIoError, "short write to " + path);
-    return Status::ok();
 }
 
 } // namespace
@@ -274,12 +260,6 @@ IoLedger::breakdown_csv() const
     return out;
 }
 
-Status
-IoLedger::write_breakdown_csv(const std::string &path) const
-{
-    return write_file(path, breakdown_csv());
-}
-
 std::string
 IoLedger::heatmap_csv() const
 {
@@ -308,12 +288,6 @@ IoLedger::heatmap_csv() const
         }
     }
     return out;
-}
-
-Status
-IoLedger::write_heatmap_csv(const std::string &path) const
-{
-    return write_file(path, heatmap_csv());
 }
 
 std::string
@@ -350,12 +324,6 @@ IoLedger::to_json() const
     }
     out += "\n  }\n}\n";
     return out;
-}
-
-Status
-IoLedger::write_json(const std::string &path) const
-{
-    return write_file(path, to_json());
 }
 
 LedgerAudit
@@ -426,12 +394,6 @@ IoLedger::link_metrics(MetricsRegistry *reg)
     waf_gauge_ = reg->gauge("ledger.waf_milli");
     raf_gauge_ = reg->gauge("ledger.raf_milli");
     refresh_gauges();
-}
-
-void
-IoLedger::install_probe(Timeline *tl)
-{
-    tl->add_probe([this] { refresh_gauges(); });
 }
 
 void

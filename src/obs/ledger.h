@@ -20,9 +20,9 @@
  * bytes), a per-cause amplification breakdown, and per-zone lifetime
  * churn heatmaps (CSV/JSON). Per-cause byte totals link into a
  * MetricsRegistry as counters, so the Timeline derives per-cause byte
- * rates for free and the anomaly rules can watch them; install_probe
- * refreshes `ledger.waf_milli` / `ledger.raf_milli` gauges before
- * each row.
+ * rates for free and the anomaly rules can watch them; an
+ * obs::Session refreshes the `ledger.waf_milli` / `ledger.raf_milli`
+ * gauges before each timeline row.
  */
 #pragma once
 
@@ -42,7 +42,6 @@ enum class IoOp : uint8_t;
 namespace raizn::obs {
 
 class MetricsRegistry;
-class Timeline;
 class Gauge;
 
 /// One (cause x device x zone) accumulation cell, in sectors/ops.
@@ -86,7 +85,7 @@ class IoLedger
      * baseline. Call before the device sees ledger-relevant traffic
      * (attaching later is fine for WAF — the audit only covers deltas
      * since the snapshot). Does NOT install the back-pointer; use
-     * BlockDevice::set_ledger (or ZonedArray::attach_ledger, which
+     * BlockDevice::set_ledger (or ZonedArray::attach, which
      * does both ends for every member).
      */
     void attach_device(uint32_t dev, const BlockDevice *bd);
@@ -137,17 +136,14 @@ class IoLedger
     std::string breakdown_table() const;
     /// "cause,write_bytes,read_bytes,ops,waf_component" rows.
     std::string breakdown_csv() const;
-    Status write_breakdown_csv(const std::string &path) const;
 
     /// Zone-churn heatmap: one row per non-empty (device, zone, cause)
     /// cell — pivot on (dev, zone) for lifetime churn, on zone_resets
     /// for the reset heatmap.
     std::string heatmap_csv() const;
-    Status write_heatmap_csv(const std::string &path) const;
 
     /// Full export: totals, WAF/RAF, per-cause breakdown, audit state.
     std::string to_json() const;
-    Status write_json(const std::string &path) const;
 
     // ---- Conservation audit ----------------------------------------
     /// Compares every attached device's DeviceStats delta (since
@@ -164,9 +160,6 @@ class IoLedger
      * Timeline::start() so the columns exist.
      */
     void link_metrics(MetricsRegistry *reg);
-
-    /// Registers the gauge-refresh probe on `tl` (after link_metrics).
-    void install_probe(Timeline *tl);
 
     /// Refreshes the WAF/RAF gauges now (probe body; also callable
     /// directly before a registry export).

@@ -117,7 +117,6 @@ class MetricsRegistry
      * p99_ns, p999_ns, max_ns}.
      */
     std::string to_json() const;
-    Status write_json(const std::string &path) const;
 
   private:
     struct Entry {

@@ -428,17 +428,17 @@ table(size_t top_n)
     return out;
 }
 
-bool
+Status
 write_file(const std::string &path, const std::string &text)
 {
     FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        LOG_ERROR("prof: cannot open %s for writing", path.c_str());
-        return false;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
+    if (f == nullptr)
+        return Status(StatusCode::kIoError, "cannot open " + path);
+    size_t n = std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
-    return true;
+    if (n != text.size())
+        return Status(StatusCode::kIoError, "short write to " + path);
+    return Status::ok();
 }
 
 } // namespace prof

@@ -40,6 +40,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
+
 namespace raizn {
 namespace prof {
 
@@ -178,8 +180,8 @@ std::string summary_json();
 /// Human-readable top-N sites by host self time.
 std::string table(size_t top_n);
 
-/// Writes `text` to `path`; returns false (and logs) on failure.
-bool write_file(const std::string &path, const std::string &text);
+/// Writes `text` to `path` (the obs layer's one file writer).
+Status write_file(const std::string &path, const std::string &text);
 
 /**
  * RAII scope. Constructing with the profiler disabled is a single

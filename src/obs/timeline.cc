@@ -21,6 +21,16 @@ Timeline::~Timeline()
 }
 
 void
+Timeline::remove_probes(const void *owner)
+{
+    probes_.erase(std::remove_if(probes_.begin(), probes_.end(),
+                                 [owner](const auto &p) {
+                                     return p.first == owner;
+                                 }),
+                  probes_.end());
+}
+
+void
 Timeline::start()
 {
     if (running_)
@@ -101,8 +111,8 @@ Timeline::sample_now()
 void
 Timeline::take_sample(Tick t)
 {
-    for (const ProbeFn &p : probes_)
-        p();
+    for (const auto &p : probes_)
+        p.second();
     if (pending_gauge_ != nullptr)
         pending_gauge_->set(loop_->pending());
 
@@ -248,35 +258,6 @@ Timeline::to_json() const
     }
     out += "\n  ]\n}\n";
     return out;
-}
-
-namespace {
-
-Status
-write_file(const std::string &path, const std::string &content)
-{
-    FILE *f = fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError, "cannot open " + path);
-    size_t n = fwrite(content.data(), 1, content.size(), f);
-    fclose(f);
-    if (n != content.size())
-        return Status(StatusCode::kIoError, "short write to " + path);
-    return Status::ok();
-}
-
-} // namespace
-
-Status
-Timeline::write_csv(const std::string &path) const
-{
-    return write_file(path, to_csv());
-}
-
-Status
-Timeline::write_json(const std::string &path) const
-{
-    return write_file(path, to_json());
 }
 
 } // namespace raizn::obs

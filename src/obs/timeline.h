@@ -31,10 +31,10 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/status.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -70,7 +70,13 @@ class Timeline
     Timeline(const Timeline &) = delete;
     Timeline &operator=(const Timeline &) = delete;
 
-    void add_probe(ProbeFn probe) { probes_.push_back(std::move(probe)); }
+    /// `owner` tags the probe for remove_probes (a detaching array).
+    void
+    add_probe(ProbeFn probe, const void *owner = nullptr)
+    {
+        probes_.push_back({owner, std::move(probe)});
+    }
+    void remove_probes(const void *owner);
 
     /// Attaches an anomaly detector fed each row as it is recorded.
     /// Non-owning; pass nullptr to detach.
@@ -114,12 +120,10 @@ class Timeline
 
     /// CSV: "t_s,host_ns,<col>,..." header then one row per sample.
     std::string to_csv() const;
-    Status write_csv(const std::string &path) const;
 
     /// JSON: {"interval_ns":..., "columns":[...],
     /// "rows":[[t_ns,host_ns,...]]}.
     std::string to_json() const;
-    Status write_json(const std::string &path) const;
 
   private:
     /// Per-registry-metric sampling plan entry.
@@ -136,7 +140,7 @@ class Timeline
     EventLoop *loop_;
     MetricsRegistry *reg_;
     TimelineConfig cfg_;
-    std::vector<ProbeFn> probes_;
+    std::vector<std::pair<const void *, ProbeFn>> probes_;
     AnomalyDetector *detector_ = nullptr;
 
     bool running_ = false;

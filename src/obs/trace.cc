@@ -19,22 +19,24 @@ uint64_t
 TraceRecorder::begin_span(const char *stage, uint64_t req, uint32_t track,
                           Tick now)
 {
-    uint64_t token = ++next_token_;
-    open_.push_back(OpenSpan{token, stage, req, track, now});
-    return token;
+    uint32_t slot = open_.acquire();
+    open_[slot] = OpenSpan{stage, req, track, now};
+    return (static_cast<uint64_t>(open_.gen(slot)) << 32 | slot) + 1;
 }
 
 void
 TraceRecorder::end_span(uint64_t token, Tick now)
 {
-    for (size_t i = 0; i < open_.size(); ++i) {
-        if (open_[i].token != token)
-            continue;
-        const OpenSpan &o = open_[i];
-        push(TraceSpan{o.stage, o.req, o.track, o.start, now});
-        open_.erase(open_.begin() + i);
+    // A token whose span was already closed, or dropped by clear(),
+    // carries a stale generation and closes nothing; so does one from
+    // another recorder.
+    const uint32_t slot = static_cast<uint32_t>(token - 1);
+    if (token == 0 || slot >= open_.size() ||
+        open_.gen(slot) != (token - 1) >> 32)
         return;
-    }
+    const OpenSpan o = open_[slot];
+    open_.release(slot);
+    push(TraceSpan{o.stage, o.req, o.track, o.start, now});
 }
 
 void
@@ -77,7 +79,7 @@ TraceRecorder::clear()
     head_ = 0;
     wrapped_ = false;
     dropped_ = 0;
-    open_.clear();
+    open_.release_all();
 }
 
 std::vector<TraceSpan>
@@ -140,21 +142,6 @@ TraceRecorder::to_chrome_json(uint32_t num_devices) const
     }
     out += "\n],\"displayTimeUnit\":\"ns\"}\n";
     return out;
-}
-
-Status
-TraceRecorder::write_chrome_json(const std::string &path,
-                                 uint32_t num_devices) const
-{
-    FILE *f = fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return Status(StatusCode::kIoError, "cannot open " + path);
-    std::string j = to_chrome_json(num_devices);
-    size_t n = fwrite(j.data(), 1, j.size(), f);
-    fclose(f);
-    if (n != j.size())
-        return Status(StatusCode::kIoError, "short write to " + path);
-    return Status::ok();
 }
 
 std::string

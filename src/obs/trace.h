@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/slab.h"
 #include "common/status.h"
 #include "common/units.h"
 
@@ -91,8 +92,6 @@ class TraceRecorder
      * get names.
      */
     std::string to_chrome_json(uint32_t num_devices = 0) const;
-    Status write_chrome_json(const std::string &path,
-                             uint32_t num_devices = 0) const;
 
     /**
      * Per-stage latency table: for each distinct stage name, count,
@@ -121,11 +120,10 @@ class TraceRecorder
 
   private:
     struct OpenSpan {
-        uint64_t token;
-        const char *stage;
-        uint64_t req;
-        uint32_t track;
-        Tick start;
+        const char *stage = nullptr;
+        uint64_t req = 0;
+        uint32_t track = 0;
+        Tick start = 0;
     };
 
     void push(const TraceSpan &s);
@@ -136,8 +134,9 @@ class TraceRecorder
     bool wrapped_ = false;
     uint64_t dropped_ = 0;
     uint64_t next_req_ = 0;
-    uint64_t next_token_ = 0;
-    std::vector<OpenSpan> open_;
+    /// Open spans by token: (generation << 32 | slot) + 1, so closing
+    /// one is a lookup however many are open.
+    Slab<OpenSpan> open_;
 };
 
 } // namespace raizn::obs

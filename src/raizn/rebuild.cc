@@ -98,12 +98,24 @@ RaiznVolume::encode_current_rebuild_checkpoint(uint32_t dev,
 
 void
 RaiznVolume::persist_rebuild_checkpoint(uint32_t dev, uint32_t state,
-                                        uint32_t cur_zone, bool wait)
+                                        uint32_t cur_zone,
+                                        std::function<void()> durable)
 {
     std::vector<uint8_t> bytes =
         encode_current_rebuild_checkpoint(dev, state, cur_zone);
     uint64_t seq = gen_update_seq_++;
-    auto pending = std::make_shared<uint32_t>(0);
+    // Appends in flight plus one guard, dropped after the loop so a
+    // synchronous completion cannot fire `durable` early.
+    struct Pending {
+        uint32_t n = 1;
+        std::function<void()> durable;
+    };
+    auto pending = std::make_shared<Pending>();
+    pending->durable = std::move(durable);
+    auto arrive = [pending] {
+        if (--pending->n == 0 && pending->durable)
+            pending->durable();
+    };
     for (uint32_t d = 0; d < devs_.size(); ++d) {
         if (devs_[d]->failed())
             continue;
@@ -118,15 +130,15 @@ RaiznVolume::persist_rebuild_checkpoint(uint32_t dev, uint32_t state,
         app.header.type = MdType::kRebuildCheckpoint;
         app.header.generation = seq;
         app.inline_data = bytes;
-        (*pending)++;
+        pending->n++;
         md_->append(d, MdZoneRole::kGeneral, std::move(app),
-                    /*durable=*/true, [pending](Status s) {
+                    /*durable=*/true, [arrive](Status s) {
                         if (!s.is_ok()) {
                             LOG_WARN("rebuild checkpoint append failed: "
                                      "%s",
                                      s.to_string().c_str());
                         }
-                        (*pending)--;
+                        arrive();
                     });
     }
     stats_.rebuild_checkpoints++;
@@ -134,8 +146,7 @@ RaiznVolume::persist_rebuild_checkpoint(uint32_t dev, uint32_t state,
         trace_->instant("rebuild.checkpoint", 0, obs::kTrackMetadata,
                         loop_->now());
     }
-    if (wait)
-        loop_->run_until_pred([pending] { return *pending == 0; });
+    arrive();
 }
 
 uint64_t
@@ -278,8 +289,10 @@ RaiznVolume::rebuild_prepare(uint32_t dev, StatusCb cb)
     // is written to the target: a crash in between would otherwise
     // leave a half-written device that the next mount cannot tell from
     // a healthy one.
+    bool logged = false;
     persist_rebuild_checkpoint(dev, RebuildCheckpointRecord::kInProgress,
-                               ~0u, /*wait=*/true);
+                               ~0u, [&logged] { logged = true; });
+    loop_->run_until_pred([&logged] { return logged; });
 
     Status st = rewrite_replicated_md(dev);
     if (!st) {
@@ -377,7 +390,7 @@ RaiznVolume::rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
     relog_tail_pp(dev, zone);
     stats_.zones_rebuilt++;
     persist_rebuild_checkpoint(dev, RebuildCheckpointRecord::kInProgress,
-                               ~0u, /*wait=*/false);
+                               ~0u);
     zones_[zone].blocked = false;
     drain_waiters(zone);
     cb(s);
@@ -403,9 +416,10 @@ RaiznVolume::rebuild_finish(uint32_t dev, Status s, StatusCb cb)
         reloc_.drop_zone(lba, lba + 1);
     for (uint32_t z = 0; z < zones_.size(); ++z)
         burned_.clear_dev_zone(dev, z);
+    // Success is reported once "done" is durable on every survivor: a
+    // power cut before that remounts with the rebuild still pending.
     persist_rebuild_checkpoint(dev, RebuildCheckpointRecord::kDone, ~0u,
-                               /*wait=*/false);
-    cb(s);
+                               [cb = std::move(cb), s] { cb(s); });
 }
 
 } // namespace raizn

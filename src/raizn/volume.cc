@@ -139,7 +139,7 @@ RaiznVolume::install_timeline(obs::Timeline *tl)
             census[d][2]->set(c.closed);
             census[d][3]->set(c.full);
         }
-    });
+    }, this);
 }
 
 std::string

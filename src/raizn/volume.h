@@ -204,12 +204,16 @@ class RaiznVolume : public ZonedArray
     // degraded for zones not yet rebuilt.
 
     // ---- Observability ---------------------------------------------
-    // attach_observability (inherited) links every VolumeStats counter
-    // under "raizn.*", per-device DeviceStats + latency histograms
-    // under "zns.dev<i>.*", and health counters under
+    // attach (inherited) links every VolumeStats counter under
+    // "raizn.*", per-device DeviceStats + latency histograms under
+    // "zns.dev<i>.*", and health counters under
     // "raizn.health.dev<i>.*". Trace spans: logical request on track 0,
     // metadata-manager appends on track 1, device commands on track
-    // 2+i.
+    // 2+i. Its timeline gauges: stripe-buffer / pp-log / relocation
+    // backlog occupancy and the open-zone count under "raizn.gauge.*",
+    // plus a per-device zone-state census
+    // ("zns.dev<i>.zones_{empty,open,closed,full}") for members that
+    // are ZNS devices.
 
     // Point-in-time backlog views (timeline gauges).
     /// Stripe buffers currently held across open logical zones.
@@ -218,16 +222,6 @@ class RaiznVolume : public ZonedArray
     size_t pp_backlog() const;
     /// Relocated data + parity extents currently tracked.
     size_t reloc_backlog() const;
-
-    /**
-     * Registers gauge-refresh probes on `tl`: stripe-buffer / pp-log /
-     * relocation backlog occupancy and the open-zone count under
-     * "raizn.gauge.*", plus a per-device zone-state census
-     * ("zns.dev<i>.zones_{empty,open,closed,full}") for members that
-     * are ZNS devices. Requires attach_observability(reg, ...) first
-     * (the gauges live in that registry); call before tl->start().
-     */
-    void install_timeline(obs::Timeline *tl) override;
 
     // ---- Introspection ---------------------------------------------
     const VolumeStats &stats() const { return stats_; }
@@ -271,6 +265,8 @@ class RaiznVolume : public ZonedArray
   private:
     struct LZone; ///< logical zone descriptor (name avoids ZoneState enum)
     struct WriteCtx;
+
+    void install_timeline(obs::Timeline *tl) override;
 
     RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
                 const RaiznConfig &cfg);
@@ -364,11 +360,11 @@ class RaiznVolume : public ZonedArray
                            StatusCb cb) override;
     void rebuild_finish(uint32_t dev, Status s, StatusCb cb) override;
     Status rewrite_replicated_md(uint32_t dev);
-    /// Durably logs rebuild progress to every surviving device. `wait`
-    /// drives the loop until the record is durable (rebuild start: the
-    /// record must exist before the first write touches the target).
+    /// Durably logs rebuild progress to every surviving device;
+    /// `durable`, when set, runs once every append has completed.
     void persist_rebuild_checkpoint(uint32_t dev, uint32_t state,
-                                    uint32_t cur_zone, bool wait);
+                                    uint32_t cur_zone,
+                                    std::function<void()> durable = {});
     /// Current checkpoint image (metadata-GC snapshot + persist).
     std::vector<uint8_t> encode_current_rebuild_checkpoint(
         uint32_t dev, uint32_t state, uint32_t cur_zone) const;

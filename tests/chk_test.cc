@@ -8,6 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
+#include <string>
+
 #include "chk/explorer.h"
 
 namespace raizn::chk {
@@ -133,6 +137,42 @@ TEST(ChkOracle, CatchesSkippedPartialParityLog)
     CrashPointExplorer good(cfg, wl, intact);
     ChkReport clean = good.explore_all();
     EXPECT_TRUE(clean.ok()) << clean.summary();
+}
+
+// The triage bundle of a failing point: the skipped-partial-parity
+// repro above, explored with an obs dir, leaves one point_<N>/ per
+// failing crash point holding the pre-cut session's artifacts, and
+// nothing for points that pass.
+TEST(ChkOracle, FailingPointsWriteTheTriageBundle)
+{
+    const std::string dir = testing::TempDir() + "chk_bundle";
+    std::filesystem::remove_all(dir);
+    ChkConfig cfg;
+    ChkOptions opts;
+    opts.fault = RaiznVolume::DebugFault::kSkipPartialParityLog;
+    opts.check_degraded = true;
+    opts.obs_dir = dir;
+    CrashPointExplorer ex(cfg, degraded_workload(cfg.geom(), 1), opts);
+    ChkReport rep = ex.explore_all();
+    ASSERT_FALSE(rep.ok());
+
+    std::set<uint64_t> failing;
+    for (const ChkFailure &f : rep.failures)
+        failing.insert(f.crash_point);
+    for (uint64_t n = 0; n <= rep.boundaries; ++n) {
+        const std::string point = dir + "/point_" + std::to_string(n);
+        if (failing.count(n) == 0) {
+            EXPECT_FALSE(std::filesystem::exists(point)) << point;
+            continue;
+        }
+        for (const char *f :
+             {"trace.json", "metrics.json", "timeline.csv", "ledger.json",
+              "prof.json", "flame.folded", "manifest.json"}) {
+            EXPECT_TRUE(std::filesystem::exists(point + "/" + f))
+                << point << " lacks " << f;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

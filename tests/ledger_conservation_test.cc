@@ -18,7 +18,7 @@
 
 #include "array/engine.h"
 #include "mdraid/md_volume.h"
-#include "obs/ledger.h"
+#include "obs/session.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/conv_device.h"
@@ -30,12 +30,13 @@ namespace {
 using obs::IoLedger;
 using obs::LedgerAudit;
 
-/// Any ZonedArray over member devices with the ledger attached.
-/// The ledger member is declared first so it outlives the devices
+/// Any ZonedArray over member devices with an obs session attached.
+/// The session is declared first so its ledger outlives the devices
 /// that record into it during teardown-free operation.
 struct Sut {
     std::string name;
-    IoLedger ledger;
+    obs::Session session;
+    IoLedger &ledger = session.ledger();
     std::unique_ptr<EventLoop> loop;
     std::vector<std::unique_ptr<ZnsDevice>> zdevs;
     std::vector<std::unique_ptr<ConvDevice>> cdevs;
@@ -75,7 +76,7 @@ struct Sut {
         ASSERT_TRUE(res.is_ok())
             << name << ": " << res.status().to_string();
         arr = std::move(res).value();
-        arr->attach_ledger(&ledger);
+        arr->attach(&session);
     }
 
     void
@@ -100,7 +101,7 @@ struct Sut {
         auto res = RaiznVolume::create(loop.get(), dev_ptrs(), rc);
         ASSERT_TRUE(res.is_ok()) << res.status().to_string();
         arr = std::move(res).value();
-        arr->attach_ledger(&ledger);
+        arr->attach(&session);
     }
 
     void
@@ -120,7 +121,7 @@ struct Sut {
         mc.chunk_sectors = 4;
         arr = std::make_unique<MdVolume>(loop.get(), dev_ptrs(),
                                          MdVolumeConfig(mc));
-        arr->attach_ledger(&ledger);
+        arr->attach(&session);
     }
 
     // -- sync op wrappers --------------------------------------------

@@ -281,7 +281,6 @@ TEST_F(LifecycleTest, FlushDuringRebuildReachesTheTarget)
     arr_.loop->run_until_pred([&] { return done; });
     ASSERT_TRUE(st.is_ok()) << st.to_string();
     EXPECT_EQ(arr_.vol->failed_device(), -1);
-    arr_.loop->run(); // the "done" checkpoint lands
 
     ASSERT_TRUE(
         arr_.crash_and_remount({PowerLossSpec::Policy::kDropCache, 19})
@@ -291,6 +290,36 @@ TEST_F(LifecycleTest, FlushDuringRebuildReachesTheTarget)
     EXPECT_EQ(arr_.vol->stats().holes_remapped, 0u);
     arr_.expect_pattern(empty_zone, 64, 18);
     arr_.expect_pattern(0, 512, 16);
+}
+
+TEST_F(LifecycleTest, PowerCutAtRebuildDoneKeepsTheMemberRebuilt)
+{
+    // A rebuild reports success only once its "done" checkpoint is
+    // durable on every survivor, so a power cut the moment it fires
+    // (no loop drain) remounts with the member rebuilt and nothing to
+    // resume.
+    arr_.write_pattern(0, 512, 21);
+    arr_.write_pattern(512, 256, 22);
+    ASSERT_TRUE(arr_.flush().status.is_ok());
+    const uint32_t victim = 1;
+    arr_.vol->mark_device_failed(victim);
+    arr_.devs[victim]->replace();
+    bool done = false;
+    Status st;
+    arr_.vol->rebuild_device(victim, nullptr, [&](Status s) {
+        st = s;
+        done = true;
+    });
+    arr_.loop->run_until_pred([&] { return done; });
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+
+    ASSERT_TRUE(
+        arr_.crash_and_remount({PowerLossSpec::Policy::kDropCache, 23})
+            .is_ok());
+    EXPECT_LT(arr_.vol->failed_device(), 0);
+    EXPECT_FALSE(arr_.vol->has_pending_rebuild());
+    arr_.expect_pattern(0, 512, 21);
+    arr_.expect_pattern(512, 256, 22);
 }
 
 TEST_F(LifecycleTest, ThrottleTokenBucket)

@@ -3,17 +3,22 @@
  * Unit tests for the observability layer (src/obs): histogram
  * percentile edge cases, metrics-registry handle semantics and
  * external linkage, trace-ring wraparound, Chrome trace JSON shape
- * (golden file), stage breakdown, and request coverage math.
+ * (golden file), stage breakdown, request coverage math, and the
+ * obs::Session that wires an array into all of them.
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "array/engine.h"
 #include "common/histogram.h"
 #include "mdraid/md_volume.h"
 #include "obs/metrics.h"
+#include "obs/session.h"
 #include "obs/trace.h"
 #include "raizn_test_util.h"
 #include "zns/conv_device.h"
@@ -279,6 +284,13 @@ TEST(TraceRecorder, OpenSpanCutByCrashNeverEntersRing)
     // Ending an unknown token is a no-op, not a crash.
     tr.end_span(999999, 300);
     EXPECT_EQ(tr.size(), 1u);
+    // So is ending a closed span again, even once its slot is reused.
+    uint64_t next = tr.begin_span("next", 2, kTrackRequest, 310);
+    tr.end_span(done, 320);
+    EXPECT_EQ(tr.size(), 1u);
+    tr.end_span(next, 330);
+    ASSERT_EQ(tr.size(), 2u);
+    EXPECT_STREQ(tr.spans()[1].stage, "next");
 }
 
 TEST(TraceRecorder, RequestIdsNeverZero)
@@ -481,6 +493,95 @@ TEST(TraceRecorder, EveryEngineRebuildEmitsTheSameSpans)
                               "rebuild.reconstruct", "rebuild.write"})
             EXPECT_EQ(stages.count(w), 1u) << "missing span: " << w;
     }
+}
+
+// ---------------------------------------------------------------------
+// obs::Session: one attach wires an array into every recorder, close()
+// snapshots them, write() exports them.
+
+std::string
+read_file(const std::string &path)
+{
+    std::ifstream f(path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+}
+
+/// The quoted names inside manifest.json's "files" list.
+std::vector<std::string>
+manifest_files(const std::string &manifest)
+{
+    std::vector<std::string> out;
+    size_t open = manifest.find('[');
+    size_t end = manifest.find(']');
+    if (open == std::string::npos || end == std::string::npos)
+        return out;
+    for (size_t q = manifest.find('"', open); q != std::string::npos && q < end;
+         q = manifest.find('"', q + 1)) {
+        size_t close = manifest.find('"', q + 1);
+        out.push_back(manifest.substr(q + 1, close - q - 1));
+        q = close;
+    }
+    return out;
+}
+
+TEST(Session, WritesEveryArtifactAndAManifest)
+{
+    const std::string dir = testing::TempDir() + "obs_session_artifacts";
+    std::filesystem::remove_all(dir);
+    Session s;
+    s.start();
+    {
+        TestArray arr;
+        arr.make();
+        arr.vol->attach(&s);
+        arr.write_pattern(0, 128, 7);
+        ASSERT_TRUE(arr.flush().status.is_ok());
+        arr.expect_pattern(0, 128, 7);
+        s.close();
+    } // the array dies before the export
+    ASSERT_TRUE(s.write(dir).is_ok());
+
+    std::vector<std::string> files =
+        manifest_files(read_file(dir + "/manifest.json"));
+    const std::set<std::string> listed(files.begin(), files.end());
+    for (const char *want : {"metrics.json", "trace.json", "timeline.csv",
+                             "ledger.json", "prof.json", "flame.folded"})
+        EXPECT_EQ(listed.count(want), 1u) << "manifest lacks " << want;
+    for (const std::string &f : files) {
+        EXPECT_GT(std::filesystem::file_size(dir + "/" + f), 0u)
+            << f << " is empty";
+    }
+    EXPECT_NE(read_file(dir + "/metrics.json").find("\"raizn."),
+              std::string::npos);
+    EXPECT_TRUE(s.audit().ok()) << s.audit().summary();
+    EXPECT_GT(s.ledger().user_write_bytes(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Session, WithoutADirectoryWritesNothing)
+{
+    // Benches run without --obs-dir take this path: the session still
+    // records and closes, and the file system is left alone.
+    auto listing = [] {
+        std::set<std::string> names;
+        for (const auto &e : std::filesystem::directory_iterator(
+                 std::filesystem::current_path()))
+            names.insert(e.path().filename().string());
+        return names;
+    };
+    const std::set<std::string> before = listing();
+    Session s;
+    s.start();
+    TestArray arr;
+    arr.make();
+    arr.vol->attach(&s);
+    arr.write_pattern(0, 64, 3);
+    s.close();
+    EXPECT_TRUE(s.write("").is_ok());
+    EXPECT_GT(s.trace().size(), 0u);
+    EXPECT_EQ(listing(), before);
 }
 
 } // namespace

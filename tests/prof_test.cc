@@ -19,7 +19,7 @@
 
 #include "env/zoned_env.h"
 #include "fault/retry.h"
-#include "obs/ledger.h"
+#include "obs/session.h"
 #include "obs/prof/prof.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
@@ -345,7 +345,7 @@ TEST(Prof, DisabledOverheadUnderOnePercent)
 /// Partial-stripe writes (4 sectors, 16-sector stripe units) over two
 /// stripes of a 5-member RAIZN array; returns the window's counters.
 prof::WindowCounters
-partial_stripe_pass(DataMode mode, obs::IoLedger *ledger)
+partial_stripe_pass(DataMode mode, obs::Session *session)
 {
     EventLoop loop;
     std::vector<std::unique_ptr<ZnsDevice>> devs;
@@ -366,7 +366,7 @@ partial_stripe_pass(DataMode mode, obs::IoLedger *ledger)
     auto res = RaiznVolume::create(&loop, ptrs, rc);
     EXPECT_TRUE(res.is_ok()) << res.status().to_string();
     std::unique_ptr<RaiznVolume> vol = std::move(res).value();
-    vol->attach_ledger(ledger);
+    vol->attach(session);
 
     prof::enable();
     for (uint64_t lba = 0; lba < 128; lba += 4) {
@@ -379,15 +379,16 @@ partial_stripe_pass(DataMode mode, obs::IoLedger *ledger)
         loop.run_until_pred([&] { return done; });
     }
     prof::disable();
-    vol->attach_ledger(nullptr);
+    vol->attach(nullptr);
     return prof::window_counters();
 }
 
 TEST(Prof, MetersCoverPartialParityCopies)
 {
     fresh();
-    obs::IoLedger ledger;
-    prof::WindowCounters wc = partial_stripe_pass(DataMode::kStore, &ledger);
+    obs::Session session;
+    const obs::IoLedger &ledger = session.ledger();
+    prof::WindowCounters wc = partial_stripe_pass(DataMode::kStore, &session);
     uint64_t pp = ledger.cause_write_bytes(obs::Cause::kPpLog);
     ASSERT_GT(pp, 0u);
     // The data path copies each user byte twice (stripe buffer and
@@ -401,8 +402,9 @@ TEST(Prof, MetersCoverPartialParityCopies)
 TEST(Prof, TimingOnlyMembersAllocateAndCopyNothing)
 {
     fresh();
-    obs::IoLedger ledger;
-    prof::WindowCounters wc = partial_stripe_pass(DataMode::kNone, &ledger);
+    obs::Session session;
+    const obs::IoLedger &ledger = session.ledger();
+    prof::WindowCounters wc = partial_stripe_pass(DataMode::kNone, &session);
     EXPECT_GT(ledger.cause_write_bytes(obs::Cause::kPpLog), 0u);
     EXPECT_EQ(wc.alloc_bytes, 0u);
     EXPECT_EQ(wc.copy_bytes, 0u);

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/ledger.h"
+#include "obs/session.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"
@@ -27,9 +27,11 @@ namespace {
 constexpr uint32_t kDevs = 5;
 
 /// One 5-member RAIZN array (stripe unit 16, 64-sector physical zones:
-/// 256-sector logical zones, 64-sector metadata zones) with a ledger.
+/// 256-sector logical zones, 64-sector metadata zones) with an obs
+/// session attached for its ledger.
 struct Side {
-    obs::IoLedger ledger;
+    obs::Session session;
+    obs::IoLedger &ledger = session.ledger();
     bool store;
     std::unique_ptr<EventLoop> loop;
     std::vector<std::unique_ptr<ZnsDevice>> devs;
@@ -57,7 +59,7 @@ struct Side {
         auto res = RaiznVolume::create(loop.get(), ptrs, rc);
         EXPECT_TRUE(res.is_ok()) << res.status().to_string();
         vol = std::move(res).value();
-        vol->attach_ledger(&ledger);
+        vol->attach(&session);
     }
 
     /// Byte-storing arrays get a seeded payload; timing-only arrays get
