@@ -52,7 +52,8 @@ main()
     // Sequential zone write (the only kind ZNS allows), then read.
     auto payload = pattern_data(64, /*seed=*/42); // one full stripe
     bool done = false;
-    vol->write(0, payload, {}, [&](IoResult r) {
+    // The volume takes its own copy: `payload` checks the read below.
+    vol->write(0, IoBuf::copy_of(payload), {}, [&](IoResult r) {
         std::printf("write:  %s (%u sectors at LBA 0)\n",
                     r.status.to_string().c_str(), 64);
         done = true;

@@ -623,7 +623,7 @@ ZonedEngine::append_wal(WalRecord rec, StatusCb cb)
         return;
     }
     const uint64_t slot = wal_next_++;
-    std::vector<uint8_t> payload = encode_wal(rec);
+    const IoBuf payload = encode_wal(rec); // shared by every member
     MemberJoin join(this, [this, cb = std::move(cb)](IoResult r) {
         if (r.status.is_ok())
             ++stats_.wal_appends;
@@ -649,9 +649,8 @@ ZonedEngine::append_wal(WalRecord rec, StatusCb cb)
 // ---------------------------------------------------------------------
 
 void
-ZonedEngine::submit_write(uint64_t lba, uint32_t nsectors,
-                          std::vector<uint8_t> data, WriteFlags flags,
-                          IoCallback cb)
+ZonedEngine::submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                          WriteFlags flags, IoCallback cb)
 {
     PROF_SCOPE("eng.write");
     ++stats_.logical_writes;
@@ -705,11 +704,10 @@ ZonedEngine::submit_write(uint64_t lba, uint32_t nsectors,
     ctx->t0 = loop_->now();
     if (trace_ != nullptr)
         ctx->req_id = trace_->next_request_id();
-    auto dptr = std::make_shared<std::vector<uint8_t>>(std::move(data));
-    zone_enqueue(zone, [this, zone, off, dptr, nsectors, flags,
-                        ctx](std::function<void()> done) {
-        auto proceed = [this, zone, off, dptr, nsectors, ctx, done] {
-            decide_zone_kind(zone, [this, zone, off, dptr, nsectors, ctx,
+    zone_enqueue(zone, [this, zone, off, data = std::move(data), nsectors,
+                        flags, ctx](std::function<void()> done) {
+        auto proceed = [this, zone, off, data, nsectors, ctx, done] {
+            decide_zone_kind(zone, [this, zone, off, data, nsectors, ctx,
                                     done](Status s) {
                 if (!s.is_ok()) {
                     ctx->status = s;
@@ -719,7 +717,7 @@ ZonedEngine::submit_write(uint64_t lba, uint32_t nsectors,
                     done();
                     return;
                 }
-                issue_write(zone, off, dptr, nsectors, ctx);
+                issue_write(zone, off, data, nsectors, ctx);
                 done();
             });
         };
@@ -773,8 +771,7 @@ ZonedEngine::decide_zone_kind(uint32_t zone,
 }
 
 void
-ZonedEngine::issue_write(uint32_t zone, uint64_t off,
-                         std::shared_ptr<std::vector<uint8_t>> data,
+ZonedEngine::issue_write(uint32_t zone, uint64_t off, const IoBuf &data,
                          uint32_t nsectors, std::shared_ptr<WriteCtx> ctx)
 {
     // The total-write span opens here — after the per-zone queue wait
@@ -785,11 +782,11 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
             "eng.write", ctx->req_id, obs::kTrackRequest, loop_->now());
     }
     EZone &z = zones_[zone];
-    const bool store = store_data_ && !data->empty();
+    const bool store = store_data_ && !data.empty();
     const uint32_t su = cfg_.su_sectors;
     const uint32_t units = units_of(z.kind);
     auto submit_piece = [this, zone, ctx](uint32_t d, uint64_t row,
-                                          std::vector<uint8_t> payload,
+                                          IoBuf payload,
                                           uint32_t len) {
         IoRequest req = payload.empty()
             ? IoRequest::write_len(dev_row_lba(zone, row), len)
@@ -812,8 +809,7 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
             if (dev_down_for_zone(d, zone))
                 continue;
             any = true;
-            submit_piece(d, off, store ? *data : std::vector<uint8_t>{},
-                         nsectors);
+            submit_piece(d, off, store ? data : IoBuf{}, nsectors);
         }
         if (!any && ctx->status.is_ok())
             ctx->status =
@@ -833,7 +829,7 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
             if (z.kind == ZoneKind::kParity ||
                 z.kind == ZoneKind::kDualParity)
                 note_tail(zone, pos, len,
-                          store ? data->data() + db * kSectorSize
+                          store ? data.data() + db * kSectorSize
                                 : nullptr);
             for (uint32_t d : unit_devs(zone, stripe, u)) {
                 if (dev_down_for_zone(d, zone)) {
@@ -843,16 +839,10 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
                                              "raid0 member lost");
                     continue;
                 }
-                std::vector<uint8_t> slice;
-                if (store) {
-                    prof::count_alloc(static_cast<uint64_t>(len) *
-                                      kSectorSize);
-                    prof::count_copy(static_cast<uint64_t>(len) *
-                                     kSectorSize);
-                    slice.assign(
-                        data->begin() + db * kSectorSize,
-                        data->begin() + (db + len) * kSectorSize);
-                }
+                IoBuf slice;
+                if (store)
+                    slice = data.slice(db * kSectorSize,
+                                       size_t{len} * kSectorSize);
                 submit_piece(d, row, std::move(slice), len);
             }
             pos += len;
@@ -860,7 +850,7 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off,
         }
     }
     if (store)
-        zones_[zone].crc.record(off, data->data(), nsectors);
+        zones_[zone].crc.record(off, data.data(), nsectors);
     ctx->issued_all = true;
     if (ctx->pending == 0)
         finish_write(ctx);
@@ -1473,12 +1463,12 @@ ZonedEngine::reconstruct_chunk(uint32_t zone, uint64_t stripe, uint32_t u,
     StripeGather g(
         this, spec,
         [this, zone, n, crc_off, cb = std::move(cb)](
-            Status s, std::vector<uint8_t> res) {
+            Status s, IoBuf res) {
             if (s.is_ok() && !zones_[zone].crc.verify(crc_off, res.data(), n)) {
                 ++stats_.crc_mismatches;
                 s = Status(StatusCode::kCorruption,
                            "reconstructed data failed checksum");
-                res.clear();
+                res = {};
             }
             cb(std::move(s), std::move(res));
         });

@@ -311,14 +311,13 @@ class ZonedEngine : public ZonedArray
     static bool decode_wal(const uint8_t *sector, WalRecord *out);
 
     // engine.cc — write path
-    void submit_write(uint64_t lba, uint32_t nsectors,
-                      std::vector<uint8_t> data, WriteFlags flags,
-                      IoCallback cb) override;
+    void submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                      WriteFlags flags, IoCallback cb) override;
     void decide_zone_kind(uint32_t zone, std::function<void(Status)> cb);
     /// Synchronously enqueues the physical chunk writes for one
-    /// logical write (data may be empty in timing mode).
-    void issue_write(uint32_t zone, uint64_t off,
-                     std::shared_ptr<std::vector<uint8_t>> data,
+    /// logical write (data may be empty in timing mode); each chunk
+    /// write carries a slice of `data`.
+    void issue_write(uint32_t zone, uint64_t off, const IoBuf &data,
                      uint32_t nsectors, std::shared_ptr<WriteCtx> ctx);
     /// Accumulates `n` stripe sectors at stripe position `pos` into
     /// the zone's tail buffer; completes the stripe when full.

@@ -188,7 +188,7 @@ ZonedEngine::replay_wal()
             drec.zone = z;
             drec.gen = w.intent_gen;
             drec.participants = np;
-            std::vector<uint8_t> sector = encode_wal(drec);
+            const IoBuf sector = encode_wal(drec);
             const uint64_t slot = wal_next_++;
             for (uint32_t d = 0; d < n; ++d) {
                 if (is_marked_failed(d))

@@ -54,7 +54,7 @@ struct ZonedArray::RebuildWalk {
     struct Slot {
         bool ready = false;
         RebuildExtent e;
-        std::vector<uint8_t> data;
+        IoBuf data;
     };
     Slot window[kWindow]; ///< unit i sits in window[i % kWindow]
 
@@ -211,7 +211,7 @@ ZonedArray::rebuild_pump(const std::shared_ptr<RebuildWalk> &w)
         if (slot.e.nsectors == 0) {
             w->next_issue++;
             slot.ready = true;
-            slot.data.clear();
+            slot.data = {};
             continue;
         }
         if (!pace_rebuild(slot.e.nsectors, [this, w] { rebuild_pump(w); }))
@@ -223,7 +223,7 @@ ZonedArray::rebuild_pump(const std::shared_ptr<RebuildWalk> &w)
                                  obs::kTrackMetadata, loop_->now())
             : 0;
         rebuild_read(w->dev, w->zone, i, slot.e,
-                     [this, w, i, rtok](Status st, std::vector<uint8_t> data) {
+                     [this, w, i, rtok](Status st, IoBuf data) {
                          if (!*w->alive)
                              return;
                          if (trace_ != nullptr && rtok != 0)
@@ -241,8 +241,7 @@ ZonedArray::rebuild_pump(const std::shared_ptr<RebuildWalk> &w)
            w->window[w->next_write % kWindow].ready) {
         const uint64_t i = w->next_write++;
         RebuildWalk::Slot &slot = w->window[i % kWindow];
-        std::vector<uint8_t> content = std::move(slot.data);
-        slot.data.clear();
+        IoBuf content = std::move(slot.data);
         const uint32_t len = slot.e.nsectors;
         if (len == 0)
             continue;
@@ -256,8 +255,13 @@ ZonedArray::rebuild_pump(const std::shared_ptr<RebuildWalk> &w)
         // last unit completes, so a zone commit never over-claims.
         req.fua = i == w->last_unit;
         if (w->stores) {
-            content.resize(static_cast<size_t>(len) * kSectorSize);
-            req.data = std::move(content);
+            const size_t n = static_cast<size_t>(len) * kSectorSize;
+            if (content.size() < n) {
+                std::vector<uint8_t> padded = std::move(content).to_vector();
+                padded.resize(n);
+                content = std::move(padded);
+            }
+            req.data = content.prefix(n);
         }
         req.trace_req = w->trace_req;
         req.trace_stage = "rebuild.write";

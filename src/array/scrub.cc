@@ -126,8 +126,7 @@ ZonedArray::scrub_stripe(const ScrubStripe &s,
                                    obs::kTrackMetadata, loop_->now());
     }
     StripeGather g(this, spec,
-                   [this, s, w, plan, token](Status st,
-                                             std::vector<uint8_t> bytes) {
+                   [this, s, w, plan, token](Status st, IoBuf bytes) {
                        if (trace_ != nullptr && token != 0)
                            trace_->end_span(token, loop_->now());
                        // A stale snapshot is skipped uncounted.
@@ -153,8 +152,7 @@ ZonedArray::scrub_stripe(const ScrubStripe &s,
 
 void
 ZonedArray::scrub_verdict(const ScrubStripe &s, const ScrubPlan &plan,
-                          const std::vector<uint8_t> &bytes,
-                          ScrubReport *rep)
+                          const IoBuf &bytes, ScrubReport *rep)
 {
     struct Unit {
         const ScrubUnit &u;

@@ -10,8 +10,10 @@
  *
  * Folds (a source lands `at` bytes into the unit):
  *  - kPlace: a read assembled from its extents, or a scrubbed
- *          stripe's units side by side; each source is copied to its
- *          offset.
+ *          stripe's units side by side. Sources are kept as they
+ *          arrive; one source covering the whole unit is handed on as
+ *          is, otherwise they are copied in order into one fresh
+ *          buffer, and only the ranges no source covers are zeroed.
  *  - kXor: P equation; the unit is the XOR of every source.
  *  - kQ:   Q equation; data unit v enters as g^v * D_v and the Q source
  *          as is, and the sum is scaled by g^-lost (by 1 when the lost
@@ -26,7 +28,9 @@
  * pending completes on the next tick.
  *
  * A StripeGather is a handle: copies share one join, which lives until
- * its last pending source has arrived.
+ * its last pending source has arrived. A member read's completion
+ * captures only a pooled slot (it fits std::function's inline buffer);
+ * the array's destructor releases the slots of its reads still out.
  */
 #pragma once
 
@@ -37,12 +41,14 @@
 #include <vector>
 
 #include "array/zoned_array.h"
+#include "common/slab.h"
 
 namespace raizn {
 
 class StripeGather
 {
     struct State;
+    struct MemberRead;
 
   public:
     using DataCb = ZonedArray::DataCb;
@@ -70,7 +76,7 @@ class StripeGather
         std::shared_ptr<State> st;
         size_t at;
 
-        void operator()(const Status &s, const std::vector<uint8_t> &d) const;
+        void operator()(const Status &s, IoBuf d) const;
     };
 
     StripeGather(ZonedArray *arr, Spec spec, DataCb cb);
@@ -82,7 +88,7 @@ class StripeGather
     void read(uint32_t dev, uint64_t pba, uint32_t nsectors,
               int role = kP, size_t at = 0);
     /// In-memory source arriving `delay` ticks from now, `at` bytes in.
-    void put(std::vector<uint8_t> data, Tick delay, size_t at = 0);
+    void put(IoBuf data, Tick delay, size_t at = 0);
     /// In-memory source that fails `delay` ticks from now.
     void put(Status err, Tick delay);
     /// A source the caller issues; its bytes land `at` bytes in.
@@ -92,7 +98,12 @@ class StripeGather
     /// No more sources follow.
     void seal();
 
+    /// Drops the pending member reads of `arr`, which is going away.
+    static void forget(const ZonedArray *arr);
+
   private:
+    static Slab<MemberRead> &member_reads();
+
     std::shared_ptr<State> st_;
 };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "array/stripe_gather.h"
 #include "common/logging.h"
 #include "obs/session.h"
 #include "sim/event_loop.h"
@@ -59,6 +60,7 @@ ZonedArray::ZonedArray(EventLoop *loop, std::vector<BlockDevice *> devs,
 ZonedArray::~ZonedArray()
 {
     *alive_ = false;
+    StripeGather::forget(this);
 }
 
 Result<ZoneInfo>

@@ -85,7 +85,7 @@ class ZonedArray
   public:
     using ProgressCb = std::function<void(uint64_t done, uint64_t total)>;
     /// Completion carrying a unit's bytes (empty when timing-only).
-    using DataCb = std::function<void(Status, std::vector<uint8_t>)>;
+    using DataCb = std::function<void(Status, IoBuf)>;
 
     /// Retry/backoff, watchdog, and health-escalation knobs.
     struct ResilienceConfig {
@@ -123,10 +123,10 @@ class ZonedArray
     // ---- Data path -------------------------------------------------
     virtual void read(uint64_t lba, uint32_t nsectors, IoCallback cb) = 0;
     /// Sequential zone write (zoned) / positional write (conventional)
-    /// of `data`, whose size sets the length.
+    /// of `data`, whose size sets the length. A moved-in vector is
+    /// adopted without a copy; member sub-I/Os share its bytes.
     void
-    write(uint64_t lba, std::vector<uint8_t> data, WriteFlags flags,
-          IoCallback cb)
+    write(uint64_t lba, IoBuf data, WriteFlags flags, IoCallback cb)
     {
         const auto n = static_cast<uint32_t>(data.size() / kSectorSize);
         submit_write(lba, n, std::move(data), flags, std::move(cb));
@@ -371,7 +371,7 @@ class ZonedArray
     /// Rewrites unit `role` of `s` with `bytes`, which the verdict
     /// verified; false when the array only reports.
     virtual bool scrub_repair(const ScrubStripe & /*s*/, int /*role*/,
-                              std::vector<uint8_t> /*bytes*/)
+                              IoBuf /*bytes*/)
     {
         return false;
     }
@@ -438,9 +438,8 @@ class ZonedArray
     // ---- Subclass hooks --------------------------------------------
     /// The one write entry point behind write() and write_len();
     /// `data` is empty for timing-only writes.
-    virtual void submit_write(uint64_t lba, uint32_t nsectors,
-                              std::vector<uint8_t> data, WriteFlags flags,
-                              IoCallback cb) = 0;
+    virtual void submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                              WriteFlags flags, IoCallback cb) = 0;
     /// Member read issued by a StripeGather over logical zone `zone`.
     /// Default: dev_submit; engines that order IO per zone queue it.
     virtual void
@@ -608,7 +607,7 @@ class ZonedArray
     bool scrub_stripe(const ScrubStripe &s,
                       const std::shared_ptr<ScrubWalk> &w);
     void scrub_verdict(const ScrubStripe &s, const ScrubPlan &plan,
-                       const std::vector<uint8_t> &bytes, ScrubReport *rep);
+                       const IoBuf &bytes, ScrubReport *rep);
     /// Scrubs the next stripe of `w`: at once for scrub_all, after the
     /// interval for the background scrubber (scrub_then).
     void scrub_next(const std::shared_ptr<ScrubWalk> &w);

@@ -38,7 +38,7 @@ vol_read(EventLoop &loop, ZonedArray &vol, uint64_t lba, uint32_t n)
 
 /// First differing sector between `got` and the image prefix, or -1.
 int64_t
-first_mismatch(const std::vector<uint8_t> &got,
+first_mismatch(std::span<const uint8_t> got,
                const std::vector<uint8_t> &image, uint64_t nsectors)
 {
     for (uint64_t s = 0; s < nsectors; ++s) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/prof/prof.h"
@@ -237,13 +236,7 @@ BlockEnv::read_span(const FileMeta &meta, uint64_t offset,
         if (span_bytes == length && !r.data.empty()) {
             // One extent: hand back the volume's buffer, trimmed in
             // place.
-            if (in_sector > 0) {
-                prof::count_copy(span_bytes);
-                std::memmove(r.data.data(), r.data.data() + in_sector,
-                             span_bytes);
-            }
-            r.data.resize(span_bytes);
-            return std::move(r.data);
+            return std::move(r.data).slice(in_sector, span_bytes).to_vector();
         }
         if (out.capacity() == 0) {
             prof::count_alloc(length);

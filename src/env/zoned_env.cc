@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/prof/prof.h"
@@ -180,12 +179,7 @@ class ZonedReadableFile : public ReadableFile
             if (take == length && !r.data.empty()) {
                 // One extent: hand back the volume's buffer, trimmed
                 // in place.
-                if (skip > 0) {
-                    prof::count_copy(take);
-                    std::memmove(r.data.data(), r.data.data() + skip, take);
-                }
-                r.data.resize(take);
-                return std::move(r.data);
+                return std::move(r.data).slice(skip, take).to_vector();
             }
             if (out.capacity() == 0) {
                 prof::count_alloc(length);
@@ -319,7 +313,7 @@ ZonedEnv::clean_one_zone()
                 cleaning_ = false;
                 return r.status;
             }
-            std::vector<uint8_t> data = std::move(r.data);
+            std::vector<uint8_t> data = std::move(r.data).to_vector();
             if (data.empty())
                 data.assign(ext.sectors * kSectorSize, 0);
             stats_.gc_relocated_bytes += data.size();
@@ -386,12 +380,8 @@ ZonedEnv::append_raw(std::span<const uint8_t> bytes)
     uint64_t lba = zi.value().wp;
     const size_t chunk_bytes = sectors * kSectorSize;
     const size_t copy = std::min(bytes.size(), chunk_bytes);
-    std::vector<uint8_t> chunk;
-    chunk.reserve(chunk_bytes);
-    chunk.assign(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(copy));
-    chunk.resize(chunk_bytes); // zero pad
-    prof::count_alloc(chunk_bytes);
-    prof::count_copy(copy);
+    // The env's one copy, into storage an earlier chunk handed back.
+    IoBuf chunk = IoBuf::recycled(bytes.first(copy), chunk_bytes);
     // Relocation writes issued by the cleaner are environment GC, not
     // new user data: the provenance ledger must keep them out of the
     // write-amplification denominator.

@@ -143,8 +143,8 @@ FaultInjectingDevice::submit(IoRequest req, IoCallback cb)
         IoRequest prefix = req;
         prefix.nsectors = keep;
         prefix.fua = false; // the command fails; nothing is acked durable
-        if (!prefix.data.empty())
-            prefix.data.resize(static_cast<size_t>(keep) * kSectorSize);
+        if (!prefix.data.empty()) // a shorter view of the same bytes
+            prefix.data = prefix.data.prefix(size_t{keep} * kSectorSize);
         Tick extra = slow_extra;
         inner_->submit(std::move(prefix),
                        [this, cb = std::move(cb), extra](IoResult r) {
@@ -171,8 +171,12 @@ FaultInjectingDevice::submit(IoRequest req, IoCallback cb)
         [this, cb = std::move(cb), flip, flip_sel,
          slow_extra](IoResult r) {
             if (flip && r.status.is_ok() && !r.data.empty()) {
+                // The device filled this buffer for this command, so
+                // it is held alone; mutable_data() would copy a shared
+                // one rather than flip bytes other holders see.
                 uint64_t bit = flip_sel % (r.data.size() * 8);
-                r.data[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+                r.data.mutable_data()[bit / 8] ^=
+                    static_cast<uint8_t>(1u << (bit % 8));
                 fstats_.bitflips++;
             }
             Tick extra = slow_extra;

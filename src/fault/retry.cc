@@ -80,9 +80,9 @@ IoRetrier::issue(uint32_t slot)
         });
     }
     const OpState &st = ops_[slot];
+    // The attempt shares the original's payload: every attempt, and a
+    // superseded one still queued in the device, holds a reference.
     IoRequest req = st.use_active ? st.active : st.orig;
-    if (!req.data.empty())
-        prof::count_copy(req.data.size());
     st.dev->submit(std::move(req), [this, slot, gen](IoResult r) {
         if (ops_.gen(slot) != gen)
             return; // superseded by the watchdog
@@ -218,10 +218,9 @@ IoRetrier::prepare_attempt(uint32_t slot)
             st.active.nsectors =
                 st.orig.nsectors - static_cast<uint32_t>(skip);
             if (!st.orig.data.empty())
-                st.active.data.assign(
-                    st.orig.data.begin() +
-                        static_cast<size_t>(skip) * kSectorSize,
-                    st.orig.data.end());
+                st.active.data = st.orig.data.slice(
+                    static_cast<size_t>(skip) * kSectorSize,
+                    size_t{st.active.nsectors} * kSectorSize);
             st.use_active = true;
             issue(slot);
             return;

@@ -244,9 +244,8 @@ MdVolume::read(uint64_t lba, uint32_t nsectors, IoCallback cb)
 // ---- Write path -------------------------------------------------------
 
 void
-MdVolume::submit_write(uint64_t lba, uint32_t nsectors,
-                       std::vector<uint8_t> data, WriteFlags flags,
-                       IoCallback cb)
+MdVolume::submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                       WriteFlags flags, IoCallback cb)
 {
     (void)flags;
     if (nsectors == 0 || lba + nsectors > capacity_) {
@@ -274,14 +273,11 @@ MdVolume::submit_write(uint64_t lba, uint32_t nsectors,
         uint64_t lo = cur % stripe_sectors_;
         uint64_t hi = std::min<uint64_t>(end - stripe * stripe_sectors_,
                                          stripe_sectors_);
-        // Each stripe owns a copy of its slice: prereads complete
-        // asynchronously, after this request's buffer is gone.
-        auto slice = std::make_shared<std::vector<uint8_t>>();
-        if (!data.empty()) {
-            const uint8_t *p = data.data() + (cur - lba) * kSectorSize;
-            slice->assign(p, p + (stripe * stripe_sectors_ + hi - cur) *
-                                 kSectorSize);
-        }
+        // Each stripe holds a slice of the buffer: prereads complete
+        // asynchronously, and the slice keeps the bytes alive.
+        IoBuf slice = data.slice(
+            (cur - lba) * kSectorSize,
+            (stripe * stripe_sectors_ + hi - cur) * kSectorSize);
         process_stripe_write(stripe, lo, hi, std::move(slice), ctx);
         cur = stripe * stripe_sectors_ + hi;
     }
@@ -298,15 +294,15 @@ MdVolume::submit_write(uint64_t lba, uint32_t nsectors,
 
 void
 MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
-                               std::shared_ptr<std::vector<uint8_t>> data,
+                               IoBuf data,
                                std::shared_ptr<WriteCtx> ctx)
 {
     PROF_SCOPE("md.write");
     StripeCache::Entry *entry =
         cache_->get_or_create(stripe, stripe_sectors_);
     // Apply the new data to the cache image.
-    if (store_data_ && !data->empty()) {
-        std::memcpy(entry->data.data() + lo * kSectorSize, data->data(),
+    if (store_data_ && !data.empty()) {
+        std::memcpy(entry->data.data() + lo * kSectorSize, data.data(),
                     static_cast<size_t>(hi - lo) * kSectorSize);
         prof::count_copy((hi - lo) * kSectorSize);
     }
@@ -331,7 +327,7 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
                           parity.size());
             }
         }
-        write_chunks(stripe, lo, hi, *data, parity, ctx);
+        write_chunks(stripe, lo, hi, data, IoBuf(std::move(parity)), ctx);
         return;
     }
 
@@ -354,7 +350,7 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
                           parity.size());
             }
         }
-        write_chunks(stripe, lo, hi, *data, parity, ctx);
+        write_chunks(stripe, lo, hi, data, IoBuf(std::move(parity)), ctx);
         return;
     }
 
@@ -371,9 +367,9 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
     auto rmw = std::make_shared<Rmw>();
     if (store_data_) {
         rmw->image.assign(stripe_sectors_ * kSectorSize, 0);
-        if (!data->empty()) {
+        if (!data.empty()) {
             std::memcpy(rmw->image.data() + lo * kSectorSize,
-                        data->data(),
+                        data.data(),
                         static_cast<size_t>(hi - lo) * kSectorSize);
         }
     }
@@ -402,7 +398,7 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
         }
         if (!rmw->status.is_ok() && ctx->status.is_ok())
             ctx->status = rmw->status;
-        write_chunks(stripe, lo, hi, *data, parity, ctx);
+        write_chunks(stripe, lo, hi, data, IoBuf(std::move(parity)), ctx);
         // Release the preread hold.
         if (--ctx->pending == 0 && ctx->issued_all) {
             IoResult r;
@@ -414,7 +410,7 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
 
     // Preread every invalid sector range outside [lo, hi).
     auto one_done = [this, rmw, finish_rmw](uint64_t off, Status s,
-                                            const std::vector<uint8_t> &d) {
+                                            const IoBuf &d) {
         if (!s.is_ok() && rmw->status.is_ok())
             rmw->status = s;
         if (!d.empty() && !rmw->image.empty()) {
@@ -450,7 +446,7 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
         rmw->pending++;
         stats_.rmw_reads++;
         read_chunk(stripe, k, in_chunk, in_chunk + (r - s),
-                   [one_done, off](Status st, std::vector<uint8_t> d) {
+                   [one_done, off](Status st, IoBuf d) {
                        one_done(off, st, d);
                    },
                    "md.rmw_read", ctx->req_id, obs::Cause::kParity);
@@ -466,8 +462,7 @@ MdVolume::process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
 
 void
 MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
-                       const std::vector<uint8_t> &data,
-                       const std::vector<uint8_t> &parity,
+                       const IoBuf &data, const IoBuf &parity,
                        std::shared_ptr<WriteCtx> ctx)
 {
     auto chunk_done = [this, ctx](uint32_t dev, IoResult r) {
@@ -500,11 +495,9 @@ MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
             req.op = IoOp::kWrite;
             req.slba = chunk_pba(stripe) + in_chunk;
             req.nsectors = static_cast<uint32_t>(len);
-            if (store_data_ && !data.empty()) {
-                const uint8_t *p = data.data() + (cur - lo) * kSectorSize;
-                req.data.assign(p,
-                                p + static_cast<size_t>(len) * kSectorSize);
-            }
+            if (store_data_)
+                req.data = data.slice((cur - lo) * kSectorSize,
+                                      static_cast<size_t>(len) * kSectorSize);
             req.trace_req = ctx->req_id;
             req.trace_stage = "md.chunk_write";
             req.cause = obs::Cause::kUserData;
@@ -528,13 +521,9 @@ MdVolume::write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
         req.op = IoOp::kWrite;
         req.slba = chunk_pba(stripe) + plo_s;
         req.nsectors = static_cast<uint32_t>(phi_s - plo_s);
-        if (store_data_ && !parity.empty()) {
-            req.data.assign(
-                parity.begin() +
-                    static_cast<ptrdiff_t>(plo_s * kSectorSize),
-                parity.begin() +
-                    static_cast<ptrdiff_t>(phi_s * kSectorSize));
-        }
+        if (store_data_)
+            req.data = parity.slice(plo_s * kSectorSize,
+                                    (phi_s - plo_s) * kSectorSize);
         req.trace_req = ctx->req_id;
         req.trace_stage = "md.parity";
         req.cause = obs::Cause::kParity;

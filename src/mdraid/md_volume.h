@@ -129,15 +129,14 @@ class MdVolume : public ZonedArray
     /// Random-access write (RAID-5 allows overwrites anywhere). md has
     /// no FUA/PREFLUSH distinction (configured journal-less), so the
     /// flags are ignored.
-    void submit_write(uint64_t lba, uint32_t nsectors,
-                      std::vector<uint8_t> data, WriteFlags flags,
-                      IoCallback cb) override;
+    void submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                      WriteFlags flags, IoCallback cb) override;
+    /// `data` is the stripe's slice of the logical write's buffer.
     void process_stripe_write(uint64_t stripe, uint64_t lo, uint64_t hi,
-                              std::shared_ptr<std::vector<uint8_t>> data,
+                              IoBuf data,
                               std::shared_ptr<WriteCtx> ctx);
     void write_chunks(uint64_t stripe, uint64_t lo, uint64_t hi,
-                      const std::vector<uint8_t> &data,
-                      const std::vector<uint8_t> &parity,
+                      const IoBuf &data, const IoBuf &parity,
                       std::shared_ptr<WriteCtx> ctx);
     void read_chunk(uint64_t stripe, uint32_t k, uint64_t lo, uint64_t hi,
                     DataCb cb, const char *trace_stage = nullptr,

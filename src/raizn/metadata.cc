@@ -61,7 +61,7 @@ encode_md_entry(const MdHeader &header, const std::vector<uint8_t> &inl,
 }
 
 Result<MdEntry>
-decode_md_entry(const std::vector<uint8_t> &zone_bytes, uint64_t off)
+decode_md_entry(std::span<const uint8_t> zone_bytes, uint64_t off)
 {
     if (off + kSectorSize > zone_bytes.size())
         return Status(StatusCode::kNotFound, "end of log");
@@ -104,7 +104,7 @@ decode_md_entry(const std::vector<uint8_t> &zone_bytes, uint64_t off)
 }
 
 std::vector<MdEntry>
-scan_md_zone(const std::vector<uint8_t> &zone_bytes, uint64_t base_pba)
+scan_md_zone(std::span<const uint8_t> zone_bytes, uint64_t base_pba)
 {
     std::vector<MdEntry> out;
     uint64_t off = 0;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -95,7 +96,7 @@ std::vector<uint8_t> encode_md_entry(const MdHeader &header,
  * Returns kNotFound when `off` does not hold a valid header (end of
  * log), kCorruption on a malformed entry.
  */
-Result<MdEntry> decode_md_entry(const std::vector<uint8_t> &zone_bytes,
+Result<MdEntry> decode_md_entry(std::span<const uint8_t> zone_bytes,
                                 uint64_t off);
 
 /**
@@ -103,7 +104,7 @@ Result<MdEntry> decode_md_entry(const std::vector<uint8_t> &zone_bytes,
  * first sector that is not a valid header. `base_pba` is the device
  * LBA of byte 0, recorded into each entry.
  */
-std::vector<MdEntry> scan_md_zone(const std::vector<uint8_t> &zone_bytes,
+std::vector<MdEntry> scan_md_zone(std::span<const uint8_t> zone_bytes,
                                   uint64_t base_pba);
 
 // ---- Inline record layouts ------------------------------------------

@@ -998,7 +998,7 @@ RaiznVolume::rebuild_tail_buffer(uint32_t zone)
     bool done = false;
     read(from, static_cast<uint32_t>(in_stripe), [&](IoResult r) {
         st = r.status;
-        data = std::move(r.data);
+        data = std::move(r.data).to_vector();
         done = true;
     });
     loop_->run_until_pred([&] { return done; });
@@ -1080,7 +1080,7 @@ RaiznVolume::rebuild_physical_zone(uint32_t dev, uint32_t zone,
             auto r = dev_sync(dev, std::move(rd));
             if (!r.status.is_ok())
                 return r.status;
-            image = std::move(r.data);
+            image = std::move(r.data).to_vector();
             for (const Relocation *rel : reloc_.all()) {
                 if (rel->dev != dev ||
                     layout_->zone_of(rel->lba) != zone ||
@@ -1111,7 +1111,7 @@ RaiznVolume::rebuild_physical_zone(uint32_t dev, uint32_t zone,
             req.nsectors = static_cast<uint32_t>(valid);
             req.fua = true;
             if (store_data_)
-                req.data = image;
+                req.data = std::move(image);
             auto r = dev_sync(dev, std::move(req));
             if (!r.status.is_ok())
                 return r.status;

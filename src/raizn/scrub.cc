@@ -77,8 +77,7 @@ RaiznVolume::scrub_plan(const ScrubStripe &s, ScrubPlan *plan)
 }
 
 bool
-RaiznVolume::scrub_repair(const ScrubStripe &s, int role,
-                          std::vector<uint8_t> bytes)
+RaiznVolume::scrub_repair(const ScrubStripe &s, int role, IoBuf bytes)
 {
     // Persist the repair durably, exactly like a relocated stripe unit:
     // the relocation shadows the corrupt physical slot for every later

@@ -293,9 +293,8 @@ RaiznVolume::drain_waiters(uint32_t zone)
 // ---- Write path -------------------------------------------------------
 
 void
-RaiznVolume::submit_write(uint64_t lba, uint32_t nsectors,
-                          std::vector<uint8_t> data, WriteFlags flags,
-                          IoCallback cb)
+RaiznVolume::submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                          WriteFlags flags, IoCallback cb)
 {
     auto fail = [&](StatusCode code, const char *msg) {
         IoResult r;
@@ -353,9 +352,8 @@ RaiznVolume::submit_write(uint64_t lba, uint32_t nsectors,
 }
 
 void
-RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
-                           uint32_t nsectors, WriteFlags flags,
-                           IoCallback cb)
+RaiznVolume::process_write(uint64_t lba, IoBuf data, uint32_t nsectors,
+                           WriteFlags flags, IoCallback cb)
 {
     PROF_SCOPE("raizn.write");
     uint32_t zone = layout_->zone_of(lba);
@@ -412,13 +410,9 @@ RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
             uint32_t len = static_cast<uint32_t>(piece_end - piece);
             uint32_t dev = layout_->data_dev(zone, stripe, k);
             uint64_t pba = layout_->slot_pba(zone, stripe) + in_su;
-            std::vector<uint8_t> bytes;
-            if (!data.empty()) {
-                const uint8_t *p = data.data() + (piece - off) * kSectorSize;
-                prof::count_alloc(static_cast<uint64_t>(len) * kSectorSize);
-                prof::count_copy(static_cast<uint64_t>(len) * kSectorSize);
-                bytes.assign(p, p + static_cast<size_t>(len) * kSectorSize);
-            }
+            // The unit's bytes are a slice of the logical write's.
+            IoBuf bytes = data.slice((piece - off) * kSectorSize,
+                                     size_t{len} * kSectorSize);
             submit_data_subio(dev, zone, pba, std::move(bytes), len,
                               lz.start + piece, flags.fua, ctx);
             piece = piece_end;
@@ -458,9 +452,8 @@ RaiznVolume::process_write(uint64_t lba, std::vector<uint8_t> data,
 
 void
 RaiznVolume::submit_data_subio(uint32_t dev, uint32_t zone, uint64_t pba,
-                               std::vector<uint8_t> data, uint32_t nsectors,
-                               uint64_t lba, bool fua,
-                               std::shared_ptr<WriteCtx> ctx)
+                               IoBuf data, uint32_t nsectors, uint64_t lba,
+                               bool fua, std::shared_ptr<WriteCtx> ctx)
 {
     if (dev_unavailable(dev, zone)) {
         // Degraded write: the stripe unit is simply omitted (§4.2).
@@ -496,7 +489,7 @@ RaiznVolume::submit_data_subio(uint32_t dev, uint32_t zone, uint64_t pba,
 
 void
 RaiznVolume::submit_parity_subio(uint32_t zone, uint64_t stripe,
-                                 std::vector<uint8_t> parity, bool fua,
+                                 IoBuf parity, bool fua,
                                  std::shared_ptr<WriteCtx> ctx)
 {
     uint32_t dev = layout_->parity_dev(zone, stripe);
@@ -591,9 +584,8 @@ RaiznVolume::log_partial_parity(uint32_t zone, uint64_t stripe,
 
 void
 RaiznVolume::relocate_unit(uint32_t dev, uint32_t zone, uint64_t key,
-                           uint32_t nsectors, bool parity,
-                           std::vector<uint8_t> bytes, bool durable,
-                           StatusCb done)
+                           uint32_t nsectors, bool parity, IoBuf bytes,
+                           bool durable, StatusCb done)
 {
     MdAppend app;
     app.header.type = MdType::kRelocatedSu;
@@ -602,8 +594,10 @@ RaiznVolume::relocate_unit(uint32_t dev, uint32_t zone, uint64_t key,
     app.header.generation = gen_.get(zone);
     app.inline_data.assign(8, 0);
     app.inline_data[4] = parity ? 1 : 0; // parity marker
-    // The entry takes a copy; the relocation caches the original.
-    app.set_payload(nsectors, metered_copy(bytes));
+    // The relocation caches the bytes (its own copy when they are
+    // shared with the logical write) and the entry takes a copy.
+    std::vector<uint8_t> img = std::move(bytes).to_vector();
+    app.set_payload(nsectors, metered_copy(img));
 
     Relocation rel;
     rel.lba = key;
@@ -611,7 +605,7 @@ RaiznVolume::relocate_unit(uint32_t dev, uint32_t zone, uint64_t key,
     rel.dev = dev;
     // The payload follows the header sector.
     rel.md_pba = md_->active_zone_wp(dev, MdZoneRole::kGeneral) + 1;
-    rel.cached = std::move(bytes); // relocations are cached (§5.2)
+    rel.cached = std::move(img); // relocations are cached (§5.2)
     if (parity)
         parity_reloc_[key] = std::move(rel);
     else
@@ -1027,21 +1021,17 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
             sub.lba = cur;
             sub.nsectors = run_len;
             sub.pba = ext.pba + (cur - ext.lba);
-            const uint64_t at = cur;
             const size_t at_bytes =
-                static_cast<size_t>(at - lba) * kSectorSize;
+                static_cast<size_t>(cur - lba) * kSectorSize;
             if (rel) {
                 // Serve from the in-memory relocation cache (or the
                 // metadata zone copy when not cached).
                 uint64_t off_in_rel = cur - rel->lba;
                 if (!rel->cached.empty()) {
-                    const uint8_t *img =
-                        rel->cached.data() + off_in_rel * kSectorSize;
-                    const size_t n = size_t{run_len} * kSectorSize;
-                    prof::count_alloc(n);
-                    prof::count_copy(n);
-                    g.put(std::vector<uint8_t>(img, img + n), kNsPerUs,
-                          at_bytes);
+                    g.put(IoBuf::copy_of(std::span(rel->cached).subspan(
+                              off_in_rel * kSectorSize,
+                              size_t{run_len} * kSectorSize)),
+                          kNsPerUs, at_bytes);
                 } else if (!is_marked_failed(rel->dev) &&
                            !devs_[rel->dev]->failed()) {
                     IoRequest rreq =
@@ -1054,7 +1044,7 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                                 rdev = rel->dev](IoResult r) {
                                    if (!r.status.is_ok())
                                        escalate_dev_error(rdev, r.status);
-                                   done(r.status, r.data);
+                                   done(r.status, std::move(r.data));
                                });
                 } else {
                     g.put(Status(StatusCode::kIoError,
@@ -1071,35 +1061,44 @@ RaiznVolume::read_extents(uint64_t lba, uint32_t nsectors, uint64_t treq,
                 rreq.trace_req = treq;
                 rreq.trace_stage = "read.data";
                 rreq.cause = obs::Cause::kUserData;
-                dev_submit(
-                    sub.dev, std::move(rreq),
-                    [this, done = g.source(at_bytes), at, sub](IoResult r) {
-                        if (!r.status.is_ok()) {
-                            if (escalate_dev_error(sub.dev, r.status)) {
-                                read_extent_degraded(sub, done);
-                                return;
-                            }
-                            done(r.status, {});
-                            return;
-                        }
-                        const LZone &lz = zones_[layout_->zone_of(at)];
-                        if (!r.data.empty() &&
-                            !lz.crc.verify(at - lz.start, r.data.data(),
-                                           sub.nsectors)) {
-                            // Silent corruption: the payload disagrees
-                            // with the CRC catalog. Serve the read via
-                            // reconstruction.
-                            stats_.crc_mismatches++;
-                            read_extent_degraded(sub, done);
-                            return;
-                        }
-                        done(r.status, r.data);
-                    });
+                dev_submit(sub.dev, std::move(rreq),
+                           extent_read_done(g, sub, at_bytes));
             }
             cur = run_end;
         }
     }
     g.seal();
+}
+
+IoCallback
+RaiznVolume::extent_read_done(StripeGather &g, const PhysExtent &sub,
+                              size_t at)
+{
+    const uint32_t slot = extent_reads_.acquire();
+    extent_reads_[slot] = ExtentRead{g.source(at), sub};
+    return [this, slot](IoResult r) {
+        ExtentRead er = std::move(extent_reads_[slot]);
+        extent_reads_.release(slot);
+        const PhysExtent &sub = er.sub;
+        if (!r.status.is_ok()) {
+            if (escalate_dev_error(sub.dev, r.status)) {
+                read_extent_degraded(sub, std::move(er.done));
+                return;
+            }
+            er.done(r.status, {});
+            return;
+        }
+        const LZone &lz = zones_[layout_->zone_of(sub.lba)];
+        if (!r.data.empty() &&
+            !lz.crc.verify(sub.lba - lz.start, r.data.data(), sub.nsectors)) {
+            // Silent corruption: the payload disagrees with the CRC
+            // catalog. Serve the read via reconstruction.
+            stats_.crc_mismatches++;
+            read_extent_degraded(sub, std::move(er.done));
+            return;
+        }
+        er.done(r.status, std::move(r.data));
+    };
 }
 
 void
@@ -1133,9 +1132,9 @@ RaiznVolume::reconstruct_stripe_unit(uint32_t zone, uint64_t stripe,
     StripeGather g(this, spec, std::move(cb));
     // In-memory source: sectors [from, to) of a unit image.
     auto put_cached = [&](const uint8_t *img, uint64_t from, uint64_t to) {
-        g.put(std::vector<uint8_t>(img + from * kSectorSize,
-                                    img + to * kSectorSize),
-               kNsPerUs);
+        g.put(IoBuf::copy_of({img + from * kSectorSize,
+                              (to - from) * kSectorSize}),
+              kNsPerUs);
     };
 
     // Fast path: the stripe's data is still in its stripe buffer.

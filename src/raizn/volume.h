@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "array/stripe_gather.h"
 #include "array/zoned_array.h"
 #include "common/slab.h"
 #include "fault/health.h"
@@ -273,18 +274,17 @@ class RaiznVolume : public ZonedArray
 
     // volume.cc
     /// Sequential zone write; `data` empty = timing-only.
-    void submit_write(uint64_t lba, uint32_t nsectors,
-                      std::vector<uint8_t> data, WriteFlags flags,
-                      IoCallback cb) override;
-    void process_write(uint64_t lba, std::vector<uint8_t> data,
-                       uint32_t nsectors, WriteFlags flags, IoCallback cb);
+    void submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
+                      WriteFlags flags, IoCallback cb) override;
+    void process_write(uint64_t lba, IoBuf data, uint32_t nsectors,
+                       WriteFlags flags, IoCallback cb);
+    /// `data` is a slice of the logical write's buffer (empty when
+    /// timing-only).
     void submit_data_subio(uint32_t dev, uint32_t zone, uint64_t pba,
-                           std::vector<uint8_t> data, uint32_t nsectors,
-                           uint64_t lba, bool fua,
-                           std::shared_ptr<WriteCtx> ctx);
-    void submit_parity_subio(uint32_t zone, uint64_t stripe,
-                             std::vector<uint8_t> parity, bool fua,
-                             std::shared_ptr<WriteCtx> ctx);
+                           IoBuf data, uint32_t nsectors, uint64_t lba,
+                           bool fua, std::shared_ptr<WriteCtx> ctx);
+    void submit_parity_subio(uint32_t zone, uint64_t stripe, IoBuf parity,
+                             bool fua, std::shared_ptr<WriteCtx> ctx);
     void log_partial_parity(uint32_t zone, uint64_t stripe,
                             uint64_t start_lba, uint64_t end_lba,
                             std::vector<uint8_t> delta, uint64_t lo_sector,
@@ -298,9 +298,8 @@ class RaiznVolume : public ZonedArray
      * path's burned slots and scrub repairs both land here.
      */
     void relocate_unit(uint32_t dev, uint32_t zone, uint64_t key,
-                       uint32_t nsectors, bool parity,
-                       std::vector<uint8_t> bytes, bool durable,
-                       StatusCb done);
+                       uint32_t nsectors, bool parity, IoBuf bytes,
+                       bool durable, StatusCb done);
     void subio_done(std::shared_ptr<WriteCtx> ctx, Status status);
     /// Completion of a write's data, parity or FUA-flush sub-I/O on
     /// member `dev`: a failed member's error degrades the write
@@ -388,8 +387,7 @@ class RaiznVolume : public ZonedArray
     // member wp. Repairs are relocated stripe units.
     bool scrub_candidates(std::vector<ScrubStripe> *out) const override;
     bool scrub_plan(const ScrubStripe &s, ScrubPlan *plan) override;
-    bool scrub_repair(const ScrubStripe &s, int role,
-                      std::vector<uint8_t> bytes) override;
+    bool scrub_repair(const ScrubStripe &s, int role, IoBuf bytes) override;
 
     // shared helpers
     /// True when (dev) cannot serve IO for `zone`: physically failed,
@@ -452,6 +450,17 @@ class RaiznVolume : public ZonedArray
         uint64_t tok = 0; ///< md_done: the trace span to end
     };
     Slab<SubIo> sub_ios_;
+
+    /// Member reads of read_extents in flight, completed the same way.
+    struct ExtentRead {
+        StripeGather::Source done; ///< the read's gather
+        PhysExtent sub; ///< the extent read
+    };
+    Slab<ExtentRead> extent_reads_;
+    /// Completion of the read of `sub`, landing `at` bytes into `g`'s
+    /// unit.
+    IoCallback extent_read_done(StripeGather &g, const PhysExtent &sub,
+                                size_t at);
 
     VolumeStats stats_;
     uint32_t max_open_zones_ = 0;

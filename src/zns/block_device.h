@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/io_buf.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/cause.h"
@@ -57,7 +58,9 @@ to_string(IoOp op)
 
 /**
  * One device command. `data` is the payload for writes/appends; devices
- * in timing-only mode accept empty payloads for any length.
+ * in timing-only mode accept empty payloads for any length. The payload
+ * is a shared IoBuf: copying a request shares its bytes, and a device
+ * copies them into its store, never keeping the buffer.
  */
 struct IoRequest {
     IoOp op = IoOp::kRead;
@@ -65,7 +68,7 @@ struct IoRequest {
     uint32_t nsectors = 0; ///< length; 0 is valid for flush / zone mgmt
     bool fua = false; ///< forced unit access: durable at completion
     bool preflush = false; ///< flush cache before executing this command
-    std::vector<uint8_t> data; ///< write payload (nsectors * kSectorSize)
+    IoBuf data; ///< write payload (nsectors * kSectorSize)
     // Trace context (obs/trace.h): correlation id of the logical
     // request this command serves, and a static stage label. Purely
     // observational — devices never read these.
@@ -83,7 +86,7 @@ struct IoRequest {
         return {IoOp::kRead, slba, nsectors, false, false, {}};
     }
     static IoRequest
-    write(uint64_t slba, std::vector<uint8_t> payload, bool fua = false)
+    write(uint64_t slba, IoBuf payload, bool fua = false)
     {
         IoRequest r;
         r.op = IoOp::kWrite;
@@ -100,8 +103,7 @@ struct IoRequest {
         return {IoOp::kWrite, slba, nsectors, fua, false, {}};
     }
     static IoRequest
-    append(uint64_t zone_slba, std::vector<uint8_t> payload,
-           bool fua = false)
+    append(uint64_t zone_slba, IoBuf payload, bool fua = false)
     {
         IoRequest r;
         r.op = IoOp::kAppend;
@@ -132,7 +134,9 @@ struct IoRequest {
 struct IoResult {
     Status status;
     uint64_t lba = 0; ///< for kAppend: the LBA the data landed at
-    std::vector<uint8_t> data; ///< for kRead in data mode: payload
+    /// For kRead in data mode: the payload, in a buffer the device
+    /// filled for this command (or, above the device, a slice of one).
+    IoBuf data;
     Tick submit_tick = 0;
     Tick complete_tick = 0;
 

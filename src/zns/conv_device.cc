@@ -82,8 +82,10 @@ ConvDevice::submit(IoRequest req, IoCallback cb)
         result.lba = req.slba;
         if (config_.data_mode == DataMode::kStore) {
             size_t len = static_cast<size_t>(req.nsectors) * kSectorSize;
-            result.data.reserve(len);
-            data_.read(req.slba * kSectorSize, len, result.data);
+            std::vector<uint8_t> bytes;
+            bytes.reserve(len);
+            data_.read(req.slba * kSectorSize, len, bytes);
+            result.data = std::move(bytes);
         }
         when = std::max(when, timing_->read_done(req.nsectors));
         break;

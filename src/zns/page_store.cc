@@ -43,19 +43,20 @@ PageStore::write(uint64_t off, const uint8_t *src, size_t len)
         pages_.resize((bytes_ + kPageBytes - 1) / kPageBytes);
     prof::count_copy(len);
     for_each_page(bytes_, off, len,
-                  [&](size_t idx, size_t in_page, size_t n, bool whole) {
+                  [&](size_t idx, size_t in_page, size_t n, bool) {
                       Page &p = pages_[idx];
-                      if (!p) {
-                          // A write that covers the page overwrites
-                          // every byte, so only partial ones zero it.
-                          p = whole
-                              ? std::make_unique_for_overwrite<uint8_t[]>(
-                                    kPageBytes)
-                              : std::make_unique<uint8_t[]>(kPageBytes);
+                      if (!p.bytes) {
+                          p.bytes = std::make_unique_for_overwrite<
+                              uint8_t[]>(kPageBytes);
+                          p.mark = 0;
                           npages_++;
                           prof::count_alloc(kPageBytes);
                       }
-                      std::memcpy(p.get() + in_page, src, n);
+                      if (in_page > p.mark)
+                          std::memset(p.bytes.get() + p.mark, 0,
+                                      in_page - p.mark);
+                      std::memcpy(p.bytes.get() + in_page, src, n);
+                      p.mark = std::max(p.mark, in_page + n);
                       src += n;
                   });
 }
@@ -68,13 +69,18 @@ PageStore::zero(uint64_t off, size_t len)
     for_each_page(bytes_, off, len,
                   [&](size_t idx, size_t in_page, size_t n, bool whole) {
                       Page &p = pages_[idx];
-                      if (!p)
+                      if (!p.bytes)
                           return;
                       if (whole) {
-                          p.reset();
+                          p.bytes.reset();
+                          p.mark = 0;
                           npages_--;
+                      } else if (in_page >= p.mark) {
+                          // Already reads as zeros.
+                      } else if (in_page + n >= p.mark) {
+                          p.mark = in_page;
                       } else {
-                          std::memset(p.get() + in_page, 0, n);
+                          std::memset(p.bytes.get() + in_page, 0, n);
                       }
                   });
 }
@@ -82,8 +88,10 @@ PageStore::zero(uint64_t off, size_t len)
 void
 PageStore::clear()
 {
-    for (Page &p : pages_)
-        p.reset();
+    for (Page &p : pages_) {
+        p.bytes.reset();
+        p.mark = 0;
+    }
     npages_ = 0;
 }
 
@@ -98,13 +106,16 @@ PageStore::read(uint64_t off, size_t len, std::vector<uint8_t> &out) const
     size_t copied = 0;
     for_each_page(bytes_, off, len,
                   [&](size_t idx, size_t in_page, size_t n, bool) {
-                      const uint8_t *p = pages_[idx].get();
-                      if (p == nullptr) {
-                          out.insert(out.end(), n, 0);
-                          return;
+                      const Page &p = pages_[idx];
+                      const size_t have = p.bytes && in_page < p.mark
+                          ? std::min(n, p.mark - in_page)
+                          : 0;
+                      if (have > 0) {
+                          const uint8_t *src = p.bytes.get() + in_page;
+                          out.insert(out.end(), src, src + have);
+                          copied += have;
                       }
-                      out.insert(out.end(), p + in_page, p + in_page + n);
-                      copied += n;
+                      out.insert(out.end(), n - have, 0);
                   });
     if (copied > 0)
         prof::count_copy(copied);
@@ -116,8 +127,20 @@ PageStore::find(uint64_t off)
     assert(off < bytes_);
     if (npages_ == 0)
         return nullptr;
-    Page &p = pages_[off / kPageBytes];
-    return p ? p.get() + off % kPageBytes : nullptr;
+    const size_t idx = static_cast<size_t>(off / kPageBytes);
+    Page &p = pages_[idx];
+    if (!p.bytes)
+        return nullptr;
+    const size_t in_page = static_cast<size_t>(off % kPageBytes);
+    const size_t span = static_cast<size_t>(std::min<uint64_t>(
+        kPageBytes, bytes_ - uint64_t{idx} * kPageBytes));
+    const size_t need =
+        std::min(span, (in_page / kSectorSize + 1) * size_t{kSectorSize});
+    if (need > p.mark) {
+        std::memset(p.bytes.get() + p.mark, 0, need - p.mark);
+        p.mark = need;
+    }
+    return p.bytes.get() + in_page;
 }
 
 } // namespace raizn

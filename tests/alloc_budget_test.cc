@@ -128,10 +128,12 @@ TEST(AllocBudget, WarmTimingOnlyHopAllocatesAlmostNothing)
     Driver w{arr.vol.get(), true, 64};
     Driver r{arr.vol.get(), false, 256};
 
-    // Warm: every pool grows to its working size.
+    // Warm: every pool grows to its working size. The device queues'
+    // slabs track the deepest per-member queue the random reads build,
+    // which still grows now and then after 8192 reads.
     w.run(arr.loop.get(), 2048, false);
     r.written = w.written;
-    r.run(arr.loop.get(), 8192, false);
+    r.run(arr.loop.get(), 32768, false);
 
     constexpr uint64_t kOps = 4096;
     const double per_write =
@@ -140,12 +142,14 @@ TEST(AllocBudget, WarmTimingOnlyHopAllocatesAlmostNothing)
     const double per_read =
         static_cast<double>(r.run(arr.loop.get(), kOps, true)) / kOps;
     ASSERT_EQ(w.errors + r.errors, 0u);
-    ASSERT_EQ(w.done + r.done, 2048 + 8192 + 2 * kOps);
+    ASSERT_EQ(w.done + r.done, 2048 + 32768 + 2 * kOps);
     // Each write still builds its partial-parity entry's inline bytes
     // (1.3 per write when this test was written, 17.5 before the hop
-    // was pooled); each read its sub-read closure (1 per read, was 9).
+    // was pooled). A read allocates nothing: its member-read and gather
+    // completions capture a pooled slot and fit std::function's inline
+    // buffer (1 per read before, 9 before the hop was pooled).
     EXPECT_LE(per_write, 3.0);
-    EXPECT_LE(per_read, 2.0);
+    EXPECT_EQ(per_read, 0.0);
 }
 
 /// Allocations per flush of `arr` once warm: a few writes give every

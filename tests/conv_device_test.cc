@@ -46,7 +46,7 @@ TEST_F(ConvDeviceTest, PayloadMustAgreeWithNsectors)
     bad.op = IoOp::kWrite;
     bad.slba = 0;
     bad.nsectors = 2;
-    bad.data.assign(kSectorSize - 1, 0xcd);
+    bad.data = std::vector<uint8_t>(kSectorSize - 1, 0xcd);
     EXPECT_EQ(run(std::move(bad)).status.code(),
               StatusCode::kInvalidArgument);
 

@@ -411,6 +411,52 @@ TEST(IoRetrierTest, SupersededAttemptIsDroppedAfterItsSlotIsReused)
     EXPECT_EQ(dev.held.size(), 3u);
 }
 
+TEST(IoRetrierTest, SupersededAttemptOutlivesTheCallersPayload)
+{
+    // A fail-slow member delays every completion past the watchdog. The
+    // first attempt's bytes land, the deadline fires, the retry's probe
+    // finds them on media and completes the write, and the caller drops
+    // its payload at once. The superseded attempt's completion arrives
+    // later still; nothing it touches may be gone (asan checks this),
+    // and the media holds exactly the bytes written.
+    EventLoop loop;
+    ZnsDeviceConfig dc;
+    dc.nzones = 2;
+    dc.zone_size = 128;
+    ZnsDevice inner(&loop, dc);
+    FaultConfig fc;
+    fc.latency_multiplier = 200.0; // tens of microseconds become ms
+    FaultInjectingDevice dev(&loop, &inner, fc);
+    std::vector<BlockDevice *> slots{&dev};
+    RetryPolicy policy;
+    policy.io_deadline = kNsPerMs;
+    uint64_t retries = 0, timeouts = 0;
+    IoRetrier retrier(&loop, policy, nullptr, &retries, &timeouts, &slots);
+
+    constexpr uint32_t kSectors = 8;
+    const std::vector<uint8_t> want = pattern_data(kSectors, 77);
+    auto payload = std::make_unique<IoBuf>(IoBuf::copy_of(want));
+    bool done = false;
+    Status st;
+    retrier.submit(&dev, 0, IoRequest::write(0, *payload),
+                   [&](IoResult r) {
+                       done = true;
+                       st = r.status;
+                       payload.reset(); // the caller lets go at once
+                   });
+    loop.run_until_pred([&] { return done; });
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+    EXPECT_EQ(payload, nullptr);
+    EXPECT_GE(timeouts, 1u);
+    const Tick acked = loop.now();
+    loop.run(); // the superseded attempt's completion lands
+    EXPECT_GT(loop.now(), acked);
+
+    IoResult r = submit_sync(loop, inner, IoRequest::read(0, kSectors));
+    ASSERT_TRUE(r.status.is_ok());
+    EXPECT_EQ(r.data, want);
+}
+
 TEST(HealthMonitorTest, FailSlowMatchesSortedPeerMedian)
 {
     // Device counts on both sides of the monitor's stack buffer.

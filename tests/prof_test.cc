@@ -342,13 +342,12 @@ TEST(Prof, DisabledOverheadUnderOnePercent)
     EXPECT_EQ(prof::intern_site("test.overhead")->hits, 0u);
 }
 
-/// Partial-stripe writes (4 sectors, 16-sector stripe units) over two
-/// stripes of a 5-member RAIZN array; returns the window's counters.
-prof::WindowCounters
-partial_stripe_pass(DataMode mode, obs::Session *session)
+/// A 5-member RAIZN array with 16-sector stripe units (64-sector
+/// stripes) on 8 zones of 128 sectors per member.
+std::unique_ptr<RaiznVolume>
+small_raizn(EventLoop &loop, DataMode mode,
+            std::vector<std::unique_ptr<ZnsDevice>> &devs)
 {
-    EventLoop loop;
-    std::vector<std::unique_ptr<ZnsDevice>> devs;
     std::vector<BlockDevice *> ptrs;
     for (int i = 0; i < 5; ++i) {
         ZnsDeviceConfig dc;
@@ -365,7 +364,29 @@ partial_stripe_pass(DataMode mode, obs::Session *session)
     rc.su_sectors = 16;
     auto res = RaiznVolume::create(&loop, ptrs, rc);
     EXPECT_TRUE(res.is_ok()) << res.status().to_string();
-    std::unique_ptr<RaiznVolume> vol = std::move(res).value();
+    return std::move(res).value();
+}
+
+/// Bytes the devices' stores took: every byte written, all causes.
+uint64_t
+device_write_bytes(const obs::IoLedger &ledger)
+{
+    uint64_t sum = 0;
+    for (uint32_t c = 0; c < obs::kNumCauses; ++c)
+        sum += ledger.cause_write_bytes(static_cast<obs::Cause>(c));
+    return sum;
+}
+
+/// Partial-stripe writes (4 sectors, 16-sector stripe units) over two
+/// stripes of a 5-member RAIZN array; returns the window's counters
+/// and, when `stats` is set, the volume's counters.
+prof::WindowCounters
+partial_stripe_pass(DataMode mode, obs::Session *session,
+                    VolumeStats *stats = nullptr)
+{
+    EventLoop loop;
+    std::vector<std::unique_ptr<ZnsDevice>> devs;
+    std::unique_ptr<RaiznVolume> vol = small_raizn(loop, mode, devs);
     vol->attach(session);
 
     prof::enable();
@@ -379,6 +400,8 @@ partial_stripe_pass(DataMode mode, obs::Session *session)
         loop.run_until_pred([&] { return done; });
     }
     prof::disable();
+    if (stats != nullptr)
+        *stats = vol->stats();
     vol->attach(nullptr);
     return prof::window_counters();
 }
@@ -388,15 +411,81 @@ TEST(Prof, MetersCoverPartialParityCopies)
     fresh();
     obs::Session session;
     const obs::IoLedger &ledger = session.ledger();
-    prof::WindowCounters wc = partial_stripe_pass(DataMode::kStore, &session);
-    uint64_t pp = ledger.cause_write_bytes(obs::Cause::kPpLog);
+    VolumeStats vs;
+    prof::WindowCounters wc =
+        partial_stripe_pass(DataMode::kStore, &session, &vs);
+    const uint64_t pp = ledger.cause_write_bytes(obs::Cause::kPpLog);
     ASSERT_GT(pp, 0u);
-    // The data path copies each user byte twice (stripe buffer and
-    // sub-I/O payload); the pp-log path copies each delta into the
-    // in-memory index and into the encoded entry, which together cover
-    // the header-plus-payload bytes the ledger tags kPpLog.
-    EXPECT_GE(wc.copy_bytes, 2 * ledger.user_write_bytes() + pp);
+    const uint64_t delta = vs.partial_parity_sectors * kSectorSize;
+    ASSERT_GT(delta, 0u);
+    // Each user byte is copied once into its stripe buffer; sub-I/Os
+    // share the write's buffer. Each parity delta is copied into the
+    // in-memory pp index and into its encoded log entry. Every byte a
+    // device takes (data, parity, pp-log header and payload, metadata)
+    // is copied once more, into the device's store.
+    EXPECT_EQ(wc.copy_bytes, ledger.user_write_bytes() + 2 * delta +
+                                 device_write_bytes(ledger));
     EXPECT_GT(wc.alloc_bytes, 0u);
+}
+
+TEST(Prof, FullStripeWriteCopiesUserBytesTwice)
+{
+    // One full-stripe kStore write: the user bytes are copied into the
+    // stripe buffer and into the four data members' stores, and the
+    // parity unit into its member's store. The data sub-I/Os are slices
+    // of the write's buffer and the retrier resubmits nothing.
+    fresh();
+    EventLoop loop;
+    std::vector<std::unique_ptr<ZnsDevice>> devs;
+    std::unique_ptr<RaiznVolume> vol =
+        small_raizn(loop, DataMode::kStore, devs);
+    constexpr uint32_t kStripe = 64;
+    constexpr uint64_t kUser = uint64_t{kStripe} * kSectorSize;
+    constexpr uint64_t kParity = 16 * uint64_t{kSectorSize};
+    std::vector<uint8_t> payload = pattern_data(kStripe, 9);
+    bool ok = false;
+    prof::enable();
+    vol->write(0, std::move(payload), {},
+               [&](IoResult r) { ok = r.status.is_ok(); });
+    loop.run();
+    prof::disable();
+    ASSERT_TRUE(ok);
+    const prof::WindowCounters wc = prof::window_counters();
+    EXPECT_EQ(wc.copy_bytes, 2 * kUser + kParity);
+    EXPECT_EQ(wc.copy_count, 1u + 4 + 1) << "fill, four units, parity";
+}
+
+TEST(Prof, OneExtentReadCopiesOnlyTheDeviceLoad)
+{
+    // A read inside one stripe unit returns the member's buffer as is:
+    // its one copy is the device's load. A read across two units pays
+    // the loads and one assembly copy.
+    fresh();
+    EventLoop loop;
+    std::vector<std::unique_ptr<ZnsDevice>> devs;
+    std::unique_ptr<RaiznVolume> vol =
+        small_raizn(loop, DataMode::kStore, devs);
+    const std::vector<uint8_t> payload = pattern_data(64, 11);
+    bool ok = false;
+    vol->write(0, IoBuf::copy_of(payload), {},
+               [&](IoResult r) { ok = r.status.is_ok(); });
+    loop.run();
+    ASSERT_TRUE(ok);
+    auto read = [&](uint64_t lba, uint32_t n) {
+        IoResult out;
+        prof::enable();
+        vol->read(lba, n, [&](IoResult r) { out = std::move(r); });
+        loop.run();
+        prof::disable();
+        EXPECT_TRUE(out.status.is_ok()) << out.status.to_string();
+        const auto from = static_cast<ptrdiff_t>(lba * kSectorSize);
+        const auto to = static_cast<ptrdiff_t>((lba + n) * kSectorSize);
+        EXPECT_EQ(out.data, std::vector<uint8_t>(payload.begin() + from,
+                                                 payload.begin() + to));
+        return prof::window_counters().copy_bytes;
+    };
+    EXPECT_EQ(read(4, 8), 8u * kSectorSize);
+    EXPECT_EQ(read(8, 16), 2u * 16 * kSectorSize);
 }
 
 TEST(Prof, TimingOnlyMembersAllocateAndCopyNothing)
@@ -413,8 +502,8 @@ TEST(Prof, TimingOnlyMembersAllocateAndCopyNothing)
 TEST(Prof, RetrierCopiesEachWritePayloadOnce)
 {
     // The retrier keeps the original request for retries and hands the
-    // device one copy per attempt; a healthy pass makes one attempt per
-    // sub-I/O. The device then copies each payload into its store.
+    // device the same buffer on every attempt; the device copies each
+    // payload into its store, the one copy per write.
     fresh();
     EventLoop loop;
     ZnsDeviceConfig dc;
@@ -436,8 +525,8 @@ TEST(Prof, RetrierCopiesEachWritePayloadOnce)
     prof::disable();
     prof::WindowCounters wc = prof::window_counters();
     EXPECT_EQ(ok, kWrites);
-    EXPECT_EQ(wc.copy_count, 2 * kWrites);
-    EXPECT_EQ(wc.copy_bytes, 2 * uint64_t{kWrites} * 4 * kSectorSize);
+    EXPECT_EQ(wc.copy_count, kWrites);
+    EXPECT_EQ(wc.copy_bytes, uint64_t{kWrites} * 4 * kSectorSize);
 }
 
 TEST(Prof, ZonedEnvCopiesEachAppendedByteOnce)

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "array/stripe_gather.h"
 #include "common/kernels.h"
 #include "common/rng.h"
+#include "obs/prof/prof.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"
 
@@ -47,7 +49,7 @@ class GatherArray : public ZonedArray
     void flush(IoCallback) override {}
 
   protected:
-    void submit_write(uint64_t, uint32_t, std::vector<uint8_t>, WriteFlags,
+    void submit_write(uint64_t, uint32_t, IoBuf, WriteFlags,
                       IoCallback) override
     {
     }
@@ -114,13 +116,13 @@ class StripeGatherTest : public ::testing::Test
         int calls = 0;
         Tick at = 0;
         Status status;
-        std::vector<uint8_t> data;
+        IoBuf data;
     };
 
     StripeGather::DataCb
     capture(Outcome *o)
     {
-        return [this, o](Status s, std::vector<uint8_t> d) {
+        return [this, o](Status s, IoBuf d) {
             o->fired = true;
             ++o->calls;
             o->at = loop_.now();
@@ -303,7 +305,7 @@ TEST_F(StripeGatherTest, InMemorySourceArrivesAtItsDelay)
     const Tick t0 = loop_.now();
     const std::vector<uint8_t> bytes = pattern_data(kUnit, 7);
     auto g = arr_->gather(spec(StripeGather::Fold::kXor), capture(&o));
-    g.put(bytes, 5 * kNsPerUs);
+    g.put(IoBuf::copy_of(bytes), 5 * kNsPerUs);
     g.seal();
     loop_.run();
     EXPECT_EQ(o.calls, 1);
@@ -329,6 +331,39 @@ TEST_F(StripeGatherTest, PlaceAssemblesExtentsAtTheirOffsets)
     loop_.run();
     ASSERT_TRUE(o.status.is_ok()) << o.status.to_string();
     EXPECT_EQ(o.data, want);
+}
+
+TEST_F(StripeGatherTest, PlaceHandsOnALoneSourceAndZeroesOnlyGaps)
+{
+    // One member read covering the whole unit is handed on as is: the
+    // only copy is the device's load.
+    const size_t bytes = static_cast<size_t>(kUnit) * kSectorSize;
+    const std::vector<uint8_t> want = pattern_data(kUnit, 5);
+    store(0, want);
+    Outcome o;
+    StripeGather::Spec s = spec(StripeGather::Fold::kPlace);
+    const uint64_t before = prof::g_copy_bytes;
+    auto g = arr_->gather(s, capture(&o));
+    g.read(0, 0, kUnit);
+    g.seal();
+    loop_.run();
+    ASSERT_TRUE(o.status.is_ok()) << o.status.to_string();
+    EXPECT_EQ(o.data, want);
+    EXPECT_EQ(prof::g_copy_bytes - before, bytes) << "device load only";
+
+    // Sources that leave a hole: the hole reads as zeros.
+    const size_t sector = kSectorSize;
+    Outcome h;
+    auto g2 = arr_->gather(s, capture(&h));
+    g2.put(IoBuf::copy_of(std::span(want).first(sector)), 1);
+    g2.put(IoBuf::copy_of(std::span(want).subspan(2 * sector)), 1,
+           2 * sector);
+    g2.seal();
+    loop_.run();
+    ASSERT_TRUE(h.status.is_ok()) << h.status.to_string();
+    std::vector<uint8_t> holed = want;
+    std::fill_n(holed.begin() + static_cast<ptrdiff_t>(sector), sector, 0);
+    EXPECT_EQ(h.data, holed);
 }
 
 TEST_F(StripeGatherTest, LateErrorFromReplacedMemberIsNotEscalated)

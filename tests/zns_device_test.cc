@@ -3,11 +3,17 @@
  * Unit tests for the emulated ZNS device: zone state machine, write
  * pointer rule, append, open/active limits, persistence + power loss,
  * failure injection, and the payload page lifetime (allocate on first
- * write, free on reset, rollback and replace).
+ * write, free on reset, rollback and replace). The page store itself
+ * runs against a dense byte model.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "common/rng.h"
 #include "sim/event_loop.h"
+#include "zns/page_store.h"
 #include "zns/zns_device.h"
 
 namespace raizn {
@@ -58,7 +64,7 @@ TEST_F(ZnsDeviceTest, PayloadMustAgreeWithNsectors)
     bad.op = IoOp::kWrite;
     bad.slba = 0;
     bad.nsectors = 2;
-    bad.data.assign(kSectorSize + 100, 0xab);
+    bad.data = std::vector<uint8_t>(kSectorSize + 100, 0xab);
     EXPECT_EQ(run(std::move(bad)).status.code(),
               StatusCode::kInvalidArgument);
 
@@ -129,7 +135,7 @@ TEST_F(ZnsDeviceTest, WriteBeyondCapacityRejected)
 TEST_F(ZnsDeviceTest, ReadBackMatchesWritten)
 {
     auto payload = pattern_data(8, 99);
-    ASSERT_TRUE(run(IoRequest::write(0, payload)).status);
+    ASSERT_TRUE(run(IoRequest::write(0, IoBuf::copy_of(payload))).status);
     auto r = run(IoRequest::read(0, 8));
     ASSERT_TRUE(r.status.is_ok());
     EXPECT_EQ(r.data, payload);
@@ -530,6 +536,98 @@ TEST_F(ZnsDeviceTest, TimingOnlyDeviceHoldsNoPages)
     ASSERT_TRUE(submit_sync(loop_, dev, IoRequest::write(0, pattern_data(8, 1)))
                     .status.is_ok());
     EXPECT_EQ(dev.resident_bytes(), 0u);
+}
+
+TEST(PageStoreTest, RandomOpsMatchADenseModel)
+{
+    // Three pages and a short last one. Writes, zeroes, clears and
+    // find() calls in random order and at random (sector and byte)
+    // granularity; every read and every find() must agree with a plain
+    // byte array, whatever each page's lazily filled tail holds.
+    constexpr size_t kPage = PageStore::kPageBytes;
+    constexpr size_t kBytes = 3 * kPage + 5000;
+    PageStore store(kBytes);
+    std::vector<uint8_t> model(kBytes, 0);
+    Rng rng(2024);
+    auto pick = [&](size_t max_len, size_t *off, size_t *len) {
+        const bool sectors = rng.next_bool(0.5);
+        const size_t unit = sectors ? kSectorSize : 1;
+        *off = rng.next_below(kBytes / unit) * unit;
+        *len = std::min(kBytes - *off, (1 + rng.next_below(max_len)) * unit);
+    };
+    uint32_t finds = 0, reads = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const uint64_t op = rng.next_below(100);
+        size_t off = 0, len = 0;
+        if (op < 45) {
+            pick(op < 10 ? 40 : 3 * kSectorSize, &off, &len);
+            std::vector<uint8_t> src(len);
+            for (uint8_t &b : src)
+                b = static_cast<uint8_t>(rng.next() | 1);
+            store.write(off, src.data(), len);
+            std::memcpy(model.data() + off, src.data(), len);
+        } else if (op < 60) {
+            pick(op < 50 ? 40 : 3 * kSectorSize, &off, &len);
+            store.zero(off, len);
+            std::fill_n(model.begin() + static_cast<ptrdiff_t>(off), len, 0);
+        } else if (op < 61) {
+            store.clear();
+            std::fill(model.begin(), model.end(), 0);
+            EXPECT_EQ(store.resident_bytes(), 0u);
+        } else if (op < 75) {
+            off = rng.next_below(kBytes);
+            uint8_t *p = store.find(off);
+            const size_t sector_end = std::min(
+                kBytes, (off / kSectorSize + 1) * size_t{kSectorSize});
+            if (p != nullptr) {
+                ++finds;
+                ASSERT_EQ(0, std::memcmp(p, model.data() + off,
+                                         sector_end - off))
+                    << "find(" << off << ") at step " << step;
+            }
+        } else {
+            pick(op < 85 ? 40 : 6 * kSectorSize, &off, &len);
+            std::vector<uint8_t> got;
+            store.read(off, len, got);
+            ++reads;
+            ASSERT_EQ(got.size(), len);
+            ASSERT_EQ(0, std::memcmp(got.data(), model.data() + off, len))
+                << "read(" << off << ", " << len << ") at step " << step;
+        }
+        ASSERT_LE(store.resident_bytes(), 4 * kPage);
+    }
+    EXPECT_GT(finds, 100u);
+    EXPECT_GT(reads, 500u);
+    std::vector<uint8_t> all;
+    store.read(0, kBytes, all);
+    EXPECT_EQ(all, model);
+}
+
+TEST(PageStoreTest, PartialFirstWriteZeroesOnlyTheGap)
+{
+    // Bytes past a page's mark are never stored: after a write at the
+    // end of a fresh page, the gap before it and the tail after it
+    // both read as zeros, and a zero() that reaches the mark lowers it.
+    PageStore store(PageStore::kPageBytes);
+    const std::vector<uint8_t> src(kSectorSize, 0xa5);
+    store.write(2 * kSectorSize, src.data(), src.size());
+    std::vector<uint8_t> got;
+    store.read(0, PageStore::kPageBytes, got);
+    std::vector<uint8_t> want(PageStore::kPageBytes, 0);
+    std::fill_n(want.begin() + 2 * kSectorSize, kSectorSize, 0xa5);
+    EXPECT_EQ(got, want);
+
+    store.zero(2 * kSectorSize + 100, PageStore::kPageBytes / 2);
+    std::fill_n(want.begin() + 2 * kSectorSize + 100, kSectorSize - 100, 0);
+    got.clear();
+    store.read(0, PageStore::kPageBytes, got);
+    EXPECT_EQ(got, want);
+    // Writing past the lowered mark still reads zeros in between.
+    store.write(5 * kSectorSize, src.data(), src.size());
+    std::fill_n(want.begin() + 5 * kSectorSize, kSectorSize, 0xa5);
+    got.clear();
+    store.read(0, PageStore::kPageBytes, got);
+    EXPECT_EQ(got, want);
 }
 
 } // namespace

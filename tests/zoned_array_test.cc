@@ -345,7 +345,7 @@ replay(Sut &sut, const std::vector<Op> &ops, int fail_at = -1,
                                      shadow[z].bytes.data(),
                                      r.data.size()))
                 << sut.name << " zone " << z;
-            out[z] = std::move(r.data);
+            out[z] = std::move(r.data).to_vector();
         }
     }
     return out;

@@ -16,8 +16,13 @@ the interquartile range (q3 - q1) of the parent's runs and the number
 of pairs the change won (strictly better in the metric's direction).
 A metric marked `*` moved by more than the parent's IQR in the better
 direction; one marked `!` moved by more than the IQR in the worse
-direction. Virtual-clock metrics repeat exactly for a given seed, so a
-`!=` mark on one of them means the two trees simulate different work.
+direction. `!!` marks a change median worse than the parent's by more
+than the metric's `bound` in BENCHMARK.json (a fraction of the parent's
+median). `gain` marks a claimable improvement: the change won at least
+9 of every 10 pairs and its median moved by more than the parent's IQR
+in the better direction. Virtual-clock metrics repeat exactly for a
+given seed, so a `!=` mark on one of them means the two trees simulate
+different work.
 Each run's `correct` flag and `failed` count are checked too; the exit
 status is 1 when any run is incorrect, has failures, or does not end
 with run.py's JSON line.
@@ -101,15 +106,21 @@ def main():
         wins = sum(1 for p, c in zip(par, chg) if (c < p if lower else c > p))
         rel = (cm - pm) / pm * 100 if pm else 0.0
         gain = pm - cm if lower else cm - pm
-        mark = ""
+        marks = []
         if len(set(par)) == 1 and len(set(chg)) == 1:
-            mark = "" if par[0] == chg[0] else "!="
+            if par[0] != chg[0]:
+                marks.append("!=")
         elif gain > spread:
-            mark = "*"
+            marks.append("*")
         elif -gain > spread:
-            mark = "!"
+            marks.append("!")
+        bound = m.get("bound")
+        if bound is not None and pm and -gain / abs(pm) > bound:
+            marks.append("!!")
+        if 10 * wins >= 9 * len(par) and gain > spread:
+            marks.append("gain")
         print("  %-20s %14.6g %14.6g %+7.1f%% %12.4g %3d/%-2d %s" %
-              (name, pm, cm, rel, spread, wins, len(par), mark))
+              (name, pm, cm, rel, spread, wins, len(par), " ".join(marks)))
     for line in bad:
         print("  PROBLEM: " + line)
     return 1 if bad else 0
