@@ -1,9 +1,9 @@
 /**
  * @file
  * ZonedEngine data path: geometry/placement, the per-(member, zone)
- * submit chains, flush barriers, the replicated journal, and the
- * read/write/reset/finish implementations. Mount/rebuild/scrub live in
- * engine_recover.cc.
+ * submit chains, flush barriers, the zone records of the metadata log,
+ * and the read/write/reset/finish implementations. Mount/rebuild/scrub
+ * live in engine_recover.cc.
  */
 #include "array/engine.h"
 
@@ -24,9 +24,6 @@ namespace raizn {
 
 namespace {
 
-constexpr uint64_t kWalMagic = 0x5a41574c30303031ull; // "ZAWL0001"
-constexpr size_t kWalCrcOff = 36; // header bytes covered by the CRC
-
 uint64_t
 bit(uint32_t dev)
 {
@@ -34,9 +31,9 @@ bit(uint32_t dev)
 }
 
 uint64_t
-chain_key(uint32_t dev, uint32_t phys_zone)
+chain_key(uint32_t dev, uint32_t zone)
 {
-    return (static_cast<uint64_t>(dev) << 32) | phys_zone;
+    return (static_cast<uint64_t>(dev) << 32) | zone;
 }
 
 } // namespace
@@ -116,13 +113,59 @@ ZonedEngine::validate(const std::vector<BlockDevice *> &devs,
             return Status(StatusCode::kInvalidArgument,
                           "engine members must share one data mode");
     }
-    if (g0.nzones < 2)
+    if (g0.nzones <= kMdZonesPerDevice)
         return Status(StatusCode::kInvalidArgument,
-                      "need at least 2 zones (one is the journal)");
+                      "no data zone beyond the metadata zones");
+    // A metadata GC checkpoint holds one record per zone after the
+    // role record, within one metadata zone.
+    if (g0.nzones - kMdZonesPerDevice >= g0.zone_capacity)
+        return Status(StatusCode::kInvalidArgument,
+                      "zone snapshot exceeds one metadata zone");
     if (g0.zone_capacity < cfg.su_sectors)
         return Status(StatusCode::kInvalidArgument,
                       "zone capacity below one stripe unit");
     return Status::ok();
+}
+
+ZonedEngine::Geometry
+ZonedEngine::geometry(const EngineConfig &cfg, uint32_t ndev,
+                      const DeviceGeometry &g)
+{
+    const uint64_t su = cfg.su_sectors;
+    const uint64_t z = g.zone_capacity;
+    uint64_t units = 0;
+    switch (cfg.mode) {
+    case RaidMode::kRaid0:
+        units = ndev;
+        break;
+    case RaidMode::kRaid1:
+        units = 1;
+        break;
+    case RaidMode::kRaid5:
+    case RaidMode::kAuto:
+        units = ndev - 1;
+        break;
+    case RaidMode::kRaid6:
+        units = ndev - 2;
+        break;
+    case RaidMode::kRaid10:
+        units = ndev / 2;
+        break;
+    default:
+        return {};
+    }
+    Geometry out;
+    out.nzones = g.nzones - kMdZonesPerDevice;
+    out.stripe_sectors = su * units;
+    if (cfg.mode == RaidMode::kRaid1)
+        out.zone_cap = z;
+    else if (cfg.mode == RaidMode::kAuto)
+        // Mirrored zones store C sectors per member (C <= Z), parity
+        // zones C / (n-1): one capacity must fit both layouts.
+        out.zone_cap = z / out.stripe_sectors * out.stripe_sectors;
+    else
+        out.zone_cap = z / su * out.stripe_sectors;
+    return out;
 }
 
 ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
@@ -137,38 +180,18 @@ ZonedEngine::ZonedEngine(EventLoop *loop, std::vector<BlockDevice *> devs,
       cfg_(cfg)
 {
     const DeviceGeometry &g = devs_[0]->geometry();
-    const uint32_t n = num_devices();
-    const uint64_t su = cfg_.su_sectors;
-    const uint64_t z = g.zone_capacity;
-    phys_cap_ = z;
-    nzones_ = g.nzones - 1;
-    wal_slots_ = z;
+    const Geometry geo = geometry(cfg_, num_devices(), g);
+    nzones_ = geo.nzones;
+    zone_cap_ = geo.zone_cap;
+    phys_cap_ = g.zone_capacity;
     store_data_ = devs_[0]->data_mode() == DataMode::kStore;
-    switch (cfg_.mode) {
-    case RaidMode::kRaid0:
-        zone_cap_ = (z / su) * su * n;
-        break;
-    case RaidMode::kRaid1:
-        zone_cap_ = z;
-        break;
-    case RaidMode::kRaid5:
-        zone_cap_ = (z / su) * su * (n - 1);
-        break;
-    case RaidMode::kRaid6:
-        zone_cap_ = (z / su) * su * (n - 2);
-        break;
-    case RaidMode::kRaid10:
-        zone_cap_ = (z / su) * su * (n / 2);
-        break;
-    case RaidMode::kAuto:
-        // One capacity must fit both layouts: mirrored zones store C
-        // sectors per member (C <= Z), parity zones C / (n-1).
-        zone_cap_ = (z / (su * (n - 1))) * su * (n - 1);
-        break;
-    default:
-        zone_cap_ = 0;
-        break;
-    }
+    md_ = std::make_unique<MdManager>(
+        loop_, MdZoneRange::trailing(g, kMdZonesPerDevice), devs_);
+    md_->set_retrier(retrier_.get());
+    md_->set_snapshot_provider([this](uint32_t, MdZoneRole role) {
+        return role == MdZoneRole::kGeneral ? snapshot_records()
+                                            : std::vector<MdAppend>{};
+    });
     zones_.resize(nzones_);
     for (EZone &ez : zones_) {
         ez.crc = CrcCatalog(zone_cap_);
@@ -191,6 +214,9 @@ ZonedEngine::create(EventLoop *loop, std::vector<BlockDevice *> devs,
     if (e->zone_cap_ == 0)
         return Status(StatusCode::kInvalidArgument,
                       "zone capacity too small for this mode");
+    s = e->md_->format();
+    if (!s.is_ok())
+        return s;
     return e;
 }
 
@@ -254,8 +280,7 @@ ZonedEngine::units_of(ZoneKind k) const
 uint64_t
 ZonedEngine::dev_row_lba(uint32_t zone, uint64_t row) const
 {
-    return static_cast<uint64_t>(zone + 1) *
-               devs_[0]->geometry().zone_size +
+    return static_cast<uint64_t>(zone) * devs_[0]->geometry().zone_size +
            row;
 }
 
@@ -311,12 +336,6 @@ bool
 ZonedEngine::zone_finished(uint32_t zone) const
 {
     return zones_[zone].finished;
-}
-
-uint64_t
-ZonedEngine::zone_participants(uint32_t zone) const
-{
-    return zones_[zone].participants;
 }
 
 uint32_t
@@ -452,7 +471,7 @@ ZonedEngine::degraded_fill(uint32_t zone, uint32_t down) const
 // ---------------------------------------------------------------------
 
 void
-ZonedEngine::chain_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
+ZonedEngine::chain_submit(uint32_t dev, uint32_t zone, IoRequest req,
                           IoCallback cb)
 {
     // The dev_submit span only opens once the chain dispatches the IO,
@@ -470,35 +489,35 @@ ZonedEngine::chain_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
             inner(std::move(r));
         };
     }
-    chains_[chain_key(dev, phys_zone)].q.emplace_back(std::move(req),
-                                                     std::move(cb));
-    chain_advance(dev, phys_zone);
+    chains_[chain_key(dev, zone)].q.emplace_back(std::move(req),
+                                                std::move(cb));
+    chain_advance(dev, zone);
 }
 
 void
 ZonedEngine::gather_submit(uint32_t dev, uint32_t zone, IoRequest req,
                            IoCallback cb)
 {
-    chain_submit(dev, phys_zone(zone), std::move(req), std::move(cb));
+    chain_submit(dev, zone, std::move(req), std::move(cb));
 }
 
 void
-ZonedEngine::chain_advance(uint32_t dev, uint32_t phys_zone)
+ZonedEngine::chain_advance(uint32_t dev, uint32_t zone)
 {
-    Chain &c = chains_[chain_key(dev, phys_zone)];
+    Chain &c = chains_[chain_key(dev, zone)];
     if (c.busy || c.q.empty())
         return;
     c.busy = true;
     auto item = std::move(c.q.front());
     c.q.pop_front();
     dev_submit(dev, std::move(item.first),
-               [this, dev, phys_zone, alive = alive_,
+               [this, dev, zone, alive = alive_,
                 cb = std::move(item.second)](IoResult r) {
                    cb(std::move(r));
                    if (!*alive)
                        return;
-                   chains_[chain_key(dev, phys_zone)].busy = false;
-                   chain_advance(dev, phys_zone);
+                   chains_[chain_key(dev, zone)].busy = false;
+                   chain_advance(dev, zone);
                });
 }
 
@@ -574,74 +593,91 @@ ZonedEngine::issue_barrier_devices(std::shared_ptr<FlushBarrier> b)
 }
 
 // ---------------------------------------------------------------------
-// Journal
+// Metadata log
 // ---------------------------------------------------------------------
 
-std::vector<uint8_t>
-ZonedEngine::encode_wal(const WalRecord &rec)
+MdAppend
+ZonedEngine::encode_zone_record(const ZoneRecord &rec)
 {
-    std::vector<uint8_t> sector(kSectorSize, 0);
-    uint8_t *p = sector.data();
-    std::memcpy(p, &kWalMagic, 8);
-    std::memcpy(p + 8, &rec.type, 4);
-    std::memcpy(p + 12, &rec.zone, 4);
-    std::memcpy(p + 16, &rec.gen, 8);
-    std::memcpy(p + 24, &rec.kind, 4);
-    std::memcpy(p + 28, &rec.participants, 8);
-    uint32_t crc = crc32c(p, kWalCrcOff);
-    std::memcpy(p + kWalCrcOff, &crc, 4);
-    return sector;
+    MdAppend app;
+    app.header.type = MdType::kEngineZone;
+    app.header.generation = rec.gen;
+    app.inline_data.resize(28);
+    uint8_t *p = app.inline_data.data();
+    const uint32_t pending = rec.reset_pending ? 1 : 0;
+    std::memcpy(p, &rec.op, 4);
+    std::memcpy(p + 4, &rec.zone, 4);
+    std::memcpy(p + 8, &rec.participants, 8);
+    std::memcpy(p + 16, &rec.kind, 4);
+    std::memcpy(p + 20, &pending, 4);
+    return app;
 }
 
 bool
-ZonedEngine::decode_wal(const uint8_t *sector, WalRecord *out)
+ZonedEngine::decode_zone_record(const MdEntry &e, ZoneRecord *out)
 {
-    uint64_t magic = 0;
-    std::memcpy(&magic, sector, 8);
-    if (magic != kWalMagic)
+    if (e.header.type != MdType::kEngineZone || e.inline_data.size() < 28)
         return false;
-    uint32_t crc = 0;
-    std::memcpy(&crc, sector + kWalCrcOff, 4);
-    if (crc != crc32c(sector, kWalCrcOff))
-        return false;
-    std::memcpy(&out->type, sector + 8, 4);
-    std::memcpy(&out->zone, sector + 12, 4);
-    std::memcpy(&out->gen, sector + 16, 8);
-    std::memcpy(&out->kind, sector + 24, 4);
-    std::memcpy(&out->participants, sector + 28, 8);
+    const uint8_t *p = e.inline_data.data();
+    uint32_t pending = 0;
+    std::memcpy(&out->op, p, 4);
+    std::memcpy(&out->zone, p + 4, 4);
+    std::memcpy(&out->participants, p + 8, 8);
+    std::memcpy(&out->kind, p + 16, 4);
+    std::memcpy(&pending, p + 20, 4);
+    out->gen = e.header.generation;
+    out->reset_pending = pending != 0;
     return true;
 }
 
 void
-ZonedEngine::append_wal(WalRecord rec, StatusCb cb)
+ZonedEngine::log_to(uint32_t dev, MdAppend rec, MemberJoin &join)
 {
-    PROF_SCOPE("eng.wal.append");
-    if (wal_next_ >= wal_slots_) {
-        loop_->schedule_after(1, [cb = std::move(cb)] {
-            cb(Status(StatusCode::kNoSpace, "reset journal full"));
-        });
-        return;
-    }
-    const uint64_t slot = wal_next_++;
-    const IoBuf payload = encode_wal(rec); // shared by every member
+    md_->append(dev, MdZoneRole::kGeneral, std::move(rec),
+                /*durable=*/true, [cb = join.member(dev)](Status s) {
+                    IoResult r;
+                    r.status = std::move(s);
+                    cb(std::move(r));
+                });
+}
+
+void
+ZonedEngine::log_zone(const ZoneRecord &rec, StatusCb cb)
+{
+    PROF_SCOPE("eng.md.append");
     MemberJoin join(this, [this, cb = std::move(cb)](IoResult r) {
         if (r.status.is_ok())
             ++stats_.wal_appends;
         cb(r.status);
     });
-    // Not to the rebuild target: the rebuild copies its journal and
-    // catches it up at the end.
-    for (uint32_t d = 0; d < num_devices(); ++d) {
-        if (is_marked_failed(d))
-            continue;
-        IoRequest req = store_data_
-            ? IoRequest::write(slot, payload, /*fua=*/true)
-            : IoRequest::write_len(slot, 1, /*fua=*/true);
-        req.trace_stage = "eng.wal";
-        req.cause = obs::Cause::kWalMd;
-        chain_submit(d, 0, std::move(req), join.member(d));
-    }
+    // The rebuild target too: rebuild_prepare gave it a formatted log.
+    for (uint32_t d = 0; d < num_devices(); ++d)
+        if (member_up(d))
+            log_to(d, encode_zone_record(rec), join);
     join.seal();
+}
+
+std::vector<MdAppend>
+ZonedEngine::snapshot_records() const
+{
+    std::vector<MdAppend> out;
+    for (uint32_t zone = 0; zone < nzones_; ++zone) {
+        const EZone &z = zones_[zone];
+        const bool kind = cfg_.mode == RaidMode::kAuto && z.kind_decided;
+        // Replay assumes the formatted state without a record.
+        if (z.gen == 0 && z.participants == ~0ull && !kind && !z.resetting)
+            continue;
+        ZoneRecord rec;
+        rec.op = ZoneRecord::kSnapshot;
+        rec.zone = zone;
+        rec.gen = z.gen;
+        rec.participants = z.participants;
+        if (kind)
+            rec.kind = static_cast<uint32_t>(z.kind);
+        rec.reset_pending = z.resetting;
+        out.push_back(encode_zone_record(rec));
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -758,12 +794,12 @@ ZonedEngine::decide_zone_kind(uint32_t zone,
         ++stats_.auto_mirror_zones;
     else
         ++stats_.auto_parity_zones;
-    WalRecord rec;
-    rec.type = WalRecord::kKind;
+    ZoneRecord rec;
+    rec.op = ZoneRecord::kKind;
     rec.zone = zone;
     rec.gen = z.gen;
     rec.kind = static_cast<uint32_t>(k);
-    append_wal(rec, [this, zone, cb = std::move(cb)](Status s) {
+    log_zone(rec, [this, zone, cb = std::move(cb)](Status s) {
         if (s.is_ok())
             zones_[zone].kind_decided = true;
         cb(s);
@@ -796,7 +832,7 @@ ZonedEngine::issue_write(uint32_t zone, uint64_t off, const IoBuf &data,
         req.trace_req = ctx->req_id;
         uint64_t id = track_io();
         ++ctx->pending;
-        chain_submit(d, phys_zone(zone), std::move(req),
+        chain_submit(d, zone, std::move(req),
                      [this, ctx, d, id](IoResult r) {
                          untrack_io(id);
                          chunk_done(ctx, d, r.status);
@@ -929,7 +965,7 @@ ZonedEngine::write_parity(uint32_t zone, uint64_t stripe, MemberJoin *seal)
         req.cause = obs::Cause::kParity;
         ++t.parity_pending;
         IoCallback joined = seal != nullptr ? seal->member(d) : nullptr;
-        chain_submit(d, phys_zone(zone), std::move(req),
+        chain_submit(d, zone, std::move(req),
                      [this, zone, stripe, d, alive = alive_,
                       joined = std::move(joined)](IoResult r) {
                          if (!*alive)
@@ -1038,11 +1074,11 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
         }
         z.resetting = true;
         const uint64_t newgen = z.gen + 1;
-        WalRecord intent;
-        intent.type = WalRecord::kResetIntent;
+        ZoneRecord intent;
+        intent.op = ZoneRecord::kResetIntent;
         intent.zone = zone;
         intent.gen = newgen;
-        append_wal(intent, [this, zone, newgen, shared_cb,
+        log_zone(intent, [this, zone, newgen, shared_cb,
                             done](Status s) {
             if (!s.is_ok()) {
                 zones_[zone].resetting = false;
@@ -1068,12 +1104,12 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
                     done();
                     return;
                 }
-                WalRecord drec;
-                drec.type = WalRecord::kResetDone;
+                ZoneRecord drec;
+                drec.op = ZoneRecord::kResetDone;
                 drec.zone = zone;
                 drec.gen = newgen;
                 drec.participants = parts;
-                append_wal(drec, [this, zone, newgen, parts, shared_cb,
+                log_zone(drec, [this, zone, newgen, parts, shared_cb,
                                   done](Status s2) {
                     EZone &ez = zones_[zone];
                     ez.resetting = false;
@@ -1107,7 +1143,7 @@ ZonedEngine::reset_zone(uint32_t zone, IoCallback cb)
                 IoRequest req = IoRequest::zone_reset(dev_row_lba(zone, 0));
                 req.trace_stage = "eng.zone_reset";
                 req.cause = obs::Cause::kZoneMgmt;
-                chain_submit(d, phys_zone(zone), std::move(req),
+                chain_submit(d, zone, std::move(req),
                              join.member(d));
             }
             join.seal();
@@ -1189,7 +1225,7 @@ ZonedEngine::finish_zone(uint32_t zone, IoCallback cb)
             IoRequest req = IoRequest::zone_finish(dev_row_lba(zone, 0));
             req.trace_stage = "eng.zone_finish";
             req.cause = obs::Cause::kZoneMgmt;
-            chain_submit(d, phys_zone(zone), std::move(req),
+            chain_submit(d, zone, std::move(req),
                          join.member(d));
         }
         join.seal();
@@ -1383,7 +1419,7 @@ ZonedEngine::read_replicas(std::shared_ptr<ReplicaRead> rr, size_t idx)
     IoRequest req = IoRequest::read(dev_row_lba(rr->zone, rr->row0), rr->n);
     req.trace_stage = rr->stage;
     req.cause = obs::Cause::kUserData;
-    chain_submit(d, phys_zone(rr->zone), std::move(req),
+    chain_submit(d, rr->zone, std::move(req),
                  [this, rr, idx, d, sent](IoResult r) {
                      if (!r.status.is_ok()) {
                          // An error from a member that a promoted spare

@@ -7,12 +7,14 @@
  * striped), and a per-zone "auto" mode that mirrors hot zones and
  * parity-protects cold ones.
  *
- * Layout: physical zone 0 of every member holds a replicated,
- * CRC-guarded write-ahead journal (reset intents/completions, auto-mode
- * kind decisions, rebuild re-join markers); logical zone z maps to
- * physical zone z+1 on every member. A stripe occupies the same
- * su_sectors-row window on every member, with left-symmetric parity
- * rotation for RAID-5/6.
+ * Layout: the last kMdZonesPerDevice physical zones of every member
+ * hold the array's metadata log, the same MdManager log RAIZN keeps
+ * (general log, parity-log zone, swap zone; checkpoint-and-swap GC).
+ * Per-zone state records (reset intents/completions, auto-mode kind
+ * decisions, rebuild re-join markers) are appended to every member's
+ * general log. Logical zone z is physical zone z on every member. A
+ * stripe occupies the same su_sectors-row window on every member, with
+ * left-symmetric parity rotation for RAID-5/6.
  *
  * Crash guarantees vs the paper's RaiznVolume: the engine keeps tail
  * (incomplete) stripe parity in memory only, so degraded reads of open
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "array/crc_catalog.h"
+#include "array/md_manager.h"
 #include "array/zoned_array.h"
 
 namespace raizn {
@@ -57,7 +60,7 @@ struct EngineStats {
     uint64_t fua_dependency_flushes = 0; ///< flushes forced by FUA acks
     uint64_t zone_resets = 0;
     uint64_t zone_finishes = 0;
-    uint64_t wal_appends = 0; ///< journal records written
+    uint64_t wal_appends = 0; ///< metadata-log zone records written
     uint64_t degraded_reads = 0;
     uint64_t reconstructed_sectors = 0;
     uint64_t io_retries = 0; ///< device commands retried after backoff
@@ -112,6 +115,21 @@ struct EngineStats {
 class ZonedEngine : public ZonedArray
 {
   public:
+    /// Logical geometry of an engine array.
+    struct Geometry {
+        uint32_t nzones = 0; ///< logical zones
+        uint64_t zone_cap = 0; ///< logical sectors per zone, 0: too small
+        uint64_t stripe_sectors = 0; ///< data sectors per stripe
+    };
+    /**
+     * The logical geometry `cfg` gives over `ndev` members of geometry
+     * `g`: every physical zone but the metadata zones, each holding
+     * whole stripe-unit rows of data. Auto mode aligns the zone down
+     * to the parity stripe so either per-zone kind fits it.
+     */
+    static Geometry geometry(const EngineConfig &cfg, uint32_t ndev,
+                             const DeviceGeometry &g);
+
     /// Per-zone layout class (auto mode decides per generation).
     enum class ZoneKind : uint8_t {
         kStripe0, ///< striped, no redundancy (RAID-0)
@@ -131,10 +149,11 @@ class ZonedEngine : public ZonedArray
            const EngineConfig &cfg);
 
     /**
-     * Mounts an existing array: replays the journal (rolling forward
-     * interrupted resets), reconciles per-device write pointers into
-     * per-zone recovered fills, and freezes every non-empty zone
-     * (read-only until reset). Requires data-storing devices.
+     * Mounts an existing array: marks members whose device failed,
+     * replays the metadata log (rolling forward interrupted resets),
+     * reconciles per-device write pointers into per-zone recovered
+     * fills, and freezes every non-empty zone (read-only until reset).
+     * Requires data-storing devices.
      */
     static Result<std::unique_ptr<ZonedEngine>>
     mount(EventLoop *loop, std::vector<BlockDevice *> devs,
@@ -171,15 +190,11 @@ class ZonedEngine : public ZonedArray
     const EngineStats &stats() const { return stats_; }
     const EngineConfig &config() const { return cfg_; }
     uint32_t su_sectors() const { return cfg_.su_sectors; }
-    /// Physical zone index backing logical `zone` on every member.
-    uint32_t phys_zone(uint32_t zone) const { return zone + 1; }
     ZoneKind zone_kind(uint32_t zone) const;
     bool zone_kind_decided(uint32_t zone) const;
     uint64_t zone_gen(uint32_t zone) const;
     bool zone_frozen(uint32_t zone) const;
     bool zone_finished(uint32_t zone) const;
-    /// Trusted-member bitmap for `zone` (mirror staleness tracking).
-    uint64_t zone_participants(uint32_t zone) const;
     /// Data stripe units per stripe for `zone`'s kind.
     uint32_t data_units(uint32_t zone) const;
     /// Member holding data unit `u` of stripe `stripe` (mirror kinds:
@@ -193,9 +208,7 @@ class ZonedEngine : public ZonedArray
     /// (mirror kinds consult recovered per-member fills; parity kinds
     /// reconstruct at runtime, so the full fill is readable).
     uint64_t degraded_fill(uint32_t zone, uint32_t down) const;
-    /// Journal slots consumed / available.
-    uint64_t wal_used() const { return wal_next_; }
-    uint64_t wal_slots() const { return wal_slots_; }
+    const MdManager &md_manager() const { return *md_; }
 
   protected:
     std::string metric_prefix() const override
@@ -203,6 +216,14 @@ class ZonedEngine : public ZonedArray
         return std::string(to_string(cfg_.mode));
     }
     void link_stats_hook(obs::MetricsRegistry &reg) override;
+    void on_resilience_changed() override
+    {
+        md_->set_retrier(retrier_.get());
+    }
+    void on_spare_promoted(uint32_t dev) override
+    {
+        md_->replace_device(dev, devs_[dev]);
+    }
 
   private:
     /**
@@ -223,23 +244,28 @@ class ZonedEngine : public ZonedArray
     struct WriteCtx;
     struct FlushBarrier;
 
-    /// One journal slot (a full sector on media, CRC-guarded).
-    struct WalRecord {
-        enum Type : uint32_t {
-            kResetIntent = 1, ///< reset decided; physical resets follow
+    /// One MdType::kEngineZone record: a change to one zone's state.
+    struct ZoneRecord {
+        enum Op : uint32_t {
+            kResetIntent = 1, ///< reset to `gen` decided; resets follow
             kResetDone = 2, ///< resets done; participants = live set
             kKind = 3, ///< auto mode: zone kind for this generation
             kJoin = 4, ///< rebuild re-validated `participants` bits
+            kSnapshot = 5, ///< GC checkpoint of the whole zone state
         };
-        uint32_t type = 0;
+        uint32_t op = 0;
         uint32_t zone = 0;
         uint64_t gen = 0;
-        uint32_t kind = 0;
         uint64_t participants = 0;
+        uint32_t kind = kNoKind; ///< kKind, and kSnapshot once decided
+        /// kSnapshot: a reset to gen + 1 was under way.
+        bool reset_pending = false;
+
+        static constexpr uint32_t kNoKind = ~0u;
     };
 
-    /// Per-(member, physical zone) submit queue: keeps writes (and
-    /// reads, for read-after-write ordering) strictly sequential.
+    /// Per-(member, zone) submit queue: keeps writes (and reads, for
+    /// read-after-write ordering) strictly sequential.
     struct Chain {
         bool busy = false;
         std::deque<std::pair<IoRequest, IoCallback>> q;
@@ -287,9 +313,9 @@ class ZonedEngine : public ZonedArray
     bool dev_down_for_zone(uint32_t dev, uint32_t zone) const;
 
     // engine.cc — submit plumbing
-    void chain_submit(uint32_t dev, uint32_t phys_zone, IoRequest req,
+    void chain_submit(uint32_t dev, uint32_t zone, IoRequest req,
                       IoCallback cb);
-    void chain_advance(uint32_t dev, uint32_t phys_zone);
+    void chain_advance(uint32_t dev, uint32_t zone);
     /// Gather reads keep the per-zone chain order.
     void gather_submit(uint32_t dev, uint32_t zone, IoRequest req,
                        IoCallback cb) override;
@@ -305,10 +331,18 @@ class ZonedEngine : public ZonedArray
     void barrier_flush(IoCallback cb);
     void issue_barrier_devices(std::shared_ptr<FlushBarrier> b);
 
-    // engine.cc — journal
-    void append_wal(WalRecord rec, StatusCb cb);
-    static std::vector<uint8_t> encode_wal(const WalRecord &rec);
-    static bool decode_wal(const uint8_t *sector, WalRecord *out);
+    // engine.cc — metadata log
+    /// Appends `rec` durably to the general log of every up member,
+    /// joined into `cb`.
+    void log_zone(const ZoneRecord &rec, StatusCb cb);
+    /// Appends `rec` durably to `dev`'s general log as a member of
+    /// `join`.
+    void log_to(uint32_t dev, MdAppend rec, MemberJoin &join);
+    static MdAppend encode_zone_record(const ZoneRecord &rec);
+    static bool decode_zone_record(const MdEntry &e, ZoneRecord *out);
+    /// The GC checkpoint: one kSnapshot record per zone that is not in
+    /// its formatted state.
+    std::vector<MdAppend> snapshot_records() const;
 
     // engine.cc — write path
     void submit_write(uint64_t lba, uint32_t nsectors, IoBuf data,
@@ -377,14 +411,15 @@ class ZonedEngine : public ZonedArray
 
     // engine_recover.cc — mount, rebuild policy, scrub policy
     Status run_mount();
-    Status replay_wal();
+    Status replay_log();
     Status recover_zone(uint32_t zone);
-    /// Rebuild policy: the target's journal copied first and caught up
-    /// last; every zone walked as a zone-queue step after a reset of
-    /// the target's copy. Mirror zones copy kMirrorRebuildRows rows per
-    /// unit from one intact copy; striped kinds rebuild one stripe per
-    /// unit (mirror partner, P/Q, tail buffer or reconstruct_chunk).
-    /// A rebuilt zone re-joins its participants with a kJoin record.
+    /// Rebuild policy: the target's metadata zones formatted and given
+    /// the zone snapshot first; every zone walked as a zone-queue step
+    /// after a reset of the target's copy. Mirror zones copy
+    /// kMirrorRebuildRows rows per unit from one intact copy; striped
+    /// kinds rebuild one stripe per unit (mirror partner, P/Q, tail
+    /// buffer or reconstruct_chunk). A rebuilt zone re-joins its
+    /// participants with a kJoin record.
     bool rebuild_zones(uint32_t dev,
                        std::vector<uint32_t> *out) const override;
     void rebuild_prepare(uint32_t dev, StatusCb cb) override;
@@ -408,7 +443,6 @@ class ZonedEngine : public ZonedArray
                             uint32_t u, uint64_t row_end) const;
     /// Re-joins `t` to the rebuilt zone and releases the zone queue.
     void rebuild_join(uint32_t t, uint32_t zone, Status s, StatusCb cb);
-    void copy_wal_to_target(uint32_t t, StatusCb done);
     /// Scrub policy: settled stripes of every zone kind (mirror rows,
     /// mirror pairs, raid0 chunks, full parity stripes off the tail),
     /// read below each member's recovered fill. Report-only.
@@ -423,12 +457,9 @@ class ZonedEngine : public ZonedArray
 
     std::vector<EZone> zones_;
     EngineStats stats_;
+    std::unique_ptr<MdManager> md_; ///< the metadata log, every member
 
-    // Journal (physical zone 0, replicated).
-    uint64_t wal_slots_ = 0;
-    uint64_t wal_next_ = 0;
-
-    // Per-(member, phys zone) sequential submit chains.
+    // Per-(member, zone) sequential submit chains.
     std::map<uint64_t, Chain> chains_;
 
     // Flush barrier bookkeeping: every data-path device write gets an
@@ -440,7 +471,6 @@ class ZonedEngine : public ZonedArray
 
     // Rebuild policy state (the walk itself lives in ZonedArray).
     static constexpr uint64_t kMirrorRebuildRows = 32; ///< per unit
-    uint64_t rebuild_wal_copied_ = 0; ///< journal slots on the target
     std::function<void()> rebuild_release_; ///< open zone's queue step
 };
 

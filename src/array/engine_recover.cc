@@ -1,6 +1,6 @@
 /**
  * @file
- * ZonedEngine mount-time recovery (journal replay, write-pointer
+ * ZonedEngine mount-time recovery (metadata-log replay, write-pointer
  * reconciliation), and the rebuild and scrub policies (the shared walks
  * live in array/rebuild.cc and array/scrub.cc). The data path lives in
  * engine.cc.
@@ -44,7 +44,10 @@ rebuild_io(IoRequest req)
 Status
 ZonedEngine::run_mount()
 {
-    Status s = replay_wal();
+    for (uint32_t d = 0; d < num_devices(); ++d)
+        if (devs_[d]->failed())
+            note_failed(d);
+    Status s = replay_log();
     if (!s.is_ok())
         return s;
     for (uint32_t z = 0; z < nzones_; ++z) {
@@ -56,152 +59,97 @@ ZonedEngine::run_mount()
 }
 
 Status
-ZonedEngine::replay_wal()
+ZonedEngine::replay_log()
 {
-    const uint32_t n = num_devices();
-    struct Slot {
-        bool valid = false;
-        WalRecord rec;
-    };
-    std::vector<uint64_t> heights(n, 0);
-    uint64_t max_h = 0;
-    for (uint32_t d = 0; d < n; ++d) {
-        if (is_marked_failed(d))
-            continue;
-        Result<ZoneInfo> zi = devs_[d]->zone_info(0);
-        if (!zi.is_ok())
-            return zi.status();
-        heights[d] = std::min<uint64_t>(zi.value().written(), wal_slots_);
-        max_h = std::max(max_h, heights[d]);
-    }
-    std::vector<Slot> merged(max_h);
-    for (uint32_t d = 0; d < n; ++d) {
-        if (is_marked_failed(d) || heights[d] == 0)
-            continue;
-        IoRequest rd = IoRequest::read(0, static_cast<uint32_t>(heights[d]));
-        rd.cause = obs::Cause::kWalMd;
-        IoResult r = submit_sync(*loop_, *devs_[d], std::move(rd));
-        if (!r.status.is_ok())
-            return r.status;
-        for (uint64_t s = 0; s < heights[d]; ++s) {
-            WalRecord rec;
-            // A torn append fails the CRC; every durable copy of a slot
-            // carries the same record, so first-valid wins.
-            if (!decode_wal(r.data.data() + s * kSectorSize, &rec))
-                continue;
-            if (!merged[s].valid) {
-                merged[s].valid = true;
-                merged[s].rec = rec;
-            }
-        }
-    }
-    wal_next_ = max_h;
-    // Journals can diverge in height after a crash (appends reached
-    // some members only). Pad the short ones so the next append lands
-    // at one slot everywhere.
-    for (uint32_t d = 0; d < n; ++d) {
-        if (is_marked_failed(d))
-            continue;
-        for (uint64_t s = heights[d]; s < max_h; ++s) {
-            std::vector<uint8_t> sector = merged[s].valid
-                ? encode_wal(merged[s].rec)
-                : std::vector<uint8_t>(kSectorSize, 0);
-            IoRequest wr =
-                IoRequest::write(s, std::move(sector), /*fua=*/true);
-            wr.cause = obs::Cause::kWalMd;
-            IoResult w = submit_sync(*loop_, *devs_[d], std::move(wr));
-            if (!w.status.is_ok())
-                return w.status;
-        }
-    }
-
-    struct ZoneWal {
+    auto logs = md_->scan();
+    if (!logs.is_ok())
+        return logs.status();
+    // Every member logs the same records, so the union of the logs is
+    // the state: each field keeps its newest generation, and the
+    // participants of one generation merge.
+    struct ZoneLog {
         uint64_t intent_gen = 0;
-        uint64_t done_gen = 0;
-        uint64_t done_parts = ~0ull;
+        bool has_parts = false;
+        uint64_t gen = 0;
+        uint64_t parts = ~0ull;
         bool has_kind = false;
         uint64_t kind_gen = 0;
         uint32_t kind = 0;
         std::vector<std::pair<uint64_t, uint64_t>> joins; // (gen, bits)
     };
-    std::vector<ZoneWal> zw(nzones_);
-    for (uint64_t s = 0; s < max_h; ++s) {
-        if (!merged[s].valid)
-            continue;
-        const WalRecord &r = merged[s].rec;
-        if (r.zone >= nzones_)
-            continue;
-        ZoneWal &w = zw[r.zone];
-        switch (r.type) {
-        case WalRecord::kResetIntent:
-            w.intent_gen = std::max(w.intent_gen, r.gen);
-            break;
-        case WalRecord::kResetDone:
-            if (r.gen >= w.done_gen) {
-                w.done_gen = r.gen;
-                w.done_parts = r.participants;
+    std::vector<ZoneLog> zl(nzones_);
+    for (const MdManager::DeviceLog &log : logs.value()) {
+        for (const MdEntry &e : log.entries) {
+            ZoneRecord r;
+            if (!decode_zone_record(e, &r) || r.zone >= nzones_)
+                continue;
+            ZoneLog &w = zl[r.zone];
+            switch (r.op) {
+            case ZoneRecord::kResetIntent:
+                w.intent_gen = std::max(w.intent_gen, r.gen);
+                break;
+            case ZoneRecord::kSnapshot:
+                if (r.reset_pending)
+                    w.intent_gen = std::max(w.intent_gen, r.gen + 1);
+                [[fallthrough]];
+            case ZoneRecord::kResetDone:
+                if (!w.has_parts || r.gen > w.gen) {
+                    w.gen = r.gen;
+                    w.parts = r.participants;
+                } else if (r.gen == w.gen) {
+                    w.parts |= r.participants;
+                }
+                w.has_parts = true;
+                break;
+            case ZoneRecord::kJoin:
+                w.joins.emplace_back(r.gen, r.participants);
+                break;
+            default:
+                break;
             }
-            break;
-        case WalRecord::kKind:
-            if (!w.has_kind || r.gen >= w.kind_gen) {
+            if (r.kind != ZoneRecord::kNoKind &&
+                (!w.has_kind || r.gen >= w.kind_gen)) {
                 w.has_kind = true;
                 w.kind_gen = r.gen;
                 w.kind = r.kind;
             }
-            break;
-        case WalRecord::kJoin:
-            w.joins.emplace_back(r.gen, r.participants);
-            break;
-        default:
-            break;
         }
     }
 
     for (uint32_t z = 0; z < nzones_; ++z) {
-        ZoneWal &w = zw[z];
+        ZoneLog &w = zl[z];
         EZone &ez = zones_[z];
-        uint64_t gen = std::max(w.intent_gen, w.done_gen);
-        uint64_t parts = w.done_gen > 0 ? w.done_parts : ~0ull;
-        if (w.intent_gen > w.done_gen) {
+        uint64_t gen = w.gen;
+        uint64_t parts = w.parts;
+        if (w.intent_gen > gen) {
             // Interrupted reset: roll it forward. Physical resets are
             // idempotent, and the completion record makes the new
             // participant set durable.
-            const uint64_t lba = static_cast<uint64_t>(z + 1) *
-                devs_[0]->geometry().zone_size;
             uint64_t np = 0;
-            for (uint32_t d = 0; d < n; ++d) {
+            for (uint32_t d = 0; d < num_devices(); ++d) {
                 if (is_marked_failed(d))
                     continue;
-                IoRequest rst = IoRequest::zone_reset(lba);
+                IoRequest rst = IoRequest::zone_reset(dev_row_lba(z, 0));
                 rst.cause = obs::Cause::kWalMd;
-                IoResult r =
-                    submit_sync(*loop_, *devs_[d], std::move(rst));
+                IoResult r = submit_sync(*loop_, *devs_[d], std::move(rst));
                 if (!r.status.is_ok())
                     return r.status;
                 np |= bit(d);
             }
-            if (wal_next_ >= wal_slots_)
-                return Status(StatusCode::kNoSpace,
-                              "reset journal full during replay");
-            WalRecord drec;
-            drec.type = WalRecord::kResetDone;
+            ZoneRecord drec;
+            drec.op = ZoneRecord::kResetDone;
             drec.zone = z;
             drec.gen = w.intent_gen;
             drec.participants = np;
-            const IoBuf sector = encode_wal(drec);
-            const uint64_t slot = wal_next_++;
-            for (uint32_t d = 0; d < n; ++d) {
-                if (is_marked_failed(d))
-                    continue;
-                IoRequest wr =
-                    IoRequest::write(slot, sector, /*fua=*/true);
-                wr.cause = obs::Cause::kWalMd;
-                IoResult r =
-                    submit_sync(*loop_, *devs_[d], std::move(wr));
-                if (!r.status.is_ok())
-                    return r.status;
-            }
-            ++stats_.wal_appends;
+            bool logged = false;
+            Status ls;
+            log_zone(drec, [&](Status st) {
+                ls = st;
+                logged = true;
+            });
+            loop_->run_until_pred([&] { return logged; });
+            if (!ls.is_ok())
+                return ls;
             parts = np;
             gen = w.intent_gen;
         }
@@ -216,7 +164,7 @@ ZonedEngine::replay_wal()
                 ez.kind_decided = true;
             } else {
                 // No data of this generation can be on media: the kind
-                // record is FUA-journaled before the first chunk.
+                // record is logged durably before the first chunk.
                 ez.kind = ZoneKind::kParity;
                 ez.kind_decided = false;
             }
@@ -237,7 +185,7 @@ ZonedEngine::recover_zone(uint32_t zone)
     for (uint32_t d = 0; d < n; ++d) {
         if (is_marked_failed(d))
             continue;
-        Result<ZoneInfo> zi = devs_[d]->zone_info(phys_zone(zone));
+        Result<ZoneInfo> zi = devs_[d]->zone_info(zone);
         if (!zi.is_ok())
             return zi.status();
         full[d] = zi.value().full();
@@ -286,19 +234,33 @@ ZonedEngine::recover_zone(uint32_t zone)
                                 std::min<uint64_t>(rows[d], zone_cap_));
     } else {
         // Longest logically-contiguous prefix with every chunk row
-        // present on a trusted member.
+        // present on a trusted member. Parity is written only once a
+        // stripe is complete, so a full P (or Q) row on a trusted
+        // member also stands for a unit an untrusted member held.
+        auto sealed = [&](uint64_t stripe) {
+            for (int p : {parity_dev(zone, stripe), q_dev(zone, stripe)}) {
+                const auto d = static_cast<uint32_t>(p);
+                if (p >= 0 && trusted(d) && rows[d] >= (stripe + 1) * su)
+                    return true;
+            }
+            return false;
+        };
         bool stop = false;
         for (uint64_t stripe = 0; !stop && fill < zone_cap_; ++stripe) {
             for (uint32_t u = 0; u < units && !stop; ++u) {
                 uint64_t have = 0;
+                bool any_trusted = false;
                 for (uint32_t d : unit_devs(zone, stripe, u)) {
                     if (!trusted(d))
                         continue;
+                    any_trusted = true;
                     uint64_t avail = rows[d] > stripe * su
                         ? std::min<uint64_t>(rows[d] - stripe * su, su)
                         : 0;
                     have = std::max(have, avail);
                 }
+                if (!any_trusted && sealed(stripe))
+                    have = su;
                 fill += have;
                 if (have < su)
                     stop = true;
@@ -345,62 +307,18 @@ ZonedEngine::rebuild_prepare(uint32_t dev, StatusCb cb)
     for (uint32_t z = 0; z < nzones_; ++z)
         zones_[z].participants &= ~bit(dev);
     LOG_INFO("%s: rebuilding member %u", metric_prefix().c_str(), dev);
-    rebuild_wal_copied_ = 0;
-    chain_submit(dev, 0, rebuild_io(IoRequest::zone_reset(0)),
-                 [this, dev, cb = std::move(cb),
-                  alive = alive_](IoResult r) {
-                     if (!*alive)
-                         return;
-                     if (!r.status.is_ok())
-                         cb(r.status);
-                     else
-                         copy_wal_to_target(dev, cb);
-                 });
-}
-
-void
-ZonedEngine::copy_wal_to_target(uint32_t t, StatusCb done)
-{
-    uint32_t src = 0;
-    while (src < num_devices() && (src == t || is_marked_failed(src)))
-        ++src;
-    if (rebuild_wal_copied_ >= wal_next_ || src == num_devices()) {
-        Status s = src < num_devices()
-            ? Status::ok()
-            : Status(StatusCode::kOffline, "no live journal source");
-        loop_->schedule_after(1, [done = std::move(done), s] { done(s); });
+    Status st = md_->format_device(dev);
+    if (!st.is_ok()) {
+        cb(st);
         return;
     }
-    // One slot at a time, read from a live member, written FUA; each
-    // completion copies the next, so an abandoned copy frees with them.
-    const uint64_t slot = rebuild_wal_copied_;
-    auto write_slot = [this, t, slot, done, alive = alive_](IoResult r) {
-        if (!*alive)
-            return;
-        if (!r.status.is_ok()) {
-            done(r.status);
-            return;
-        }
-        IoRequest wr = store_data_
-            ? IoRequest::write(slot, std::move(r.data), /*fua=*/true)
-            : IoRequest::write_len(slot, 1, /*fua=*/true);
-        chain_submit(t, 0, rebuild_io(std::move(wr)),
-                     [this, t, done, alive](IoResult w) {
-                         if (!*alive)
-                             return;
-                         if (!w.status.is_ok()) {
-                             done(w.status);
-                             return;
-                         }
-                         ++rebuild_wal_copied_;
-                         copy_wal_to_target(t, done);
-                     });
-    };
-    if (store_data_)
-        chain_submit(src, 0, rebuild_io(IoRequest::read(slot, 1)),
-                     std::move(write_slot));
-    else
-        write_slot(IoResult{});
+    // The target's log starts from the zone snapshot, which holds
+    // every zone now that the target left each participant set; the
+    // records appended from here on reach it like every other member.
+    MemberJoin join(this, [cb = std::move(cb)](IoResult r) { cb(r.status); });
+    for (MdAppend &rec : snapshot_records())
+        log_to(dev, std::move(rec), join);
+    join.seal();
 }
 
 void
@@ -417,7 +335,7 @@ ZonedEngine::rebuild_zone_open(uint32_t dev, uint32_t zone,
         // Wipe the target's copy of the zone; its write pointer must
         // restart from zero for the sequential copy.
         IoRequest rst = IoRequest::zone_reset(dev_row_lba(zone, 0));
-        chain_submit(dev, phys_zone(zone), rebuild_io(std::move(rst)),
+        chain_submit(dev, zone, rebuild_io(std::move(rst)),
                      [this, dev, zone, cb, alive = alive_](IoResult r) {
             if (!*alive)
                 return;
@@ -523,7 +441,7 @@ ZonedEngine::rebuild_read(uint32_t t, uint32_t zone, uint64_t unit,
             unavailable("rebuild: no intact mirror copy");
             return;
         }
-        chain_submit(src, phys_zone(zone),
+        chain_submit(src, zone,
                      rebuild_io(IoRequest::read(e.pba, e.nsectors)),
                      [cb = std::move(cb)](IoResult r) {
                          cb(r.status, std::move(r.data));
@@ -578,7 +496,7 @@ void
 ZonedEngine::rebuild_write(uint32_t dev, uint32_t zone, IoRequest req,
                            IoCallback cb)
 {
-    chain_submit(dev, phys_zone(zone), std::move(req), std::move(cb));
+    chain_submit(dev, zone, std::move(req), std::move(cb));
 }
 
 void
@@ -589,7 +507,7 @@ ZonedEngine::rebuild_zone_done(uint32_t dev, uint32_t zone, Status s,
         rebuild_join(dev, zone, s, std::move(cb));
         return;
     }
-    chain_submit(dev, phys_zone(zone),
+    chain_submit(dev, zone,
                  rebuild_io(IoRequest::zone_finish(dev_row_lba(zone, 0))),
                  [this, dev, zone, cb = std::move(cb),
                   alive = alive_](IoResult r) {
@@ -610,7 +528,7 @@ ZonedEngine::rebuild_join(uint32_t t, uint32_t zone, Status s, StatusCb cb)
     }
     EZone &ez = zones_[zone];
     ez.participants |= bit(t);
-    Result<ZoneInfo> zi = devs_[t]->zone_info(phys_zone(zone));
+    Result<ZoneInfo> zi = devs_[t]->zone_info(zone);
     if (!ez.rec_fill.empty() && zi.is_ok()) {
         uint64_t rows = zi.value().full() ? phys_cap_ : zi.value().written();
         ez.rec_fill[t] = ez.kind == ZoneKind::kMirror
@@ -618,12 +536,12 @@ ZonedEngine::rebuild_join(uint32_t t, uint32_t zone, Status s, StatusCb cb)
             : rows;
     }
     ++stats_.zones_rebuilt;
-    WalRecord j;
-    j.type = WalRecord::kJoin;
+    ZoneRecord j;
+    j.op = ZoneRecord::kJoin;
     j.zone = zone;
     j.gen = ez.gen;
     j.participants = bit(t);
-    append_wal(j, [zone, release, cb, alive = alive_](Status js) {
+    log_zone(j, [zone, release, cb, alive = alive_](Status js) {
         if (!*alive)
             return;
         if (!js.is_ok())
@@ -654,21 +572,12 @@ ZonedEngine::rebuild_finish(uint32_t dev, Status s, StatusCb cb)
         conclude(s);
         return;
     }
-    // Catch up journal records appended while zones were copying, then
-    // seal the member with a flush.
-    copy_wal_to_target(dev, [this, dev, conclude, alive = alive_](Status cs) {
-        if (!*alive)
-            return;
-        if (!cs.is_ok()) {
-            conclude(cs);
-            return;
-        }
-        chain_submit(dev, 0, rebuild_io(IoRequest::flush()),
-                     [conclude, alive](IoResult r) {
-                         if (*alive)
-                             conclude(r.status);
-                     });
-    });
+    // Seal the member with a flush.
+    dev_submit(dev, rebuild_io(IoRequest::flush()),
+               [conclude, alive = alive_](IoResult r) {
+                   if (*alive)
+                       conclude(r.status);
+               });
 }
 
 // ---------------------------------------------------------------------

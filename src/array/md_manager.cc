@@ -1,4 +1,4 @@
-#include "raizn/md_manager.h"
+#include "array/md_manager.h"
 
 #include <algorithm>
 #include <cassert>
@@ -9,13 +9,13 @@
 
 namespace raizn {
 
-MdManager::MdManager(EventLoop *loop, const Layout *layout,
+MdManager::MdManager(EventLoop *loop, MdZoneRange zones,
                      std::vector<BlockDevice *> devs)
-    : loop_(loop), layout_(layout), devs_(std::move(devs))
+    : loop_(loop), zones_(zones), devs_(std::move(devs))
 {
     dev_state_.resize(devs_.size());
     for (auto &st : dev_state_) {
-        st.wp.assign(layout_->md_zones(), 0);
+        st.wp.assign(zones_.count, 0);
     }
 }
 
@@ -59,8 +59,8 @@ MdManager::format_device(uint32_t dev)
 {
     DevState &st = dev_state_[dev];
     st = DevState{};
-    st.wp.assign(layout_->md_zones(), 0);
-    for (uint32_t i = 0; i < layout_->md_zones(); ++i) {
+    st.wp.assign(zones_.count, 0);
+    for (uint32_t i = 0; i < zones_.count; ++i) {
         IoRequest rst = IoRequest::zone_reset(md_zone_pba(i));
         rst.cause = obs::Cause::kWalMd;
         auto res = submit_sync(*loop_, *devs_[dev], std::move(rst));
@@ -86,7 +86,7 @@ MdManager::format_device(uint32_t dev)
         st.sectors_written += 1;
     }
     st.next_epoch++;
-    for (uint32_t i = kNumRoles; i < layout_->md_zones(); ++i)
+    for (uint32_t i = kNumRoles; i < zones_.count; ++i)
         st.swap.push_back(i);
     return Status::ok();
 }
@@ -230,7 +230,7 @@ MdManager::append(uint32_t dev, MdZoneRole role, MdAppend entry,
         // degraded writes proceed. Same for a blank replacement whose
         // metadata zones were never formatted (degraded mount after a
         // crash between device swap and the first rebuild checkpoint):
-        // rewrite_replicated_md re-creates everything during rebuild.
+        // the rebuild formats it and re-creates what it must hold.
         loop_->schedule_after(1, [cb = std::move(cb)] { cb(Status::ok()); });
         return;
     }
@@ -303,7 +303,7 @@ MdManager::scan()
     for (uint32_t d = 0; d < devs_.size(); ++d) {
         DevState &st = dev_state_[d];
         st = DevState{};
-        st.wp.assign(layout_->md_zones(), 0);
+        st.wp.assign(zones_.count, 0);
         if (devs_[d]->failed())
             continue;
         out[d].alive = true;
@@ -315,8 +315,8 @@ MdManager::scan()
             ZoneRoleRecord role{};
         };
         std::vector<ZoneImage> images;
-        for (uint32_t i = 0; i < layout_->md_zones(); ++i) {
-            uint32_t phys_zone = layout_->first_md_zone() + i;
+        for (uint32_t i = 0; i < zones_.count; ++i) {
+            uint32_t phys_zone = zones_.first + i;
             auto zi = devs_[d]->zone_info(phys_zone);
             if (!zi.is_ok())
                 return zi.status();

@@ -1,11 +1,13 @@
 /**
  * @file
- * Metadata zone manager (paper §4.3). Each device reserves >= 3
- * physical zones for metadata: one bound to the general log role
- * (superblock, generation counters, reset logs, relocated stripe
- * units), one to the partial-parity log role (isolated because parity
- * logs are written on every non-stripe-aligned write), and the rest as
- * swap zones for metadata garbage collection.
+ * Metadata zone manager (paper §4.3), the one metadata log of every
+ * engine that keeps one (RAIZN and ZonedEngine). Each device reserves
+ * >= 3 physical zones at its end for metadata: one bound to the
+ * general log role (RAIZN: superblock, generation counters, reset
+ * logs, relocated stripe units; ZonedEngine: per-zone state records),
+ * one to the partial-parity log role (isolated because parity logs are
+ * written on every non-stripe-aligned write), and the rest as swap
+ * zones for metadata garbage collection.
  *
  * All metadata is written with zone appends. When an active log zone
  * fills, the manager designates a swap zone as the new log target,
@@ -21,15 +23,29 @@
 #include <memory>
 #include <vector>
 
+#include "array/md_format.h"
 #include "common/slab.h"
 #include "fault/retry.h"
-#include "raizn/layout.h"
-#include "raizn/metadata.h"
 #include "zns/block_device.h"
 
 namespace raizn {
 
 class EventLoop;
+
+/// The physical zones a manager logs into, the same on every device.
+struct MdZoneRange {
+    uint32_t first = 0; ///< physical zone index of metadata zone 0
+    uint32_t count = 0; ///< metadata zones (>= 3)
+    uint64_t zone_size = 0; ///< sectors between zone starts
+    uint64_t zone_cap = 0; ///< writable sectors per zone
+
+    /// The last `count` zones of a device with geometry `g`.
+    static MdZoneRange
+    trailing(const DeviceGeometry &g, uint32_t count)
+    {
+        return {g.nzones - count, count, g.zone_size, g.zone_capacity};
+    }
+};
 
 /**
  * One metadata entry ready to append. The payload's length travels in
@@ -65,7 +81,7 @@ class MdManager
     using SnapshotProvider =
         std::function<std::vector<MdAppend>(uint32_t dev, MdZoneRole role)>;
 
-    MdManager(EventLoop *loop, const Layout *layout,
+    MdManager(EventLoop *loop, MdZoneRange zones,
               std::vector<BlockDevice *> devs);
 
     void set_snapshot_provider(SnapshotProvider provider)
@@ -144,10 +160,6 @@ class MdManager
         return dev_state_[dev].sectors_written;
     }
 
-    /// Frees in-memory space accounting after host data no longer
-    /// references the zone (entries themselves are reclaimed by GC).
-    const Layout &layout() const { return *layout_; }
-
   private:
     static constexpr uint32_t kNumRoles = 2; // general, parity log
 
@@ -166,10 +178,10 @@ class MdManager
         std::vector<std::function<void()>> parked;
     };
 
-    uint64_t md_zone_cap() const { return layout_->phys_zone_cap(); }
+    uint64_t md_zone_cap() const { return zones_.zone_cap; }
     uint64_t md_zone_pba(uint32_t idx) const
     {
-        return layout_->md_zone_start(idx);
+        return (uint64_t{zones_.first} + idx) * zones_.zone_size;
     }
 
     /// Appends `sectors` sectors to md zone `zone_idx`; `bytes` is the
@@ -190,7 +202,7 @@ class MdManager
     void md_submit(uint32_t dev, IoRequest req, IoCallback cb);
 
     EventLoop *loop_;
-    const Layout *layout_;
+    MdZoneRange zones_;
     std::vector<BlockDevice *> devs_;
     std::vector<DevState> dev_state_;
     SnapshotProvider snapshot_;

@@ -168,46 +168,17 @@ ChkConfig::geom() const
             static_cast<uint64_t>(rc.data_units()) * su_sectors;
         return g;
     }
-    // ZonedEngine: physical zone 0 is the journal, logical zone z maps
-    // to physical zone z+1. Logical capacity mirrors the engine's own
-    // per-mode math (whole stripe-unit rows times data units).
-    g.num_zones = nzones - 1;
-    const uint64_t z = zone_cap;
-    const uint64_t su = su_sectors;
-    const uint64_t n = num_devices;
-    uint64_t units = 1;
-    switch (engine) {
-      case RaidMode::kRaid0:
-        units = n;
-        g.zone_cap = (z / su) * su * n;
-        break;
-      case RaidMode::kRaid1:
-        units = 1;
-        g.zone_cap = z;
-        break;
-      case RaidMode::kRaid5:
-        units = n - 1;
-        g.zone_cap = (z / su) * su * (n - 1);
-        break;
-      case RaidMode::kRaid6:
-        units = n - 2;
-        g.zone_cap = (z / su) * su * (n - 2);
-        break;
-      case RaidMode::kRaid10:
-        units = n / 2;
-        g.zone_cap = (z / su) * su * (n / 2);
-        break;
-      case RaidMode::kAuto:
-        // Aligned down to the parity stripe so either per-zone kind
-        // (mirror or parity) fits the same logical capacity.
-        units = n - 1;
-        g.zone_cap = (z / (su * (n - 1))) * su * (n - 1);
-        break;
-      default:
-        g.zone_cap = 0;
-        break;
-    }
-    g.stripe_sectors = su * units;
+    EngineConfig ec;
+    ec.mode = engine;
+    ec.su_sectors = su_sectors;
+    DeviceGeometry dg;
+    dg.nzones = nzones;
+    dg.zone_capacity = zone_cap;
+    const ZonedEngine::Geometry eg =
+        ZonedEngine::geometry(ec, num_devices, dg);
+    g.num_zones = eg.nzones;
+    g.zone_cap = eg.zone_cap;
+    g.stripe_sectors = eg.stripe_sectors;
     return g;
 }
 

@@ -32,19 +32,6 @@ StripeCache::touch(uint64_t stripe)
 }
 
 StripeCache::Entry *
-StripeCache::find(uint64_t stripe)
-{
-    auto it = map_.find(stripe);
-    if (it == map_.end()) {
-        misses_++;
-        return nullptr;
-    }
-    hits_++;
-    touch(stripe);
-    return &it->second.first;
-}
-
-StripeCache::Entry *
 StripeCache::get_or_create(uint64_t stripe, uint64_t stripe_sectors)
 {
     auto it = map_.find(stripe);
@@ -67,16 +54,6 @@ StripeCache::get_or_create(uint64_t stripe, uint64_t stripe_sectors)
         map_.emplace(stripe, std::make_pair(std::move(e), lru_.begin()));
     assert(inserted);
     return &pos->second.first;
-}
-
-void
-StripeCache::invalidate(uint64_t stripe)
-{
-    auto it = map_.find(stripe);
-    if (it == map_.end())
-        return;
-    lru_.erase(it->second.second);
-    map_.erase(it);
 }
 
 } // namespace raizn

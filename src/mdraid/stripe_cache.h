@@ -38,17 +38,10 @@ class StripeCache
         bool all_valid() const;
     };
 
-    /// Returns the entry for `stripe`, or nullptr when not cached.
-    Entry *find(uint64_t stripe);
-
     /// Returns (creating if needed) the entry for `stripe`, evicting
     /// the least recently used stripe when over budget.
     Entry *get_or_create(uint64_t stripe, uint64_t stripe_sectors);
 
-    void invalidate(uint64_t stripe);
-
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
     size_t size() const { return map_.size(); }
     uint64_t capacity_stripes() const { return capacity_stripes_; }
 
@@ -62,8 +55,6 @@ class StripeCache
     std::unordered_map<uint64_t,
                        std::pair<Entry, std::list<uint64_t>::iterator>>
         map_;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
 };
 
 } // namespace raizn

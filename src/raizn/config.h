@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "array/md_format.h"
 #include "common/units.h"
 
 namespace raizn {
@@ -19,7 +20,7 @@ struct RaiznConfig {
     uint32_t su_sectors = 16;
     /// Reserved metadata zones per device: one for partial parity logs,
     /// one general metadata zone, and at least one swap zone (§4.3).
-    uint32_t md_zones_per_device = 3;
+    uint32_t md_zones_per_device = kMdZonesPerDevice;
     /// Pre-allocated stripe buffers per open logical zone (§5.1).
     uint32_t stripe_buffers_per_zone = 8;
     /// Remapped stripe units per physical zone before RAIZN rebuilds
@@ -35,7 +36,7 @@ struct RaiznConfig {
     {
         // At most 64 members: ZonedArray keeps one bit per member.
         return num_devices >= 3 && num_devices <= 64 && su_sectors >= 1 &&
-            md_zones_per_device >= 3 && stripe_buffers_per_zone >= 1;
+            md_zones_per_device >= kMdZonesPerDevice && stripe_buffers_per_zone >= 1;
     }
 };
 

@@ -18,16 +18,6 @@ GenCounterTable::reset(uint32_t num_zones)
     applied_seq_.assign(num_blocks(), 0);
 }
 
-bool
-GenCounterTable::near_overflow() const
-{
-    for (uint64_t c : counters_) {
-        if (c == UINT64_MAX)
-            return true;
-    }
-    return false;
-}
-
 std::vector<uint8_t>
 GenCounterTable::encode_block(uint32_t block) const
 {

@@ -31,10 +31,6 @@ class GenCounterTable
     uint64_t get(uint32_t zone) const { return counters_[zone]; }
     void increment(uint32_t zone) { counters_[zone]++; }
 
-    /// Would any counter overflow on the next increment? (§4.3: the
-    /// volume degrades to read-only and requires maintenance.)
-    bool near_overflow() const;
-
     uint32_t block_of(uint32_t zone) const { return zone / kPerBlock; }
     uint32_t num_blocks() const
     {

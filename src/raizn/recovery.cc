@@ -296,6 +296,8 @@ RaiznVolume::replay_md_logs(RecoveryCtx &rc,
               case MdType::kZoneRole:
               case MdType::kRebuildCheckpoint:
                 break; // handled elsewhere
+              case MdType::kEngineZone:
+                break; // ZonedEngine's record, never in a RAIZN log
               case MdType::kZoneResetLog: {
                 auto rec = decode_zone_reset(e);
                 if (!rec.is_ok())

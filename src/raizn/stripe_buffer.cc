@@ -43,8 +43,6 @@ StripeBuffer::assign(uint64_t stripe_no)
 {
     stripe_no_ = stripe_no;
     filled_ = 0;
-    if (!shadow_)
-        std::fill(data_.begin(), data_.end(), 0);
 }
 
 void

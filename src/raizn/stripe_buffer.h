@@ -35,7 +35,9 @@ class StripeBuffer
   public:
     StripeBuffer(uint32_t data_units, uint32_t su_sectors, bool shadow);
 
-    /// Rebinds the buffer to a new stripe, clearing contents.
+    /// Rebinds the buffer to a new stripe. The bytes of the previous
+    /// stripe stay behind the (now empty) filled prefix; every reader
+    /// reads within the prefix only.
     void assign(uint64_t stripe_no);
 
     uint64_t stripe_no() const { return stripe_no_; }
@@ -80,7 +82,6 @@ class StripeBuffer
     /// Overwrites buffer contents directly (degraded-mount rebuild).
     void restore(uint64_t stripe_no, std::vector<uint8_t> bytes,
                  uint64_t filled_sectors);
-    const std::vector<uint8_t> &bytes() const { return data_; }
 
   private:
     uint32_t data_units_;

@@ -37,7 +37,11 @@ RaiznVolume::RaiznVolume(EventLoop *loop, std::vector<BlockDevice *> devs,
       cfg_(cfg)
 {
     layout_ = std::make_unique<Layout>(cfg_, devs_[0]->geometry());
-    md_ = std::make_unique<MdManager>(loop_, layout_.get(), devs_);
+    md_ = std::make_unique<MdManager>(
+        loop_,
+        MdZoneRange::trailing(devs_[0]->geometry(),
+                              cfg_.md_zones_per_device),
+        devs_);
     md_->set_snapshot_provider(
         [this](uint32_t dev, MdZoneRole role) {
             return snapshot_for_gc(dev, role);

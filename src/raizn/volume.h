@@ -28,7 +28,7 @@
 #include "raizn/config.h"
 #include "raizn/gen_counter.h"
 #include "raizn/layout.h"
-#include "raizn/md_manager.h"
+#include "array/md_manager.h"
 #include "raizn/persist_bitmap.h"
 #include "raizn/relocation.h"
 #include "raizn/stripe_buffer.h"

@@ -5,8 +5,8 @@
  * write/read roundtrips across every mode, crash durability of
  * flushed/FUA data with frozen-zone remount semantics, degraded reads
  * (including RAID-6 double failure and RAID-0 data loss), manual and
- * spare-driven rebuild, auto-mode kind decisions, scrubbing, journal
- * exhaustion, and metrics-registry linkage.
+ * spare-driven rebuild, auto-mode kind decisions, scrubbing, the
+ * metadata log outliving one zone, and metrics-registry linkage.
  */
 #include <gtest/gtest.h>
 
@@ -38,7 +38,7 @@ struct EngineArray {
     std::vector<std::unique_ptr<ZnsDevice>> devs;
     std::unique_ptr<ZonedEngine> eng;
     EngineConfig cfg;
-    uint32_t nzones = 5;
+    uint32_t nzones = 7; ///< 4 data zones + the metadata zones
     uint64_t zone_cap = 64;
 
     ZnsDeviceConfig
@@ -311,7 +311,7 @@ TEST(EngineCreate, RejectsBadConfigs)
 
 TEST(EngineCreate, CapacityMathPerMode)
 {
-    // Z = 64, su = 4, N = 4 members, 5 phys zones (1 journal).
+    // Z = 64, su = 4, N = 4 members, 7 phys zones (3 metadata).
     struct Want {
         RaidMode mode;
         uint64_t zone_cap;
@@ -545,6 +545,36 @@ TEST(EngineCrash, InterruptedResetRollsForwardAtMount)
     a.expect_pattern(0, 4, 4);
 }
 
+TEST(EngineMount, DegradedMountKeepsSealedStripes)
+{
+    // A member fails, then two full stripes and a partial one land on
+    // the survivors. After a power cut the array mounts degraded, and
+    // the full stripes read back: their parity rows on the survivors
+    // stand for the units the failed member never got.
+    for (RaidMode mode :
+         {RaidMode::kRaid5, RaidMode::kRaid6, RaidMode::kAuto}) {
+        SCOPED_TRACE(std::string(to_string(mode)));
+        EngineArray a;
+        a.make(mode);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        a.eng->mark_device_failed(1);
+        const uint32_t stripe = a.eng->data_units(0) * a.cfg.su_sectors;
+        a.write_pattern(0, 2 * stripe, 700);
+        a.write_pattern(2 * stripe, 3, 701);
+        ASSERT_TRUE(a.flush().status.is_ok());
+        a.crash_and_remount({PowerLossSpec::Policy::kDropCache, 0});
+        if (::testing::Test::HasFatalFailure())
+            return;
+        EXPECT_TRUE(a.eng->degraded());
+        EXPECT_EQ(1, a.eng->failed_device());
+        auto zi = a.eng->zone_info(0);
+        ASSERT_TRUE(zi.is_ok());
+        EXPECT_GE(zi.value().written(), 2u * stripe);
+        a.expect_pattern(0, 2 * stripe, 700);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Degraded operation
 // ---------------------------------------------------------------------
@@ -648,30 +678,6 @@ TEST(EngineRebuild, Raid5RebuildRestoresRedundancy)
     // New writes after rebuild land on the rebuilt member too.
     a.write_pattern(cap + 17, 7, 53);
     a.expect_pattern(cap + 17, 7, 53);
-}
-
-TEST(EngineRebuild, TeardownDuringJournalCopyFreesTheCopy)
-{
-    // The rebuild first copies the journal slot by slot onto the
-    // target. Destroying the engine mid-copy must free the copy along
-    // with its pending IO (checked for leaks under the asan preset).
-    EngineArray a;
-    a.make(RaidMode::kRaid5);
-    for (uint64_t seed = 0; seed < 3; ++seed) {
-        a.write_pattern(0, 4, 300 + seed);
-        ASSERT_TRUE(a.reset_zone(0).status.is_ok());
-    }
-    const uint64_t slots = a.eng->wal_used();
-    ASSERT_GE(slots, 4u);
-    a.eng->mark_device_failed(1);
-    a.devs[1]->replace();
-    bool done = false;
-    a.eng->rebuild_device(1, nullptr, [&](Status) { done = true; });
-    auto copied = [&] { return a.devs[1]->zone_info(0).value().written(); };
-    a.loop->run_until_pred([&] { return copied() >= 1; });
-    ASSERT_LT(copied(), slots) << "journal copy already finished";
-    a.eng.reset();
-    EXPECT_FALSE(done);
 }
 
 TEST(EngineRebuild, MirrorRebuildAndBusySemantics)
@@ -786,9 +792,9 @@ TEST(EngineScrub, DetectsLatentCorruption)
     a.write_pattern(0, 24, 91); // two settled stripes
     ASSERT_TRUE(a.flush().status.is_ok());
     // Corrupt one data chunk of stripe 0 on whichever member holds
-    // unit 0 (physical zone 1, row 0).
+    // unit 0 (physical zone 0, row 0).
     uint32_t victim = a.eng->chunk_dev(0, 0, 0);
-    a.devs[victim]->corrupt(1 * 64, 4, 1234);
+    a.devs[victim]->corrupt(0, 4, 1234);
     ZonedArray::ScrubReport rep;
     Status s = a.eng->scrub_all(&rep);
     ASSERT_TRUE(s.is_ok()) << s.to_string();
@@ -809,7 +815,7 @@ TEST(EngineScrub, ReadPathRepairsCorruptChunk)
         // chunk_dev names the member (the first mirror) the read tries
         // first for stripe 0's first data unit.
         uint32_t victim = a.eng->chunk_dev(0, 0, 0);
-        a.devs[victim]->corrupt(1 * 64, 4, 4321);
+        a.devs[victim]->corrupt(0, 4, 4321);
         // The read detects the bad CRC and re-serves from redundancy.
         a.expect_pattern(0, 24, 92);
         EXPECT_GE(a.eng->stats().crc_mismatches, 1u);
@@ -821,29 +827,47 @@ TEST(EngineScrub, ReadPathRepairsCorruptChunk)
 // Journal
 // ---------------------------------------------------------------------
 
-TEST(EngineWal, ResetCyclesConsumeSlotsUntilNoSpace)
+TEST(EngineWal, ResetCyclesOutliveOneJournalZone)
 {
+    // Each non-empty reset logs an intent and a done record on every
+    // member: 10 x zone_capacity cycles fill the general log zone many
+    // times over, so metadata GC must switch zones and checkpoint.
     EngineArray a;
     a.make(RaidMode::kRaid5);
-    EXPECT_EQ(64u, a.eng->wal_slots());
-    EXPECT_EQ(0u, a.eng->wal_used());
-    // Each non-empty reset journals an intent + a done record.
-    bool saw_nospace = false;
-    uint64_t last_seed = 0;
-    for (int i = 0; i < 40 && !saw_nospace; ++i) {
-        last_seed = 100 + static_cast<uint64_t>(i);
-        a.write_pattern(0, 4, last_seed);
-        IoResult r = a.reset_zone(0);
-        if (!r.status.is_ok()) {
-            EXPECT_EQ(StatusCode::kNoSpace, r.status.code());
-            saw_nospace = true;
-        }
+    const uint32_t cycles = static_cast<uint32_t>(10 * a.zone_cap);
+    for (uint32_t i = 0; i < cycles; ++i) {
+        const uint32_t zone = i % a.eng->num_zones();
+        a.write_pattern(zone * a.eng->zone_capacity(), 4, 100 + i);
+        IoResult r = a.reset_zone(zone);
+        ASSERT_TRUE(r.status.is_ok()) << "cycle " << i << ": "
+                                      << r.status.to_string();
     }
-    EXPECT_TRUE(saw_nospace);
-    EXPECT_LE(a.eng->wal_used(), a.eng->wal_slots());
-    // The failed reset left the zone intact; reads keep working after
-    // journal exhaustion.
-    a.expect_pattern(0, 4, last_seed);
+    EXPECT_GT(a.eng->md_manager().gc_runs(), 0u);
+    // One full stripe per zone (3 data units of 4 sectors) survives the
+    // cut in every zone.
+    const uint64_t cap = a.eng->zone_capacity();
+    for (uint32_t z = 0; z < a.eng->num_zones(); ++z)
+        a.write_pattern(z * cap, 12, 500 + z);
+    ASSERT_TRUE(a.flush().status.is_ok());
+    std::vector<uint64_t> gens;
+    for (uint32_t z = 0; z < a.eng->num_zones(); ++z)
+        gens.push_back(a.eng->zone_gen(z));
+    a.crash_and_remount({PowerLossSpec::Policy::kDropCache, 0});
+    if (::testing::Test::HasFatalFailure())
+        return;
+    for (uint32_t z = 0; z < a.eng->num_zones(); ++z) {
+        EXPECT_EQ(gens[z], a.eng->zone_gen(z)) << "zone " << z;
+        a.expect_pattern(z * cap, 12, 500 + z);
+    }
+    // Every member still participates in every zone: scrub checks a
+    // stripe's parity only when each of its units sits on a
+    // participant, so all four stripes are scanned, and clean.
+    ZonedArray::ScrubReport rep;
+    Status s = a.eng->scrub_all(&rep);
+    ASSERT_TRUE(s.is_ok()) << s.to_string();
+    EXPECT_EQ(a.eng->num_zones(), rep.stripes_scanned);
+    EXPECT_EQ(0u, rep.parity_mismatches);
+    EXPECT_EQ(0u, rep.unrecoverable);
 }
 
 // ---------------------------------------------------------------------

@@ -60,7 +60,7 @@ struct Sut {
         loop = std::make_unique<EventLoop>();
         for (uint32_t i = 0; i < 4; ++i) {
             ZnsDeviceConfig dc;
-            dc.nzones = 5;
+            dc.nzones = 7;
             dc.zone_size = 64;
             dc.zone_capacity = 64;
             dc.atomic_write_sectors = 4;

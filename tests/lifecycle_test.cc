@@ -506,7 +506,7 @@ struct AnyArray {
         }
         ZnsDeviceConfig dc = e == Engine::kRaizn
             ? TestArray::device_config()
-            : TestArray::device_config(5, 64);
+            : TestArray::device_config(7, 64);
         if (mismatched)
             dc.nzones++;
         dc.name = name;

@@ -8,8 +8,7 @@
 
 #include <algorithm>
 
-#include "raizn/layout.h"
-#include "raizn/md_manager.h"
+#include "array/md_manager.h"
 #include "raizn/volume.h"
 #include "sim/event_loop.h"
 #include "zns/zns_device.h"
@@ -71,8 +70,9 @@ class MdManagerTest : public ::testing::Test
                 std::make_unique<RecordingDevice>(devs_.back().get()));
             ptrs_.push_back(recs_.back().get());
         }
-        layout_ = std::make_unique<Layout>(cfg_, ptrs_[0]->geometry());
-        md_ = std::make_unique<MdManager>(&loop_, layout_.get(), ptrs_);
+        zones_ = MdZoneRange::trailing(ptrs_[0]->geometry(),
+                                       cfg_.md_zones_per_device);
+        md_ = std::make_unique<MdManager>(&loop_, zones_, ptrs_);
         ASSERT_TRUE(md_->format().is_ok());
     }
 
@@ -119,7 +119,7 @@ class MdManagerTest : public ::testing::Test
     std::vector<std::unique_ptr<ZnsDevice>> devs_;
     std::vector<std::unique_ptr<RecordingDevice>> recs_;
     std::vector<BlockDevice *> ptrs_;
-    std::unique_ptr<Layout> layout_;
+    MdZoneRange zones_;
     std::unique_ptr<MdManager> md_;
 };
 
@@ -128,9 +128,9 @@ TEST_F(MdManagerTest, FormatBindsRoles)
     // Each device: md zone 0 = general, 1 = parity log (role records
     // consume 1 sector each).
     EXPECT_EQ(md_->active_zone_wp(0, MdZoneRole::kGeneral),
-              layout_->md_zone_start(0) + 1);
+              uint64_t{zones_.first} * zones_.zone_size + 1);
     EXPECT_EQ(md_->active_zone_wp(0, MdZoneRole::kParityLog),
-              layout_->md_zone_start(1) + 1);
+              (uint64_t{zones_.first} + 1) * zones_.zone_size + 1);
 }
 
 TEST_F(MdManagerTest, AppendAdvancesWp)
@@ -264,7 +264,7 @@ TEST_F(MdManagerTest, ScanSurvivesPowerCutDuringGc)
     EventLoop loop2;
     for (auto &d : devs_)
         d->reattach(&loop2);
-    MdManager md2(&loop2, layout_.get(), ptrs_);
+    MdManager md2(&loop2, zones_, ptrs_);
     auto logs = md2.scan();
     ASSERT_TRUE(logs.is_ok()) << logs.status().to_string();
     // Whatever survived is parseable and the manager is appendable.

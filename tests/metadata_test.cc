@@ -276,26 +276,40 @@ TEST(StripeBufferTest, ParityCallsMatchByteReference)
 {
     // Every write [s, e) of a 4 x 4-sector stripe, and the prefix
     // parity at every fill level, against zero-filled buffers folded
-    // byte by byte.
+    // byte by byte: once on a fresh buffer, once on a buffer re-bound
+    // after a full stripe of other non-zero bytes.
     constexpr uint32_t kUnits = 4, kSu = 4;
     constexpr uint64_t kStripe = kUnits * kSu;
     constexpr uint64_t kSuBytes = kSu * kSectorSize;
     auto data = pattern_data(kStripe, 21);
-    for (uint64_t e = 1; e <= kStripe; ++e) {
-        StripeBuffer buf(kUnits, kSu, false);
-        buf.assign(0);
-        buf.fill(0, data.data(), e);
-        std::vector<uint8_t> prefix(kSuBytes, 0);
-        for (uint64_t b = 0; b < e * kSectorSize; ++b)
-            prefix[b % kSuBytes] ^= data[b];
-        ASSERT_EQ(buf.prefix_parity(), prefix) << "filled " << e;
-        for (uint64_t s = 0; s < e; ++s) {
-            uint64_t lo, hi;
-            auto delta = buf.parity_delta(s, e, &lo, &hi);
-            std::vector<uint8_t> want((hi - lo) * kSectorSize, 0);
-            for (uint64_t b = s * kSectorSize; b < e * kSectorSize; ++b)
-                want[b % kSuBytes - lo * kSectorSize] ^= data[b];
-            ASSERT_EQ(delta, want) << "write [" << s << ", " << e << ")";
+    auto stale = pattern_data(kStripe, 77);
+    for (bool rebound : {false, true}) {
+        for (uint64_t e = 1; e <= kStripe; ++e) {
+            StripeBuffer buf(kUnits, kSu, false);
+            buf.assign(0);
+            if (rebound) {
+                buf.fill(0, stale.data(), kStripe);
+                buf.assign(1);
+            }
+            buf.fill(0, data.data(), e);
+            std::vector<uint8_t> prefix(kSuBytes, 0);
+            for (uint64_t b = 0; b < e * kSectorSize; ++b)
+                prefix[b % kSuBytes] ^= data[b];
+            ASSERT_EQ(buf.prefix_parity(), prefix)
+                << "filled " << e << " rebound " << rebound;
+            if (e == kStripe) {
+                ASSERT_EQ(buf.full_parity(), prefix)
+                    << "rebound " << rebound;
+            }
+            for (uint64_t s = 0; s < e; ++s) {
+                uint64_t lo, hi;
+                auto delta = buf.parity_delta(s, e, &lo, &hi);
+                std::vector<uint8_t> want((hi - lo) * kSectorSize, 0);
+                for (uint64_t b = s * kSectorSize; b < e * kSectorSize; ++b)
+                    want[b % kSuBytes - lo * kSectorSize] ^= data[b];
+                ASSERT_EQ(delta, want) << "write [" << s << ", " << e
+                                       << ") rebound " << rebound;
+            }
         }
     }
 }

@@ -85,7 +85,7 @@ struct RebuildSut {
         const uint32_t ndev = raizn ? 5 : 4;
         for (uint32_t i = 0; i < ndev; ++i) {
             ZnsDeviceConfig dc;
-            dc.nzones = raizn ? 8 : 5;
+            dc.nzones = raizn ? 8 : 7;
             dc.zone_size = raizn ? 128 : 64;
             dc.zone_capacity = dc.zone_size;
             dc.max_open_zones = 14;

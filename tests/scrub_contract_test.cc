@@ -49,7 +49,7 @@ struct ScrubSut {
         std::vector<BlockDevice *> ptrs;
         for (uint32_t i = 0; i < 4; ++i) {
             ZnsDeviceConfig dc;
-            dc.nzones = raizn ? 8 : 5;
+            dc.nzones = raizn ? 8 : 7;
             dc.zone_size = zone_cap;
             dc.zone_capacity = zone_cap;
             dc.max_open_zones = 14;
@@ -144,8 +144,8 @@ struct ScrubSut {
     {
         const uint32_t dev = vol ? vol->layout().data_dev(0, 0, 0)
                                  : eng->chunk_dev(0, 0, 0);
-        const uint64_t pba = vol ? vol->layout().slot_pba(0, 0)
-                                 : eng->phys_zone(0) * zone_cap;
+        // The engine's logical zone 0 is physical zone 0.
+        const uint64_t pba = vol ? vol->layout().slot_pba(0, 0) : 0;
         zns[dev]->corrupt(pba, su(), 0xbad5c0b);
     }
 

@@ -83,7 +83,7 @@ struct Sut {
         loop = std::make_unique<EventLoop>();
         for (uint32_t i = 0; i < 4; ++i)
             devs.push_back(std::make_unique<ZnsDevice>(
-                loop.get(), dev_config(i, 5, 64)));
+                loop.get(), dev_config(i, 7, 64)));
         auto res = ZonedEngine::create(loop.get(), dev_ptrs(), ecfg);
         ASSERT_TRUE(res.is_ok()) << name << ": " << res.status().to_string();
         arr = std::move(res).value();
@@ -540,7 +540,7 @@ TEST(ZonedArrayObs, RetrierCountsFlowIntoRegistryForEveryFamily)
         std::vector<BlockDevice *> ptrs;
         for (uint32_t i = 0; i < 4; ++i) {
             devs.push_back(std::make_unique<ZnsDevice>(
-                &loop, Sut::dev_config(i, 5, 64)));
+                &loop, Sut::dev_config(i, 7, 64)));
             fdevs.push_back(std::make_unique<FaultInjectingDevice>(
                 &loop, devs.back().get(), FaultConfig{}));
             ptrs.push_back(fdevs.back().get());
