@@ -38,12 +38,6 @@ chain_key(uint32_t dev, uint32_t zone)
 
 } // namespace
 
-std::string
-EngineStats::dump() const
-{
-    return obs::render_stats(*this);
-}
-
 struct ZonedEngine::WriteCtx {
     uint32_t pending = 0;
     bool issued_all = false;

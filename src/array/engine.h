@@ -107,9 +107,6 @@ struct EngineStats {
         fn("auto_mirror_zones", auto_mirror_zones);
         fn("auto_parity_zones", auto_parity_zones);
     }
-
-    /// One-line "key=value" rendering, same format as VolumeStats.
-    std::string dump() const;
 };
 
 class ZonedEngine : public ZonedArray

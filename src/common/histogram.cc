@@ -4,8 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "common/logging.h"
-
 namespace raizn {
 
 Histogram::Histogram() : buckets_(kRanges * kSubBuckets, 0) {}
@@ -177,16 +175,6 @@ Histogram::percentile(double q) const
         seen += buckets_[i];
     }
     return max_;
-}
-
-std::string
-Histogram::summary_us() const
-{
-    return strprintf(
-        "n=%llu mean=%.1fus p50=%.1fus p99=%.1fus p99.9=%.1fus max=%.1fus",
-        static_cast<unsigned long long>(count_), mean() / 1e3,
-        static_cast<double>(p50()) / 1e3, static_cast<double>(p99()) / 1e3,
-        static_cast<double>(p999()) / 1e3, static_cast<double>(max()) / 1e3);
 }
 
 } // namespace raizn

@@ -40,9 +40,6 @@ class Histogram
     uint64_t p99() const { return percentile(0.99); }
     uint64_t p999() const { return percentile(0.999); }
 
-    /// One-line summary ("n=... mean=...us p50=...us p99.9=...us").
-    std::string summary_us() const;
-
     /**
      * Snapshot-and-reset of the *window*, not the histogram: returns a
      * histogram holding exactly the samples added since the previous

@@ -1,9 +1,10 @@
 /**
  * @file
  * Storage environment abstraction between the KV store and the
- * volumes, standing in for the paper's F2FS layer. Two
- * implementations: ZonedEnv (append-only files over a RAIZN volume,
- * ZenFS/F2FS-style) and BlockEnv (extent allocator over mdraid).
+ * volumes, standing in for the paper's F2FS layer. One file layer
+ * (FileEnv) implements it over a ZonedArray, with two placements:
+ * ZonedEnv (append-only files over a RAIZN volume, ZenFS/F2FS-style)
+ * and BlockEnv (extent allocator over mdraid).
  *
  * The interface is synchronous: each call drives the shared event
  * loop until its device IO completes, advancing virtual time. This

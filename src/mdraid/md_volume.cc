@@ -18,12 +18,6 @@
 
 namespace raizn {
 
-std::string
-MdVolumeStats::dump() const
-{
-    return obs::render_stats(*this);
-}
-
 struct MdVolume::WriteCtx {
     uint32_t pending = 0;
     bool issued_all = false;

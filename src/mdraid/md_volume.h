@@ -67,9 +67,6 @@ struct MdVolumeStats {
         fn("spares_promoted", spares_promoted);
         fn("resync_throttle_stalls", resync_throttle_stalls);
     }
-
-    /// One-line "key=value" rendering, same format as VolumeStats.
-    std::string dump() const;
 };
 
 class MdVolume : public ZonedArray

@@ -110,22 +110,6 @@ MetricsRegistry::snapshot() const
 }
 
 std::string
-MetricsRegistry::dump() const
-{
-    std::string out;
-    for (const MetricSample &s : snapshot()) {
-        if (s.kind == MetricSample::Kind::kLatency) {
-            out += strprintf("%-40s %s\n", s.name.c_str(),
-                             s.hist->summary_us().c_str());
-        } else {
-            out += strprintf("%-40s %llu\n", s.name.c_str(),
-                             (unsigned long long)s.value);
-        }
-    }
-    return out;
-}
-
-std::string
 MetricsRegistry::to_json() const
 {
     std::string out = "{\n";

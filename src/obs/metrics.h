@@ -10,10 +10,9 @@
  * their fields in place, so migrated layers pay zero extra cost per
  * operation.
  *
- * Exports: a sorted human-readable dump(), a JSON object keyed by
- * metric name, and a shared "key=value" renderer that is the single
- * source of truth for the legacy VolumeStats / MdVolumeStats dump
- * formats.
+ * Exports: a JSON object keyed by metric name, and a shared
+ * "key=value" renderer that is the single source of truth for the
+ * VolumeStats dump format.
  */
 #pragma once
 
@@ -103,13 +102,6 @@ class MetricsRegistry
 
     /// Name-sorted snapshot of every metric.
     std::vector<MetricSample> snapshot() const;
-
-    /**
-     * Human rendering: one "name=value" line per counter/gauge, one
-     * summary line per latency metric, sorted by name so related
-     * metrics group into their hierarchy.
-     */
-    std::string dump() const;
 
     /**
      * JSON object keyed by metric name. Counters/gauges render as

@@ -333,6 +333,12 @@ RaiznVolume::replay_md_logs(RecoveryCtx &rc,
                 auto rec = decode_zone_rebuild(e);
                 if (!rec.is_ok())
                     break;
+                // A rebuild's newest phase record supersedes its
+                // earlier ones: only an unfinished rebuild resumes.
+                std::erase_if(rc.pending_rebuilds, [&](const auto &p) {
+                    return p.dev == rec.value().dev &&
+                        p.logical_zone == rec.value().logical_zone;
+                });
                 if (rec.value().phase >= 2) {
                     // Drop the relocations folded by this rebuild.
                     uint32_t z = rec.value().logical_zone;

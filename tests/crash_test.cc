@@ -201,6 +201,50 @@ TEST_F(CrashTest, UnrecoverableHoleRollsBackAndRemaps)
     arr_.expect_pattern(0, 64, 3);
 }
 
+TEST_F(CrashTest, UnrecoverableHoleRemapsThenZoneRebuildFoldsThem)
+{
+    // The hole of UnrecoverableHoleRollsBackAndRemaps on an array whose
+    // relocation threshold is 0: the remount after the relocated writes
+    // rebuilds each physical zone holding a relocation (§5.2), folding
+    // the relocated units back to their arithmetic positions.
+    RaiznConfig cfg = TestArray::array_config();
+    cfg.relocation_threshold = 0;
+    arr_.make(cfg);
+    arr_.write_pattern(0, 64, 3);
+    ASSERT_TRUE(arr_.flush().status.is_ok());
+    arr_.write_pattern(64, 64, 4);
+    const Layout &l = arr_.vol->layout();
+    uint32_t pdev = l.parity_dev(0, 1);
+    uint32_t ddev = l.data_dev(0, 1, 1);
+    for (uint32_t d = 0; d < 5; ++d) {
+        if (d != pdev && d != ddev) {
+            ASSERT_TRUE(submit_sync(*arr_.loop, *arr_.devs[d],
+                                    IoRequest::flush())
+                            .status.is_ok());
+        }
+    }
+    ASSERT_TRUE(arr_.crash_and_remount(drop_all()).is_ok());
+    uint64_t wp = arr_.vol->zone_info(0).value().wp;
+    ASSERT_GE(wp, 64u);
+    ASSERT_LT(wp, 128u);
+    EXPECT_EQ(arr_.vol->stats().phys_zone_rebuilds, 0u);
+    uint32_t todo = static_cast<uint32_t>(128 - wp);
+    arr_.write_pattern(wp, todo, 9);
+    EXPECT_GT(arr_.vol->stats().relocated_writes, 0u);
+
+    ASSERT_TRUE(arr_.remount().is_ok());
+    EXPECT_GT(arr_.vol->stats().phys_zone_rebuilds, 0u);
+    arr_.expect_pattern(0, 64, 3);
+    arr_.expect_pattern(wp, todo, 9);
+
+    // The rebuilt zones hold the data in place: one more remount finds
+    // nothing left to fold and reads the same bytes.
+    ASSERT_TRUE(arr_.remount().is_ok());
+    EXPECT_EQ(arr_.vol->stats().phys_zone_rebuilds, 0u);
+    arr_.expect_pattern(0, 64, 3);
+    arr_.expect_pattern(wp, todo, 9);
+}
+
 TEST_F(CrashTest, ReadSplitsExtentWhereARelocationBegins)
 {
     // Build a stripe unit whose first half sits at its home PBA and

@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for the storage environments: file round trips, padding
- * semantics, deletion + zone reclaim, and the zoned cleaner.
+ * Tests for the storage environments: one contract suite both envs
+ * meet (round trips, listing, deletes, free space, synced reads), then
+ * each placement's own semantics: padding, deletion + zone reclaim and
+ * the cleaner for ZonedEnv, tail rewrites and extents for BlockEnv.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "env/block_env.h"
-#include "env/zoned_env.h"
-#include "wkld/setup.h"
+#include "env_test_util.h"
 
 namespace raizn {
 namespace {
@@ -58,6 +58,107 @@ expect_reads_back(Env *env, const std::string &name,
         << name << " slice";
 }
 
+class EnvContract : public ::testing::TestWithParam<EnvKind>
+{
+  protected:
+    EnvContract() : stack_(GetParam(), scale()) {}
+
+    static BenchScale
+    scale()
+    {
+        BenchScale scale;
+        scale.zones_per_device = 9; // 6 logical zones on RAIZN
+        scale.zone_cap_sectors = 256; // 1 MiB zones
+        return scale;
+    }
+
+    Env *env() { return stack_.env.get(); }
+
+    EnvStack stack_;
+};
+
+TEST_P(EnvContract, WriteReadRoundTrip)
+{
+    auto f = env()->new_writable("a");
+    ASSERT_TRUE(f.is_ok());
+    ASSERT_TRUE(f.value()->append(bytes_of("hello ")).is_ok());
+    ASSERT_TRUE(f.value()->append(bytes_of("file world")).is_ok());
+    ASSERT_TRUE(f.value()->close().is_ok());
+    EXPECT_TRUE(env()->file_exists("a"));
+    EXPECT_EQ(env()->file_size("a").value(), 16u);
+
+    auto r = env()->open_readable("a");
+    ASSERT_TRUE(r.is_ok());
+    auto data = r.value()->read(0, 16);
+    ASSERT_TRUE(data.is_ok());
+    EXPECT_EQ(std::string(data.value().begin(), data.value().end()),
+              "hello file world");
+    // Partial read at an offset.
+    data = r.value()->read(6, 4);
+    ASSERT_TRUE(data.is_ok());
+    EXPECT_EQ(std::string(data.value().begin(), data.value().end()),
+              "file");
+    EXPECT_EQ(r.value()->read(16, 1).status().code(),
+              StatusCode::kInvalidArgument); // past EOF
+}
+
+TEST_P(EnvContract, ManyFilesListAndDelete)
+{
+    for (int i = 0; i < 10; ++i) {
+        auto f = env()->new_writable("f" + std::to_string(i));
+        ASSERT_TRUE(f.value()->append(bytes_of("data")).is_ok());
+        ASSERT_TRUE(f.value()->close().is_ok());
+    }
+    EXPECT_EQ(env()->list_files().size(), 10u);
+    EXPECT_TRUE(env()->file_exists("f3"));
+    for (int i = 0; i < 10; ++i)
+        ASSERT_TRUE(env()->delete_file("f" + std::to_string(i)).is_ok());
+    EXPECT_TRUE(env()->list_files().empty());
+    EXPECT_FALSE(env()->file_exists("f3"));
+    EXPECT_EQ(env()->delete_file("f3").code(), StatusCode::kNotFound);
+    EXPECT_EQ(env()->stats().files_created, 10u);
+    EXPECT_EQ(env()->stats().files_deleted, 10u);
+}
+
+TEST_P(EnvContract, DeleteFreesSpace)
+{
+    uint64_t before = env()->free_bytes();
+    auto f = env()->new_writable("tmp");
+    std::vector<uint8_t> mb(kMiB, 0x5a);
+    ASSERT_TRUE(f.value()->append(mb).is_ok());
+    ASSERT_TRUE(f.value()->close().is_ok());
+    EXPECT_LT(env()->free_bytes(), before);
+    ASSERT_TRUE(env()->delete_file("tmp").is_ok());
+    EXPECT_EQ(env()->free_bytes(), before);
+}
+
+// Small, direct (>= 256 KiB) and unaligned appends, each followed by a
+// sync: the synced stream reads back whole and in a slice before the
+// file is closed.
+TEST_P(EnvContract, SyncedAppendsReadBack)
+{
+    auto f = env()->new_writable("log");
+    ASSERT_TRUE(f.is_ok());
+    std::vector<uint8_t> want;
+    for (uint32_t i = 0; i < 4; ++i) {
+        std::vector<uint8_t> more =
+            pattern(i % 2 == 0 ? 1000 + i : 300 * kKiB + 7 * i, 70 + i);
+        ASSERT_TRUE(f.value()->append(more).is_ok());
+        ASSERT_TRUE(f.value()->sync().is_ok());
+        append_to(&want, more);
+    }
+    expect_reads_back(env(), "log", want);
+    ASSERT_TRUE(f.value()->close().is_ok());
+    EXPECT_EQ(env()->stats().bytes_appended, want.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Envs, EnvContract,
+    ::testing::Values(EnvKind::kZonedRaizn, EnvKind::kBlockMdraid),
+    [](const ::testing::TestParamInfo<EnvKind> &info) {
+        return env_kind_name(info.param);
+    });
+
 class ZonedEnvTest : public ::testing::Test
 {
   protected:
@@ -76,27 +177,6 @@ class ZonedEnvTest : public ::testing::Test
     RaiznArray arr_;
     std::unique_ptr<ZonedEnv> env_;
 };
-
-TEST_F(ZonedEnvTest, WriteReadRoundTrip)
-{
-    auto f = env_->new_writable("a");
-    ASSERT_TRUE(f.is_ok());
-    ASSERT_TRUE(f.value()->append(bytes_of("hello ")).is_ok());
-    ASSERT_TRUE(f.value()->append(bytes_of("zoned world")).is_ok());
-    ASSERT_TRUE(f.value()->close().is_ok());
-    EXPECT_EQ(env_->file_size("a").value(), 17u);
-
-    auto r = env_->open_readable("a");
-    ASSERT_TRUE(r.is_ok());
-    auto data = r.value()->read(0, 17);
-    ASSERT_TRUE(data.is_ok());
-    EXPECT_EQ(std::string(data.value().begin(), data.value().end()),
-              "hello zoned world");
-    // Partial read at an offset.
-    data = r.value()->read(6, 5);
-    EXPECT_EQ(std::string(data.value().begin(), data.value().end()),
-              "zoned");
-}
 
 TEST_F(ZonedEnvTest, LargeFileSpansZones)
 {
@@ -308,19 +388,6 @@ class BlockEnvTest : public ::testing::Test
     std::unique_ptr<BlockEnv> env_;
 };
 
-TEST_F(BlockEnvTest, WriteReadRoundTrip)
-{
-    auto f = env_->new_writable("x");
-    ASSERT_TRUE(f.is_ok());
-    ASSERT_TRUE(f.value()->append(bytes_of("block world")).is_ok());
-    ASSERT_TRUE(f.value()->close().is_ok());
-    auto r = env_->open_readable("x");
-    auto data = r.value()->read(0, 11);
-    ASSERT_TRUE(data.is_ok());
-    EXPECT_EQ(std::string(data.value().begin(), data.value().end()),
-              "block world");
-}
-
 TEST_F(BlockEnvTest, TailRewriteAcrossSyncs)
 {
     auto f = env_->new_writable("wal");
@@ -337,18 +404,6 @@ TEST_F(BlockEnvTest, TailRewriteAcrossSyncs)
     auto data = r.value()->read(0, all.size());
     ASSERT_TRUE(data.is_ok());
     EXPECT_EQ(std::string(data.value().begin(), data.value().end()), all);
-}
-
-TEST_F(BlockEnvTest, DeleteFreesSpace)
-{
-    uint64_t before = env_->free_bytes();
-    auto f = env_->new_writable("tmp");
-    std::vector<uint8_t> mb(kMiB, 0x5a);
-    ASSERT_TRUE(f.value()->append(mb).is_ok());
-    ASSERT_TRUE(f.value()->close().is_ok());
-    EXPECT_LT(env_->free_bytes(), before);
-    ASSERT_TRUE(env_->delete_file("tmp").is_ok());
-    EXPECT_EQ(env_->free_bytes(), before);
 }
 
 // The BlockEnv direct path: a >= 256 KiB append into an empty buffer
@@ -406,19 +461,6 @@ TEST_F(BlockEnvTest, DirectAppendCrossesAnExtentAfterTail)
     EXPECT_EQ(st.files_deleted, 1u);
     EXPECT_EQ(st.bytes_appended, 2 + want.size());
     EXPECT_EQ(st.bytes_read, want.size() + want.size() / 2);
-}
-
-TEST_F(BlockEnvTest, ManyFilesListAndDelete)
-{
-    for (int i = 0; i < 10; ++i) {
-        auto f = env_->new_writable("f" + std::to_string(i));
-        ASSERT_TRUE(f.value()->append(bytes_of("data")).is_ok());
-        ASSERT_TRUE(f.value()->close().is_ok());
-    }
-    EXPECT_EQ(env_->list_files().size(), 10u);
-    for (int i = 0; i < 10; ++i)
-        ASSERT_TRUE(env_->delete_file("f" + std::to_string(i)).is_ok());
-    EXPECT_TRUE(env_->list_files().empty());
 }
 
 } // namespace

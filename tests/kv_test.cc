@@ -1,16 +1,18 @@
 /**
  * @file
  * Tests for the LSM KV store: bloom filters, SSTables, puts/gets/
- * deletes, memtable flushes, compaction shape, and end-to-end
- * operation on both environments.
+ * deletes, memtable flushes, compaction shape (down to the bottom
+ * level), and end-to-end operation on both environments.
  */
 #include <gtest/gtest.h>
 
-#include "env/block_env.h"
-#include "env/zoned_env.h"
+#include <map>
+#include <optional>
+
+#include "common/rng.h"
+#include "env_test_util.h"
 #include "kv/bloom.h"
 #include "kv/db.h"
-#include "wkld/setup.h"
 
 namespace raizn {
 namespace {
@@ -245,6 +247,74 @@ TEST(KvOnBlockEnvTest, WorksOnMdraid)
         EXPECT_EQ(v.value().size(), 500u);
     }
 }
+
+// Overwrites and deletes until compaction has merged level 1 into the
+// bottom level, level 2, where tombstones are dropped; then every key
+// reads back as its newest write left it.
+class DbCompactionTest : public ::testing::TestWithParam<EnvKind>
+{
+};
+
+TEST_P(DbCompactionTest, MergesDownToTheBottomLevel)
+{
+    BenchScale scale;
+    scale.zones_per_device = 12;
+    scale.zone_cap_sectors = 1024;
+    EnvStack stack(GetParam(), scale);
+    DbOptions opt;
+    opt.memtable_bytes = 64 * kKiB;
+    opt.target_file_bytes = 64 * kKiB;
+    opt.l1_bytes = 256 * kKiB;
+    opt.max_levels = 3;
+    auto db = Db::open(stack.env.get(), opt);
+    ASSERT_TRUE(db.is_ok());
+    constexpr int kKeys = 1500;
+    Rng rng(11);
+    std::map<std::string, std::optional<std::string>> model;
+    int op = 0;
+    auto one_op = [&] {
+        const std::string k =
+            KvFixture::key(static_cast<int>(rng.next_below(kKeys)));
+        if (rng.next_bool(0.8)) {
+            std::string v = "v" + std::to_string(op) + std::string(300, 'x');
+            ASSERT_TRUE(db.value()->put(k, v).is_ok());
+            model[k] = std::move(v);
+        } else {
+            ASSERT_TRUE(db.value()->delete_key(k).is_ok());
+            model[k] = std::nullopt;
+        }
+        op++;
+    };
+    for (; op < 100000 && db.value()->level_file_counts()[2] == 0;)
+        ASSERT_NO_FATAL_FAILURE(one_op());
+    ASSERT_GT(db.value()->level_file_counts()[2], 0u);
+    // Three times as many again, so level-1 files also merge into
+    // existing bottom-level files.
+    for (const int end = 4 * op; op < end;)
+        ASSERT_NO_FATAL_FAILURE(one_op());
+
+    size_t live = 0, deleted = 0;
+    for (const auto &[k, v] : model) {
+        auto got = db.value()->get(k);
+        if (v) {
+            ASSERT_TRUE(got.is_ok()) << k << ": " << got.status().to_string();
+            EXPECT_EQ(got.value(), *v) << k;
+            live++;
+        } else {
+            EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << k;
+            deleted++;
+        }
+    }
+    EXPECT_GT(live, 0u);
+    EXPECT_GT(deleted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Envs, DbCompactionTest,
+    ::testing::Values(EnvKind::kZonedRaizn, EnvKind::kBlockMdraid),
+    [](const ::testing::TestParamInfo<EnvKind> &info) {
+        return env_kind_name(info.param);
+    });
 
 } // namespace
 } // namespace raizn

@@ -52,17 +52,24 @@ struct TestArray {
     make(uint32_t ndev = 5, uint32_t su = 16, uint32_t nzones = 8,
          uint64_t zone_cap = 128)
     {
+        make(array_config(ndev, su), nzones, zone_cap);
+    }
+
+    /// Creates a fresh array (mkfs) of `cfg`.
+    void
+    make(const RaiznConfig &cfg, uint32_t nzones = 8, uint64_t zone_cap = 128)
+    {
+        vol.reset();
         loop = std::make_unique<EventLoop>();
         devs.clear();
         std::vector<BlockDevice *> ptrs;
-        for (uint32_t i = 0; i < ndev; ++i) {
+        for (uint32_t i = 0; i < cfg.num_devices; ++i) {
             ZnsDeviceConfig dc = device_config(nzones, zone_cap);
             dc.name = "zns" + std::to_string(i);
             devs.push_back(std::make_unique<ZnsDevice>(loop.get(), dc));
             ptrs.push_back(devs.back().get());
         }
-        auto res =
-            RaiznVolume::create(loop.get(), ptrs, array_config(ndev, su));
+        auto res = RaiznVolume::create(loop.get(), ptrs, cfg);
         ASSERT_TRUE(res.is_ok()) << res.status().to_string();
         vol = std::move(res).value();
     }
